@@ -67,7 +67,8 @@ class EigenFrame:
 
     ``states[k, n]`` is the n-th eigenvector at ``times[k]``, unit-normalized
     and orthogonal in the frame inner product at that time, with phases
-    continuous along the grid. ``metrics[k]`` caches PC(t_k).
+    continuous along the grid. ``metrics`` is the frame grid's read-only
+    PC(t_k) stack, shared, not copied.
     """
 
     times: np.ndarray     # (n_t,)
@@ -106,22 +107,17 @@ def build_eigenframe(
     of the resulting basis in the frame inner product is verified to
     ``ortho_tol`` at every point.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be a strictly increasing array of at least two times")
-
+    fg = frame_family.on_grid(grid)
+    grid = fg.times
     n_t = grid.size
     dim = frame_family.dim
     energies = np.empty((n_t, dim))
     states = np.empty((n_t, dim, dim), dtype=complex)
-    metrics = np.empty((n_t, dim, dim), dtype=complex)
     min_overlap = 1.0
 
     for k, t in enumerate(grid):
         H = hamiltonian(t)
-        frame = frame_family.frame_at(t)
-        metric = frame.metric
-        metrics[k] = metric
+        metric = fg.metric[k]
         pairs = linalg.eigenpairs(H)
         scale = max(1.0, linalg.operator_norm(H))
         lams = np.array([lam for lam, _ in pairs])
@@ -175,7 +171,7 @@ def build_eigenframe(
         times=grid,
         energies=energies,
         states=states,
-        metrics=metrics,
+        metrics=fg.metric,
         diagnostics={"min_overlap": min_overlap},
     )
 
@@ -209,11 +205,9 @@ def level_coupling_residual(
     if n == m:
         raise ValueError("coupling residual is defined for distinct levels (n != m)")
     lhs = _connection(eframe, n, m)
-    p = frame_family.p
-    rhs = np.empty_like(lhs)
-    for k, t in enumerate(eframe.times):
-        op = p @ frame_family.cdot_at(t)
-        rhs[k] = -0.5 * np.vdot(eframe.states[k, n], op @ eframe.states[k, m])
+    fg = frame_family.on_grid(eframe.times)
+    pcdot_m = np.einsum("ij,kjl,kl->ki", fg.p, fg.cdot, eframe.states[:, m])
+    rhs = -0.5 * np.einsum("ki,ki->k", eframe.states[:, n].conj(), pcdot_m)
     return np.abs(lhs - rhs)
 
 
@@ -235,14 +229,13 @@ def operator_phase(
     n_t = eframe.times.size
     dim = eframe.dim
     eye = np.eye(dim)
+    fg = frame_family.on_grid(eframe.times)
     integrand = np.empty((n_t, dim, dim), dtype=complex)
     hams = []
     for k, t in enumerate(eframe.times):
         H = hamiltonian(t)
         hams.append(H)
-        C = frame_family.c_at(t)
-        Cdot = frame_family.cdot_at(t)
-        integrand[k] = (H - eframe.energies[k, level] * eye) / hbar + 0.5j * (C @ Cdot)
+        integrand[k] = (H - eframe.energies[k, level] * eye) / hbar + 0.5j * (fg.c[k] @ fg.cdot[k])
     A = cumulative_trapezoid(integrand, eframe.times, axis=0, initial=0.0)
     comm = np.array([
         linalg.operator_norm(A[k] @ hams[k] - hams[k] @ A[k]) for k in range(n_t)
@@ -256,18 +249,16 @@ def adiabatic_bound_profile(
     """Running value of the adiabatic bound integral V(t) along the grid.
 
     Integrand: ||(PC)^(1/2)|| * (||dpsi_m/dt|| + 1/2 ||C Cdot psi_m||), with
-    the vector norms taken in the plain Euclidean norm. Nonnegative
-    integrand, so the profile is nondecreasing.
+    the vector norms taken in the plain Euclidean norm, and
+    ||(PC)^(1/2)|| = sqrt(lambda_max(PC)). Nonnegative integrand, so the
+    profile is nondecreasing.
     """
+    fg = frame_family.on_grid(eframe.times)
     dpsi = eframe.state_derivatives(level)
-    integrand = np.empty(eframe.times.size)
-    for k, t in enumerate(eframe.times):
-        frame = frame_family.frame_at(t)
-        prefactor = linalg.operator_norm(frame.metric_sqrt)
-        C = frame_family.c_at(t)
-        Cdot = frame_family.cdot_at(t)
-        drag = 0.5 * np.linalg.norm(C @ Cdot @ eframe.states[k, level])
-        integrand[k] = prefactor * (np.linalg.norm(dpsi[k]) + drag)
+    prefactor = np.sqrt(fg.metric_eigenvalues[:, -1])
+    drag_vec = np.einsum("kij,kjl,kl->ki", fg.c, fg.cdot, eframe.states[:, level])
+    drag = 0.5 * np.linalg.norm(drag_vec, axis=1)
+    integrand = prefactor * (np.linalg.norm(dpsi, axis=1) + drag)
     return cumulative_trapezoid(integrand, eframe.times, initial=0.0)
 
 
@@ -301,11 +292,10 @@ def gauge_fix(eframe: EigenFrame, frame_family: FrameFamily) -> EigenFrame:
     <psi_n|PC dpsi_n/dt> = 0 pointwise (parallel-transport gauge) up to
     the differencing error of the grid.
     """
-    c0 = frame_family.c_at(eframe.times[0])
-    c_scale = max(1.0, linalg.operator_norm(c0))
-    for t in eframe.times[1:]:
-        if linalg.operator_norm(frame_family.c_at(t) - c0) > 1e-12 * c_scale:
-            raise ValueError("gauge fixing requires a constant C over the grid")
+    c = frame_family.on_grid(eframe.times).c
+    c_scale = max(1.0, linalg.operator_norm(c[0]))
+    if np.any(np.linalg.norm(c[1:] - c[0], 2, axis=(-2, -1)) > 1e-12 * c_scale):
+        raise ValueError("gauge fixing requires a constant C over the grid")
     states = eframe.states.copy()
     for n in range(eframe.dim):
         conn = np.imag(_connection(eframe, n, n))

@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -66,6 +67,10 @@ class _InlineModel:
         return OperatorFamily.constant(self.H)
 
     def frame_family(self) -> frm.FrameFamily:
+        return self._frame_family
+
+    @cached_property
+    def _frame_family(self) -> frm.FrameFamily:
         return frm.FrameFamily.constant(self.frame)
 
     def problem(self, grid, equation, initial_state, hbar=1.0, substeps=None,
@@ -125,32 +130,20 @@ def _correction_family(cfg: ScenarioConfig, dim: int) -> Optional[OperatorFamily
 
 
 def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, bool, bool]:
-    """Aggregate frame residuals and symmetry classification over the grid."""
-    family = model.frame_family()
+    """Frame residuals and symmetry classification over the grid."""
+    fg = model.frame_family().on_grid(grid)
     ham = model.hamiltonian()
-    residuals: dict = {}
-    min_metric_eig = np.inf
-    symmetry = {"pt_symmetric": True, "cpt_hermitian": True, "unbroken": True}
-    max_realness = 0.0
-    for t in grid:
-        frame = family.frame_at(t)
-        for axiom, value in frame.residuals.items():
-            if axiom == "metric min eigenvalue":
-                min_metric_eig = min(min_metric_eig, value)
-            else:
-                residuals[axiom] = max(residuals.get(axiom, 0.0), value)
-        rep = frm.symmetry_report(frame, ham(t), tol=cfg.tolerances["symmetry"])
-        symmetry["pt_symmetric"] &= rep.pt_symmetric
-        symmetry["cpt_hermitian"] &= rep.cpt_hermitian
-        symmetry["unbroken"] &= rep.unbroken
-        max_realness = max(max_realness, rep.eigen_realness)
-    residuals["metric min eigenvalue"] = float(min_metric_eig)
-    symmetry["max_eigen_imag"] = max_realness
-    frames_ok = True  # validate_frames raises on any axiom failure
+    reports = fg.symmetry_reports([ham(t) for t in fg.times], tol=cfg.tolerances["symmetry"])
+    symmetry = {
+        key: all(getattr(rep, key) for rep in reports)
+        for key in ("pt_symmetric", "cpt_hermitian", "unbroken")
+    }
+    symmetry["max_eigen_imag"] = max(0.0, *(rep.eigen_realness for rep in reports))
+    frames_ok = True  # on_grid raises on any axiom failure
     symmetry_ok = bool(
         symmetry["pt_symmetric"] and symmetry["cpt_hermitian"] and symmetry["unbroken"]
     )
-    return residuals, symmetry, frames_ok, symmetry_ok
+    return dict(fg.residuals), symmetry, frames_ok, symmetry_ok
 
 
 def _norm_check_enabled(cfg: ScenarioConfig) -> bool:

@@ -18,12 +18,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .linalg import AntilinearOperator, OperatorFamily, as_operator, as_state
+from .linalg import AntilinearOperator, OperatorFamily, as_grid, as_operator, as_state
 
 __all__ = [
     "FrameAxiomError",
     "CPTFrame",
     "FrameFamily",
+    "FrameGrid",
     "validate_frames",
     "cpt_inner",
     "cpt_norm",
@@ -36,6 +37,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_FRAME_TOL = 1e-10
+# Grid points per stacked axiom check: bounds the (CHUNK, d, d) temporaries.
+CHUNK = 64
 
 
 class FrameAxiomError(ValueError):
@@ -70,10 +73,61 @@ class CPTFrame:
         return self.p.shape[0]
 
 
+def _opnorm(X) -> np.ndarray:
+    """Largest singular value of each matrix in a stack (the norm of :func:`linalg.operator_norm`)."""
+    return np.linalg.norm(X, 2, axis=(-2, -1))
+
+
 def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
     residuals[axiom] = resid
     if resid > tol * max(scale, 1.0):
         raise FrameAxiomError(axiom, f"residual {resid:.3e} (tolerance {tol:.1e}, scale {scale:.3g})")
+
+
+def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> dict:
+    """Residuals of the axioms that do not involve C: P^2 = I, T^2 = I, PT = TP."""
+    eye = np.eye(P.shape[0])
+    nP, nK = float(_opnorm(P)), float(_opnorm(K))
+    residuals: dict = {}
+    _check(residuals, "P^2 = I", float(_opnorm(P @ P - eye)), nP * nP, tol)
+    _check(residuals, "T^2 = I", float(_opnorm(K @ np.conj(K) - eye)), nK * nK, tol)
+    _check(residuals, "PT = TP", float(_opnorm(P @ K - K @ np.conj(P))), nP * nK, tol)
+    return residuals
+
+
+def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, tol: float, times=None):
+    """Check the C-dependent axioms on a stack C of shape (n, d, d).
+
+    Returns (residuals, metric, eigenvalues): per-point residual arrays keyed
+    by axiom, the metric stack PC and its ascending eigenvalues. The first
+    failing point raises :class:`FrameAxiomError` naming the first axiom it
+    fails, in :func:`validate_frames` order, and ``times[k]`` when given.
+    """
+    eye = np.eye(P.shape[0])
+    nP, nK = float(_opnorm(P)), float(_opnorm(K))
+    nC = _opnorm(C)
+    metric = P @ C
+    metric_h = metric.conj().swapaxes(-1, -2)
+    nM = _opnorm(metric)
+    eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
+    checks = {
+        "C^2 = I": (_opnorm(C @ C - eye), nC * nC),
+        "CPT = TPC": (_opnorm(C @ P @ K - K @ np.conj(P) @ np.conj(C)), nC * nP * nK),
+        "metric Hermitian": (_opnorm(metric - metric_h), nM),
+    }
+    failed = {axiom: resid > tol * np.maximum(scale, 1.0) for axiom, (resid, scale) in checks.items()}
+    failed["metric positive definite"] = eigs[:, 0] <= tol * nM
+    bad = np.logical_or.reduce(list(failed.values()))
+    if bad.any():
+        k = int(np.argmax(bad))
+        axiom = next(name for name, mask in failed.items() if mask[k])
+        if axiom == "metric positive definite":
+            detail = f"minimum eigenvalue of PC is {eigs[k, 0]:.3e} (metric norm {nM[k]:.3g})"
+        else:
+            resid, scale = checks[axiom][0][k], checks[axiom][1][k]
+            detail = f"residual {resid:.3e} (tolerance {tol:.1e}, scale {scale:.3g})"
+        raise FrameAxiomError(axiom, detail if times is None else f"{detail} at t={times[k]}")
+    return {axiom: resid for axiom, (resid, _) in checks.items()}, metric, eigs
 
 
 def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL) -> CPTFrame:
@@ -82,6 +136,7 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
     Axioms checked, each with its own named :class:`FrameAxiomError`:
     P^2 = I, T^2 = I, PT = TP, C^2 = I, CPT = TPC, metric Hermitian,
     metric positive definite. Residuals are kept on the returned frame.
+    This is the one-point case of :meth:`FrameFamily.on_grid`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -91,31 +146,13 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
     n = P.shape[0]
     if C.shape[0] != n or K.shape[0] != n:
         raise ValueError(f"dimension mismatch: C {C.shape}, P {P.shape}, T {K.shape}")
-    eye = np.eye(n)
-    residuals: dict = {}
-    norm = linalg.operator_norm
-    nC, nP, nK = norm(C), norm(P), norm(K)
-
-    _check(residuals, "P^2 = I", norm(P @ P - eye), nP * nP, tol)
-    _check(residuals, "T^2 = I", norm(T.squared() - eye), nK * nK, tol)
-    _check(residuals, "PT = TP", norm(P @ K - K @ np.conj(P)), nP * nK, tol)
-    _check(residuals, "C^2 = I", norm(C @ C - eye), nC * nC, tol)
-    _check(residuals, "CPT = TPC", norm(C @ P @ K - K @ np.conj(P) @ np.conj(C)), nC * nP * nK, tol)
-
-    metric = P @ C
-    nM = norm(metric)
-    _check(residuals, "metric Hermitian", norm(metric - metric.conj().T), nM, tol)
-
-    herm = 0.5 * (metric + metric.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
+    residuals = _pt_axioms(P, K, tol)
+    c_residuals, metrics, eigs = _c_axioms(C[None], P, K, tol)
+    residuals.update((axiom, float(resid[0])) for axiom, resid in c_residuals.items())
+    metric, eigs = metrics[0], eigs[0]
     residuals["metric min eigenvalue"] = float(eigs[0])
-    if eigs[0] <= tol * nM:
-        raise FrameAxiomError(
-            "metric positive definite",
-            f"minimum eigenvalue of PC is {eigs[0]:.3e} (metric norm {nM:.3g})",
-        )
 
-    metric_sqrt = linalg.hermitian_sqrt(herm, tol=tol)
+    metric_sqrt = linalg.hermitian_sqrt(0.5 * (metric + metric.conj().T), tol=tol)
     metric_inv = np.linalg.inv(metric)
     return CPTFrame(
         c=C, p=P, t=T,
@@ -188,54 +225,61 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     to be mapped to a unit-modulus multiple of itself by PT; eigenvalues
     clustered within tol are treated as one eigenspace, tested for
     PT-invariance as a subspace (individual vectors are gauge-ambiguous
-    there), and the fallback is logged.
+    there), and the fallback is logged. This is the one-point case of
+    :meth:`FrameGrid.symmetry_reports`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     H = as_operator(H, "H")
     if H.shape[0] != frame.dim:
         raise ValueError(f"operator dim {H.shape[0]} does not match frame dim {frame.dim}")
-    norm = linalg.operator_norm
-    nH = norm(H)
-    pt_map = frame.p @ frame.t.conj_matrix  # x -> pt_map conj(x)
+    return _classify(frame.p @ frame.t.conj_matrix, frame.metric[None], H[None], tol)[0]
 
-    pt_residual = norm(H @ pt_map - pt_map @ np.conj(H))
-    pt_symmetric = pt_residual <= tol * max(nH, 1e-300)
 
-    cpt_residual = norm(H.conj().T @ frame.metric - frame.metric @ H)
-    cpt_hermitian = cpt_residual <= tol * max(nH * norm(frame.metric), 1e-300)
+def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
+              tol: float) -> list[SymmetryReport]:
+    """Symmetry reports of a stack of H against a stack of metrics PC."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    nH = _opnorm(hams)
+    pt_residual = _opnorm(hams @ pt_map - pt_map @ np.conj(hams))
+    cpt_residual = _opnorm(hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams)
+    cpt_scale = nH * _opnorm(metrics)
+    map_scale = max(1.0, float(_opnorm(pt_map)))
+    reports = []
+    for k, H in enumerate(hams):
+        pt_symmetric = bool(pt_residual[k] <= tol * max(nH[k], 1e-300))
+        pairs = linalg.eigenpairs(H, tol=max(tol, linalg.DEFAULT_EIGEN_TOL))
+        reports.append(SymmetryReport(
+            pt_symmetric=pt_symmetric,
+            cpt_hermitian=bool(cpt_residual[k] <= tol * max(cpt_scale[k], 1e-300)),
+            unbroken=pt_symmetric and _pt_invariant(pairs, pt_map, tol * map_scale, tol, nH[k]),
+            eigen_realness=float(max(abs(lam.imag) for lam, _ in pairs)),
+            pt_residual=float(pt_residual[k]),
+            cpt_residual=float(cpt_residual[k]),
+        ))
+    return reports
 
-    pairs = linalg.eigenpairs(H, tol=max(tol, linalg.DEFAULT_EIGEN_TOL))
-    eigen_realness = max(abs(lam.imag) for lam, _ in pairs)
 
-    unbroken = pt_symmetric
-    if pt_symmetric:
-        for lams, vecs in _group_eigenpairs(pairs, tol, nH):
-            if len(lams) == 1:
-                v = vecs[0]
-                w = pt_map @ np.conj(v)
-                mu = np.vdot(v, w)  # v is unit norm
-                if np.linalg.norm(w - mu * v) > tol * max(1.0, norm(pt_map)) or abs(abs(mu) - 1.0) > tol * 10:
-                    unbroken = False
-            else:
-                logger.info(
-                    "degenerate eigenvalue cluster at %s: testing PT-invariance of the eigenspace",
-                    lams[0],
-                )
-                Q, _ = np.linalg.qr(np.column_stack(vecs))
-                proj = Q @ Q.conj().T
-                for q in Q.T:
-                    w = pt_map @ np.conj(q)
-                    if np.linalg.norm(w - proj @ w) > tol * max(1.0, norm(pt_map)):
-                        unbroken = False
-    return SymmetryReport(
-        pt_symmetric=pt_symmetric,
-        cpt_hermitian=cpt_hermitian,
-        unbroken=unbroken,
-        eigen_realness=float(eigen_realness),
-        pt_residual=float(pt_residual),
-        cpt_residual=float(cpt_residual),
-    )
+def _pt_invariant(pairs, pt_map, vec_tol: float, tol: float, scale: float) -> bool:
+    """Whether PT maps every eigenspace of a PT-symmetric H into itself."""
+    for lams, vecs in _group_eigenpairs(pairs, tol, scale):
+        if len(lams) == 1:
+            v = vecs[0]
+            w = pt_map @ np.conj(v)
+            mu = np.vdot(v, w)  # v is unit norm
+            if np.linalg.norm(w - mu * v) > vec_tol or abs(abs(mu) - 1.0) > tol * 10:
+                return False
+        else:
+            logger.info(
+                "degenerate eigenvalue cluster at %s: testing PT-invariance of the eigenspace",
+                lams[0],
+            )
+            Q, _ = np.linalg.qr(np.column_stack(vecs))
+            proj = Q @ Q.conj().T
+            for q in Q.T:
+                w = pt_map @ np.conj(q)
+                if np.linalg.norm(w - proj @ w) > vec_tol:
+                    return False
+    return True
 
 
 def norm_equivalence_bounds(frame: CPTFrame) -> tuple[float, float]:
@@ -251,12 +295,17 @@ def norm_equivalence_bounds(frame: CPTFrame) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FrameFamily:
-    """Frame-valued function of time: fixed P and T, time-varying C(t)."""
+    """Frame-valued function of time: fixed P and T, time-varying C(t).
+
+    :meth:`on_grid` keeps the last :class:`FrameGrid` it built, so every
+    stage of a run that asks for the same grid shares one validated pass.
+    """
 
     c_family: OperatorFamily
     p: np.ndarray
     t: AntilinearOperator
     tol: float = DEFAULT_FRAME_TOL
+    _grid: Optional["FrameGrid"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_operator(self.p, "P"))
@@ -279,6 +328,91 @@ class FrameFamily:
         """Validated frame at time t (axioms re-checked, fresh caches)."""
         return validate_frames(self.c_family(t), self.p, self.t, tol=self.tol)
 
+    def on_grid(self, grid) -> "FrameGrid":
+        """The family evaluated and validated at every grid time (see :class:`FrameGrid`).
+
+        Returns the kept grid when ``grid`` equals its times, else builds
+        and keeps a new one.
+        """
+        grid = as_grid(grid)
+        kept = self._grid
+        if kept is None or kept.times.shape != grid.shape or not np.array_equal(kept.times, grid):
+            kept = FrameGrid.build(self, grid)
+            object.__setattr__(self, "_grid", kept)
+        return kept
+
     @classmethod
     def constant(cls, frame: CPTFrame) -> "FrameFamily":
         return cls(OperatorFamily.constant(frame.c), frame.p, frame.t, tol=frame.tol)
+
+
+@dataclass(frozen=True)
+class FrameGrid:
+    """A frame family on a time grid, validated once, as (n_t, d, d) stacks.
+
+    ``c``, ``cdot`` and ``metric`` hold C(t_k), dC/dt(t_k) and PC(t_k);
+    ``metric_eigenvalues[k]`` is the ascending spectrum of PC(t_k).
+    ``residuals`` has the largest residual of each axiom over the grid and
+    the smallest metric eigenvalue, keyed as in :attr:`CPTFrame.residuals`.
+    ``one_sided`` counts the points whose derivative fell back to a
+    one-sided difference. The arrays are read-only: consumers share them.
+    Build with :meth:`FrameFamily.on_grid`.
+    """
+
+    times: np.ndarray
+    p: np.ndarray
+    t: AntilinearOperator
+    c: np.ndarray
+    cdot: np.ndarray
+    metric: np.ndarray
+    metric_eigenvalues: np.ndarray
+    residuals: dict = field(repr=False)
+    one_sided: int = 0
+
+    @classmethod
+    def build(cls, family: FrameFamily, grid: np.ndarray) -> "FrameGrid":
+        """Evaluate C and dC/dt at every grid time and check every axiom.
+
+        The P/T axioms are checked once; the C-dependent ones on stacks of
+        CHUNK points. The first failing time raises
+        :class:`FrameAxiomError` naming the axiom and that time.
+        """
+        P, K = family.p, family.t.conj_matrix
+        grid = np.array(grid, dtype=float)
+        n, dim = grid.size, family.dim
+        if K.shape[0] != dim:
+            raise ValueError(f"dimension mismatch: P {P.shape}, T {K.shape}")
+        residuals = _pt_axioms(P, K, family.tol)
+        c = np.empty((n, dim, dim), dtype=complex)
+        cdot = np.empty_like(c)
+        one_sided = 0
+        for k, t in enumerate(grid):
+            c_k = family.c_family(t)
+            if c_k.shape != P.shape:
+                raise ValueError(f"dimension mismatch: C {c_k.shape} at t={t}, P {P.shape}")
+            c[k] = c_k
+            cdot[k], edge = linalg.derivative_stencil(family.c_family, t)
+            one_sided += edge
+        if one_sided:
+            logger.warning("one-sided derivative at %d of %d grid points in [%g, %g]",
+                           one_sided, n, grid[0], grid[-1])
+        metric = np.empty_like(c)
+        eigs = np.empty((n, dim))
+        for lo in range(0, n, CHUNK):
+            part = slice(lo, lo + CHUNK)
+            chunk_residuals, metric[part], eigs[part] = _c_axioms(
+                c[part], P, K, family.tol, grid[part])
+            for axiom, resid in chunk_residuals.items():
+                residuals[axiom] = max(residuals.get(axiom, 0.0), float(resid.max()))
+        residuals["metric min eigenvalue"] = float(eigs[:, 0].min())
+        for arr in (grid, c, cdot, metric, eigs):
+            arr.flags.writeable = False
+        return cls(times=grid, p=P, t=family.t, c=c, cdot=cdot, metric=metric,
+                   metric_eigenvalues=eigs, residuals=residuals, one_sided=one_sided)
+
+    def symmetry_reports(self, hams, tol: float = DEFAULT_FRAME_TOL) -> list[SymmetryReport]:
+        """:func:`symmetry_report` at every grid time, for the stack hams[k] = H(t_k)."""
+        hams = np.asarray(hams, dtype=complex)
+        if hams.shape != self.metric.shape:
+            raise ValueError(f"operator stack {hams.shape} does not match the grid {self.metric.shape}")
+        return _classify(self.p @ self.t.conj_matrix, self.metric, hams, tol)

@@ -20,6 +20,7 @@ __all__ = [
     "OperatorFamily",
     "as_operator",
     "as_state",
+    "as_grid",
     "eigenpairs",
     "hermitian_sqrt",
     "operator_norm",
@@ -61,6 +62,14 @@ def as_state(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
     return x
+
+
+def as_grid(values, name: str = "grid") -> np.ndarray:
+    """Coerce to a strictly increasing float array of at least two times or raise ValueError."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+        raise ValueError(f"{name} must be a strictly increasing array of at least two time points")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -249,19 +258,26 @@ def family_derivative(F: OperatorFamily, t: float, h: Optional[float] = None) ->
     Near a domain edge the stencil degrades to a one-sided second-order
     difference and the downgrade is logged.
     """
+    value, one_sided = derivative_stencil(F, t, h)
+    if one_sided:
+        logger.warning("one-sided derivative at t=%g (domain [%g, %g])", t, F.t_start, F.t_end)
+    return value
+
+
+def derivative_stencil(F: OperatorFamily, t: float, h: Optional[float] = None
+                       ) -> tuple[np.ndarray, bool]:
+    """:func:`family_derivative` without the log line: (value, whether one-sided)."""
     if F.derivative is not None:
-        return as_operator(F.derivative(t), f"family derivative at t={t}")
+        return as_operator(F.derivative(t), f"family derivative at t={t}"), False
     if h is None:
         h = 1e-5 * max(1.0, abs(t))
     if h <= 0:
         raise ValueError("h must be positive")
     lo, hi = F.t_start, F.t_end
     if t - h >= lo and t + h <= hi:
-        return (F(t + h) - F(t - h)) / (2.0 * h)
+        return (F(t + h) - F(t - h)) / (2.0 * h), False
     if t + 2 * h <= hi:
-        logger.warning("one-sided derivative at t=%g (domain starts at %g)", t, lo)
-        return (-3.0 * F(t) + 4.0 * F(t + h) - F(t + 2 * h)) / (2.0 * h)
+        return (-3.0 * F(t) + 4.0 * F(t + h) - F(t + 2 * h)) / (2.0 * h), True
     if t - 2 * h >= lo:
-        logger.warning("one-sided derivative at t=%g (domain ends at %g)", t, hi)
-        return (3.0 * F(t) - 4.0 * F(t - h) + F(t - 2 * h)) / (2.0 * h)
+        return (3.0 * F(t) - 4.0 * F(t - h) + F(t - 2 * h)) / (2.0 * h), True
     raise ValueError(f"domain [{lo}, {hi}] too small for step h={h} at t={t}")

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import Equation, EvolutionProblem
 from .frames import CPTFrame, FrameFamily
-from .linalg import AntilinearOperator, OperatorFamily
+from .linalg import AntilinearOperator, OperatorFamily, as_grid
 
 __all__ = [
     "ScalarFunction",
@@ -102,13 +103,11 @@ class ScalarFunction:
     @classmethod
     def from_samples(cls, times: Sequence[float], values: Sequence[float]) -> "ScalarFunction":
         """Piecewise-linear interpolant; derivatives fall back to differencing."""
-        ts = np.asarray(times, dtype=float)
         vs = np.asarray(values)
         if np.iscomplexobj(vs) and np.any(vs.imag != 0):
             raise ValueError("sample values must be real")
         vs = vs.real.astype(float)
-        if ts.ndim != 1 or ts.size < 2 or not np.all(np.diff(ts) > 0):
-            raise ValueError("sample times must be strictly increasing, length >= 2")
+        ts = as_grid(times, "sample times")
         if vs.shape != ts.shape:
             raise ValueError("times and values must have the same length")
         return cls(
@@ -162,6 +161,11 @@ class TwoLevelModel:
         return OperatorFamily(self.t_start, self.t_end, evaluate, derivative)
 
     def frame_family(self) -> FrameFamily:
+        """The model's frame family; the same object on every call."""
+        return self._frame_family
+
+    @cached_property
+    def _frame_family(self) -> FrameFamily:
         def evaluate(t):
             return _two_level_matrices(self.s(t), self.alpha(t))[1]
 
@@ -227,11 +231,10 @@ def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
 
     Rejects any grid point where cos alpha(t) < 1/2 (the metric would lose
     positive definiteness headroom), naming the offending time. The frames
-    are validated at every grid point.
+    are validated at every grid point, and the :class:`FrameGrid` is kept on
+    the model's frame family for the run's later stages.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be a strictly increasing array of at least two times")
+    grid = as_grid(grid)
     for t in grid:
         c = math.cos(alpha(t))
         if c < MIN_COS_ALPHA:
@@ -243,9 +246,7 @@ def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
         s=s, alpha=alpha, t_start=float(grid[0]), t_end=float(grid[-1]),
         frame_tol=frame_tol,
     )
-    family = model.frame_family()
-    for t in grid:
-        family.frame_at(t)  # raises FrameAxiomError on any violation
+    model.frame_family().on_grid(grid)  # raises FrameAxiomError on any violation
     return model
 
 
@@ -274,6 +275,11 @@ class ConstantMetricModel:
         return OperatorFamily(self.t_start, self.t_end, evaluate, derivative)
 
     def frame_family(self) -> FrameFamily:
+        """The model's frame family; the same object on every call."""
+        return self._frame_family
+
+    @cached_property
+    def _frame_family(self) -> FrameFamily:
         return FrameFamily.constant(self.frame)
 
     def energies(self, t: float) -> np.ndarray:
@@ -303,9 +309,7 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
     a and b must be real-valued (ScalarFunction already enforces real
     output); the frame must be validated.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be a strictly increasing array of at least two times")
+    grid = as_grid(grid)
     if not isinstance(frame, CPTFrame):
         raise TypeError("frame must be a validated CPTFrame")
     for fn in (a, b):

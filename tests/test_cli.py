@@ -2,13 +2,19 @@ import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import two_level_matrices
+from ptdyn import frames
 from ptdyn.cli import main, run_scenario, sweep
-from ptdyn.config import from_dict, matrix_to_pairs
+from ptdyn.config import from_dict, load_config, matrix_to_pairs
+from ptdyn.frames import FrameGrid
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, raw, name="scenario.json"):
@@ -237,3 +243,27 @@ def test_config_output_dir_used_as_default(tmp_path, monkeypatch):
     # an explicit flag wins over the config value
     assert main(["run", str(path), "--out-dir", str(tmp_path / "flag")]) == 0
     assert (tmp_path / "flag" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("scenario, validations", [("two_level_ramp", 0), ("constant_metric", 1)])
+def test_run_builds_one_frame_grid(monkeypatch, scenario, validations):
+    """One validated pass per run: every stage reads the same FrameGrid.
+
+    The only per-frame validation left is the configured constant frame.
+    """
+    cfg = load_config(ROOT / "scenarios" / f"{scenario}.json")
+    counts = {"grids": 0, "validations": 0}
+    build, validate = FrameGrid.build.__func__, frames.validate_frames
+
+    def counting_build(cls, family, grid):
+        counts["grids"] += 1
+        return build(cls, family, grid)
+
+    def counting_validate(*args, **kwargs):
+        counts["validations"] += 1
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(FrameGrid, "build", classmethod(counting_build))
+    monkeypatch.setattr(frames, "validate_frames", counting_validate)
+    run_scenario(cfg)
+    assert counts == {"grids": 1, "validations": validations}

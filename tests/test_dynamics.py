@@ -188,6 +188,24 @@ def test_coarse_step_warning(caplog):
     assert any("coarse step" in rec.message for rec in caplog.records)
 
 
+def test_drift_rate_imaginary_residual_logged_once(caplog):
+    # a non-Hermitian G makes <phi|PC G phi> complex at every grid point
+    G = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily.constant(np.zeros((2, 2))),
+        frame_family=identity_metric_family(),
+        grid=np.linspace(0.0, 1.0, 11),
+        equation=Equation.AUGMENTED,
+        initial_state=np.array([1.0, 1.0j]) / math.sqrt(2.0),
+        correction=OperatorFamily.constant(0.1 * G),
+        substeps=4,
+    )
+    with caplog.at_level(logging.DEBUG, logger="ptdyn.dynamics"):
+        evolve_state(problem)
+    logged = [rec.message for rec in caplog.records if "imaginary residual" in rec.message]
+    assert len(logged) == 1 and "max |Im|" in logged[0] and "at t=" in logged[0]
+
+
 def test_problem_validation():
     fam = identity_metric_family()
     H = OperatorFamily.constant(np.eye(2))

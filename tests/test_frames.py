@@ -1,14 +1,17 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from helpers import random_frame_matrices, two_level_matrices
 from ptdyn.frames import (
     FrameAxiomError,
     FrameFamily,
+    FrameGrid,
     cpt_adjoint,
     cpt_inner,
     cpt_norm,
@@ -271,3 +274,86 @@ def test_two_level_c_eigenvectors():
         psi1, psi2 = euclidean_eigvecs(alpha)
         assert np.linalg.norm(frame.c @ psi1 + psi1) <= 1e-12
         assert np.linalg.norm(frame.c @ psi2 - psi2) <= 1e-12
+
+
+# ------------------------------------------------------------------- FrameGrid
+
+# C(t) grows by 1 + DRIFT t: a C^2 = I residual of about 2 DRIFT t, inside
+# the 1e-10 tolerance, so the worst residual sits at the last point.
+DRIFT = 2e-11
+
+
+def rotating_frame_family(seed, dim, omega, broken_at=None, break_kind="scale"):
+    """Random valid frame whose C(t) = R(t) C0 R(t)^T turns with a rotation R commuting with P.
+
+    R(t) = exp(omega t A) with A real antisymmetric and AP = PA, so every
+    C(t) is a valid frame with the fixed P and T = conjugation (up to the
+    DRIFT growth). At t == broken_at the returned C is broken instead
+    ("scale": C^2 != I, "negate": -C, whose metric is negative definite).
+    """
+    rng = np.random.default_rng(seed)
+    C0, P, K = random_frame_matrices(rng, dim)
+    X = rng.normal(size=(dim, dim))
+    A = X - X.T
+    A = A + P.real @ A @ P.real  # antisymmetric and commuting with P
+
+    def c_of_t(t):
+        R = expm(omega * t * A)
+        C = (1.0 + DRIFT * t) * (R @ C0 @ R.T)
+        if t == broken_at:
+            return 1.5 * C if break_kind == "scale" else -C
+        return C
+
+    def cdot_of_t(t):
+        C = c_of_t(t)
+        return omega * (A @ C - C @ A) + DRIFT / (1.0 + DRIFT * t) * C
+
+    fam = FrameFamily(OperatorFamily(0.0, 1.0, c_of_t, cdot_of_t), P, AntilinearOperator(K))
+    return fam, c_of_t
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), omega=st.floats(0.1, 3.0))
+def test_frame_grid_matches_pointwise_validation(seed, dim, omega):
+    grid = np.linspace(0.0, 1.0, 9)
+    fam, c_of_t = rotating_frame_family(seed, dim, omega)
+    fg = fam.on_grid(grid)
+    frames = [validate_frames(c_of_t(t), fam.p, fam.t) for t in grid]
+    for axiom, value in fg.residuals.items():
+        pointwise = [f.residuals[axiom] for f in frames]
+        expected = min(pointwise) if axiom == "metric min eigenvalue" else max(pointwise)
+        assert value == pytest.approx(expected, abs=1e-12), axiom
+    assert fg.residuals["C^2 = I"] > DRIFT  # the worst point, not the first
+    for k, frame in enumerate(frames):
+        assert np.allclose(fg.metric_eigenvalues[k], frame.metric_eigenvalues, rtol=0, atol=1e-12)
+        assert np.allclose(fg.metric[k], frame.metric, rtol=0, atol=1e-12)
+        assert np.allclose(fg.c[k], frame.c, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), omega=st.floats(0.1, 3.0),
+       bad=st.integers(0, 8), kind=st.sampled_from(["scale", "negate"]))
+def test_frame_grid_names_the_axiom_and_time_of_a_broken_point(seed, dim, omega, bad, kind):
+    grid = np.linspace(0.0, 1.0, 9)
+    fam, c_of_t = rotating_frame_family(seed, dim, omega, broken_at=grid[bad], break_kind=kind)
+    with pytest.raises(FrameAxiomError) as pointwise:
+        validate_frames(c_of_t(grid[bad]), fam.p, fam.t)
+    with pytest.raises(FrameAxiomError) as batched:
+        fam.on_grid(grid)
+    assert batched.value.axiom == pointwise.value.axiom
+    assert f"t={grid[bad]}" in str(batched.value)
+
+
+def test_frame_grid_is_kept_and_logs_one_sided_derivatives_once(caplog):
+    def C_of_t(t):
+        return two_level_matrices(1.0, 0.2 + 0.1 * t)[1]
+
+    fam = FrameFamily(OperatorFamily(0.0, 1.0, C_of_t), SWAP, conjugation())
+    with caplog.at_level(logging.WARNING):
+        fg = fam.on_grid(np.linspace(0.0, 1.0, 11))
+        assert fam.on_grid(np.linspace(0.0, 1.0, 11)) is fg
+    one_sided = [rec.message for rec in caplog.records if "one-sided" in rec.message]
+    assert one_sided == ["one-sided derivative at 2 of 11 grid points in [0, 1]"]
+    assert fg.one_sided == 2
+    assert isinstance(fg, FrameGrid) and not fg.metric.flags.writeable
+    assert fam.on_grid(np.linspace(0.0, 1.0, 21)) is not fg

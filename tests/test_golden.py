@@ -1,0 +1,83 @@
+"""Artifacts of the bundled scenarios against golden copies.
+
+``tests/golden/<scenario>/`` holds ``summary.json``, ``trajectory.csv`` and
+``adiabatic.csv`` as written by ``ptdyn run`` before the frame checks were
+batched over the grid. Every number must agree to GOLDEN_RTOL relative.
+Values that vanish by construction, so that only roundoff is left (the
+compensated or static drift rate, the cross-level coupling residual of
+these exactly solvable models, and the frame-axiom residuals), are compared
+to ROUNDOFF_ATOL absolute instead: a changed summation order moves them by
+a few 1e-18, which no relative tolerance on a roundoff value can absorb.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import pytest
+
+from ptdyn.cli import run_scenario
+from ptdyn.config import load_config
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+SCENARIOS = ("two_level_ramp", "constant_metric")
+
+GOLDEN_RTOL = 1e-12
+ROUNDOFF_ATOL = 1e-14
+ROUNDOFF_COLUMNS = {"drift_rate", "coupling_residual"}
+
+
+def _close(new: float, old: float, roundoff: bool) -> bool:
+    if roundoff:
+        return abs(new - old) <= ROUNDOFF_ATOL
+    return abs(new - old) <= GOLDEN_RTOL * abs(old)
+
+
+def _read_csv(path: Path):
+    """(header, numeric rows, trailing '# key=value' fields)."""
+    lines = path.read_text().splitlines()
+    footer = {}
+    if lines[-1].startswith("#"):
+        footer = dict(item.split("=", 1) for item in lines.pop()[1:].split())
+    rows = list(csv.reader(lines))
+    return rows[0], [[float(x) for x in row] for row in rows[1:]], footer
+
+
+def _compare_summary(new, old, path, errors):
+    if isinstance(old, dict):
+        assert set(new) == set(old), path
+        for key in old:
+            _compare_summary(new[key], old[key], f"{path}.{key}", errors)
+    elif isinstance(old, float) and not isinstance(new, bool):
+        roundoff = path.startswith(".frame_residuals") and "eigenvalue" not in path
+        if not _close(float(new), old, roundoff):
+            errors.append(f"{path}: {new!r} != golden {old!r}")
+    elif new != old:
+        errors.append(f"{path}: {new!r} != golden {old!r}")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_artifacts_match_golden(tmp_path, scenario):
+    run_scenario(load_config(ROOT / "scenarios" / f"{scenario}.json"), out_dir=tmp_path)
+    golden = GOLDEN / scenario
+    errors: list = []
+    _compare_summary(json.loads((tmp_path / "summary.json").read_text()),
+                     json.loads((golden / "summary.json").read_text()), "", errors)
+    for name in ("trajectory.csv", "adiabatic.csv"):
+        header, rows, footer = _read_csv(tmp_path / name)
+        old_header, old_rows, old_footer = _read_csv(golden / name)
+        assert header == old_header and len(rows) == len(old_rows), name
+        for row, old_row in zip(rows, old_rows):
+            for column, new, old in zip(header, row, old_row):
+                if not _close(new, old, column in ROUNDOFF_COLUMNS):
+                    errors.append(f"{name} t={row[0]} {column}: {new!r} != golden {old!r}")
+        assert footer.keys() == old_footer.keys(), name
+        for key, old in old_footer.items():
+            if key == "bound_satisfied":
+                ok = footer[key] == old
+            else:
+                ok = _close(float(footer[key]), float(old), roundoff=False)
+            if not ok:
+                errors.append(f"{name} footer {key}: {footer[key]} != golden {old}")
+    assert not errors, "\n".join(errors[:20])
