@@ -51,19 +51,17 @@ class FrameAxiomError(ValueError):
 
 @dataclass(frozen=True)
 class CPTFrame:
-    """Validated (C, P, T) triple with cached metric data.
+    """Validated (C, P, T) triple with its metric PC and the spectrum of PC.
 
-    Construct via :func:`validate_frames`; the caches (metric PC, its
-    Hermitian square root and inverse, its spectrum) are filled there.
-    ``residuals`` records the per-axiom validation residual norms.
+    Construct via :func:`validate_frames`. ``residuals`` records the
+    per-axiom validation residual norms. Under the axioms the metric's
+    inverse is CP, so no inverse is stored.
     """
 
     c: np.ndarray
     p: np.ndarray
     t: AntilinearOperator
     metric: np.ndarray
-    metric_sqrt: np.ndarray
-    metric_inv: np.ndarray
     metric_eigenvalues: np.ndarray
     residuals: dict = field(repr=False)
     tol: float = DEFAULT_FRAME_TOL
@@ -131,7 +129,7 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, tol: float, times=Non
 
 
 def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL) -> CPTFrame:
-    """Check every frame axiom and return the frame with caches populated.
+    """Check every frame axiom and return the validated frame.
 
     Axioms checked, each with its own named :class:`FrameAxiomError`:
     P^2 = I, T^2 = I, PT = TP, C^2 = I, CPT = TPC, metric Hermitian,
@@ -151,14 +149,9 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
     residuals.update((axiom, float(resid[0])) for axiom, resid in c_residuals.items())
     metric, eigs = metrics[0], eigs[0]
     residuals["metric min eigenvalue"] = float(eigs[0])
-
-    metric_sqrt = linalg.hermitian_sqrt(0.5 * (metric + metric.conj().T), tol=tol)
-    metric_inv = np.linalg.inv(metric)
     return CPTFrame(
         c=C, p=P, t=T,
         metric=metric,
-        metric_sqrt=metric_sqrt,
-        metric_inv=metric_inv,
         metric_eigenvalues=eigs,
         residuals=residuals,
         tol=tol,
@@ -181,11 +174,14 @@ def cpt_norm(frame: CPTFrame, x) -> float:
 
 
 def cpt_adjoint(frame: CPTFrame, A) -> np.ndarray:
-    """Adjoint with respect to the frame inner product: (PC)^-1 A^dag (PC)."""
+    """Adjoint with respect to the frame inner product: (PC)^-1 A^dag (PC).
+
+    Under the axioms (PC)^-1 = CP, which is what is applied.
+    """
     A = as_operator(A)
     if A.shape[0] != frame.dim:
         raise ValueError(f"operator dim {A.shape[0]} does not match frame dim {frame.dim}")
-    return frame.metric_inv @ A.conj().T @ frame.metric
+    return (frame.c @ frame.p) @ A.conj().T @ frame.metric
 
 
 @dataclass(frozen=True)
@@ -325,7 +321,7 @@ class FrameFamily:
         return self.p @ self.c_family(t)
 
     def frame_at(self, t: float) -> CPTFrame:
-        """Validated frame at time t (axioms re-checked, fresh caches)."""
+        """Validated frame at time t (axioms re-checked)."""
         return validate_frames(self.c_family(t), self.p, self.t, tol=self.tol)
 
     def on_grid(self, grid) -> "FrameGrid":

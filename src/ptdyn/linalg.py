@@ -24,18 +24,12 @@ __all__ = [
     "eigenpairs",
     "hermitian_sqrt",
     "operator_norm",
-    "matrix_exp",
     "family_derivative",
 ]
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_EIGEN_TOL = 1e-12
-
-# Scaling-and-squaring parameters: halve until the norm is at or below
-# EXP_SCALING_THRESHOLD, then run the truncated Taylor series.
-EXP_SCALING_THRESHOLD = 0.5
-EXP_SERIES_ORDER = 18
 
 
 class ConvergenceError(RuntimeError):
@@ -124,6 +118,35 @@ class OperatorFamily:
         if t < self.t_start or t > self.t_end:
             raise ValueError(f"t={t} outside family domain [{self.t_start}, {self.t_end}]")
         return as_operator(self.evaluate(t), f"family value at t={t}")
+
+    def stack(self, times) -> np.ndarray:
+        """M(t) at each of ``times`` as one (n, d, d) array.
+
+        Calls ``evaluate`` once per time, in order, up to the first time
+        outside the domain, then checks finiteness once for the stack. A
+        failure raises the ValueError :meth:`__call__` raises, for the
+        earliest offending time.
+        """
+        times = np.asarray(times, dtype=float)
+        outside = (times < self.t_start) | (times > self.t_end)
+        n = int(np.argmax(outside)) if outside.any() else times.size
+        out = np.empty((0, 0, 0), dtype=complex)
+        if n:
+            values = [self.evaluate(t) for t in times[:n]]
+            try:
+                out = np.array(values, dtype=complex)
+            except ValueError:  # ragged shapes
+                out = None
+            if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
+                # the one-point check raises at the first value it rejects
+                out = np.array([as_operator(v, f"family value at t={t}")
+                                for t, v in zip(times, values)])
+            bad = ~np.isfinite(out).all(axis=(1, 2))
+            if bad.any():
+                raise ValueError(f"family value at t={times[np.argmax(bad)]} contains non-finite entries")
+        if n < times.size:
+            raise ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]")
+        return out
 
     @classmethod
     def constant(cls, M) -> "OperatorFamily":
@@ -222,32 +245,6 @@ def hermitian_sqrt(M, tol: float = DEFAULT_EIGEN_TOL * 10) -> np.ndarray:
         )
     S = (V * np.sqrt(w)) @ V.conj().T
     return 0.5 * (S + S.conj().T)
-
-
-def matrix_exp(M) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with a truncated series.
-
-    The input is halved until its norm is at most ``EXP_SCALING_THRESHOLD``,
-    the series is summed to order ``EXP_SERIES_ORDER`` (Horner form), and the
-    result squared back up. Raises OverflowError when the result leaves the
-    double-precision range.
-    """
-    A = as_operator(M)
-    norm = operator_norm(A)
-    nsquare = 0
-    if norm > EXP_SCALING_THRESHOLD:
-        nsquare = int(math.ceil(math.log2(norm / EXP_SCALING_THRESHOLD)))
-    X = A / (2.0 ** nsquare)
-    n = A.shape[0]
-    E = np.eye(n, dtype=complex) / math.factorial(EXP_SERIES_ORDER)
-    for k in range(EXP_SERIES_ORDER - 1, -1, -1):
-        E = X @ E + np.eye(n, dtype=complex) / math.factorial(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(nsquare):
-            E = E @ E
-    if not np.all(np.isfinite(E)):
-        raise OverflowError(f"matrix exponential overflowed (input norm {norm:.3e})")
-    return E
 
 
 def family_derivative(F: OperatorFamily, t: float, h: Optional[float] = None) -> np.ndarray:

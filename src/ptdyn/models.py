@@ -54,6 +54,8 @@ class ScalarFunction:
 
     def __call__(self, t: float) -> float:
         value = self.fn(t)
+        if type(value) is float:
+            return value
         if isinstance(value, complex) or np.iscomplexobj(value):
             raise ValueError(f"scalar function returned non-real value {value!r} at t={t}")
         return float(value)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from helpers import two_level_matrices
 from ptdyn.adiabatic import (
@@ -25,7 +26,7 @@ from ptdyn.frames import (
     norm_equivalence_bounds,
     validate_frames,
 )
-from ptdyn.linalg import AntilinearOperator, OperatorFamily, eigenpairs, matrix_exp, operator_norm
+from ptdyn.linalg import AntilinearOperator, OperatorFamily, eigenpairs, operator_norm
 from ptdyn.models import ScalarFunction, TwoLevelModel, build_constant_metric, build_two_level
 
 from helpers import random_frame_matrices
@@ -159,7 +160,7 @@ def test_a07_commuting_rotation_equivalence():
     assert np.max(comm) <= 1e-10
 
     psi = eframe.states[:, 0, :]
-    rotated = np.array([matrix_exp(1j * A[k]) @ psi[k] for k in range(grid.size)])
+    rotated = np.array([expm(1j * A[k]) @ psi[k] for k in range(grid.size)])
     d_rot = np.gradient(rotated, grid, axis=0, edge_order=2)
     d_psi = np.gradient(psi, grid, axis=0, edge_order=2)
     for k, t in enumerate(grid[2:-2], start=2):

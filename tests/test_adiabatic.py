@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from helpers import rotating_hermitian_family, two_level_matrices
 from ptdyn.adiabatic import (
@@ -19,7 +20,7 @@ from ptdyn.adiabatic import (
 )
 from ptdyn.dynamics import Equation, EvolutionProblem, evolve_state
 from ptdyn.frames import FrameFamily, validate_frames
-from ptdyn.linalg import AntilinearOperator, OperatorFamily, matrix_exp, operator_norm
+from ptdyn.linalg import AntilinearOperator, OperatorFamily, operator_norm
 from ptdyn.models import ScalarFunction, TwoLevelModel
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -286,7 +287,7 @@ def test_operator_phase_commuting_rotation_equivalence():
     assert np.max(comm) <= 1e-10
 
     psi_m = eframe.states[:, level, :]
-    rotated = np.array([matrix_exp(1j * A[k]) @ psi_m[k] for k in range(grid.size)])
+    rotated = np.array([expm(1j * A[k]) @ psi_m[k] for k in range(grid.size)])
     d_rot = np.gradient(rotated, grid, axis=0, edge_order=2)
     d_psi = np.gradient(psi_m, grid, axis=0, edge_order=2)
     for k, t in enumerate(grid[2:-2], start=2):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from helpers import two_level_matrices
+from helpers import random_frame_matrices, reference_rk4_run, two_level_matrices
 from ptdyn.dynamics import (
     Equation,
     EvolutionProblem,
@@ -15,8 +18,8 @@ from ptdyn.dynamics import (
     norm_drift_rate,
 )
 from ptdyn.frames import FrameFamily, cpt_norm, validate_frames
-from ptdyn.linalg import AntilinearOperator, OperatorFamily, matrix_exp, operator_norm
-from ptdyn.models import ScalarFunction, TwoLevelModel, build_two_level
+from ptdyn.linalg import AntilinearOperator, OperatorFamily, operator_norm
+from ptdyn.models import ScalarFunction, TwoLevelModel, build_constant_metric, build_two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -99,7 +102,7 @@ def test_evolve_state_matches_matrix_exponential():
     )
     traj = evolve_state(problem)
     for k, t in enumerate(grid):
-        expected = matrix_exp(-1j * t * H) @ x0
+        expected = expm(-1j * t * H) @ x0
         assert np.linalg.norm(traj.states[k] - expected) <= 1e-8
 
 
@@ -328,3 +331,240 @@ def test_schrodinger_drift_nonzero_with_moving_metric():
     problem = model.problem(grid, Equation.SCHRODINGER, np.array([1.0, 0.0]))
     traj = evolve_state(problem)
     assert np.max(np.abs(traj.drift_rates)) > 1e-3
+
+
+# ------------------------------------------- stacked generator evaluation in RK4
+
+def _correction_like_compensated(model):
+    family = model.frame_family()
+
+    def G(t):
+        return -0.5 * family.c_at(t) @ family.cdot_at(t)
+
+    return OperatorFamily(-100.0, 100.0, G)
+
+
+def _problems(equation, substeps):
+    """The same equation on the two-level model and on the constant-metric model."""
+    x0 = np.array([1.0, 0.4 + 0.3j])
+    two_level = two_level_model(amp=0.7, freq=1.7)
+    correction = (_correction_like_compensated(two_level)
+                  if equation is Equation.AUGMENTED else None)
+    yield two_level.problem(np.linspace(0.0, 1.5, 16), equation, x0,
+                            substeps=substeps, correction=correction)
+    constant = build_constant_metric(
+        ScalarFunction.sinusoid(amplitude=1.2, frequency=1.3, phase=0.4),
+        ScalarFunction.constant(0.8), frozen_frame(), np.linspace(0.0, 3.0, 31))
+    correction = (OperatorFamily.constant(np.array([[0.1, 0.2j], [-0.2j, 0.05]]))
+                  if equation is Equation.AUGMENTED else None)
+    yield constant.problem(np.linspace(0.0, 3.0, 31), equation, x0,
+                           substeps=substeps, correction=correction)
+
+
+def _assert_matches_reference(problem):
+    traj = evolve_state(problem)
+    values, substeps = reference_rk4_run(problem, problem.initial_state)
+    assert np.array_equal(traj.states, np.array(values))
+    assert traj.diagnostics["substeps"] == substeps
+    if problem.equation is Equation.COMPENSATED:
+        ref, _ = reference_rk4_run(problem, np.eye(problem.frame_family.dim, dtype=complex))
+        got = evolve_propagator(problem)
+        assert [t for t, _ in got] == problem.grid.tolist()
+        assert np.array_equal(np.array([U for _, U in got]), np.array(ref))
+
+
+@pytest.mark.parametrize("substeps", [None, 1, 7])
+@pytest.mark.parametrize("equation", list(Equation))
+def test_stacked_rk4_bit_identical_to_one_point_loop(equation, substeps):
+    for problem in _problems(equation, substeps):
+        _assert_matches_reference(problem)
+
+
+def _cayley(A, t):
+    """Orthogonal (I - tA/2)^-1 (I + tA/2) for antisymmetric A."""
+    eye = np.eye(A.shape[0])
+    return np.linalg.solve(eye - 0.5 * t * A, eye + 0.5 * t * A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), points=st.integers(2, 5),
+       equation=st.sampled_from(list(Equation)), substeps=st.sampled_from([None, 1, 2, 5]))
+def test_stacked_rk4_bit_identical_on_random_frames(seed, dim, points, equation, substeps):
+    # C(t) = R(t) C0 R(t)^T with R orthogonal and commuting with P stays a
+    # valid frame; dC/dt is differenced, one-sided near t = 1.
+    rng = np.random.default_rng(seed)
+    C0, P, K = random_frame_matrices(rng, dim)
+    X = rng.normal(size=(dim, dim))
+    A = X - X.T
+    A = A + P.real @ A @ P.real
+    H0 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    H0 *= 0.5 / operator_norm(H0)
+
+    def c_of_t(t):
+        R = _cayley(A, t)
+        return R @ C0 @ R.T
+
+    def h_of_t(t):
+        R = _cayley(A, 0.5 * t)
+        return R @ H0 @ R.T
+
+    family = FrameFamily(OperatorFamily(0.0, 1.0, c_of_t), P, AntilinearOperator(K))
+    correction = None
+    if equation is Equation.AUGMENTED:
+        correction = OperatorFamily(0.0, 1.0, lambda t: math.cos(t) * H0.conj().T)
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily(0.0, 1.0, h_of_t),
+        frame_family=family,
+        grid=np.linspace(0.0, 1.0, points),
+        equation=equation,
+        initial_state=rng.normal(size=dim) + 1j * rng.normal(size=dim),
+        correction=correction,
+        substeps=substeps,
+    )
+    _assert_matches_reference(problem)
+
+
+def _counting_problem(grid, substeps, domain=(-100.0, 100.0)):
+    """A SCHRODINGER problem whose H records every time it is evaluated at."""
+    seen = []
+    H = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]], dtype=complex)
+
+    def evaluate(t):
+        seen.append(t)
+        return math.cos(t) * H
+
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily(*domain, evaluate),
+        frame_family=identity_metric_family(),
+        grid=grid,
+        equation=Equation.SCHRODINGER,
+        initial_state=np.array([1.0, 0.5j]),
+        substeps=substeps,
+    )
+    return problem, seen
+
+
+def _nodes(t0, t1, nsub):
+    """The stage times of one interval, formed as the one-point loop forms them."""
+    h = (t1 - t0) / nsub
+    starts = [t0 + j * h for j in range(nsub)]
+    return set(starts) | {t + 0.5 * h for t in starts} | {t + h for t in starts}
+
+
+@pytest.mark.parametrize("nsub", [1, 2, 3, 7, 100, 300])
+@pytest.mark.parametrize("k", [0, 13, 377])
+def test_rk4_evaluates_each_distinct_node_once(k, nsub):
+    t0, t1 = np.linspace(0.0, 10.0, 501)[k:k + 2]
+    problem, seen = _counting_problem(np.array([t0, t1]), nsub)
+    traj = evolve_state(problem)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == _nodes(t0, t1, nsub)
+    assert traj.diagnostics["generator_evaluations"] == len(seen) <= 3 * nsub + 1
+
+
+def test_rk4_evaluation_count_over_a_grid():
+    grid = np.linspace(0.0, 10.0, 51)
+    problem, seen = _counting_problem(grid, 100)
+    traj = evolve_state(problem)
+    # a grid point is evaluated again only when the last node before it rounds off it
+    nodes = set().union(*(_nodes(t0, t1, 100) for t0, t1 in zip(grid[:-1], grid[1:])))
+    assert len(seen) == len(set(seen)) == len(nodes)
+    assert set(seen) == nodes
+    assert traj.diagnostics["generator_evaluations"] == len(seen) <= 1 + 3 * 100 * 50
+    # one interval, one substep: t0, t0 + h/2 and t1, against 5 one-point evaluations
+    problem, seen = _counting_problem(np.array([0.0, 1.0]), 1)
+    assert evolve_state(problem).diagnostics["generator_evaluations"] == 3 == len(seen)
+
+
+def _same_error(problem, error=ValueError):
+    with pytest.raises(error) as ref:
+        reference_rk4_run(problem, problem.initial_state)
+    with pytest.raises(error) as got:
+        evolve_state(problem)
+    assert str(got.value) == str(ref.value)
+    return got.value
+
+
+def test_rk4_nan_at_interior_node_names_the_same_time():
+    grid = np.linspace(0.0, 1.0, 5)
+    h = (grid[3] - grid[2]) / 3
+    bad = grid[2] + 1 * h + 0.5 * h
+    H = np.diag([1.0, -1.0]).astype(complex)
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily(-1.0, 2.0, lambda t: H * (math.nan if t == bad else 1.0)),
+        frame_family=identity_metric_family(),
+        grid=grid,
+        equation=Equation.SCHRODINGER,
+        initial_state=np.array([1.0, 0.0]),
+        substeps=3,
+    )
+    err = _same_error(problem)
+    assert f"t={bad}" in str(err) and "non-finite" in str(err)
+
+
+def test_rk4_blow_up_aborts_at_the_same_last_good_time():
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily.constant(np.zeros((2, 2))),
+        frame_family=identity_metric_family(),
+        grid=np.linspace(0.0, 10.0, 21),
+        equation=Equation.AUGMENTED,
+        initial_state=np.array([1.0, 0.0]),
+        correction=OperatorFamily.constant(200.0 * np.eye(2)),
+        substeps=5,
+    )
+    with pytest.raises(IntegrationAbort) as ref:
+        reference_rk4_run(problem, problem.initial_state)
+    err = _same_error(problem, IntegrationAbort)
+    assert err.last_good_t == ref.value.last_good_t
+
+
+def _overshooting_interval():
+    """An interval and substep count whose last node t0 + (n-1)h + h rounds past t1."""
+    grid = np.linspace(0.0, 1.0, 11)
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        for n in range(1, 40):
+            h = (t1 - t0) / n
+            if t0 + (n - 1) * h + h > t1:
+                return t0, t1, n
+    raise AssertionError("no interval overshoots")
+
+
+def test_rk4_out_of_domain_node_raises_the_same_error():
+    problem, _ = _counting_problem(np.linspace(0.0, 1.0, 5), 3, domain=(0.0, 0.55))
+    assert "outside family domain" in str(_same_error(problem))
+    # a domain ending at t1 rejects the last node when it rounds past t1
+    t0, t1, nsub = _overshooting_interval()
+    problem, _ = _counting_problem(np.array([t0, t1]), nsub, domain=(t0, t1))
+    assert "outside family domain" in str(_same_error(problem))
+
+
+def test_rk4_coarse_step_warnings_match_one_point_loop(caplog):
+    problem, _ = _counting_problem(np.linspace(0.0, 6.0, 4), 1)
+    with caplog.at_level(logging.WARNING):
+        reference_rk4_run(problem, problem.initial_state)
+        evolve_state(problem)
+    ref = [r.message for r in caplog.records if r.name == "rk4_reference"]
+    got = [r.message for r in caplog.records if r.name == "ptdyn.dynamics"]
+    assert ref and got == ref
+
+
+def test_rk4_one_sided_derivatives_logged_once_per_run(caplog):
+    family = FrameFamily(OperatorFamily(0.0, 1.0, lambda t: frozen_frame(0.5 + 0.3 * t).c),
+                         SWAP, AntilinearOperator.conjugation(2))
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily.constant(np.diag([1.0, -1.0])),
+        frame_family=family,
+        grid=np.linspace(0.0, 1.0, 6),
+        equation=Equation.COMPENSATED,
+        initial_state=np.array([1.0, 0.0]),
+        substeps=4,
+    )
+    with caplog.at_level(logging.DEBUG):
+        traj = evolve_state(problem)
+    logged = [r.message for r in caplog.records
+              if r.name == "ptdyn.dynamics" and "one-sided" in r.message]
+    assert len(logged) == 1
+    n = traj.diagnostics["generator_evaluations"]
+    assert logged[0].startswith("one-sided derivative of C at ")
+    assert f" of {n} generator nodes in [0, 1]" in logged[0]
+    assert not [r for r in caplog.records if r.name == "ptdyn.linalg"]

@@ -56,8 +56,7 @@ def test_validate_two_level_frame():
     frame = two_level_frame(math.pi / 3)
     assert frame.metric_eigenvalues[0] == pytest.approx(2.0 - SQRT3, abs=1e-12)
     assert frame.metric_eigenvalues[1] == pytest.approx(2.0 + SQRT3, abs=1e-12)
-    assert np.allclose(frame.metric_sqrt @ frame.metric_sqrt, frame.metric, atol=1e-12)
-    assert np.allclose(frame.metric_inv @ frame.metric, np.eye(2), atol=1e-12)
+    assert np.allclose(frame.c @ frame.p @ frame.metric, np.eye(2), atol=1e-12)
 
 
 def test_validate_rejects_indefinite_metric():

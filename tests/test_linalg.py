@@ -14,7 +14,6 @@ from ptdyn.linalg import (
     eigenpairs,
     family_derivative,
     hermitian_sqrt,
-    matrix_exp,
     operator_norm,
 )
 
@@ -130,57 +129,6 @@ def test_operator_norm_examples():
     assert operator_norm(P @ C) == pytest.approx(2.0 + SQRT3, abs=1e-12)
 
 
-# ----------------------------------------------------------------- matrix_exp
-
-def test_matrix_exp_zero_and_diagonal():
-    assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
-    E = matrix_exp(np.diag([1j * math.pi, 0.0]))
-    assert np.allclose(E, np.diag([-1.0, 1.0]), atol=1e-15)
-
-
-def _eig_exp_hermitian(H):
-    """Independent oracle: exponential through the eigendecomposition."""
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(w)) @ V.conj().T
-
-
-def test_matrix_exp_matches_eigendecomposition(rng):
-    for dim in (2, 4, 6):
-        X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        H = 0.5 * (X + X.conj().T)
-        expected = _eig_exp_hermitian(H)
-        got = matrix_exp(H)
-        assert operator_norm(got - expected) <= 1e-12 * operator_norm(expected)
-        # anti-Hermitian: e^{iH} from the same eigenbasis
-        w, V = np.linalg.eigh(H)
-        expected_u = (V * np.exp(1j * w)) @ V.conj().T
-        got_u = matrix_exp(1j * H)
-        assert operator_norm(got_u - expected_u) <= 1e-12 * operator_norm(expected_u)
-
-
-def test_matrix_exp_anti_hermitian_is_unitary(rng):
-    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    M = X - X.conj().T
-    U = matrix_exp(M)
-    assert operator_norm(U.conj().T @ U - np.eye(3)) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 10.0))
-def test_matrix_exp_inverse_and_determinant(seed, scale):
-    gen = np.random.default_rng(seed)
-    M = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-    M *= scale / max(operator_norm(M), 1e-12)
-    E = matrix_exp(M)
-    assert operator_norm(E @ matrix_exp(-M) - np.eye(3)) <= 1e-10
-    assert abs(np.linalg.det(E) - np.exp(np.trace(M))) <= 1e-10 * abs(np.exp(np.trace(M)))
-
-
-def test_matrix_exp_overflow():
-    with pytest.raises(OverflowError, match="norm"):
-        matrix_exp(np.diag([2000.0, 0.0]))
-
-
 # ---------------------------------------------------------- family_derivative
 
 def test_family_derivative_constant_and_linear():
@@ -245,3 +193,46 @@ def test_antilinear_conjugation():
     T = AntilinearOperator.conjugation(3)
     x = np.array([1j, 2.0, 1.0 - 1j])
     assert np.allclose(T.apply(x), np.conj(x))
+
+
+# ---------------------------------------------------------- OperatorFamily.stack
+
+def _call_error(fam, t):
+    with pytest.raises(ValueError) as err:
+        fam(t)
+    return str(err.value)
+
+
+def test_family_stack_matches_pointwise_calls():
+    M = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    fam = OperatorFamily(0.0, 1.0, lambda t: np.sin(t) * M)
+    times = np.linspace(0.0, 1.0, 7)
+    stacked = fam.stack(times)
+    assert stacked.shape == (7, 2, 2) and stacked.dtype == complex
+    assert np.array_equal(stacked, np.array([fam(t) for t in times]))
+
+
+def test_family_stack_errors_name_the_earliest_offending_time():
+    M = np.eye(2)
+    bad = {0.25, 0.5}
+    fam = OperatorFamily(0.0, 0.8, lambda t: M * (math.nan if t in bad else 1.0))
+    times = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
+    with pytest.raises(ValueError) as err:
+        fam.stack(times)
+    assert str(err.value) == _call_error(fam, 0.25)
+    # a non-finite value before the domain's end wins; after it, the domain error
+    with pytest.raises(ValueError) as err:
+        fam.stack(times[[0, 3, 4]])
+    assert str(err.value) == _call_error(fam, 0.9)
+    calls = []
+    counted = OperatorFamily(0.0, 0.8, lambda t: calls.append(t) or M)
+    with pytest.raises(ValueError, match="outside family domain"):
+        counted.stack(times)
+    assert calls == [0.0, 0.25, 0.5]
+    with pytest.raises(ValueError) as err:
+        OperatorFamily(0.0, 1.0, lambda t: np.ones((2, 3))).stack(times)
+    assert str(err.value) == _call_error(OperatorFamily(0.0, 1.0, lambda t: np.ones((2, 3))), 0.0)
+    ragged = OperatorFamily(0.0, 1.0, lambda t: np.eye(2) if t < 0.5 else np.ones((1, 2)))
+    with pytest.raises(ValueError) as err:
+        ragged.stack(times)
+    assert str(err.value) == _call_error(ragged, 0.5)

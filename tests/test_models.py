@@ -253,3 +253,15 @@ def test_builders_reject_bad_grids():
         build_two_level(s, a, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="strictly increasing"):
         build_constant_metric(s, a, frame, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(2.5), 2, np.array(2.5)])
+def test_scalar_real_values_pass_as_float(value):
+    out = ScalarFunction(lambda t: value)(0.0)
+    assert type(out) is float and out == float(value)
+
+
+@pytest.mark.parametrize("value", [2.5 + 0j, np.complex128(2.5), np.array(2.5 + 0j), np.array([1j])])
+def test_scalar_non_float_values_keep_the_non_real_check(value):
+    with pytest.raises(ValueError, match="non-real"):
+        ScalarFunction(lambda t: value)(0.0)
