@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -106,6 +107,12 @@ def build_eigenframe(
     (level crossings are out of scope and must fail loudly). Orthonormality
     of the resulting basis in the frame inner product is verified to
     ``ortho_tol`` at every point.
+
+    H(t) is evaluated and everything but the label matching is done on
+    stacks of grid points (``linalg.STACK_ENTRIES`` matrix entries at a
+    time); the matching steps from point to point. A failure raises the
+    error of the earliest failing point and, at that point, of the first
+    failing step in the order above (evaluating H comes first).
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
@@ -114,59 +121,58 @@ def build_eigenframe(
     energies = np.empty((n_t, dim))
     states = np.empty((n_t, dim, dim), dtype=complex)
     min_overlap = 1.0
-
-    for k, t in enumerate(grid):
-        H = hamiltonian(t)
-        metric = fg.metric[k]
-        pairs = linalg.eigenpairs(H)
-        scale = max(1.0, linalg.operator_norm(H))
-        lams = np.array([lam for lam, _ in pairs])
-        if np.max(np.abs(lams.imag)) > realness_tol * scale:
-            raise BrokenSymmetryError(
-                f"broken PT symmetry at t={t}: eigenvalue {lams[np.argmax(np.abs(lams.imag))]} "
-                f"has |Im| > {realness_tol:.1e}*scale"
-            )
-        vecs = np.array([v for _, v in pairs])  # rows are eigenvectors
+    step = max(1, linalg.STACK_ENTRIES // (dim * dim))
+    for lo in range(0, n_t, step):
+        # Each check runs on the points before the earliest failure found so
+        # far; that failure is raised once the earlier points have passed.
+        lams, vecs, failure = _real_spectra(hamiltonian, grid[lo:lo + step], dim, realness_tol)
+        hi = lo + lams.shape[0]
+        metrics = fg.metric[lo:hi]
         # unit frame norm (the metric is positive definite, so this is always defined)
-        for n in range(dim):
-            nrm2 = np.vdot(vecs[n], metric @ vecs[n]).real
-            vecs[n] = vecs[n] / np.sqrt(nrm2)
-
-        if k == 0:
-            energies[0] = lams.real
-            states[0] = vecs
-        else:
-            prev = states[k - 1]
+        nrm2 = np.vecdot(vecs, np.matmul(metrics[:, None], vecs[..., None])[..., 0]).real
+        vecs /= np.sqrt(nrm2)[..., None]
+        for k in range(lo, hi):
+            if k == 0:
+                energies[0] = lams[0].real
+                states[0] = vecs[0]
+                continue
+            new, metric, prev = vecs[k - lo], metrics[k - lo], states[k - 1]
             # overlap[i, j] = (new_i | prev_j) at the current time
-            overlap = vecs.conj() @ metric @ prev.T
+            overlap = new.conj() @ metric @ prev.T
             rows, cols = linear_sum_assignment(-np.abs(overlap))
             perm = np.empty(dim, dtype=int)   # perm[label] = index into new pairs
-            for i, j in zip(rows, cols):
-                perm[j] = i
+            perm[cols] = rows
             chosen = np.abs(overlap[perm, np.arange(dim)])
             min_overlap = min(min_overlap, float(chosen.min()))
             if np.any(chosen < overlap_threshold):
                 bad = np.nonzero(chosen < overlap_threshold)[0].tolist()
-                raise LevelTrackingError(
-                    f"level continuity lost between t={grid[k-1]} and t={t}: "
+                failure = LevelTrackingError(
+                    f"level continuity lost between t={grid[k-1]} and t={grid[k]}: "
                     f"levels {bad} have overlap {chosen[bad]} < {overlap_threshold}"
                 )
+                hi = k
+                break
             for label in range(dim):
-                v = vecs[perm[label]]
+                v = new[perm[label]]
                 g = complex(np.vdot(v, metric @ prev[label]))
                 if abs(g) > 0:
                     v = v * (g / abs(g))
                 states[k, label] = v
-                energies[k, label] = lams.real[perm[label]]
+            energies[k] = lams[k - lo].real[perm]
 
-        gram = states[k].conj() @ metric @ states[k].T
-        ortho_resid = float(np.max(np.abs(gram - np.eye(dim))))
-        if ortho_resid > ortho_tol:
+        gram = states[lo:hi].conj() @ metrics[:hi - lo]
+        gram = gram @ states[lo:hi].swapaxes(1, 2)
+        gram -= np.eye(dim)
+        ortho_resid = np.abs(gram).max(axis=(1, 2))
+        skewed = np.nonzero(ortho_resid > ortho_tol)[0]
+        if skewed.size:
+            k = lo + skewed[0]
             raise LevelTrackingError(
-                f"eigenvectors at t={t} are not orthonormal in the frame inner product "
-                f"(residual {ortho_resid:.3e}); levels may be colliding"
+                f"eigenvectors at t={grid[k]} are not orthonormal in the frame inner product "
+                f"(residual {ortho_resid[k - lo]:.3e}); levels may be colliding"
             )
-
+        if failure is not None:
+            raise failure
     return EigenFrame(
         times=grid,
         energies=energies,
@@ -174,6 +180,50 @@ def build_eigenframe(
         metrics=fg.metric,
         diagnostics={"min_overlap": min_overlap},
     )
+
+
+def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,
+                  realness_tol: float) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
+    """Sorted eigenpairs of H(t) on the grid, up to the first point that fails.
+
+    Returns (values, row eigenvectors, failure): the pairs of the points
+    before the earliest failure of evaluating H, of the eigensolve or of the
+    realness check (in that order at one point), and that failure, or None.
+    """
+    failure = None
+    try:
+        H = hamiltonian.stack(grid)
+    except ValueError:
+        n, failure = _first_error(hamiltonian, grid)
+        if failure is None:
+            raise
+        H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
+    try:
+        lams, vecs = linalg.eigenpairs_stack(H)
+    except linalg.ConvergenceError as exc:
+        failure, H = exc, H[:exc.index]
+        lams, vecs = linalg.eigenpairs_stack(H)
+    imag = np.abs(lams.imag)
+    scale = np.maximum(1.0, linalg.operator_norms(H))
+    broken = np.nonzero(imag.max(axis=1) > realness_tol * scale)[0]
+    if broken.size:
+        n = int(broken[0])
+        failure = BrokenSymmetryError(
+            f"broken PT symmetry at t={grid[n]}: eigenvalue {lams[n, np.argmax(imag[n])]} "
+            f"has |Im| > {realness_tol:.1e}*scale"
+        )
+        lams, vecs = lams[:n], vecs[:n]
+    return lams, vecs, failure
+
+
+def _first_error(family: OperatorFamily, times) -> tuple[int, Optional[ValueError]]:
+    """Index and error of the first time at which ``family(t)`` raises, else (len, None)."""
+    for k, t in enumerate(times):
+        try:
+            family(t)
+        except ValueError as exc:
+            return k, exc
+    return len(times), None
 
 
 def _connection(eframe: EigenFrame, bra_level: int, ket_level: int) -> np.ndarray:
@@ -226,20 +276,12 @@ def operator_phase(
     Schrodinger equation to solutions of the compensated equation exactly
     when the commutator vanishes.
     """
-    n_t = eframe.times.size
-    dim = eframe.dim
-    eye = np.eye(dim)
     fg = frame_family.on_grid(eframe.times)
-    integrand = np.empty((n_t, dim, dim), dtype=complex)
-    hams = []
-    for k, t in enumerate(eframe.times):
-        H = hamiltonian(t)
-        hams.append(H)
-        integrand[k] = (H - eframe.energies[k, level] * eye) / hbar + 0.5j * (fg.c[k] @ fg.cdot[k])
+    H = hamiltonian.stack(fg.times)
+    E = eframe.energies[:, level, None, None] * np.eye(eframe.dim)
+    integrand = (H - E) / hbar + 0.5j * (fg.c @ fg.cdot)
     A = cumulative_trapezoid(integrand, eframe.times, axis=0, initial=0.0)
-    comm = np.array([
-        linalg.operator_norm(A[k] @ hams[k] - hams[k] @ A[k]) for k in range(n_t)
-    ])
+    comm = linalg.operator_norms(A @ H - H @ A)
     return A, comm
 
 

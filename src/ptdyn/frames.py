@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .linalg import AntilinearOperator, OperatorFamily, as_grid, as_operator, as_state
+from .linalg import (AntilinearOperator, OperatorFamily, as_grid, as_operator, as_state,
+                     operator_norms)
 
 __all__ = [
     "FrameAxiomError",
@@ -71,11 +72,6 @@ class CPTFrame:
         return self.p.shape[0]
 
 
-def _opnorm(X) -> np.ndarray:
-    """Largest singular value of each matrix in a stack (the norm of :func:`linalg.operator_norm`)."""
-    return np.linalg.norm(X, 2, axis=(-2, -1))
-
-
 def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
     residuals[axiom] = resid
     if resid > tol * max(scale, 1.0):
@@ -85,11 +81,11 @@ def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
 def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> dict:
     """Residuals of the axioms that do not involve C: P^2 = I, T^2 = I, PT = TP."""
     eye = np.eye(P.shape[0])
-    nP, nK = float(_opnorm(P)), float(_opnorm(K))
+    nP, nK = float(operator_norms(P)), float(operator_norms(K))
     residuals: dict = {}
-    _check(residuals, "P^2 = I", float(_opnorm(P @ P - eye)), nP * nP, tol)
-    _check(residuals, "T^2 = I", float(_opnorm(K @ np.conj(K) - eye)), nK * nK, tol)
-    _check(residuals, "PT = TP", float(_opnorm(P @ K - K @ np.conj(P))), nP * nK, tol)
+    _check(residuals, "P^2 = I", float(operator_norms(P @ P - eye)), nP * nP, tol)
+    _check(residuals, "T^2 = I", float(operator_norms(K @ np.conj(K) - eye)), nK * nK, tol)
+    _check(residuals, "PT = TP", float(operator_norms(P @ K - K @ np.conj(P))), nP * nK, tol)
     return residuals
 
 
@@ -102,16 +98,16 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, tol: float, times=Non
     fails, in :func:`validate_frames` order, and ``times[k]`` when given.
     """
     eye = np.eye(P.shape[0])
-    nP, nK = float(_opnorm(P)), float(_opnorm(K))
-    nC = _opnorm(C)
+    nP, nK = float(operator_norms(P)), float(operator_norms(K))
+    nC = operator_norms(C)
     metric = P @ C
     metric_h = metric.conj().swapaxes(-1, -2)
-    nM = _opnorm(metric)
+    nM = operator_norms(metric)
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
     checks = {
-        "C^2 = I": (_opnorm(C @ C - eye), nC * nC),
-        "CPT = TPC": (_opnorm(C @ P @ K - K @ np.conj(P) @ np.conj(C)), nC * nP * nK),
-        "metric Hermitian": (_opnorm(metric - metric_h), nM),
+        "C^2 = I": (operator_norms(C @ C - eye), nC * nC),
+        "CPT = TPC": (operator_norms(C @ P @ K - K @ np.conj(P) @ np.conj(C)), nC * nP * nK),
+        "metric Hermitian": (operator_norms(metric - metric_h), nM),
     }
     failed = {axiom: resid > tol * np.maximum(scale, 1.0) for axiom, (resid, scale) in checks.items()}
     failed["metric positive definite"] = eigs[:, 0] <= tol * nM
@@ -235,20 +231,22 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
     """Symmetry reports of a stack of H against a stack of metrics PC."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    nH = _opnorm(hams)
-    pt_residual = _opnorm(hams @ pt_map - pt_map @ np.conj(hams))
-    cpt_residual = _opnorm(hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams)
-    cpt_scale = nH * _opnorm(metrics)
-    map_scale = max(1.0, float(_opnorm(pt_map)))
+    nH = operator_norms(hams)
+    pt_residual = operator_norms(hams @ pt_map - pt_map @ np.conj(hams))
+    cpt_residual = operator_norms(hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams)
+    cpt_scale = nH * operator_norms(metrics)
+    map_scale = max(1.0, float(operator_norms(pt_map)))
+    lams, vecs = linalg.eigenpairs_stack(hams, tol=max(tol, linalg.DEFAULT_EIGEN_TOL))
+    realness = np.abs(lams.imag).max(axis=1)
     reports = []
-    for k, H in enumerate(hams):
+    for k in range(hams.shape[0]):
         pt_symmetric = bool(pt_residual[k] <= tol * max(nH[k], 1e-300))
-        pairs = linalg.eigenpairs(H, tol=max(tol, linalg.DEFAULT_EIGEN_TOL))
+        pairs = [(complex(lam), v) for lam, v in zip(lams[k], vecs[k])]
         reports.append(SymmetryReport(
             pt_symmetric=pt_symmetric,
             cpt_hermitian=bool(cpt_residual[k] <= tol * max(cpt_scale[k], 1e-300)),
             unbroken=pt_symmetric and _pt_invariant(pairs, pt_map, tol * map_scale, tol, nH[k]),
-            eigen_realness=float(max(abs(lam.imag) for lam, _ in pairs)),
+            eigen_realness=float(realness[k]),
             pt_residual=float(pt_residual[k]),
             cpt_residual=float(cpt_residual[k]),
         ))

@@ -22,18 +22,29 @@ __all__ = [
     "as_state",
     "as_grid",
     "eigenpairs",
+    "eigenpairs_stack",
     "hermitian_sqrt",
     "operator_norm",
+    "operator_norms",
     "family_derivative",
 ]
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_EIGEN_TOL = 1e-12
+# Matrix entries per stacked eigensolve: bounds each of its temporaries to 128 KiB.
+STACK_ENTRIES = 2**13
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative kernel failed to reach its tolerance."""
+    """An iterative kernel failed to reach its tolerance.
+
+    ``index`` is the position of the failing matrix in a stack, else None.
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 def as_operator(M, name: str = "matrix") -> np.ndarray:
@@ -125,27 +136,39 @@ class OperatorFamily:
         Calls ``evaluate`` once per time, in order, up to the first time
         outside the domain, then checks finiteness once for the stack. A
         failure raises the ValueError :meth:`__call__` raises, for the
-        earliest offending time.
+        earliest offending time; when ``evaluate`` itself raises, a value
+        rejected before that time is reported instead.
         """
         times = np.asarray(times, dtype=float)
         outside = (times < self.t_start) | (times > self.t_end)
         n = int(np.argmax(outside)) if outside.any() else times.size
-        out = np.empty((0, 0, 0), dtype=complex)
-        if n:
-            values = [self.evaluate(t) for t in times[:n]]
-            try:
-                out = np.array(values, dtype=complex)
-            except ValueError:  # ragged shapes
-                out = None
-            if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
-                # the one-point check raises at the first value it rejects
-                out = np.array([as_operator(v, f"family value at t={t}")
-                                for t, v in zip(times, values)])
-            bad = ~np.isfinite(out).all(axis=(1, 2))
-            if bad.any():
-                raise ValueError(f"family value at t={times[np.argmax(bad)]} contains non-finite entries")
+        values = []
+        try:
+            for t in times[:n]:
+                values.append(self.evaluate(t))
+        except Exception:
+            self._checked(times, values)
+            raise
+        out = self._checked(times, values)
         if n < times.size:
             raise ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]")
+        return out
+
+    @staticmethod
+    def _checked(times: np.ndarray, values: list) -> np.ndarray:
+        """``values`` (taken at ``times``) as one stack, or the ValueError for the first bad one."""
+        if not values:
+            return np.empty((0, 0, 0), dtype=complex)
+        try:
+            out = np.array(values, dtype=complex)
+        except ValueError:  # ragged shapes
+            out = None
+        if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
+            # the one-point check raises at the first value it rejects
+            out = np.array([as_operator(v, f"family value at t={t}") for t, v in zip(times, values)])
+        bad = ~np.isfinite(out).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"family value at t={times[np.argmax(bad)]} contains non-finite entries")
         return out
 
     @classmethod
@@ -160,32 +183,134 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def operator_norms(X) -> np.ndarray:
+    """Largest singular value of each matrix in a stack (the norm of :func:`operator_norm`)."""
+    return np.linalg.norm(X, 2, axis=(-2, -1))
+
+
+def _vector_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis, rounded as ``np.linalg.norm(v)``."""
+    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise complex product, written out as numpy's scalar arithmetic evaluates it.
+
+    numpy's vectorised complex product rounds differently on some inputs;
+    this keeps every matrix of a stack bit-identical to the one-point case.
+    """
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def _eigenpairs_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of a 2x2 matrix via the quadratic formula."""
-    a, b = M[0, 0], M[0, 1]
-    c, d = M[1, 0], M[1, 1]
-    if b == 0 and c == 0:
-        return np.array([a, d]), np.eye(2, dtype=complex)
+    """Closed-form eigenpairs of a stack of 2x2 matrices via the quadratic formula.
+
+    Returns values (n, 2) and unit row eigenvectors (n, 2, 2), unsorted. A
+    diagonal matrix (b = c = 0) keeps its diagonal and the unit vectors.
+    """
+    a, b = M[:, 0, 0], M[:, 0, 1]
+    c, d = M[:, 1, 0], M[:, 1, 1]
+    lams = np.stack([a, d], axis=1)
+    vecs = np.zeros(M.shape, dtype=complex)
+    vecs[:, 0, 0] = vecs[:, 1, 1] = 1.0
+    g = np.nonzero((b != 0) | (c != 0))[0]
+    a, b, c, d = a[g], b[g], c[g], d[g]
     mean = 0.5 * (a + d)
-    disc = np.sqrt(0.25 * (a - d) ** 2 + b * c + 0j)
-    lams = np.array([mean - disc, mean + disc])
-    vecs = np.empty((2, 2), dtype=complex)
-    for i, lam in enumerate(lams):
-        # Two candidate null vectors of (M - lam I); take the better conditioned.
-        cand1 = np.array([b, lam - a])
-        cand2 = np.array([lam - d, c])
-        cand = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-        vecs[:, i] = cand / np.linalg.norm(cand)
+    disc = np.sqrt(0.25 * _cmul(a - d, a - d) + _cmul(b, c) + 0j)
+    lam = np.stack([mean - disc, mean + disc], axis=1)
+    # Two candidate null vectors of (M - lam I); take the better conditioned.
+    cand1 = np.stack([np.broadcast_to(b[:, None], lam.shape), lam - a[:, None]], axis=-1)
+    cand2 = np.stack([lam - d[:, None], np.broadcast_to(c[:, None], lam.shape)], axis=-1)
+    norm1, norm2 = _vector_norms(cand1), _vector_norms(cand2)
+    first = norm1 >= norm2
+    lams[g] = lam
+    vecs[g] = np.where(first[..., None], cand1, cand2) / np.where(first, norm1, norm2)[..., None]
     return lams, vecs
 
 
-def _phase_gauge(v: np.ndarray) -> np.ndarray:
-    """Rotate so the first largest-modulus component is real and positive."""
-    i = int(np.argmax(np.abs(v)))
-    pivot = v[i]
-    if pivot == 0.0:
-        return v
-    return v * (np.conj(pivot) / abs(pivot))
+def _phase_gauge(V: np.ndarray) -> np.ndarray:
+    """Rotate each vector so its first largest-modulus component is real and positive."""
+    idx = np.argmax(np.abs(V), axis=-1)[..., None]
+    pivot = np.take_along_axis(V, idx, axis=-1)
+    gauged = V * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
+    return np.where(pivot == 0.0, V, gauged)
+
+
+def _eig(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenpairs of a stack, vectors as rows.
+
+    When the stacked solve fails, the first matrix LAPACK rejects on its
+    own raises :class:`ConvergenceError`, after the checks of the matrices
+    before it.
+    """
+    try:
+        lams, vecs = np.linalg.eig(X)
+    except np.linalg.LinAlgError:
+        for k, A in enumerate(X):
+            try:
+                np.linalg.eig(A)
+            except np.linalg.LinAlgError as exc:
+                eigenpairs_stack(X[:k], tol)
+                raise ConvergenceError(f"eigendecomposition failed for matrix:\n{A}", index=k) from exc
+        raise
+    return lams, vecs.swapaxes(-1, -2)
+
+
+def eigenpairs_stack(X, tol: float = DEFAULT_EIGEN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of each matrix in an (n, d, d) stack.
+
+    Returns ``(values, vectors)`` of shapes (n, d) and (n, d, d), where
+    ``vectors[k, i]`` is the eigenvector (a row) of ``values[k, i]``. Each
+    matrix gets, bit for bit, what :func:`eigenpairs` (its one-point case)
+    gives it: pairs sorted by (real, imaginary) part of the eigenvalue,
+    unit Euclidean norm, the phase gauge, and the residual check
+    ``||M v - lam v|| <= tol * ||M||``.
+
+    2x2 matrices use the closed-form quadratic elementwise; larger ones a
+    stacked LAPACK solve. Matrices are taken STACK_ENTRIES entries at a
+    time. The first matrix that fails raises :class:`ConvergenceError`
+    with its position in ``index``.
+    """
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] < 1:
+        raise ValueError(f"matrix stack must have shape (n, d, d) with d >= 1, got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("matrix stack contains non-finite entries")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lams = np.empty(X.shape[:2], dtype=complex)
+    vecs = np.empty(X.shape, dtype=complex)
+    step = max(1, STACK_ENTRIES // X.shape[1] ** 2)
+    for lo in range(0, X.shape[0], step):
+        part = slice(lo, lo + step)
+        try:
+            lams[part], vecs[part] = _checked_eigenpairs(X[part], tol)
+        except ConvergenceError as exc:
+            exc.index += lo
+            raise
+    return lams, vecs
+
+
+def _checked_eigenpairs(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigenpairs_stack` of one chunk, without the input checks."""
+    lams, vecs = _eigenpairs_2x2(X) if X.shape[1] == 2 else _eig(X, tol)
+    order = np.lexsort((lams.imag, lams.real), axis=-1)
+    lams = np.take_along_axis(lams, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None], axis=-2)
+    vecs = _phase_gauge(vecs / _vector_norms(vecs)[..., None])
+    resid = _vector_norms(np.matmul(X[:, None], vecs[..., None])[..., 0] - lams[..., None] * vecs)
+    bad = resid > tol * np.maximum(operator_norms(X), 1e-300)[:, None]
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        i = int(np.argmax(bad[k]))
+        raise ConvergenceError(
+            f"eigenpair residual {resid[k, i]:.3e} exceeds {tol:.1e}*||M|| for matrix:\n{X[k]}",
+            index=k,
+        )
+    return lams, vecs
 
 
 def eigenpairs(M, tol: float = DEFAULT_EIGEN_TOL) -> list[tuple[complex, np.ndarray]]:
@@ -198,32 +323,11 @@ def eigenpairs(M, tol: float = DEFAULT_EIGEN_TOL) -> list[tuple[complex, np.ndar
 
     2x2 inputs use the closed-form quadratic; larger ones use the LAPACK
     dense solver. A failed residual check raises :class:`ConvergenceError`.
+    This is the one-point case of :func:`eigenpairs_stack`.
     """
     A = as_operator(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if A.shape[0] == 2:
-        lams, vecs = _eigenpairs_2x2(A)
-    else:
-        try:
-            lams, vecs = np.linalg.eig(A)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigendecomposition failed for matrix:\n{A}") from exc
-
-    order = np.lexsort((lams.imag, lams.real))
-    scale = operator_norm(A)
-    out = []
-    for idx in order:
-        lam = complex(lams[idx])
-        v = vecs[:, idx]
-        v = _phase_gauge(v / np.linalg.norm(v))
-        resid = float(np.linalg.norm(A @ v - lam * v))
-        if resid > tol * max(scale, 1e-300):
-            raise ConvergenceError(
-                f"eigenpair residual {resid:.3e} exceeds {tol:.1e}*||M|| for matrix:\n{A}"
-            )
-        out.append((lam, v))
-    return out
+    lams, vecs = eigenpairs_stack(A[None], tol)
+    return [(complex(lam), v) for lam, v in zip(lams[0], vecs[0])]
 
 
 def hermitian_sqrt(M, tol: float = DEFAULT_EIGEN_TOL * 10) -> np.ndarray:

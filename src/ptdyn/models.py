@@ -79,7 +79,7 @@ class ScalarFunction:
                 return start
             if t >= t_end:
                 return stop
-            return start + slope * (t - t_start)
+            return start + slope * (float(t) - t_start)
 
         def dfn(t):
             return slope if t_start < t < t_end else 0.0

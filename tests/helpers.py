@@ -5,17 +5,23 @@ independently of the package, so tests compare two separately written
 routes. Random valid frames are direct sums of 2x2 angle blocks (plus a
 1x1 identity block for odd dimensions) conjugated by a random real
 orthogonal matrix, which preserves every frame axiom. The one-point RK4
-loop is kept as the reference the stacked integrator must reproduce bit
-for bit.
+loop, eigensolver, eigenframe loop and operator-phase loop are kept as the
+references the stacked code must reproduce (bit for bit, except the
+operator phase, to 1e-12).
 """
 
 import logging
 import math
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import linear_sum_assignment
 
 from ptdyn import linalg
+from ptdyn.adiabatic import BrokenSymmetryError, EigenFrame, LevelTrackingError
 from ptdyn.dynamics import STEP_NORM_WARN, SUBSTEP_DENSITY, Equation, IntegrationAbort
+from ptdyn.frames import FrameFamily
+from ptdyn.linalg import AntilinearOperator, ConvergenceError, OperatorFamily, as_operator
 
 reference_logger = logging.getLogger("rk4_reference")
 
@@ -63,6 +69,60 @@ def random_frame_matrices(rng, dim: int):
     P = direct_sum(blocks_p)
     Q = random_orthogonal(rng, dim).astype(complex)
     return Q @ C @ Q.T, Q @ P @ Q.T, np.eye(dim, dtype=complex)
+
+
+def rotating_frame_model(seed: int, dim: int, omega: float = 1.0):
+    """(H family, frame family) on [0, 1] of a random frame turned by a rotation commuting with P.
+
+    C(t) = R C0 R^T and H(t) = R C0 P S0 R^T with R = exp(omega t A), A real
+    antisymmetric and AP = PA, and S0 random Hermitian. Every C(t) is a
+    valid frame, and H(t) is metric-Hermitian with the fixed real spectrum
+    of C0 P S0 and eigenvectors that turn with R.
+    """
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    C0, P, K = random_frame_matrices(rng, dim)
+    X = rng.normal(size=(dim, dim))
+    A = X - X.T
+    A = A + P.real @ A @ P.real
+    Y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    H0 = C0 @ P @ (Y + Y.conj().T)
+
+    def turned(M):
+        def evaluate(t):
+            R = expm(omega * t * A)
+            return R @ M @ R.T
+        return evaluate
+
+    family = FrameFamily(OperatorFamily(0.0, 1.0, turned(C0)), P, AntilinearOperator(K))
+    return OperatorFamily(0.0, 1.0, turned(H0)), family
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays hold the same floats bit for bit (signed zeros included)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+# A matrix whose [-1, 0] entry equals one of these marks makes scripted_eig
+# return wrong eigenvectors (so the residual check fails) or raise as LAPACK
+# does when it does not converge.
+RESIDUAL_MARK = 0.125
+LAPACK_MARK = 0.375
+
+
+def scripted_eig(real_eig):
+    """A stand-in for np.linalg.eig that fails on marked matrices, one matrix or a stack."""
+    def eig(X):
+        X = np.asarray(X)
+        if np.any(X[..., -1, 0] == LAPACK_MARK):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        w, v = real_eig(X)
+        wrong = (X[..., -1, 0] == RESIDUAL_MARK)[..., None, None]
+        return w, np.where(wrong, v[..., ::-1], v)
+    return eig
 
 
 def rotating_hermitian_family(omega: float, dim: int = 2, seed: int = 7):
@@ -150,3 +210,151 @@ def reference_rk4_run(problem, y0):
             )
         values.append(y)
     return values, substeps_used
+
+
+def _reference_eigenpairs_2x2(M):
+    """Closed-form eigenpairs of a 2x2 matrix via the quadratic formula."""
+    a, b = M[0, 0], M[0, 1]
+    c, d = M[1, 0], M[1, 1]
+    if b == 0 and c == 0:
+        return np.array([a, d]), np.eye(2, dtype=complex)
+    mean = 0.5 * (a + d)
+    disc = np.sqrt(0.25 * (a - d) ** 2 + b * c + 0j)
+    lams = np.array([mean - disc, mean + disc])
+    vecs = np.empty((2, 2), dtype=complex)
+    for i, lam in enumerate(lams):
+        # Two candidate null vectors of (M - lam I); take the better conditioned.
+        cand1 = np.array([b, lam - a])
+        cand2 = np.array([lam - d, c])
+        cand = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
+        vecs[:, i] = cand / np.linalg.norm(cand)
+    return lams, vecs
+
+
+def _reference_phase_gauge(v):
+    """Rotate so the first largest-modulus component is real and positive."""
+    i = int(np.argmax(np.abs(v)))
+    pivot = v[i]
+    if pivot == 0.0:
+        return v
+    return v * (np.conj(pivot) / abs(pivot))
+
+
+def reference_eigenpairs(M, tol=linalg.DEFAULT_EIGEN_TOL):
+    """The one-point eigensolver, a verbatim copy of the code the stacked kernel replaced."""
+    A = as_operator(M)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if A.shape[0] == 2:
+        lams, vecs = _reference_eigenpairs_2x2(A)
+    else:
+        try:
+            lams, vecs = np.linalg.eig(A)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigendecomposition failed for matrix:\n{A}") from exc
+
+    order = np.lexsort((lams.imag, lams.real))
+    scale = linalg.operator_norm(A)
+    out = []
+    for idx in order:
+        lam = complex(lams[idx])
+        v = vecs[:, idx]
+        v = _reference_phase_gauge(v / np.linalg.norm(v))
+        resid = float(np.linalg.norm(A @ v - lam * v))
+        if resid > tol * max(scale, 1e-300):
+            raise ConvergenceError(
+                f"eigenpair residual {resid:.3e} exceeds {tol:.1e}*||M|| for matrix:\n{A}"
+            )
+        out.append((lam, v))
+    return out
+
+
+def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-10,
+                               ortho_tol=1e-10, overlap_threshold=0.9):
+    """The one-point eigenframe loop, a verbatim copy of the code the stacked pass replaced."""
+    fg = frame_family.on_grid(grid)
+    grid = fg.times
+    n_t = grid.size
+    dim = frame_family.dim
+    energies = np.empty((n_t, dim))
+    states = np.empty((n_t, dim, dim), dtype=complex)
+    min_overlap = 1.0
+
+    for k, t in enumerate(grid):
+        H = hamiltonian(t)
+        metric = fg.metric[k]
+        pairs = reference_eigenpairs(H)
+        scale = max(1.0, linalg.operator_norm(H))
+        lams = np.array([lam for lam, _ in pairs])
+        if np.max(np.abs(lams.imag)) > realness_tol * scale:
+            raise BrokenSymmetryError(
+                f"broken PT symmetry at t={t}: eigenvalue {lams[np.argmax(np.abs(lams.imag))]} "
+                f"has |Im| > {realness_tol:.1e}*scale"
+            )
+        vecs = np.array([v for _, v in pairs])  # rows are eigenvectors
+        # unit frame norm (the metric is positive definite, so this is always defined)
+        for n in range(dim):
+            nrm2 = np.vdot(vecs[n], metric @ vecs[n]).real
+            vecs[n] = vecs[n] / np.sqrt(nrm2)
+
+        if k == 0:
+            energies[0] = lams.real
+            states[0] = vecs
+        else:
+            prev = states[k - 1]
+            # overlap[i, j] = (new_i | prev_j) at the current time
+            overlap = vecs.conj() @ metric @ prev.T
+            rows, cols = linear_sum_assignment(-np.abs(overlap))
+            perm = np.empty(dim, dtype=int)   # perm[label] = index into new pairs
+            for i, j in zip(rows, cols):
+                perm[j] = i
+            chosen = np.abs(overlap[perm, np.arange(dim)])
+            min_overlap = min(min_overlap, float(chosen.min()))
+            if np.any(chosen < overlap_threshold):
+                bad = np.nonzero(chosen < overlap_threshold)[0].tolist()
+                raise LevelTrackingError(
+                    f"level continuity lost between t={grid[k-1]} and t={t}: "
+                    f"levels {bad} have overlap {chosen[bad]} < {overlap_threshold}"
+                )
+            for label in range(dim):
+                v = vecs[perm[label]]
+                g = complex(np.vdot(v, metric @ prev[label]))
+                if abs(g) > 0:
+                    v = v * (g / abs(g))
+                states[k, label] = v
+                energies[k, label] = lams.real[perm[label]]
+
+        gram = states[k].conj() @ metric @ states[k].T
+        ortho_resid = float(np.max(np.abs(gram - np.eye(dim))))
+        if ortho_resid > ortho_tol:
+            raise LevelTrackingError(
+                f"eigenvectors at t={t} are not orthonormal in the frame inner product "
+                f"(residual {ortho_resid:.3e}); levels may be colliding"
+            )
+
+    return EigenFrame(
+        times=grid,
+        energies=energies,
+        states=states,
+        metrics=fg.metric,
+        diagnostics={"min_overlap": min_overlap},
+    )
+
+
+def reference_operator_phase(hamiltonian, frame_family, eframe, level, hbar=1.0):
+    """The one-point operator-phase loop the stacked version replaced."""
+    n_t = eframe.times.size
+    dim = eframe.dim
+    eye = np.eye(dim)
+    fg = frame_family.on_grid(eframe.times)
+    integrand = np.empty((n_t, dim, dim), dtype=complex)
+    hams = []
+    for k, t in enumerate(eframe.times):
+        H = hamiltonian(t)
+        hams.append(H)
+        integrand[k] = (H - eframe.energies[k, level] * eye) / hbar + 0.5j * (fg.c[k] @ fg.cdot[k])
+    A = cumulative_trapezoid(integrand, eframe.times, axis=0, initial=0.0)
+    comm = np.array([
+        linalg.operator_norm(A[k] @ hams[k] - hams[k] @ A[k]) for k in range(n_t)
+    ])
+    return A, comm

@@ -2,11 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import rotating_hermitian_family, two_level_matrices
+from helpers import (
+    LAPACK_MARK,
+    RESIDUAL_MARK,
+    reference_build_eigenframe,
+    reference_operator_phase,
+    rotating_frame_model,
+    rotating_hermitian_family,
+    same_bits,
+    scripted_eig,
+    two_level_matrices,
+)
 from ptdyn.adiabatic import (
     BrokenSymmetryError,
+    EigenFrame,
     LevelTrackingError,
     adiabatic_bound,
     adiabatic_bound_profile,
@@ -18,10 +31,11 @@ from ptdyn.adiabatic import (
     level_coupling_residual,
     operator_phase,
 )
+from ptdyn import linalg
 from ptdyn.dynamics import Equation, EvolutionProblem, evolve_state
 from ptdyn.frames import FrameFamily, validate_frames
-from ptdyn.linalg import AntilinearOperator, OperatorFamily, operator_norm
-from ptdyn.models import ScalarFunction, TwoLevelModel
+from ptdyn.linalg import AntilinearOperator, ConvergenceError, OperatorFamily, operator_norm
+from ptdyn.models import ScalarFunction, TwoLevelModel, build_constant_metric, build_two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -135,6 +149,130 @@ def test_eigenframe_level_crossing_fails_loudly():
     with pytest.raises(LevelTrackingError, match="levels"):
         build_eigenframe(OperatorFamily(0.0, 1.0, H), identity_frame_family(2),
                          np.linspace(0.0, 1.0, 21))
+
+
+def _outcome(build, *args):
+    """The eigenframe a build returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(ham, family, grid):
+    """The stacked eigenframe pass gives what the one-point loop gives, bit for bit."""
+    stacked = _outcome(build_eigenframe, ham, family, grid)
+    one_point = _outcome(reference_build_eigenframe, ham, family, grid)
+    if isinstance(one_point, tuple):
+        assert stacked == one_point
+        return one_point
+    assert same_bits(stacked.energies, one_point.energies)
+    assert same_bits(stacked.states, one_point.states)
+    assert same_bits(stacked.times, one_point.times)
+    assert stacked.metrics is one_point.metrics
+    assert stacked.diagnostics == one_point.diagnostics
+    return one_point
+
+
+def _ramp_model():
+    grid = np.linspace(0.0, 1.0, 201)
+    model = build_two_level(ScalarFunction.constant(1.0), ScalarFunction.ramp(0.1, 0.18, 0.0, 1.0), grid)
+    return model.hamiltonian(), model.frame_family(), grid
+
+
+def _sinusoid_model():
+    model = two_level(amp=0.9, freq=2.0)
+    return model.hamiltonian(), model.frame_family(), np.linspace(0.0, 2.0, 101)
+
+
+def _constant_metric_model():
+    grid = np.linspace(0.0, 10.0, 101)
+    model = build_constant_metric(ScalarFunction.sinusoid(amplitude=1.0, frequency=1.0),
+                                  ScalarFunction.constant(1.0), frozen_constant_metric(), grid)
+    return model.hamiltonian(), model.frame_family(), grid
+
+
+@pytest.mark.parametrize("per_solve", [None, 7], ids=["one-solve", "seven-per-solve"])
+@pytest.mark.parametrize("make", [_ramp_model, _sinusoid_model, _constant_metric_model],
+                         ids=["two_level_ramp", "two_level_sinusoid", "constant_metric"])
+def test_eigenframe_bit_identical_to_one_point_loop(monkeypatch, make, per_solve):
+    if per_solve:  # grid points per stacked step
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", per_solve * 4)
+    assert isinstance(_assert_same_outcome(*make()), EigenFrame)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eigenframe_bit_identical_on_a_turning_dim4_frame(seed):
+    ham, family = rotating_frame_model(seed, 4)
+    assert isinstance(_assert_same_outcome(ham, family, np.linspace(0.0, 1.0, 41)), EigenFrame)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), omega=st.floats(0.1, 2.0),
+       points=st.integers(2, 30))
+def test_eigenframe_bit_identical_on_turning_frames(seed, dim, omega, points):
+    ham, family = rotating_frame_model(seed, dim, omega)
+    _assert_same_outcome(ham, family, np.linspace(0.0, 1.0, points))
+
+
+# Scripted failures at chosen grid points of a 2x2 or 3x3 family with the
+# identity metric, and the error each makes the one-point loop raise first.
+FAILURES = {
+    "value": (ValueError, "non-finite"),
+    "residual": (ConvergenceError, "eigenpair residual"),
+    "lapack": (ConvergenceError, "eigendecomposition failed"),
+    "broken": (BrokenSymmetryError, "broken PT symmetry"),
+    "tracking": (LevelTrackingError, "level continuity lost"),
+    "orthonormality": (LevelTrackingError, "not orthonormal"),
+}
+
+
+def _scripted_matrix(dim, k, kind):
+    off = np.eye(dim, k=1) + np.eye(dim, k=-1)
+    M = np.diag(np.arange(dim, dtype=float)) + 0.01 * k * off
+    if kind == "value":
+        M[0, 0] = np.nan
+    elif kind == "residual":
+        M[-1, 0] = RESIDUAL_MARK
+    elif kind == "lapack":
+        M[-1, 0] = LAPACK_MARK
+    elif kind == "broken":
+        M[:2, :2] = [[0.5, 1.0], [-1.0, 0.5]]  # eigenvalues 0.5 +- i
+    elif kind == "tracking":
+        R = np.eye(dim)
+        R[:2, :2] = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)  # 45 degrees
+        M = R @ M @ R.T
+    elif kind == "orthonormality":
+        M[0, 1] += 0.2  # real distinct eigenvalues, skewed eigenvectors
+    return M.astype(complex)
+
+
+def _scripted_pairs():
+    for dim in (2, 3):
+        kinds = [k for k in FAILURES if dim > 2 or k not in ("residual", "lapack")]
+        for first in kinds:
+            for second in kinds:
+                yield pytest.param(dim, first, second, id=f"{dim}x{dim}-{first}-{second}")
+
+
+@pytest.mark.parametrize("per_solve", [None, 3], ids=["one-solve", "three-per-solve"])
+@pytest.mark.parametrize("dim, first, second", list(_scripted_pairs()))
+def test_eigenframe_raises_the_first_failure_of_the_one_point_loop(monkeypatch, dim, first, second,
+                                                                   per_solve):
+    # Two failures at different times: the earlier one is raised, with the
+    # one-point loop's type and message, whatever the two classes are. With
+    # three points per stacked step the two failures sit in the second and
+    # third steps.
+    if per_solve:
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", per_solve * dim * dim)
+    grid = np.linspace(0.0, 1.0, 8)
+    kinds = {4: first, 6: second}
+    mats = {float(t): _scripted_matrix(dim, k, kinds.get(k)) for k, t in enumerate(grid)}
+    ham = OperatorFamily(0.0, 1.0, lambda t: mats[float(t)])
+    monkeypatch.setattr(np.linalg, "eig", scripted_eig(np.linalg.eig))
+    one_point = _assert_same_outcome(ham, identity_frame_family(dim), grid)
+    error, text = FAILURES[first]
+    assert one_point[0] is error and text in one_point[1]
 
 
 # ------------------------------------------------------------- dynamical phase
@@ -295,6 +433,18 @@ def test_operator_phase_commuting_rotation_equivalence():
         r5 = np.linalg.norm(1j * d_rot[k] - Ht @ rotated[k])  # Cdot = 0 here
         r3 = np.linalg.norm(1j * d_psi[k] - Ht @ psi_m[k])
         assert abs(r5 - r3) <= 1e-6
+
+
+@pytest.mark.parametrize("make", [_sinusoid_model, _constant_metric_model],
+                         ids=["two_level_sinusoid", "constant_metric"])
+def test_operator_phase_matches_one_point_loop(make):
+    ham, family, grid = make()
+    eframe = build_eigenframe(ham, family, grid)
+    for level in (0, 1):
+        A, comm = operator_phase(ham, family, eframe, level, hbar=0.7)
+        A_ref, comm_ref = reference_operator_phase(ham, family, eframe, level, hbar=0.7)
+        np.testing.assert_allclose(A, A_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(comm, comm_ref, rtol=1e-12, atol=0)
 
 
 def test_operator_phase_commutator_nonzero_for_moving_metric():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import two_level_matrices
-from ptdyn import frames
+from ptdyn import frames, linalg
 from ptdyn.cli import main, run_scenario, sweep
 from ptdyn.config import from_dict, load_config, matrix_to_pairs
 from ptdyn.frames import FrameGrid
@@ -249,11 +249,13 @@ def test_config_output_dir_used_as_default(tmp_path, monkeypatch):
 def test_run_builds_one_frame_grid(monkeypatch, scenario, validations):
     """One validated pass per run: every stage reads the same FrameGrid.
 
-    The only per-frame validation left is the configured constant frame.
+    The only per-frame validation left is the configured constant frame,
+    and every eigensolve goes through the stacked kernel, none through the
+    one-point ``eigenpairs``.
     """
     cfg = load_config(ROOT / "scenarios" / f"{scenario}.json")
-    counts = {"grids": 0, "validations": 0}
-    build, validate = FrameGrid.build.__func__, frames.validate_frames
+    counts = {"grids": 0, "validations": 0, "eigenpairs": 0}
+    build, validate, eigenpairs = FrameGrid.build.__func__, frames.validate_frames, linalg.eigenpairs
 
     def counting_build(cls, family, grid):
         counts["grids"] += 1
@@ -263,7 +265,12 @@ def test_run_builds_one_frame_grid(monkeypatch, scenario, validations):
         counts["validations"] += 1
         return validate(*args, **kwargs)
 
+    def counting_eigenpairs(*args, **kwargs):
+        counts["eigenpairs"] += 1
+        return eigenpairs(*args, **kwargs)
+
     monkeypatch.setattr(FrameGrid, "build", classmethod(counting_build))
     monkeypatch.setattr(frames, "validate_frames", counting_validate)
+    monkeypatch.setattr(linalg, "eigenpairs", counting_eigenpairs)
     run_scenario(cfg)
-    assert counts == {"grids": 1, "validations": validations}
+    assert counts == {"grids": 1, "validations": validations, "eigenpairs": 0}

@@ -6,12 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import two_level_matrices
+from helpers import (
+    LAPACK_MARK,
+    RESIDUAL_MARK,
+    reference_eigenpairs,
+    same_bits,
+    scripted_eig,
+    two_level_matrices,
+)
 from ptdyn import linalg
 from ptdyn.linalg import (
     AntilinearOperator,
+    ConvergenceError,
     OperatorFamily,
     eigenpairs,
+    eigenpairs_stack,
     family_derivative,
     hermitian_sqrt,
     operator_norm,
@@ -81,6 +90,72 @@ def test_non_contiguous_input_accepted(rng):
     assert operator_norm(M.T) == pytest.approx(operator_norm(M.T.copy()))
     pairs = eigenpairs(M.T)
     assert len(pairs) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 6), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["general", "hermitian", "diagonal", "mixed"]))
+def test_eigenpairs_stack_bit_identical_to_one_point(dim, n, seed, kind):
+    # "diagonal" stacks take the b = c = 0 branch of the 2x2 closed form (some
+    # with a repeated diagonal); "mixed" ones interleave such matrices with
+    # general and triangular ones.
+    gen = np.random.default_rng(seed)
+    X = gen.normal(size=(n, dim, dim)) + 1j * gen.normal(size=(n, dim, dim))
+    if kind == "hermitian":
+        X = X + X.conj().swapaxes(1, 2)
+    off = ~np.eye(dim, dtype=bool)
+    if kind == "diagonal":
+        X[:, off] = 0.0
+        X[::2, -1, -1] = X[::2, 0, 0]
+    if kind == "mixed":
+        X[::3, off] = 0.0
+        X[1::3, 0, -1] = 0.0
+    lams, vecs = eigenpairs_stack(X)
+    for k in range(n):
+        for pairs in (eigenpairs(X[k]), reference_eigenpairs(X[k])):
+            assert same_bits(lams[k], np.array([lam for lam, _ in pairs]))
+            assert same_bits(vecs[k], np.array([v for _, v in pairs]))
+    with pytest.MonkeyPatch.context() as mp:  # two matrices per stacked solve
+        mp.setattr(linalg, "STACK_ENTRIES", 2 * dim * dim)
+        chunked = eigenpairs_stack(X)
+    assert same_bits(chunked[0], lams) and same_bits(chunked[1], vecs)
+
+
+@pytest.mark.parametrize("marks, first", [
+    ({2: RESIDUAL_MARK, 5: RESIDUAL_MARK}, 2),
+    ({2: LAPACK_MARK, 5: LAPACK_MARK}, 2),
+    ({1: RESIDUAL_MARK, 4: LAPACK_MARK}, 1),
+    ({1: LAPACK_MARK, 4: RESIDUAL_MARK}, 1),
+], ids=["residual-residual", "lapack-lapack", "residual-lapack", "lapack-residual"])
+@pytest.mark.parametrize("per_solve", [None, 2], ids=["one-solve", "two-per-solve"])
+def test_eigenpairs_stack_raises_for_the_first_failing_matrix(monkeypatch, rng, marks, first, per_solve):
+    X = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
+    for k, mark in marks.items():
+        X[k, -1, 0] = mark
+    monkeypatch.setattr(np.linalg, "eig", scripted_eig(np.linalg.eig))
+    if per_solve:
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", per_solve * 9)
+    with pytest.raises(ConvergenceError) as stacked:
+        eigenpairs_stack(X)
+    with pytest.raises(ConvergenceError) as one_point:
+        reference_eigenpairs(X[first])
+    assert stacked.value.index == first
+    assert str(stacked.value) == str(one_point.value)
+    for k in range(first):
+        reference_eigenpairs(X[k])
+
+
+def test_eigenpairs_stack_rejects_bad_input():
+    with pytest.raises(ValueError, match="shape"):
+        eigenpairs_stack(np.eye(2))
+    with pytest.raises(ValueError, match="shape"):
+        eigenpairs_stack(np.ones((3, 2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenpairs_stack(np.full((2, 2, 2), np.nan))
+    with pytest.raises(ValueError, match="tol"):
+        eigenpairs_stack(np.ones((2, 2, 2)), tol=0.0)
+    lams, vecs = eigenpairs_stack(np.empty((0, 3, 3)))
+    assert lams.shape == (0, 3) and vecs.shape == (0, 3, 3)
 
 
 # ------------------------------------------------------------ hermitian_sqrt
@@ -236,3 +311,24 @@ def test_family_stack_errors_name_the_earliest_offending_time():
     with pytest.raises(ValueError) as err:
         ragged.stack(times)
     assert str(err.value) == _call_error(ragged, 0.5)
+
+
+def _nan_then_raise(t):
+    if t == 0.25:
+        return np.full((2, 2), math.nan)
+    if t == 0.5:
+        raise ValueError("evaluate failed at t=0.5")
+    return np.eye(2)
+
+
+@pytest.mark.parametrize("evaluate, first", [
+    (_nan_then_raise, 0.25),
+    (lambda t: np.eye(2) if t < 0.4 else _nan_then_raise(0.5), 0.5),
+], ids=["non-finite-first", "evaluate-error-first"])
+def test_family_stack_reports_a_bad_value_before_an_evaluate_error(evaluate, first):
+    # evaluate raising at a later time than a rejected value: the one-point
+    # loop stops at the rejected value, and so does the stack
+    fam = OperatorFamily(0.0, 1.0, evaluate)
+    with pytest.raises(ValueError) as err:
+        fam.stack(np.linspace(0.0, 1.0, 5))
+    assert str(err.value) == _call_error(fam, first)

@@ -255,6 +255,14 @@ def test_builders_reject_bad_grids():
         build_constant_metric(s, a, frame, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("t", [0.5, np.float64(0.5), np.float64(-1.0), np.float64(2.0)])
+def test_ramp_returns_a_python_float(t):
+    ramp = ScalarFunction.ramp(0.1, 0.3, 0.0, 1.0)
+    value = ramp.fn(t)
+    assert type(value) is float
+    assert value == ramp.fn(float(t))
+
+
 @pytest.mark.parametrize("value", [2.5, np.float64(2.5), 2, np.array(2.5)])
 def test_scalar_real_values_pass_as_float(value):
     out = ScalarFunction(lambda t: value)(0.0)
