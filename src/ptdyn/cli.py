@@ -20,8 +20,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,42 +52,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class _InlineModel:
-    """Constant-matrix scenario assembled directly from config matrices."""
-
-    H: np.ndarray
-    frame: frm.CPTFrame
-    t_start: float
-    t_end: float
-
-    def hamiltonian(self) -> OperatorFamily:
-        return OperatorFamily.constant(self.H)
-
-    def frame_family(self) -> frm.FrameFamily:
-        return self._frame_family
-
-    @cached_property
-    def _frame_family(self) -> frm.FrameFamily:
-        return frm.FrameFamily.constant(self.frame)
-
-    def problem(self, grid, equation, initial_state, hbar=1.0, substeps=None,
-                correction=None) -> dyn.EvolutionProblem:
-        return dyn.EvolutionProblem(
-            hamiltonian=self.hamiltonian(),
-            frame_family=self.frame_family(),
-            grid=grid,
-            equation=equation,
-            initial_state=initial_state,
-            correction=correction,
-            hbar=hbar,
-            substeps=substeps,
-        )
-
-
 def build_model(cfg: ScenarioConfig):
     """Instantiate the configured model; config problems raise ConfigError."""
-    from .models import build_constant_metric, build_two_level
+    from .models import Model, build_constant_metric, build_two_level
 
     grid = cfg.grid.times()
     try:
@@ -98,22 +63,17 @@ def build_model(cfg: ScenarioConfig):
                 cfg.scalar("s"), cfg.scalar("alpha"), grid,
                 frame_tol=cfg.tolerances["frame"],
             )
-        if cfg.model_kind == "constant_metric":
-            frame = frm.validate_frames(
-                cfg.matrix("C"), cfg.matrix("P"),
-                AntilinearOperator(cfg.matrix("K")),
-                tol=cfg.tolerances["frame"],
-            )
-            return build_constant_metric(cfg.scalar("a"), cfg.scalar("b"), frame, grid)
         frame = frm.validate_frames(
             cfg.matrix("C"), cfg.matrix("P"),
             AntilinearOperator(cfg.matrix("K")),
             tol=cfg.tolerances["frame"],
         )
+        if cfg.model_kind == "constant_metric":
+            return build_constant_metric(cfg.scalar("a"), cfg.scalar("b"), frame, grid)
         H = cfg.matrix("H")
         if H.shape[0] != frame.dim:
             raise ConfigError("model.H", f"dimension {H.shape[0]} does not match frame dim {frame.dim}")
-        return _InlineModel(H=H, frame=frame, t_start=float(grid[0]), t_end=float(grid[-1]))
+        return Model(OperatorFamily.constant(H), frm.FrameFamily.constant(frame))
     except (FrameAxiomError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -135,8 +95,8 @@ def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, b
     Building the frame grid raises on any axiom failure, so a caller that
     gets here has frames that pass.
     """
-    fg = model.frame_family().on_grid(grid)
-    ham = model.hamiltonian()
+    fg = model.frame_family.on_grid(grid)
+    ham = model.hamiltonian
     reports = fg.symmetry_reports(ham.stack(fg.times), tol=cfg.tolerances["symmetry"])
     symmetry = {
         key: all(getattr(rep, key) for rep in reports)
@@ -167,14 +127,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
     """
     grid = cfg.grid.times()
     model = build_model(cfg)
-    family = model.frame_family()
+    family = model.frame_family
     if cfg.level >= family.dim:
         raise ConfigError("level", f"level {cfg.level} out of range for dimension {family.dim}")
 
     residuals, symmetry, symmetry_ok = _frame_and_symmetry(model, cfg, grid)
 
     eframe = adb.build_eigenframe(
-        model.hamiltonian(), family, grid,
+        model.hamiltonian, family, grid,
         realness_tol=cfg.tolerances["realness"],
     )
     problem = model.problem(

@@ -139,12 +139,6 @@ def _scalar_from_spec(spec, field_name: str, t_start: float, t_end: float) -> Sc
     raise ConfigError(field_name, f"unknown scalar function kind '{kind}'")
 
 
-def _scalar_to_spec(fn: ScalarFunction, field_name: str) -> dict:
-    if fn.spec is None:
-        raise ConfigError(field_name, "scalar function is not serializable (no preset spec)")
-    return dict(fn.spec)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     t_start: float

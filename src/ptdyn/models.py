@@ -1,6 +1,7 @@
 """Built-in scenarios with closed-form spectral data.
 
-Two constructors are provided:
+Every model kind is one :class:`Model` record: a Hamiltonian family, a
+frame family and optional closed-form oracles. Two kinds are built here:
 
 * :func:`build_two_level` — the 2x2 model with
 
@@ -16,15 +17,14 @@ Two constructors are provided:
   validated frame; the metric never moves, so the plain Schrodinger
   evolution is already unitary in the frame norm.
 
-Both expose analytic eigendata for use as test oracles against the numeric
-paths.
+Both carry analytic eigendata (``energies``, and for the two-level model
+``eigenvector``) for use as test oracles against the numeric paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,9 +34,9 @@ from .frames import CPTFrame, FrameFamily
 from .linalg import AntilinearOperator, OperatorFamily, as_grid
 
 __all__ = [
+    "Model",
     "ScalarFunction",
-    "TwoLevelModel",
-    "ConstantMetricModel",
+    "two_level",
     "build_two_level",
     "build_constant_metric",
 ]
@@ -50,7 +50,6 @@ class ScalarFunction:
 
     fn: Callable[[float], float]
     dfn: Optional[Callable[[float], float]] = None
-    spec: Optional[dict] = None
 
     def __call__(self, t: float) -> float:
         value = self.fn(t)
@@ -63,7 +62,7 @@ class ScalarFunction:
     @classmethod
     def constant(cls, value: float) -> "ScalarFunction":
         value = float(value)
-        return cls(lambda t: value, lambda t: 0.0, {"kind": "constant", "value": value})
+        return cls(lambda t: value, lambda t: 0.0)
 
     @classmethod
     def ramp(cls, start: float, stop: float, t_start: float, t_end: float) -> "ScalarFunction":
@@ -84,10 +83,7 @@ class ScalarFunction:
         def dfn(t):
             return slope if t_start < t < t_end else 0.0
 
-        return cls(fn, dfn, {
-            "kind": "ramp", "start": start, "stop": stop,
-            "t_start": t_start, "t_end": t_end,
-        })
+        return cls(fn, dfn)
 
     @classmethod
     def sinusoid(cls, amplitude: float, frequency: float, phase: float = 0.0,
@@ -98,13 +94,19 @@ class ScalarFunction:
         return cls(
             lambda t: offset + amplitude * math.sin(frequency * t + phase),
             lambda t: amplitude * frequency * math.cos(frequency * t + phase),
-            {"kind": "sinusoid", "amplitude": amplitude, "frequency": frequency,
-             "phase": phase, "offset": offset},
         )
 
     @classmethod
     def from_samples(cls, times: Sequence[float], values: Sequence[float]) -> "ScalarFunction":
-        """Piecewise-linear interpolant; derivatives fall back to differencing."""
+        """Piecewise-linear interpolant with no analytic derivative.
+
+        A model built on it differentiates its operator family by central
+        differences with step h = 1e-5 * max(1, |t|). Within h of a sample
+        node the stencil straddles the node, so the derivative there is a
+        mean of the two segment slopes (weighted by how far the stencil
+        reaches into each segment; the plain mean at the node itself)
+        rather than either one-sided slope.
+        """
         vs = np.asarray(values)
         if np.iscomplexobj(vs) and np.any(vs.imag != 0):
             raise ValueError("sample values must be real")
@@ -112,11 +114,7 @@ class ScalarFunction:
         ts = as_grid(times, "sample times")
         if vs.shape != ts.shape:
             raise ValueError("times and values must have the same length")
-        return cls(
-            lambda t: float(np.interp(t, ts, vs)),
-            None,
-            {"kind": "samples", "times": ts.tolist(), "values": vs.tolist()},
-        )
+        return cls(lambda t: float(np.interp(t, ts, vs)))
 
 
 def _two_level_matrices(s: float, a: float):
@@ -128,70 +126,73 @@ def _two_level_matrices(s: float, a: float):
 
 
 @dataclass(frozen=True)
-class TwoLevelModel:
-    """The 2x2 scenario with energy scale s(t) and mixing angle alpha(t)."""
+class Model:
+    """A Hamiltonian family H(t) over a CPT frame family (C(t), P, T).
 
-    s: ScalarFunction
-    alpha: ScalarFunction
-    t_start: float
-    t_end: float
-    frame_tol: float = 1e-10
+    ``energies(t)`` and ``eigenvector(level, t, normalization=...)`` are
+    closed-form oracles for the numeric paths, present where the model
+    kind has them. Every stage of a run reads the same two families, so
+    the frame family's last :class:`FrameGrid` is shared by all of them.
+    """
 
-    @property
-    def p(self) -> np.ndarray:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    hamiltonian: OperatorFamily
+    frame_family: FrameFamily
+    energies: Optional[Callable[[float], np.ndarray]] = None
+    eigenvector: Optional[Callable[..., np.ndarray]] = None
 
-    @property
-    def t_op(self) -> AntilinearOperator:
-        return AntilinearOperator.conjugation(2)
+    def problem(self, grid, equation: Equation, initial_state,
+                hbar: float = 1.0, substeps: Optional[int] = None,
+                correction: Optional[OperatorFamily] = None) -> EvolutionProblem:
+        return EvolutionProblem(
+            hamiltonian=self.hamiltonian,
+            frame_family=self.frame_family,
+            grid=grid,
+            equation=equation,
+            initial_state=initial_state,
+            correction=correction,
+            hbar=hbar,
+            substeps=substeps,
+        )
 
-    def hamiltonian(self) -> OperatorFamily:
-        def evaluate(t):
-            return _two_level_matrices(self.s(t), self.alpha(t))[0]
 
-        derivative = None
-        if self.s.dfn is not None and self.alpha.dfn is not None:
-            def derivative(t):
-                s, a = self.s(t), self.alpha(t)
-                sd, ad = self.s.dfn(t), self.alpha.dfn(t)
-                ea = np.exp(1j * a)
-                return np.array([
-                    [sd * ea + 1j * ad * s * ea, sd],
-                    [sd, sd / ea - 1j * ad * s / ea],
-                ], dtype=complex)
+def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: float,
+              frame_tol: float = 1e-10) -> Model:
+    """The 2x2 model with energy scale s(t) and mixing angle alpha(t).
 
-        return OperatorFamily(self.t_start, self.t_end, evaluate, derivative)
+    Nothing is validated here; :func:`build_two_level` adds the checks.
+    """
+    def evaluate(t):
+        return _two_level_matrices(s(t), alpha(t))[0]
 
-    def frame_family(self) -> FrameFamily:
-        """The model's frame family; the same object on every call."""
-        return self._frame_family
+    derivative = None
+    if s.dfn is not None and alpha.dfn is not None:
+        def derivative(t):
+            s_t, a = s(t), alpha(t)
+            sd, ad = s.dfn(t), alpha.dfn(t)
+            ea = np.exp(1j * a)
+            return np.array([
+                [sd * ea + 1j * ad * s_t * ea, sd],
+                [sd, sd / ea - 1j * ad * s_t / ea],
+            ], dtype=complex)
 
-    @cached_property
-    def _frame_family(self) -> FrameFamily:
-        def evaluate(t):
-            return _two_level_matrices(self.s(t), self.alpha(t))[1]
+    def c_evaluate(t):
+        return _two_level_matrices(s(t), alpha(t))[1]
 
-        derivative = None
-        if self.alpha.dfn is not None:
-            def derivative(t):
-                # dC/d_alpha = tan(a) C + i diag(1, -1)
-                a = self.alpha(t)
-                C = _two_level_matrices(1.0, a)[1]
-                return self.alpha.dfn(t) * (
-                    math.tan(a) * C + 1j * np.diag([1.0, -1.0])
-                )
+    c_derivative = None
+    if alpha.dfn is not None:
+        def c_derivative(t):
+            # dC/d_alpha = tan(a) C + i diag(1, -1)
+            a = alpha(t)
+            C = _two_level_matrices(1.0, a)[1]
+            return alpha.dfn(t) * (
+                math.tan(a) * C + 1j * np.diag([1.0, -1.0])
+            )
 
-        fam = OperatorFamily(self.t_start, self.t_end, evaluate, derivative)
-        return FrameFamily(fam, self.p, self.t_op, tol=self.frame_tol)
-
-    def frame_at(self, t: float) -> CPTFrame:
-        return self.frame_family().frame_at(t)
-
-    def energies(self, t: float) -> np.ndarray:
+    def energies(t: float) -> np.ndarray:
         """Closed-form eigenvalues, ascending for s > 0: (0, 2 s cos a)."""
-        return np.array([0.0, 2.0 * self.s(t) * math.cos(self.alpha(t))])
+        return np.array([0.0, 2.0 * s(t) * math.cos(alpha(t))])
 
-    def eigenvector(self, level: int, t: float, normalization: str = "metric") -> np.ndarray:
+    def eigenvector(level: int, t: float, normalization: str = "metric") -> np.ndarray:
         """Closed-form eigenvectors.
 
         ``normalization="euclidean"`` gives the unit-2-norm form
@@ -199,7 +200,7 @@ class TwoLevelModel:
         cos a, so ``"metric"`` divides by sqrt(cos a) to make the pair
         orthonormal in the frame inner product.
         """
-        a = self.alpha(t)
+        a = alpha(t)
         if level == 0:
             v = np.array([np.exp(-0.5j * a), -np.exp(0.5j * a)]) / math.sqrt(2.0)
         elif level == 1:
@@ -212,23 +213,18 @@ class TwoLevelModel:
             return v
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    def problem(self, grid, equation: Equation, initial_state,
-                hbar: float = 1.0, substeps: Optional[int] = None,
-                correction: Optional[OperatorFamily] = None) -> EvolutionProblem:
-        return EvolutionProblem(
-            hamiltonian=self.hamiltonian(),
-            frame_family=self.frame_family(),
-            grid=grid,
-            equation=equation,
-            initial_state=initial_state,
-            correction=correction,
-            hbar=hbar,
-            substeps=substeps,
-        )
+    frames = FrameFamily(
+        OperatorFamily(t_start, t_end, c_evaluate, c_derivative),
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        AntilinearOperator.conjugation(2),
+        tol=frame_tol,
+    )
+    return Model(OperatorFamily(t_start, t_end, evaluate, derivative), frames,
+                 energies, eigenvector)
 
 
 def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
-                    frame_tol: float = 1e-10) -> TwoLevelModel:
+                    frame_tol: float = 1e-10) -> Model:
     """Construct and validate the two-level model on a grid.
 
     Rejects any grid point where cos alpha(t) < 1/2 (the metric would lose
@@ -244,69 +240,14 @@ def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
                 f"cos(alpha) = {c:.4f} < {MIN_COS_ALPHA} at t={t}; "
                 "the angle must keep cos(alpha) >= 1/2"
             )
-    model = TwoLevelModel(
-        s=s, alpha=alpha, t_start=float(grid[0]), t_end=float(grid[-1]),
-        frame_tol=frame_tol,
-    )
-    model.frame_family().on_grid(grid)  # raises FrameAxiomError on any violation
+    model = two_level(s, alpha, float(grid[0]), float(grid[-1]), frame_tol=frame_tol)
+    model.frame_family.on_grid(grid)  # raises FrameAxiomError on any violation
     return model
 
 
-@dataclass(frozen=True)
-class ConstantMetricModel:
-    """H(t) = a(t) I + b(t) C over a fixed frame (the metric never moves)."""
-
-    a: ScalarFunction
-    b: ScalarFunction
-    frame: CPTFrame
-    t_start: float
-    t_end: float
-
-    def hamiltonian(self) -> OperatorFamily:
-        eye = np.eye(self.frame.dim, dtype=complex)
-        C = self.frame.c
-
-        def evaluate(t):
-            return self.a(t) * eye + self.b(t) * C
-
-        derivative = None
-        if self.a.dfn is not None and self.b.dfn is not None:
-            def derivative(t):
-                return self.a.dfn(t) * eye + self.b.dfn(t) * C
-
-        return OperatorFamily(self.t_start, self.t_end, evaluate, derivative)
-
-    def frame_family(self) -> FrameFamily:
-        """The model's frame family; the same object on every call."""
-        return self._frame_family
-
-    @cached_property
-    def _frame_family(self) -> FrameFamily:
-        return FrameFamily.constant(self.frame)
-
-    def energies(self, t: float) -> np.ndarray:
-        """a(t) + b(t) * (eigenvalues of C), sorted ascending."""
-        c_eigs = np.sort(np.linalg.eigvals(self.frame.c).real)
-        return np.sort(self.a(t) + self.b(t) * c_eigs)
-
-    def problem(self, grid, equation: Equation, initial_state,
-                hbar: float = 1.0, substeps: Optional[int] = None,
-                correction: Optional[OperatorFamily] = None) -> EvolutionProblem:
-        return EvolutionProblem(
-            hamiltonian=self.hamiltonian(),
-            frame_family=self.frame_family(),
-            grid=grid,
-            equation=equation,
-            initial_state=initial_state,
-            correction=correction,
-            hbar=hbar,
-            substeps=substeps,
-        )
-
-
 def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
-                          grid) -> ConstantMetricModel:
-    """Constant-frame model with H(t) = a(t) I + b(t) C.
+                          grid) -> Model:
+    """Constant-frame model with H(t) = a(t) I + b(t) C (the metric never moves).
 
     a and b must be real-valued (ScalarFunction already enforces real
     output); the frame must be validated.
@@ -317,6 +258,22 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
     for fn in (a, b):
         for t in grid[:: max(1, grid.size // 8)]:
             fn(t)  # raises if the function is not real-valued
-    return ConstantMetricModel(
-        a=a, b=b, frame=frame, t_start=float(grid[0]), t_end=float(grid[-1])
-    )
+    eye = np.eye(frame.dim, dtype=complex)
+    C = frame.c
+
+    def evaluate(t):
+        return a(t) * eye + b(t) * C
+
+    derivative = None
+    if a.dfn is not None and b.dfn is not None:
+        def derivative(t):
+            return a.dfn(t) * eye + b.dfn(t) * C
+
+    c_eigs = np.sort(np.linalg.eigvals(C).real)
+
+    def energies(t: float) -> np.ndarray:
+        """a(t) + b(t) * (eigenvalues of C), sorted ascending."""
+        return np.sort(a(t) + b(t) * c_eigs)
+
+    return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate, derivative),
+                 FrameFamily.constant(frame), energies)

@@ -27,29 +27,29 @@ from ptdyn.frames import (
     validate_frames,
 )
 from ptdyn.linalg import AntilinearOperator, OperatorFamily, eigenpairs, operator_norm
-from ptdyn.models import ScalarFunction, TwoLevelModel, build_constant_metric, build_two_level
+from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level, two_level
 
 from helpers import random_frame_matrices
+
+
+REFERENCE_S = ScalarFunction(lambda t: 1.0 + 0.5 * t, lambda t: 0.5)
+REFERENCE_ALPHA = ScalarFunction.sinusoid(amplitude=math.pi / 6, frequency=1.0)
 
 
 def reference_two_level():
     """s(t) = 1 + t/2, alpha(t) = (pi/6) sin t on [0, 1], 100 points."""
     grid = np.linspace(0.0, 1.0, 100)
-    model = build_two_level(
-        ScalarFunction(lambda t: 1.0 + 0.5 * t, lambda t: 0.5),
-        ScalarFunction.sinusoid(amplitude=math.pi / 6, frequency=1.0),
-        grid,
-    )
+    model = build_two_level(REFERENCE_S, REFERENCE_ALPHA, grid)
     return model, grid
 
 
 def test_a01_two_level_spectrum_oracle():
     model, grid = reference_two_level()
-    ham = model.hamiltonian()
+    ham = model.hamiltonian
     start = time.monotonic()
     for t in grid:
         lams = [lam for lam, _ in eigenpairs(ham(t))]
-        s, a = model.s(t), model.alpha(t)
+        s, a = REFERENCE_S(t), REFERENCE_ALPHA(t)
         assert abs(lams[0] - 0.0) <= 1e-10
         assert abs(lams[1] - 2.0 * s * math.cos(a)) <= 1e-10
     assert time.monotonic() - start < 1.0
@@ -57,22 +57,22 @@ def test_a01_two_level_spectrum_oracle():
 
 def test_a02_two_level_frame_axioms():
     model, grid = reference_two_level()
-    family = model.frame_family()
+    family = model.frame_family
     for t in grid:
         frame = family.frame_at(t)
         assert frame.residuals["C^2 = I"] <= 1e-12
         assert frame.residuals["CPT = TPC"] <= 1e-12
-        a = model.alpha(t)
+        a = REFERENCE_ALPHA(t)
         floor = (1.0 - math.sin(a)) / math.cos(a) - 1e-12
         assert frame.metric_eigenvalues[0] >= floor
 
 
 def test_a03_metric_orthonormality_rescaling():
     model, grid = reference_two_level()
-    family = model.frame_family()
+    family = model.frame_family
     for t in grid:
         frame = family.frame_at(t)
-        a = model.alpha(t)
+        a = REFERENCE_ALPHA(t)
         rescaled = [model.eigenvector(n, t, normalization="metric") for n in (0, 1)]
         for i in (0, 1):
             for j in (0, 1):
@@ -94,7 +94,7 @@ def test_a04_static_metric_norm_conservation():
         ScalarFunction.constant(1.0),
         frame, grid,
     )
-    eframe = build_eigenframe(model.hamiltonian(), model.frame_family(), grid)
+    eframe = build_eigenframe(model.hamiltonian, model.frame_family, grid)
     problem = model.problem(grid, Equation.SCHRODINGER, eframe.states[0, 0],
                             substeps=100)
     traj = evolve_state(problem)
@@ -103,7 +103,7 @@ def test_a04_static_metric_norm_conservation():
 
 
 def test_a05_compensated_norm_conservation_convergence():
-    model = TwoLevelModel(
+    model = two_level(
         s=ScalarFunction.constant(1.0),
         alpha=ScalarFunction.sinusoid(amplitude=0.9, frequency=2.0),
         t_start=-10.0, t_end=10.0,
@@ -120,12 +120,12 @@ def test_a05_compensated_norm_conservation_convergence():
 
 
 def test_a06_propagator_metric_unitarity():
-    model = TwoLevelModel(
+    model = two_level(
         s=ScalarFunction.constant(1.0),
         alpha=ScalarFunction.sinusoid(amplitude=0.7, frequency=1.3),
         t_start=-10.0, t_end=10.0,
     )
-    family = model.frame_family()
+    family = model.frame_family
     grid = np.linspace(0.0, 2.0, 21)
     problem = model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.0]),
                             substeps=20)
@@ -182,8 +182,8 @@ def test_a08_adiabatic_bound_chain(epsilon):
         grid,
     )
     start = time.monotonic()
-    family = model.frame_family()
-    eframe = build_eigenframe(model.hamiltonian(), family, grid)
+    family = model.frame_family
+    eframe = build_eigenframe(model.hamiltonian, family, grid)
     problem = model.problem(grid, Equation.COMPENSATED, eframe.states[0, 0])
     traj = evolve_state(problem)
     report = build_report(eframe, family, traj, 0, epsilon=epsilon)

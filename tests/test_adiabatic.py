@@ -31,11 +31,11 @@ from ptdyn.adiabatic import (
     level_coupling_residual,
     operator_phase,
 )
-from ptdyn import linalg
+from ptdyn import linalg, models
 from ptdyn.dynamics import Equation, EvolutionProblem, evolve_state
 from ptdyn.frames import FrameFamily, validate_frames
 from ptdyn.linalg import AntilinearOperator, ConvergenceError, OperatorFamily, operator_norm
-from ptdyn.models import ScalarFunction, TwoLevelModel, build_constant_metric, build_two_level
+from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -47,7 +47,7 @@ def identity_frame_family(dim):
 
 
 def two_level(amp=0.5, freq=1.0, s_val=1.0):
-    return TwoLevelModel(
+    return models.two_level(
         s=ScalarFunction.constant(s_val),
         alpha=ScalarFunction.sinusoid(amplitude=amp, frequency=freq),
         t_start=-100.0, t_end=100.0,
@@ -69,7 +69,7 @@ def rotating_problem_family(omega, dim=2):
 def test_eigenframe_two_level_closed_form():
     model = two_level(amp=math.pi / 6, freq=1.0)
     grid = np.linspace(0.0, 1.0, 100)
-    eframe = build_eigenframe(model.hamiltonian(), model.frame_family(), grid)
+    eframe = build_eigenframe(model.hamiltonian, model.frame_family, grid)
     for k, t in enumerate(grid):
         expected = model.energies(t)
         assert np.max(np.abs(eframe.energies[k] - expected)) <= 1e-10
@@ -110,8 +110,8 @@ def test_eigenframe_metric_commuting_hamiltonian():
 def test_eigenframe_orthonormality_and_residual_invariants():
     model = two_level(amp=0.9, freq=2.0)
     grid = np.linspace(0.0, 2.0, 50)
-    ham = model.hamiltonian()
-    eframe = build_eigenframe(ham, model.frame_family(), grid)
+    ham = model.hamiltonian
+    eframe = build_eigenframe(ham, model.frame_family, grid)
     for k, t in enumerate(grid):
         gram = eframe.states[k].conj() @ eframe.metrics[k] @ eframe.states[k].T
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
@@ -126,7 +126,7 @@ def test_eigenframe_orthonormality_and_residual_invariants():
 def test_eigenframe_continuity_overlaps():
     model = two_level(amp=1.0, freq=3.0)
     grid = np.linspace(0.0, 2.0, 80)
-    eframe = build_eigenframe(model.hamiltonian(), model.frame_family(), grid)
+    eframe = build_eigenframe(model.hamiltonian, model.frame_family, grid)
     for k in range(1, grid.size):
         for n in range(2):
             o = np.vdot(eframe.states[k, n], eframe.metrics[k] @ eframe.states[k - 1, n])
@@ -177,19 +177,19 @@ def _assert_same_outcome(ham, family, grid):
 def _ramp_model():
     grid = np.linspace(0.0, 1.0, 201)
     model = build_two_level(ScalarFunction.constant(1.0), ScalarFunction.ramp(0.1, 0.18, 0.0, 1.0), grid)
-    return model.hamiltonian(), model.frame_family(), grid
+    return model.hamiltonian, model.frame_family, grid
 
 
 def _sinusoid_model():
     model = two_level(amp=0.9, freq=2.0)
-    return model.hamiltonian(), model.frame_family(), np.linspace(0.0, 2.0, 101)
+    return model.hamiltonian, model.frame_family, np.linspace(0.0, 2.0, 101)
 
 
 def _constant_metric_model():
     grid = np.linspace(0.0, 10.0, 101)
     model = build_constant_metric(ScalarFunction.sinusoid(amplitude=1.0, frequency=1.0),
                                   ScalarFunction.constant(1.0), frozen_constant_metric(), grid)
-    return model.hamiltonian(), model.frame_family(), grid
+    return model.hamiltonian, model.frame_family, grid
 
 
 @pytest.mark.parametrize("per_solve", [None, 7], ids=["one-solve", "seven-per-solve"])
@@ -294,7 +294,7 @@ def test_dynamical_phase_zero_energy_level_is_pure_connection():
 
     model = two_level(amp=0.5, freq=2.0)
     grid = np.linspace(0.0, 1.5, 301)
-    eframe = build_eigenframe(model.hamiltonian(), model.frame_family(), grid)
+    eframe = build_eigenframe(model.hamiltonian, model.frame_family, grid)
     assert np.max(np.abs(eframe.energies[:, 0])) <= 1e-12
     dpsi = eframe.state_derivatives(0)
     conn = np.einsum("ki,kij,kj->k", eframe.states[:, 0, :].conj(),
@@ -310,8 +310,8 @@ def test_phase_rotated_level_solves_compensated_equation():
     # only differencing error
     model = two_level(amp=0.4, freq=1.0)
     grid = np.linspace(0.0, 1.0, 2001)
-    family = model.frame_family()
-    ham = model.hamiltonian()
+    family = model.frame_family
+    ham = model.hamiltonian
     eframe = build_eigenframe(ham, family, grid)
     for level in (0, 1):
         theta = dynamical_phase(eframe, level)
@@ -365,8 +365,8 @@ def test_coupling_residual_two_level_numerical_floor():
     # the finite-difference evaluation leaves a small nonzero series
     model = two_level(amp=math.pi / 6, freq=1.0)
     grid = np.linspace(0.0, 1.0, 201)
-    family = model.frame_family()
-    eframe = build_eigenframe(model.hamiltonian(), family, grid)
+    family = model.frame_family
+    eframe = build_eigenframe(model.hamiltonian, family, grid)
     resid = level_coupling_residual(eframe, family, 1, 0)
     assert 1e-9 < np.max(resid) < 1e-2
 
@@ -450,8 +450,8 @@ def test_operator_phase_matches_one_point_loop(make):
 def test_operator_phase_commutator_nonzero_for_moving_metric():
     model = two_level(amp=0.8, freq=2.0)
     grid = np.linspace(0.0, 2.0, 101)
-    family = model.frame_family()
-    ham = model.hamiltonian()
+    family = model.frame_family
+    ham = model.hamiltonian
     eframe = build_eigenframe(ham, family, grid)
     _, comm = operator_phase(ham, family, eframe, 0)
     assert np.max(comm) > 1e-3
@@ -470,8 +470,8 @@ def test_adiabatic_bound_static_model_is_zero():
 def test_adiabatic_bound_profile_monotone():
     model = two_level(amp=0.8, freq=2.0)
     grid = np.linspace(0.0, 2.0, 101)
-    family = model.frame_family()
-    eframe = build_eigenframe(model.hamiltonian(), family, grid)
+    family = model.frame_family
+    eframe = build_eigenframe(model.hamiltonian, family, grid)
     profile = adiabatic_bound_profile(eframe, family, 0)
     assert np.all(np.diff(profile) >= -1e-15)
     assert profile[0] == 0.0
@@ -479,25 +479,25 @@ def test_adiabatic_bound_profile_monotone():
 
 def test_adiabatic_bound_grid_refinement_stable():
     model = two_level(amp=0.5, freq=1.0)
-    family = model.frame_family()
+    family = model.frame_family
     values = {}
     for npts in (101, 201):
         grid = np.linspace(0.0, 1.0, npts)
-        eframe = build_eigenframe(model.hamiltonian(), family, grid)
+        eframe = build_eigenframe(model.hamiltonian, family, grid)
         values[npts] = adiabatic_bound(eframe, family, 0)
     assert abs(values[201] - values[101]) <= 0.01 * values[101]
 
 
 def test_adiabatic_bound_ramp_stays_below_angle_budget():
     # ramp with total angle excursion 0.08: the bound stays below 6 * 0.08
-    model = TwoLevelModel(
+    model = models.two_level(
         s=ScalarFunction.constant(1.0),
         alpha=ScalarFunction.ramp(0.1, 0.18, 0.0, 1.0),
         t_start=-1.0, t_end=2.0,
     )
     grid = np.linspace(0.0, 1.0, 201)
-    family = model.frame_family()
-    eframe = build_eigenframe(model.hamiltonian(), family, grid)
+    family = model.frame_family
+    eframe = build_eigenframe(model.hamiltonian, family, grid)
     V = adiabatic_bound(eframe, family, 0)
     assert 0.0 < V < 6.0 * 0.08
 
@@ -566,8 +566,8 @@ def test_fidelity_loss_nonzero_for_fast_rotation():
 def test_build_report_fields_and_implication():
     model = two_level(amp=0.3, freq=1.0)
     grid = np.linspace(0.0, 1.0, 101)
-    family = model.frame_family()
-    eframe = build_eigenframe(model.hamiltonian(), family, grid)
+    family = model.frame_family
+    eframe = build_eigenframe(model.hamiltonian, family, grid)
     problem = model.problem(grid, Equation.COMPENSATED, eframe.states[0, 0])
     traj = evolve_state(problem)
     report = build_report(eframe, family, traj, 0, epsilon=0.5)
@@ -592,14 +592,14 @@ def test_gauge_fix_static_eigenvectors_unchanged():
 
 def test_gauge_fix_frozen_angle_varying_scale():
     # s(t) varies, alpha constant: eigenvectors static, gauge factor trivial
-    model = TwoLevelModel(
+    model = models.two_level(
         s=ScalarFunction.sinusoid(amplitude=0.5, frequency=2.0, offset=1.5),
         alpha=ScalarFunction.constant(0.6),
         t_start=-10.0, t_end=10.0,
     )
     grid = np.linspace(0.0, 1.0, 51)
-    family = model.frame_family()
-    eframe = build_eigenframe(model.hamiltonian(), family, grid)
+    family = model.frame_family
+    eframe = build_eigenframe(model.hamiltonian, family, grid)
     fixed = gauge_fix(eframe, family)
     assert np.max(np.abs(fixed.states - eframe.states)) <= 1e-10
 
@@ -629,7 +629,7 @@ def test_gauge_fix_kills_connection_for_complex_hermitian_family(rng):
 def test_gauge_fix_rejects_moving_metric():
     model = two_level(amp=0.5, freq=1.0)
     grid = np.linspace(0.0, 1.0, 21)
-    family = model.frame_family()
-    eframe = build_eigenframe(model.hamiltonian(), family, grid)
+    family = model.frame_family
+    eframe = build_eigenframe(model.hamiltonian, family, grid)
     with pytest.raises(ValueError, match="constant C"):
         gauge_fix(eframe, family)

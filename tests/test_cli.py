@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from helpers import two_level_matrices
 from ptdyn import frames, linalg
@@ -92,6 +93,25 @@ def test_run_constant_metric_scenario(tmp_path):
     assert summary["checks"]["norm_conservation"] is True
     assert summary["symmetry"]["pt_symmetric"] is True
     assert summary["symmetry"]["unbroken"] is True
+
+
+def test_run_inline_scenario_follows_exact_propagator(tmp_path):
+    # H is constant, so the state is expm(-i H t) psi0 at every grid point
+    cfg = load_config(ROOT / "scenarios" / "inline_static.json")
+    summary = run_scenario(cfg, out_dir=tmp_path)
+    assert summary["exit_status"] == 0
+    assert summary["checks"] == {
+        "frames": True, "symmetry": True,
+        "norm_conservation": True, "adiabatic_bound": True,
+    }
+    data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    times, components = data[:, 0], data[:, 1:5]
+    psi0 = components[0, 0::2] + 1j * components[0, 1::2]
+    H = cfg.matrix("H")
+    for t, row in zip(times, components):
+        exact = expm(-1j * H * t) @ psi0
+        assert np.max(np.abs(row[0::2] - exact.real)) <= 1e-10
+        assert np.max(np.abs(row[1::2] - exact.imag)) <= 1e-10
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
@@ -245,7 +265,9 @@ def test_config_output_dir_used_as_default(tmp_path, monkeypatch):
     assert (tmp_path / "flag" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("scenario, validations", [("two_level_ramp", 0), ("constant_metric", 1)])
+@pytest.mark.parametrize("scenario, validations", [
+    ("two_level_ramp", 0), ("constant_metric", 1), ("inline_static", 1),
+])
 def test_run_builds_one_frame_grid(monkeypatch, scenario, validations):
     """One validated pass per run: every stage reads the same FrameGrid.
 

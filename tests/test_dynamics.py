@@ -19,7 +19,7 @@ from ptdyn.dynamics import (
 )
 from ptdyn.frames import FrameFamily, cpt_norm, validate_frames
 from ptdyn.linalg import AntilinearOperator, OperatorFamily, operator_norm
-from ptdyn.models import ScalarFunction, TwoLevelModel, build_constant_metric, build_two_level
+from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level, two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -32,7 +32,7 @@ def identity_metric_family():
 def two_level_model(s_val=1.0, amp=0.5, freq=2.0):
     s = ScalarFunction.constant(s_val)
     alpha = ScalarFunction.sinusoid(amplitude=amp, frequency=freq)
-    return TwoLevelModel(s=s, alpha=alpha, t_start=-100.0, t_end=100.0)
+    return two_level(s=s, alpha=alpha, t_start=-100.0, t_end=100.0)
 
 
 def frozen_frame(alpha=math.pi / 3):
@@ -56,7 +56,7 @@ def test_generator_compensated_with_static_metric_reduces_to_h():
 
 def test_generator_augmented_matches_compensated_for_matching_g():
     model = two_level_model()
-    family = model.frame_family()
+    family = model.frame_family
     grid = np.linspace(0, 1, 5)
     x0 = np.array([1.0, 0.0])
 
@@ -75,14 +75,15 @@ def test_generator_augmented_matches_compensated_for_matching_g():
 def test_generator_compensated_correction_term():
     # -(i/2) C Cdot with Cdot = alpha' (tan(a) C + i diag(1,-1))
     model = two_level_model(amp=0.4, freq=1.5)
+    alpha = ScalarFunction.sinusoid(amplitude=0.4, frequency=1.5)  # the model's alpha
     problem = model.problem(np.linspace(0, 1, 5), Equation.COMPENSATED,
                             np.array([1.0, 0.0]))
     t = 0.6
-    a = model.alpha(t)
-    ad = model.alpha.dfn(t)
+    a = alpha(t)
+    ad = alpha.dfn(t)
     _, C, _ = two_level_matrices(1.0, a)
     Cdot = ad * (math.tan(a) * C + 1j * np.diag([1.0, -1.0]))
-    expected = model.hamiltonian()(t) - 0.5j * (C @ Cdot)
+    expected = model.hamiltonian(t) - 0.5j * (C @ Cdot)
     assert operator_norm(effective_generator(problem, t) - expected) <= 1e-10
 
 
@@ -146,7 +147,7 @@ def test_compensated_norm_conservation_and_step_convergence():
 
 def test_augmented_with_matching_g_reproduces_compensated_run():
     model = two_level_model()
-    family = model.frame_family()
+    family = model.frame_family
     grid = np.linspace(0.0, 1.5, 16)
     x0 = np.array([0.3, 1.0])
 
@@ -256,7 +257,7 @@ def test_propagator_trivial():
 
 def test_propagator_reproduces_state_evolution_and_metric_unitarity():
     model = two_level_model(amp=0.7, freq=1.3)
-    family = model.frame_family()
+    family = model.frame_family
     grid = np.linspace(0.0, 2.0, 21)
     problem = model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.0]),
                             substeps=20)
@@ -336,7 +337,7 @@ def test_schrodinger_drift_nonzero_with_moving_metric():
 # ------------------------------------------- stacked generator evaluation in RK4
 
 def _correction_like_compensated(model):
-    family = model.frame_family()
+    family = model.frame_family
 
     def G(t):
         return -0.5 * family.c_at(t) @ family.cdot_at(t)

@@ -8,6 +8,10 @@ compensated or static drift rate, the cross-level coupling residual of
 these exactly solvable models, and the frame-axiom residuals), are compared
 to ROUNDOFF_ATOL absolute instead: a changed summation order moves them by
 a few 1e-18, which no relative tolerance on a roundoff value can absorb.
+
+``tests/golden/sweep_alpha_stop/sweep.csv`` is the ramp scenario swept over
+the angle's end point: two rows that run and one that the two-level model
+rejects for cos(alpha) < 1/2, so the rejection message is pinned as well.
 """
 
 import csv
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ptdyn.cli import run_scenario
+from ptdyn.cli import run_scenario, sweep
 from ptdyn.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +85,20 @@ def test_artifacts_match_golden(tmp_path, scenario):
             if not ok:
                 errors.append(f"{name} footer {key}: {footer[key]} != golden {old}")
     assert not errors, "\n".join(errors[:20])
+
+
+def test_sweep_matches_golden(tmp_path):
+    sweep(load_config(ROOT / "scenarios" / "two_level_ramp.json"),
+          "model.alpha.stop", [0.18, 0.5, 1.2], out_dir=tmp_path)
+    new = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+    old = list(csv.DictReader((GOLDEN / "sweep_alpha_stop" / "sweep.csv").read_text().splitlines()))
+    assert [row["status"] for row in old] == ["ok", "ok", "error"]
+    assert len(new) == len(old) and new[0].keys() == old[0].keys()
+    errors: list = []
+    for row, old_row in zip(new, old):
+        for column, value in old_row.items():
+            exact = column in ("bound_satisfied", "status", "error") or value == ""
+            if not (row[column] == value if exact
+                    else _close(float(row[column]), float(value), roundoff=False)):
+                errors.append(f"value={old_row['value']} {column}: {row[column]!r} != golden {value!r}")
+    assert not errors, "\n".join(errors)

@@ -72,9 +72,9 @@ def test_two_level_angle_zero_collapses_to_hermitian():
         ScalarFunction.constant(1.0), ScalarFunction.constant(0.0),
         np.linspace(0.0, 1.0, 5),
     )
-    H = model.hamiltonian()(0.3)
+    H = model.hamiltonian(0.3)
     assert np.allclose(H, H.conj().T)
-    frame = model.frame_at(0.3)
+    frame = model.frame_family.frame_at(0.3)
     assert np.allclose(frame.metric, np.eye(2), atol=1e-14)
     lams = [lam for lam, _ in eigenpairs(H)]
     assert lams[0] == pytest.approx(0.0, abs=1e-12)
@@ -86,7 +86,7 @@ def test_two_level_spectrum_at_pi_third():
         ScalarFunction.constant(1.0), ScalarFunction.constant(math.pi / 3),
         np.linspace(0.0, 1.0, 3),
     )
-    lams = [lam for lam, _ in eigenpairs(model.hamiltonian()(0.0))]
+    lams = [lam for lam, _ in eigenpairs(model.hamiltonian(0.0))]
     assert abs(lams[0]) <= 1e-12
     assert lams[1] == pytest.approx(1.0, abs=1e-12)  # 2 s cos(pi/3)
 
@@ -96,7 +96,7 @@ def test_two_level_frame_axioms_at_pi_quarter():
         ScalarFunction.constant(1.0), ScalarFunction.constant(math.pi / 4),
         np.linspace(0.0, 1.0, 3),
     )
-    frame = model.frame_at(0.5)
+    frame = model.frame_family.frame_at(0.5)
     for axiom in ("C^2 = I", "CPT = TPC", "P^2 = I", "T^2 = I", "PT = TP"):
         assert frame.residuals[axiom] <= 1e-12
 
@@ -120,7 +120,7 @@ def test_two_level_analytic_vs_numeric_eigendata():
         np.linspace(0.0, 1.0, 100),
     )
     for t in np.linspace(0.0, 1.0, 100):
-        H = model.hamiltonian()(t)
+        H = model.hamiltonian(t)
         pairs = eigenpairs(H)
         expected = model.energies(t)
         for (lam, vec), e_ana, level in zip(pairs, expected, (0, 1)):
@@ -135,7 +135,7 @@ def test_two_level_metric_normalization():
         ScalarFunction.constant(1.0), ScalarFunction.constant(0.7),
         np.linspace(0.0, 1.0, 3),
     )
-    frame = model.frame_at(0.0)
+    frame = model.frame_family.frame_at(0.0)
     for level in (0, 1):
         ve = model.eigenvector(level, 0.0, normalization="euclidean")
         vm = model.eigenvector(level, 0.0, normalization="metric")
@@ -155,8 +155,8 @@ def test_two_level_hamiltonian_is_metric_hermitian_pointwise():
         ScalarFunction.sinusoid(amplitude=0.8, frequency=2.0),
         np.linspace(0.0, 2.0, 40),
     )
-    family = model.frame_family()
-    ham = model.hamiltonian()
+    family = model.frame_family
+    ham = model.hamiltonian
     for t in np.linspace(0.0, 2.0, 40):
         H = ham(t)
         metric = family.metric_at(t)
@@ -169,8 +169,8 @@ def test_two_level_analytic_family_derivatives():
         ScalarFunction.sinusoid(amplitude=0.5, frequency=2.0),
         np.linspace(0.0, 1.0, 5),
     )
-    ham = model.hamiltonian()
-    cfam = model.frame_family().c_family
+    ham = model.hamiltonian
+    cfam = model.frame_family.c_family
     h = 1e-6
     for t in (0.2, 0.8):
         fd_h = (ham(t + h) - ham(t - h)) / (2 * h)
@@ -183,7 +183,7 @@ def test_two_level_sampled_angle_uses_finite_differences():
     times = np.linspace(0.0, 1.0, 50)
     alpha = ScalarFunction.from_samples(times, 0.3 * np.sin(times))
     model = build_two_level(ScalarFunction.constant(1.0), alpha, times)
-    cfam = model.frame_family().c_family
+    cfam = model.frame_family.c_family
     assert cfam.derivative is None
     d = family_derivative(cfam, 0.5, h=1e-3)
     assert np.all(np.isfinite(d))
@@ -197,7 +197,7 @@ def test_constant_metric_zero_hamiltonian():
         ScalarFunction.constant(0.0), ScalarFunction.constant(0.0),
         frame, np.linspace(0.0, 1.0, 5),
     )
-    assert np.allclose(model.hamiltonian()(0.5), 0.0)
+    assert np.allclose(model.hamiltonian(0.5), 0.0)
     x0 = np.array([1.0, 1j]) / math.sqrt(2)
     traj = evolve_state(model.problem(np.linspace(0.0, 1.0, 5),
                                       Equation.SCHRODINGER, x0))
@@ -210,7 +210,7 @@ def test_constant_metric_spectral_mapping():
     b = ScalarFunction.constant(0.9)
     model = build_constant_metric(a, b, frame, np.linspace(0.0, 2.0, 9))
     for t in (0.0, 0.7, 1.9):
-        lams = [lam for lam, _ in eigenpairs(model.hamiltonian()(t))]
+        lams = [lam for lam, _ in eigenpairs(model.hamiltonian(t))]
         expected = model.energies(t)
         assert lams[0].real == pytest.approx(expected[0], abs=1e-10)
         assert lams[1].real == pytest.approx(expected[1], abs=1e-10)
