@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import linear_sum_assignment
 
 from . import linalg
@@ -226,6 +225,13 @@ def _first_error(family: OperatorFamily, times) -> tuple[int, Optional[ValueErro
     return len(times), None
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of ``y`` over ``x`` along axis 0, from 0: the float
+    expression of ``scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0)``."""
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    return np.concatenate((np.zeros_like(y[:1]), np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)))
+
+
 def _connection(eframe: EigenFrame, bra_level: int, ket_level: int) -> np.ndarray:
     """Series <psi_bra(t)| PC(t) dpsi_ket/dt (t)> over the grid."""
     dket = eframe.state_derivatives(ket_level)
@@ -240,7 +246,7 @@ def dynamical_phase(eframe: EigenFrame, level: int, hbar: float = 1.0) -> np.nda
     composite trapezoid; theta at the first grid point is 0.
     """
     integrand = eframe.energies[:, level] / hbar + np.imag(_connection(eframe, level, level))
-    return -cumulative_trapezoid(integrand, eframe.times, initial=0.0)
+    return -_cumulative_trapezoid(integrand, eframe.times)
 
 
 def level_coupling_residual(
@@ -280,7 +286,7 @@ def operator_phase(
     H = hamiltonian.stack(fg.times)
     E = eframe.energies[:, level, None, None] * np.eye(eframe.dim)
     integrand = (H - E) / hbar + 0.5j * (fg.c @ fg.cdot)
-    A = cumulative_trapezoid(integrand, eframe.times, axis=0, initial=0.0)
+    A = _cumulative_trapezoid(integrand, eframe.times)
     comm = linalg.operator_norms(A @ H - H @ A)
     return A, comm
 
@@ -301,7 +307,7 @@ def adiabatic_bound_profile(
     drag_vec = np.einsum("kij,kjl,kl->ki", fg.c, fg.cdot, eframe.states[:, level])
     drag = 0.5 * np.linalg.norm(drag_vec, axis=1)
     integrand = prefactor * (np.linalg.norm(dpsi, axis=1) + drag)
-    return cumulative_trapezoid(integrand, eframe.times, initial=0.0)
+    return _cumulative_trapezoid(integrand, eframe.times)
 
 
 def adiabatic_bound(eframe: EigenFrame, frame_family: FrameFamily, level: int) -> float:
@@ -341,7 +347,7 @@ def gauge_fix(eframe: EigenFrame, frame_family: FrameFamily) -> EigenFrame:
     states = eframe.states.copy()
     for n in range(eframe.dim):
         conn = np.imag(_connection(eframe, n, n))
-        phase = cumulative_trapezoid(conn, eframe.times, initial=0.0)
+        phase = _cumulative_trapezoid(conn, eframe.times)
         states[:, n, :] = states[:, n, :] * np.exp(-1j * phase)[:, None]
     return EigenFrame(
         times=eframe.times,

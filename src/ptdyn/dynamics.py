@@ -45,9 +45,6 @@ logger = logging.getLogger(__name__)
 SUBSTEP_DENSITY = 100.0
 # Warn when a single Runge-Kutta substep is coarser than this.
 STEP_NORM_WARN = 0.5
-# Substeps whose generators are evaluated as one stack: bounds the
-# (3 * SUBSTEP_CHUNK, d, d) temporaries whatever the substep count.
-SUBSTEP_CHUNK = 256
 
 
 class Equation(Enum):
@@ -145,9 +142,8 @@ def _generators(problem: EvolutionProblem, times: np.ndarray) -> tuple[np.ndarra
         return H + 1j * problem.correction.stack(times), 0
     c_family = problem.frame_family.c_family
     C = c_family.stack(times)
-    stencils = [linalg.derivative_stencil(c_family, t) for t in times]
-    Cdot = np.array([value for value, _ in stencils])
-    return H - 0.5j * problem.hbar * (C @ Cdot), sum(edge for _, edge in stencils)
+    Cdot, one_sided = linalg.family_derivatives(c_family, times)
+    return H - 0.5j * problem.hbar * (C @ Cdot), one_sided
 
 
 def norm_drift_rate(problem: EvolutionProblem, phi: np.ndarray, t: float) -> float:
@@ -195,14 +191,15 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
 
     The right-hand side is y' = -(i/hbar) * generator(t) y. The substep
     count of an interval follows from the generator norm at its start.
-    Each block of up to SUBSTEP_CHUNK substeps then evaluates the generator
-    once per distinct node time as one ascending stack; the nodes of a
-    substep are t = t0 + j*h, t + 0.5*h and t + h, the float expressions of
-    the one-point scheme. The last node's matrix is kept and reused when
-    the next block or interval starts at the same time. The state
-    arithmetic is the classical one-point RK4, so the values are
-    bit-identical to evaluating the generator at every stage. Works
-    unchanged for state vectors and for propagator matrices.
+    Each block of substeps (three (d, d) matrices each, within
+    ``linalg.STACK_ENTRIES`` entries) then evaluates the generator once per
+    distinct node time as one ascending stack; the nodes of a substep are
+    t = t0 + j*h, t + 0.5*h and t + h, the float expressions of the
+    one-point scheme. The last node's matrix is kept and reused when the
+    next block or interval starts at the same time. The state arithmetic
+    is the classical one-point RK4, so the values are bit-identical to
+    evaluating the generator at every stage. Works unchanged for state
+    vectors and for propagator matrices.
 
     ``diagnostics`` holds the substep count of each interval and the number
     of generator evaluations. The nodes whose dC/dt fell back to a one-sided
@@ -214,6 +211,7 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     values = [y]
     substeps_used = []
     evaluations = one_sided = 0
+    block = max(1, linalg.STACK_ENTRIES // (3 * problem.frame_family.dim ** 2))
     kept_t, kept = math.nan, None  # the last evaluated node and its generator
 
     def generators_at(nodes: np.ndarray) -> np.ndarray:
@@ -249,8 +247,8 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         substeps_used.append(nsub)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, nsub, SUBSTEP_CHUNK):
-                starts = t0 + np.arange(lo, min(lo + SUBSTEP_CHUNK, nsub)) * h
+            for lo in range(0, nsub, block):
+                starts = t0 + np.arange(lo, min(lo + block, nsub)) * h
                 mids = starts + 0.5 * h
                 ends = starts + h
                 nodes = np.unique(np.concatenate((starts, mids, ends)))

@@ -38,8 +38,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_FRAME_TOL = 1e-10
-# Grid points per stacked axiom check: bounds the (CHUNK, d, d) temporaries.
-CHUNK = 64
 
 
 class FrameAxiomError(ValueError):
@@ -78,19 +76,19 @@ def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
         raise FrameAxiomError(axiom, f"residual {resid:.3e} (tolerance {tol:.1e}, scale {scale:.3g})")
 
 
-def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> dict:
-    """Residuals of the axioms that do not involve C: P^2 = I, T^2 = I, PT = TP."""
+def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> tuple[dict, float, float]:
+    """Check the axioms without C (P^2 = I, T^2 = I, PT = TP): (residuals, ||P||, ||K||)."""
     eye = np.eye(P.shape[0])
     nP, nK = float(operator_norms(P)), float(operator_norms(K))
     residuals: dict = {}
     _check(residuals, "P^2 = I", float(operator_norms(P @ P - eye)), nP * nP, tol)
     _check(residuals, "T^2 = I", float(operator_norms(K @ np.conj(K) - eye)), nK * nK, tol)
     _check(residuals, "PT = TP", float(operator_norms(P @ K - K @ np.conj(P))), nP * nK, tol)
-    return residuals
+    return residuals, nP, nK
 
 
-def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, tol: float, times=None):
-    """Check the C-dependent axioms on a stack C of shape (n, d, d).
+def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: tuple, tol: float, times=None):
+    """Check the C-dependent axioms on a stack C of shape (n, d, d), given ``pt = _pt_axioms(P, K)``.
 
     Returns (residuals, metric, eigenvalues): per-point residual arrays keyed
     by axiom, the metric stack PC and its ascending eigenvalues. The first
@@ -98,7 +96,7 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, tol: float, times=Non
     fails, in :func:`validate_frames` order, and ``times[k]`` when given.
     """
     eye = np.eye(P.shape[0])
-    nP, nK = float(operator_norms(P)), float(operator_norms(K))
+    _, nP, nK = pt
     nC = operator_norms(C)
     metric = P @ C
     metric_h = metric.conj().swapaxes(-1, -2)
@@ -132,6 +130,11 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
     metric positive definite. Residuals are kept on the returned frame.
     This is the one-point case of :meth:`FrameFamily.on_grid`.
     """
+    return _validated(C, P, T, tol)
+
+
+def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[tuple] = None) -> CPTFrame:
+    """:func:`validate_frames`, with the P/T axioms taken from ``pt`` when given (see :func:`_pt_axioms`)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     C = as_operator(C, "C")
@@ -140,8 +143,9 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
     n = P.shape[0]
     if C.shape[0] != n or K.shape[0] != n:
         raise ValueError(f"dimension mismatch: C {C.shape}, P {P.shape}, T {K.shape}")
-    residuals = _pt_axioms(P, K, tol)
-    c_residuals, metrics, eigs = _c_axioms(C[None], P, K, tol)
+    pt = pt or _pt_axioms(P, K, tol)
+    c_residuals, metrics, eigs = _c_axioms(C[None], P, K, pt, tol)
+    residuals = dict(pt[0])
     residuals.update((axiom, float(resid[0])) for axiom, resid in c_residuals.items())
     metric, eigs = metrics[0], eigs[0]
     residuals["metric min eigenvalue"] = float(eigs[0])
@@ -291,6 +295,7 @@ def norm_equivalence_bounds(frame: CPTFrame) -> tuple[float, float]:
 class FrameFamily:
     """Frame-valued function of time: fixed P and T, time-varying C(t).
 
+    P^2 = I, T^2 = I and PT = TP are checked once, at construction.
     :meth:`on_grid` keeps the last :class:`FrameGrid` it built, so every
     stage of a run that asks for the same grid shares one validated pass.
     """
@@ -299,10 +304,15 @@ class FrameFamily:
     p: np.ndarray
     t: AntilinearOperator
     tol: float = DEFAULT_FRAME_TOL
+    _pt: tuple = field(default=(), init=False, repr=False, compare=False)
     _grid: Optional["FrameGrid"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", as_operator(self.p, "P"))
+        P, K = as_operator(self.p, "P"), self.t.conj_matrix
+        if K.shape[0] != P.shape[0]:
+            raise ValueError(f"dimension mismatch: P {P.shape}, T {K.shape}")
+        object.__setattr__(self, "p", P)
+        object.__setattr__(self, "_pt", _pt_axioms(P, K, self.tol))
 
     @property
     def dim(self) -> int:
@@ -319,8 +329,8 @@ class FrameFamily:
         return self.p @ self.c_family(t)
 
     def frame_at(self, t: float) -> CPTFrame:
-        """Validated frame at time t (axioms re-checked)."""
-        return validate_frames(self.c_family(t), self.p, self.t, tol=self.tol)
+        """Validated frame at time t (the C-dependent axioms checked)."""
+        return _validated(self.c_family(t), self.p, self.t, self.tol, self._pt)
 
     def on_grid(self, grid) -> "FrameGrid":
         """The family evaluated and validated at every grid time (see :class:`FrameGrid`).
@@ -367,35 +377,29 @@ class FrameGrid:
     def build(cls, family: FrameFamily, grid: np.ndarray) -> "FrameGrid":
         """Evaluate C and dC/dt at every grid time and check every axiom.
 
-        The P/T axioms are checked once; the C-dependent ones on stacks of
-        CHUNK points. The first failing time raises
-        :class:`FrameAxiomError` naming the axiom and that time.
+        C is evaluated on the whole grid first, then dC/dt, each raising at
+        its earliest failing time. The C-dependent axioms are then checked in
+        ``linalg.STACK_ENTRIES`` stacks: :class:`FrameAxiomError` names the
+        axiom and time of the first failure.
         """
         P, K = family.p, family.t.conj_matrix
         grid = np.array(grid, dtype=float)
         n, dim = grid.size, family.dim
-        if K.shape[0] != dim:
-            raise ValueError(f"dimension mismatch: P {P.shape}, T {K.shape}")
-        residuals = _pt_axioms(P, K, family.tol)
-        c = np.empty((n, dim, dim), dtype=complex)
-        cdot = np.empty_like(c)
-        one_sided = 0
-        for k, t in enumerate(grid):
-            c_k = family.c_family(t)
-            if c_k.shape != P.shape:
-                raise ValueError(f"dimension mismatch: C {c_k.shape} at t={t}, P {P.shape}")
-            c[k] = c_k
-            cdot[k], edge = linalg.derivative_stencil(family.c_family, t)
-            one_sided += edge
+        c = family.c_family.stack(grid)
+        if c.shape[1:] != P.shape:
+            raise ValueError(f"dimension mismatch: C {c.shape[1:]} at t={grid[0]}, P {P.shape}")
+        cdot, one_sided = linalg.family_derivatives(family.c_family, grid)
         if one_sided:
             logger.warning("one-sided derivative at %d of %d grid points in [%g, %g]",
                            one_sided, n, grid[0], grid[-1])
+        residuals = dict(family._pt[0])
         metric = np.empty_like(c)
         eigs = np.empty((n, dim))
-        for lo in range(0, n, CHUNK):
-            part = slice(lo, lo + CHUNK)
+        step = max(1, linalg.STACK_ENTRIES // dim ** 2)
+        for lo in range(0, n, step):
+            part = slice(lo, lo + step)
             chunk_residuals, metric[part], eigs[part] = _c_axioms(
-                c[part], P, K, family.tol, grid[part])
+                c[part], P, K, family._pt, family.tol, grid[part])
             for axiom, resid in chunk_residuals.items():
                 residuals[axiom] = max(residuals.get(axiom, 0.0), float(resid.max()))
         residuals["metric min eigenvalue"] = float(eigs[:, 0].min())

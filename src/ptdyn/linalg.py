@@ -23,16 +23,16 @@ __all__ = [
     "as_grid",
     "eigenpairs",
     "eigenpairs_stack",
-    "hermitian_sqrt",
     "operator_norm",
     "operator_norms",
     "family_derivative",
+    "family_derivatives",
 ]
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_EIGEN_TOL = 1e-12
-# Matrix entries per stacked eigensolve: bounds each of its temporaries to 128 KiB.
+# Matrix entries per stack (eigensolve, axiom check, RK4 block): each temporary stays <= 128 KiB.
 STACK_ENTRIES = 2**13
 
 
@@ -113,7 +113,7 @@ class OperatorFamily:
 
     ``derivative``, when given, must be the analytic d/dt of ``evaluate``;
     otherwise derivatives fall back to central differences
-    (see :func:`family_derivative`).
+    (see :func:`family_derivatives`).
     """
 
     t_start: float
@@ -131,50 +131,50 @@ class OperatorFamily:
         return as_operator(self.evaluate(t), f"family value at t={t}")
 
     def stack(self, times) -> np.ndarray:
-        """M(t) at each of ``times`` as one (n, d, d) array.
-
-        Calls ``evaluate`` once per time, in order, up to the first time
-        outside the domain, then checks finiteness once for the stack. A
-        failure raises the ValueError :meth:`__call__` raises, for the
-        earliest offending time; when ``evaluate`` itself raises, a value
-        rejected before that time is reported instead.
-        """
+        """M(t) at each of ``times`` as one (n, d, d) array, evaluated in order up to the first
+        time outside the domain; raises what :meth:`__call__` raises at the earliest failing time."""
         times = np.asarray(times, dtype=float)
         outside = (times < self.t_start) | (times > self.t_end)
         n = int(np.argmax(outside)) if outside.any() else times.size
-        values = []
-        try:
-            for t in times[:n]:
-                values.append(self.evaluate(t))
-        except Exception:
-            self._checked(times, values)
-            raise
-        out = self._checked(times, values)
+        out = _stack_of(self.evaluate, times[:n], "family value")
         if n < times.size:
             raise ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]")
-        return out
-
-    @staticmethod
-    def _checked(times: np.ndarray, values: list) -> np.ndarray:
-        """``values`` (taken at ``times``) as one stack, or the ValueError for the first bad one."""
-        if not values:
-            return np.empty((0, 0, 0), dtype=complex)
-        try:
-            out = np.array(values, dtype=complex)
-        except ValueError:  # ragged shapes
-            out = None
-        if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
-            # the one-point check raises at the first value it rejects
-            out = np.array([as_operator(v, f"family value at t={t}") for t, v in zip(times, values)])
-        bad = ~np.isfinite(out).all(axis=(1, 2))
-        if bad.any():
-            raise ValueError(f"family value at t={times[np.argmax(bad)]} contains non-finite entries")
         return out
 
     @classmethod
     def constant(cls, M) -> "OperatorFamily":
         A = as_operator(M)
         return cls(-math.inf, math.inf, lambda t: A, lambda t: np.zeros_like(A))
+
+
+def _stack_of(fn: Callable[[float], np.ndarray], times: np.ndarray, name: str) -> np.ndarray:
+    """``fn(t)`` at each of ``times`` as one stack; the first value ``as_operator(fn(t),
+    f"{name} at t={t}")`` would reject raises, also when ``fn`` raises later."""
+    values = []
+    try:
+        for t in times:
+            values.append(fn(t))
+    except Exception:
+        _checked(times, values, name)
+        raise
+    return _checked(times, values, name)
+
+
+def _checked(times: np.ndarray, values: list, name: str) -> np.ndarray:
+    """``values`` (taken at ``times``) as one stack, or the ValueError for the first bad one."""
+    if not values:
+        return np.empty((0, 0, 0), dtype=complex)
+    try:
+        out = np.array(values, dtype=complex)
+    except ValueError:  # ragged shapes
+        out = None
+    if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
+        # the one-point check raises at the first value it rejects
+        out = np.array([as_operator(v, f"{name} at t={t}") for t, v in zip(times, values)])
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"{name} at t={times[np.argmax(bad)]} contains non-finite entries")
+    return out
 
 
 def operator_norm(M) -> float:
@@ -330,55 +330,49 @@ def eigenpairs(M, tol: float = DEFAULT_EIGEN_TOL) -> list[tuple[complex, np.ndar
     return [(complex(lam), v) for lam, v in zip(lams[0], vecs[0])]
 
 
-def hermitian_sqrt(M, tol: float = DEFAULT_EIGEN_TOL * 10) -> np.ndarray:
-    """Positive-definite square root of a Hermitian positive matrix.
-
-    Raises ValueError if M is not Hermitian to within ``tol`` (relative) or
-    has an eigenvalue at or below ``tol`` — such an M is not a valid metric.
-    """
-    A = as_operator(M)
-    scale = operator_norm(A)
-    herm_resid = float(np.linalg.norm(A - A.conj().T))
-    if herm_resid > tol * max(scale, 1.0):
-        raise ValueError(f"not Hermitian: ||M - M^dag|| = {herm_resid:.3e}")
-    Ah = 0.5 * (A + A.conj().T)
-    w, V = np.linalg.eigh(Ah)
-    if np.min(w) <= tol:
-        raise ValueError(
-            f"not a valid metric: minimum eigenvalue {np.min(w):.3e} <= {tol:.1e}"
-        )
-    S = (V * np.sqrt(w)) @ V.conj().T
-    return 0.5 * (S + S.conj().T)
-
-
 def family_derivative(F: OperatorFamily, t: float, h: Optional[float] = None) -> np.ndarray:
-    """d/dt of an operator family at t.
-
-    Uses the analytic derivative when the family carries one; otherwise a
-    central difference with step ``h`` (default ``1e-5 * max(1, |t|)``).
-    Near a domain edge the stencil degrades to a one-sided second-order
-    difference and the downgrade is logged.
-    """
-    value, one_sided = derivative_stencil(F, t, h)
+    """d/dt of an operator family at t (one-point :func:`family_derivatives`); logs a one-sided one."""
+    values, one_sided = family_derivatives(F, [t], h)
     if one_sided:
         logger.warning("one-sided derivative at t=%g (domain [%g, %g])", t, F.t_start, F.t_end)
-    return value
+    return values[0]
 
 
-def derivative_stencil(F: OperatorFamily, t: float, h: Optional[float] = None
-                       ) -> tuple[np.ndarray, bool]:
-    """:func:`family_derivative` without the log line: (value, whether one-sided)."""
+def family_derivatives(F: OperatorFamily, times, h: Optional[float] = None
+                       ) -> tuple[np.ndarray, int]:
+    """d/dt of an operator family at each of ``times`` (an (n, d, d) stack), and the one-sided count.
+
+    The analytic derivative if the family has one, else central differences
+    with step ``h`` (default ``1e-5 * max(1, |t|)``), one-sided near a domain
+    edge. Evaluated as one stack in point-by-point order, so values and the
+    earliest failing time's error are the one-point stencil's. No logging.
+    """
+    times = np.asarray(times, dtype=float)
     if F.derivative is not None:
-        return as_operator(F.derivative(t), f"family derivative at t={t}"), False
+        return _stack_of(F.derivative, times, "family derivative"), 0
     if h is None:
-        h = 1e-5 * max(1.0, abs(t))
-    if h <= 0:
+        h = 1e-5 * np.fmax(1.0, np.abs(times))  # fmax: a NaN t keeps h = 1e-5, as max() does
+    elif h <= 0:
         raise ValueError("h must be positive")
+    h = np.broadcast_to(h, times.shape)
     lo, hi = F.t_start, F.t_end
-    if t - h >= lo and t + h <= hi:
-        return (F(t + h) - F(t - h)) / (2.0 * h), False
-    if t + 2 * h <= hi:
-        return (-3.0 * F(t) + 4.0 * F(t + h) - F(t + 2 * h)) / (2.0 * h), True
-    if t - 2 * h >= lo:
-        return (3.0 * F(t) - 4.0 * F(t - h) + F(t - 2 * h)) / (2.0 * h), True
-    raise ValueError(f"domain [{lo}, {hi}] too small for step h={h} at t={t}")
+    central = (times - h >= lo) & (times + h <= hi)
+    forward = ~central & (times + 2 * h <= hi)
+    backward = ~central & ~forward & (times - 2 * h >= lo)
+    fits = central | forward | backward
+    n = times.size if fits.all() else int(np.argmin(fits))
+    # stencil times: (t + h, t - h) if central, else (t, t + s, t + 2s) with s = +-h
+    s = np.where(forward, h, -h)
+    nodes = np.stack([np.where(central, times + h, times), times + s, times + 2 * s], axis=1)
+    used = np.column_stack((np.ones((times.size, 2), dtype=bool), ~central))
+    values = F.stack(nodes[:n][used[:n]])
+    if n < times.size:
+        raise ValueError(f"domain [{lo}, {hi}] too small for step h={h[n]} at t={times[n]}")
+    y = np.zeros(nodes.shape + values.shape[1:], dtype=complex)
+    y[used] = values
+    y0, y1, y2, two_h = y[:, 0], y[:, 1], y[:, 2], (2.0 * h)[:, None, None]
+    out = np.empty_like(y0)
+    out[central] = (y0[central] - y1[central]) / two_h[central]
+    out[forward] = (-3.0 * y0[forward] + 4.0 * y1[forward] - y2[forward]) / two_h[forward]
+    out[backward] = (3.0 * y0[backward] - 4.0 * y1[backward] + y2[backward]) / two_h[backward]
+    return out, int(np.count_nonzero(forward | backward))

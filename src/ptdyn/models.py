@@ -117,12 +117,10 @@ class ScalarFunction:
         return cls(lambda t: float(np.interp(t, ts, vs)))
 
 
-def _two_level_matrices(s: float, a: float):
-    H = np.array([[s * np.exp(1j * a), s], [s, s * np.exp(-1j * a)]], dtype=complex)
-    C = (1.0 / math.cos(a)) * np.array(
+def _two_level_c(a: float) -> np.ndarray:
+    return (1.0 / math.cos(a)) * np.array(
         [[1j * math.sin(a), 1.0], [1.0, -1j * math.sin(a)]], dtype=complex
     )
-    return H, C
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,8 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
     Nothing is validated here; :func:`build_two_level` adds the checks.
     """
     def evaluate(t):
-        return _two_level_matrices(s(t), alpha(t))[0]
+        s_t, a = s(t), alpha(t)
+        return np.array([[s_t * np.exp(1j * a), s_t], [s_t, s_t * np.exp(-1j * a)]], dtype=complex)
 
     derivative = None
     if s.dfn is not None and alpha.dfn is not None:
@@ -176,16 +175,15 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
             ], dtype=complex)
 
     def c_evaluate(t):
-        return _two_level_matrices(s(t), alpha(t))[1]
+        return _two_level_c(alpha(t))
 
     c_derivative = None
     if alpha.dfn is not None:
         def c_derivative(t):
             # dC/d_alpha = tan(a) C + i diag(1, -1)
             a = alpha(t)
-            C = _two_level_matrices(1.0, a)[1]
             return alpha.dfn(t) * (
-                math.tan(a) * C + 1j * np.diag([1.0, -1.0])
+                math.tan(a) * _two_level_c(a) + 1j * np.diag([1.0, -1.0])
             )
 
     def energies(t: float) -> np.ndarray:

@@ -5,9 +5,9 @@ independently of the package, so tests compare two separately written
 routes. Random valid frames are direct sums of 2x2 angle blocks (plus a
 1x1 identity block for odd dimensions) conjugated by a random real
 orthogonal matrix, which preserves every frame axiom. The one-point RK4
-loop, eigensolver, eigenframe loop and operator-phase loop are kept as the
-references the stacked code must reproduce (bit for bit, except the
-operator phase, to 1e-12).
+loop, eigensolver, eigenframe loop, operator-phase loop and derivative
+stencil are kept as the references the stacked code must reproduce (bit for
+bit, except the operator phase, to 1e-12).
 """
 
 import logging
@@ -161,8 +161,29 @@ def reference_generator(problem, t):
     if problem.equation is Equation.AUGMENTED:
         return H + 1j * problem.correction(t)
     C = problem.frame_family.c_at(t)
-    Cdot = problem.frame_family.cdot_at(t)
+    Cdot, _ = reference_derivative_stencil(problem.frame_family.c_family, t)
     return H - 0.5j * problem.hbar * (C @ Cdot)
+
+
+def reference_derivative_stencil(F, t, h=None):
+    """The one-point derivative of an operator family: (value, whether one-sided).
+
+    A verbatim copy of the stencil the stacked ``family_derivatives`` replaced.
+    """
+    if F.derivative is not None:
+        return as_operator(F.derivative(t), f"family derivative at t={t}"), False
+    if h is None:
+        h = 1e-5 * max(1.0, abs(t))
+    if h <= 0:
+        raise ValueError("h must be positive")
+    lo, hi = F.t_start, F.t_end
+    if t - h >= lo and t + h <= hi:
+        return (F(t + h) - F(t - h)) / (2.0 * h), False
+    if t + 2 * h <= hi:
+        return (-3.0 * F(t) + 4.0 * F(t + h) - F(t + 2 * h)) / (2.0 * h), True
+    if t - 2 * h >= lo:
+        return (3.0 * F(t) - 4.0 * F(t - h) + F(t - 2 * h)) / (2.0 * h), True
+    raise ValueError(f"domain [{lo}, {hi}] too small for step h={h} at t={t}")
 
 
 def reference_rk4_run(problem, y0):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from ptdyn.adiabatic import (
     fidelity_loss,
     gauge_fix,
     level_coupling_residual,
+    _cumulative_trapezoid,
     operator_phase,
 )
 from ptdyn import linalg, models
@@ -633,3 +637,25 @@ def test_gauge_fix_rejects_moving_metric():
     eframe = build_eigenframe(model.hamiltonian, family, grid)
     with pytest.raises(ValueError, match="constant C"):
         gauge_fix(eframe, family)
+
+
+# ------------------------------------------------------- cumulative trapezoid
+
+@pytest.mark.parametrize("n", [1, 2, 3, 201, 2001])
+def test_cumulative_trapezoid_bit_identical_to_scipy(n):
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = rng.normal(size=n)
+    assert same_bits(_cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0))
+    z = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    assert same_bits(_cumulative_trapezoid(z, x),
+                     cumulative_trapezoid(z, x, axis=0, initial=0.0))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, ptdyn; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import random_frame_matrices, two_level_matrices
+from ptdyn import frames
 from ptdyn.frames import (
     FrameAxiomError,
     FrameFamily,
@@ -356,3 +357,31 @@ def test_frame_grid_is_kept_and_logs_one_sided_derivatives_once(caplog):
     assert fg.one_sided == 2
     assert isinstance(fg, FrameGrid) and not fg.metric.flags.writeable
     assert fam.on_grid(np.linspace(0.0, 1.0, 21)) is not fg
+
+
+def test_pt_axioms_run_once_per_family(monkeypatch):
+    calls = []
+    real = frames._pt_axioms
+    monkeypatch.setattr(frames, "_pt_axioms", lambda *args: calls.append(1) or real(*args))
+
+    def C_of_t(t):
+        return two_level_matrices(1.0, 0.2 + 0.1 * t)[1]
+
+    fam = FrameFamily(OperatorFamily(0.0, 1.0, C_of_t), SWAP, conjugation())
+    assert len(calls) == 1
+    frame = fam.frame_at(0.5)
+    fam.on_grid(np.linspace(0.0, 1.0, 11))
+    fam.on_grid(np.linspace(0.0, 1.0, 21))
+    assert len(calls) == 1
+    assert frame.residuals == validate_frames(C_of_t(0.5), SWAP, conjugation()).residuals
+    assert len(calls) == 2  # validate_frames checks its own P and T
+    FrameFamily.constant(frame)
+    assert len(calls) == 3
+
+
+def test_family_rejects_p_t_at_construction():
+    C = two_level_matrices(1.0, 0.3)[1]
+    with pytest.raises(FrameAxiomError, match="P\\^2 = I"):
+        FrameFamily(OperatorFamily.constant(C), 2.0 * SWAP, conjugation())
+    with pytest.raises(ValueError, match="dimension mismatch: P"):
+        FrameFamily(OperatorFamily.constant(C), SWAP, conjugation(3))

@@ -2,7 +2,10 @@
 
 ``tests/golden/<scenario>/`` holds ``summary.json``, ``trajectory.csv`` and
 ``adiabatic.csv`` as written by ``ptdyn run`` before the frame checks were
-batched over the grid. Every number must agree to GOLDEN_RTOL relative.
+batched over the grid; ``two_level_samples`` was written later, before dC/dt
+was evaluated as a stack. It is the ramp scenario with a sampled angle: its
+C(t) has no analytic derivative, so it pins the finite-difference path,
+one-sided at both grid ends. Every number must agree to GOLDEN_RTOL relative.
 Values that vanish by construction, so that only roundoff is left (the
 compensated or static drift rate, the cross-level coupling residual of
 these exactly solvable models, and the frame-axiom residuals), are compared
@@ -25,7 +28,7 @@ from ptdyn.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-SCENARIOS = ("two_level_ramp", "constant_metric")
+SCENARIOS = ("two_level_ramp", "constant_metric", "two_level_samples")
 
 GOLDEN_RTOL = 1e-12
 ROUNDOFF_ATOL = 1e-14

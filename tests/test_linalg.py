@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     LAPACK_MARK,
     RESIDUAL_MARK,
+    reference_derivative_stencil,
     reference_eigenpairs,
     same_bits,
     scripted_eig,
@@ -22,7 +23,7 @@ from ptdyn.linalg import (
     eigenpairs,
     eigenpairs_stack,
     family_derivative,
-    hermitian_sqrt,
+    family_derivatives,
     operator_norm,
 )
 
@@ -158,43 +159,6 @@ def test_eigenpairs_stack_rejects_bad_input():
     assert lams.shape == (0, 3) and vecs.shape == (0, 3, 3)
 
 
-# ------------------------------------------------------------ hermitian_sqrt
-
-def test_hermitian_sqrt_identity_and_diagonal():
-    assert np.allclose(hermitian_sqrt(np.eye(3)), np.eye(3))
-    S = hermitian_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(S, np.diag([2.0, 3.0]))
-
-
-def test_hermitian_sqrt_two_level_metric():
-    _, C, P = two_level_matrices(1.0, math.pi / 3)
-    PC = P @ C
-    S = hermitian_sqrt(PC)
-    assert abs(operator_norm(S) - math.sqrt(2.0 + SQRT3)) < 1e-12
-    assert np.allclose(S @ S, PC, atol=1e-12)
-    assert np.allclose(S, S.conj().T)
-
-
-def test_hermitian_sqrt_property(rng):
-    for dim in (2, 3, 5):
-        X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        M = X @ X.conj().T + 0.1 * np.eye(dim)
-        tol = 1e-11
-        S = hermitian_sqrt(M, tol=tol)
-        assert operator_norm(S @ S - M) <= 10 * tol * operator_norm(M)
-        assert operator_norm(S - S.conj().T) <= tol
-
-
-def test_hermitian_sqrt_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_hermitian_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError, match="not a valid metric"):
-        hermitian_sqrt(np.diag([1.0, -1.0]))
-
-
 # -------------------------------------------------------------- operator_norm
 
 def test_operator_norm_examples():
@@ -252,6 +216,59 @@ def test_family_derivative_one_sided_at_edge(caplog):
         got = family_derivative(fam, 0.0, h=1e-4)
     assert any("one-sided" in rec.message for rec in caplog.records)
     assert abs(got[0, 0] - 1.0) < 1e-6
+
+
+# --------------------------------------------------------- family_derivatives
+
+STENCIL_M = np.array([[1.0, 2.0 - 1.0j], [0.5j, -3.0]])
+DIFFERENCED = OperatorFamily(0.0, 1.0, lambda t: np.sin(3.0 * t) * STENCIL_M + t * t * STENCIL_M.T)
+ANALYTIC = OperatorFamily(0.0, 1.0, lambda t: np.sin(t) * STENCIL_M,
+                          lambda t: np.cos(t) * STENCIL_M)
+# interior times, both ends, and times closer to an end than one step
+STENCIL_TIMES = np.array([0.0, 3e-6, 0.25, 0.5, 0.7, 1.0 - 3e-6, 1.0, 0.999, 1e-3])
+
+
+@pytest.mark.parametrize("fam", [DIFFERENCED, ANALYTIC], ids=["differenced", "analytic"])
+@pytest.mark.parametrize("h", [None, 1e-3, 0.2], ids=["default-h", "h=1e-3", "h=0.2"])
+def test_family_derivatives_bit_identical_to_one_point_stencil(fam, h):
+    values, one_sided = family_derivatives(fam, STENCIL_TIMES, h)
+    ref = [reference_derivative_stencil(fam, t, h) for t in STENCIL_TIMES]
+    assert same_bits(values, np.array([value for value, _ in ref]))
+    assert one_sided == sum(edge for _, edge in ref)
+    if fam is DIFFERENCED:
+        assert 0 < one_sided < STENCIL_TIMES.size
+    for t, (value, _) in zip(STENCIL_TIMES.tolist(), ref):
+        assert same_bits(family_derivative(fam, t, h), value)
+
+
+def _stencil_error(fam, t, h=None):
+    with pytest.raises(ValueError) as err:
+        reference_derivative_stencil(fam, t, h)
+    return str(err.value)
+
+
+def test_family_derivatives_raise_the_earliest_one_point_error():
+    tiny = OperatorFamily(0.0, 1e-5, lambda t: t * STENCIL_M)
+    with pytest.raises(ValueError) as err:
+        family_derivatives(tiny, [0.5e-5, 0.0])
+    assert str(err.value) == _stencil_error(tiny, 0.5e-5)
+    assert "too small for step" in str(err.value)
+    # a stencil time outside the domain (forward from t = -0.5) comes first
+    with pytest.raises(ValueError) as err:
+        family_derivatives(DIFFERENCED, [0.5, -0.5, 2.0])
+    assert str(err.value) == _stencil_error(DIFFERENCED, -0.5)
+    assert "outside family domain" in str(err.value)
+    # a non-finite value at an earlier time wins over a later domain error
+    holes = OperatorFamily(0.0, 1.0, lambda t: STENCIL_M * (math.nan if t > 0.6 else 1.0))
+    with pytest.raises(ValueError) as err:
+        family_derivatives(holes, [0.5, 0.7, -0.5])
+    assert str(err.value) == _stencil_error(holes, 0.7)
+    with pytest.raises(ValueError, match="h must be positive"):
+        family_derivatives(DIFFERENCED, [0.5], h=0.0)
+    bad = OperatorFamily(0.0, 1.0, lambda t: STENCIL_M, lambda t: np.full((2, 2), math.nan))
+    with pytest.raises(ValueError) as err:
+        family_derivatives(bad, [0.25, 0.5])
+    assert str(err.value) == _stencil_error(bad, 0.25)
 
 
 # ---------------------------------------------------------- AntilinearOperator
