@@ -1,9 +1,9 @@
 """Instantaneous eigenframes and the adiabatic approximation bound.
 
 An eigenframe tracks the spectral data of H(t) over a time grid: real
-eigenvalues, eigenvectors normalized to unit frame norm, labels matched
-between adjacent grid points by maximum overlap, and phases chosen for
-continuity. On top of it sit the dynamical phase of a level, the
+eigenvalues, eigenvectors normalized to unit frame norm, each label
+continued by the new eigenvector of largest overlap with it, and phases
+chosen for continuity. On top of it sit the dynamical phase of a level, the
 cross-level coupling residual that controls exact solvability, the
 operator-valued phase with its commutator diagnostic, the adiabatic bound
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .dynamics import Trajectory
@@ -92,20 +91,21 @@ def build_eigenframe(
     frame_family: FrameFamily,
     grid,
     realness_tol: float = DEFAULT_REALNESS_TOL,
-    ortho_tol: float = DEFAULT_ORTHO_TOL,
-    overlap_threshold: float = OVERLAP_THRESHOLD,
 ) -> EigenFrame:
     """Track the instantaneous eigenframe of H(t) along the grid.
 
     At each point the eigenpairs are computed, checked for real eigenvalues
     (a complex one beyond ``realness_tol`` means broken PT symmetry at that
     time), rescaled to unit frame norm, matched to the previous point's
-    labels by maximum-overlap assignment, and rephased so the overlap with
-    the predecessor is real positive. An assignment whose winning overlap
-    falls below ``overlap_threshold`` aborts, naming the colliding levels
-    (level crossings are out of scope and must fail loudly). Orthonormality
-    of the resulting basis in the frame inner product is verified to
-    ``ortho_tol`` at every point.
+    labels, and rephased so the overlap with the predecessor is real
+    positive. Each label takes the new eigenvector of largest overlap; a
+    label whose best overlap is below ``OVERLAP_THRESHOLD`` or that shares
+    its pick with another label aborts the run, naming the lost levels
+    (level crossings are out of scope and must fail loudly). A successful
+    match takes each column's largest overlap, so it is the maximum-overlap
+    assignment.
+    Orthonormality of the resulting basis in the frame inner product is
+    verified to ``DEFAULT_ORTHO_TOL`` at every point.
 
     H(t) is evaluated and everything but the label matching is done on
     stacks of grid points (``linalg.STACK_ENTRIES`` matrix entries at a
@@ -136,18 +136,17 @@ def build_eigenframe(
                 states[0] = vecs[0]
                 continue
             new, metric, prev = vecs[k - lo], metrics[k - lo], states[k - 1]
-            # overlap[i, j] = (new_i | prev_j) at the current time
-            overlap = new.conj() @ metric @ prev.T
-            rows, cols = linear_sum_assignment(-np.abs(overlap))
-            perm = np.empty(dim, dtype=int)   # perm[label] = index into new pairs
-            perm[cols] = rows
-            chosen = np.abs(overlap[perm, np.arange(dim)])
+            # overlap[i, j] = |(new_i | prev_j)| at the current time
+            overlap = np.abs(new.conj() @ metric @ prev.T)
+            perm = np.argmax(overlap, axis=0)   # perm[label] = index into new pairs
+            chosen = overlap[perm, np.arange(dim)]
             min_overlap = min(min_overlap, float(chosen.min()))
-            if np.any(chosen < overlap_threshold):
-                bad = np.nonzero(chosen < overlap_threshold)[0].tolist()
+            lost = (chosen < OVERLAP_THRESHOLD) | (np.bincount(perm, minlength=dim)[perm] > 1)
+            if lost.any():
+                bad = np.nonzero(lost)[0].tolist()
                 failure = LevelTrackingError(
                     f"level continuity lost between t={grid[k-1]} and t={grid[k]}: "
-                    f"levels {bad} have overlap {chosen[bad]} < {overlap_threshold}"
+                    f"levels {bad} have overlap {chosen[bad]} < {OVERLAP_THRESHOLD}"
                 )
                 hi = k
                 break
@@ -163,7 +162,7 @@ def build_eigenframe(
         gram = gram @ states[lo:hi].swapaxes(1, 2)
         gram -= np.eye(dim)
         ortho_resid = np.abs(gram).max(axis=(1, 2))
-        skewed = np.nonzero(ortho_resid > ortho_tol)[0]
+        skewed = np.nonzero(ortho_resid > DEFAULT_ORTHO_TOL)[0]
         if skewed.size:
             k = lo + skewed[0]
             raise LevelTrackingError(

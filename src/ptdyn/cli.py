@@ -10,7 +10,8 @@
   max fidelity loss, norm drift, per-check pass/fail
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 configuration
-error, 3 numerical abort (message carries the last good time).
+error, 3 numerical abort (message carries the last good time, or the time
+of a non-finite model value).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import dynamics as dyn
 from . import frames as frm
 from .config import ConfigError, ScenarioConfig
 from .frames import FrameAxiomError
-from .linalg import AntilinearOperator, ConvergenceError, OperatorFamily
+from .linalg import AntilinearOperator, ConvergenceError, NonFiniteError, OperatorFamily
 
 __all__ = ["run_scenario", "sweep", "validate_scenario", "main"]
 
@@ -43,6 +44,7 @@ EXIT_NUMERIC = 3
 NUMERIC_ERRORS = (
     dyn.IntegrationAbort,
     ConvergenceError,
+    NonFiniteError,
     adb.LevelTrackingError,
     adb.BrokenSymmetryError,
 )

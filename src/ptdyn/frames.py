@@ -321,8 +321,8 @@ class FrameFamily:
     def c_at(self, t: float) -> np.ndarray:
         return self.c_family(t)
 
-    def cdot_at(self, t: float, h: Optional[float] = None) -> np.ndarray:
-        return linalg.family_derivative(self.c_family, t, h)
+    def cdot_at(self, t: float) -> np.ndarray:
+        return linalg.family_derivative(self.c_family, t)
 
     def metric_at(self, t: float) -> np.ndarray:
         """PC(t) without running full frame validation."""

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
+    "NonFiniteError",
     "AntilinearOperator",
     "OperatorFamily",
     "as_operator",
@@ -47,6 +48,10 @@ class ConvergenceError(RuntimeError):
         self.index = index
 
 
+class NonFiniteError(ValueError):
+    """A matrix, vector or family value holds a NaN or an infinity."""
+
+
 def as_operator(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a square, finite complex matrix or raise ValueError."""
     A = np.asarray(M, dtype=complex)
@@ -55,7 +60,7 @@ def as_operator(M, name: str = "matrix") -> np.ndarray:
     if A.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
     if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return A
 
 
@@ -65,7 +70,7 @@ def as_state(v, name: str = "vector") -> np.ndarray:
     if x.ndim != 1 or x.shape[0] < 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return x
 
 
@@ -169,11 +174,16 @@ def _checked(times: np.ndarray, values: list, name: str) -> np.ndarray:
     except ValueError:  # ragged shapes
         out = None
     if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
-        # the one-point check raises at the first value it rejects
-        out = np.array([as_operator(v, f"{name} at t={t}") for t, v in zip(times, values)])
+        # the one-point check, or a shape unlike the first value's, raises at the first bad value
+        out = []
+        for t, v in zip(times, values):
+            out.append(as_operator(v, f"{name} at t={t}"))
+            if out[-1].shape != out[0].shape:
+                raise ValueError(f"{name} at t={t} has shape {out[-1].shape}, expected {out[0].shape}")
+        out = np.array(out)
     bad = ~np.isfinite(out).all(axis=(1, 2))
     if bad.any():
-        raise ValueError(f"{name} at t={times[np.argmax(bad)]} contains non-finite entries")
+        raise NonFiniteError(f"{name} at t={times[np.argmax(bad)]} contains non-finite entries")
     return out
 
 
@@ -278,7 +288,7 @@ def eigenpairs_stack(X, tol: float = DEFAULT_EIGEN_TOL) -> tuple[np.ndarray, np.
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] < 1:
         raise ValueError(f"matrix stack must have shape (n, d, d) with d >= 1, got {X.shape}")
     if not np.all(np.isfinite(X)):
-        raise ValueError("matrix stack contains non-finite entries")
+        raise NonFiniteError("matrix stack contains non-finite entries")
     if tol <= 0:
         raise ValueError("tol must be positive")
     lams = np.empty(X.shape[:2], dtype=complex)

@@ -55,20 +55,48 @@ def random_frame_matrices(rng, dim: int):
         blocks_c.append(np.eye(1, dtype=complex))
         blocks_p.append(np.eye(1, dtype=complex))
 
-    def direct_sum(blocks):
-        total = sum(b.shape[0] for b in blocks)
-        M = np.zeros((total, total), dtype=complex)
-        off = 0
-        for b in blocks:
-            n = b.shape[0]
-            M[off:off + n, off:off + n] = b
-            off += n
-        return M
-
     C = direct_sum(blocks_c)
     P = direct_sum(blocks_p)
     Q = random_orthogonal(rng, dim).astype(complex)
     return Q @ C @ Q.T, Q @ P @ Q.T, np.eye(dim, dtype=complex)
+
+
+def direct_sum(blocks):
+    """Block-diagonal complex matrix of square ``blocks``."""
+    total = sum(b.shape[0] for b in blocks)
+    M = np.zeros((total, total), dtype=complex)
+    off = 0
+    for b in blocks:
+        n = b.shape[0]
+        M[off:off + n, off:off + n] = b
+        off += n
+    return M
+
+
+def jumping_block_model(seed: int, dim: int):
+    """(H family, frame family) on [0, 1] whose 2x2 frame angles swing in one grid step.
+
+    C(t) = Q diag(C2(alpha_i(t))) Q^T (plus a 1x1 identity block for odd
+    dimensions), each alpha_i moving linearly between two draws in
+    +-0.98 pi/3, and H(t) = C(t) P S with S random Hermitian, so H(t) is
+    metric-Hermitian with real spectrum. On the two-point grid [0, 1] the
+    metric can change by more than the eigenframe's label matching resolves.
+    """
+    rng = np.random.default_rng(seed)
+    start, stop = (rng.uniform(-1.0, 1.0, dim // 2) * (np.pi / 3) * 0.98 for _ in range(2))
+    Q = random_orthogonal(rng, dim).astype(complex)
+    Y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    odd = [np.eye(1, dtype=complex)] * (dim % 2)
+    P = Q @ direct_sum([two_level_matrices(1.0, 0.0)[2]] * (dim // 2) + odd) @ Q.T
+    PS = P @ (Y + Y.conj().T)
+
+    def c_of_t(t):
+        blocks = [two_level_matrices(1.0, a)[1] for a in start + t * (stop - start)]
+        return Q @ direct_sum(blocks + odd) @ Q.T
+
+    family = FrameFamily(OperatorFamily(0.0, 1.0, c_of_t), P,
+                         AntilinearOperator.conjugation(dim))
+    return OperatorFamily(0.0, 1.0, lambda t: c_of_t(t) @ PS), family
 
 
 def rotating_frame_model(seed: int, dim: int, omega: float = 1.0):
@@ -290,9 +318,28 @@ def reference_eigenpairs(M, tol=linalg.DEFAULT_EIGEN_TOL):
     return out
 
 
+def best_overlap_match(overlap, threshold):
+    """Each label's new eigenvector of largest |overlap| (columns are labels), and which
+    labels are lost: their best overlap is below ``threshold`` or another label shares it."""
+    perm = np.argmax(overlap, axis=0)
+    chosen = overlap[perm, np.arange(perm.size)]
+    return perm, (chosen < threshold) | (np.bincount(perm, minlength=perm.size)[perm] > 1)
+
+
+def assignment_match(overlap, threshold):
+    """The maximum-overlap assignment, the matching rule before :func:`best_overlap_match`;
+    a label is lost when its assigned overlap is below ``threshold``."""
+    rows, cols = linear_sum_assignment(-overlap)
+    perm = np.empty(overlap.shape[1], dtype=int)
+    for i, j in zip(rows, cols):
+        perm[j] = i
+    return perm, overlap[perm, np.arange(perm.size)] < threshold
+
+
 def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-10,
-                               ortho_tol=1e-10, overlap_threshold=0.9):
-    """The one-point eigenframe loop, a verbatim copy of the code the stacked pass replaced."""
+                               ortho_tol=1e-10, overlap_threshold=0.9, match=best_overlap_match):
+    """The one-point eigenframe loop, a verbatim copy of the code the stacked pass replaced,
+    with the label matching rule ``match`` (``assignment_match`` gives the old rule)."""
     fg = frame_family.on_grid(grid)
     grid = fg.times
     n_t = grid.size
@@ -325,14 +372,11 @@ def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-
             prev = states[k - 1]
             # overlap[i, j] = (new_i | prev_j) at the current time
             overlap = vecs.conj() @ metric @ prev.T
-            rows, cols = linear_sum_assignment(-np.abs(overlap))
-            perm = np.empty(dim, dtype=int)   # perm[label] = index into new pairs
-            for i, j in zip(rows, cols):
-                perm[j] = i
+            perm, lost = match(np.abs(overlap), overlap_threshold)  # perm[label] = new index
             chosen = np.abs(overlap[perm, np.arange(dim)])
             min_overlap = min(min_overlap, float(chosen.min()))
-            if np.any(chosen < overlap_threshold):
-                bad = np.nonzero(chosen < overlap_threshold)[0].tolist()
+            if np.any(lost):
+                bad = np.nonzero(lost)[0].tolist()
                 raise LevelTrackingError(
                     f"level continuity lost between t={grid[k-1]} and t={t}: "
                     f"levels {bad} have overlap {chosen[bad]} < {overlap_threshold}"

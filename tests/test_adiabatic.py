@@ -2,16 +2,19 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
     LAPACK_MARK,
     RESIDUAL_MARK,
+    assignment_match,
+    jumping_block_model,
     reference_build_eigenframe,
     reference_operator_phase,
     rotating_frame_model,
@@ -38,7 +41,13 @@ from ptdyn.adiabatic import (
 from ptdyn import linalg, models
 from ptdyn.dynamics import Equation, EvolutionProblem, evolve_state
 from ptdyn.frames import FrameFamily, validate_frames
-from ptdyn.linalg import AntilinearOperator, ConvergenceError, OperatorFamily, operator_norm
+from ptdyn.linalg import (
+    AntilinearOperator,
+    ConvergenceError,
+    NonFiniteError,
+    OperatorFamily,
+    operator_norm,
+)
 from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -219,10 +228,65 @@ def test_eigenframe_bit_identical_on_turning_frames(seed, dim, omega, points):
     _assert_same_outcome(ham, family, np.linspace(0.0, 1.0, points))
 
 
+def _assignment_outcome(ham, family, grid):
+    """What the one-point loop gives under the maximum-overlap assignment rule."""
+    return _outcome(partial(reference_build_eigenframe, match=assignment_match), ham, family, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), omega=st.floats(0.1, 4.0),
+       points=st.integers(2, 30))
+@example(seed=1, dim=3, omega=1.0, points=2)  # both rules lose levels at the one step
+def test_eigenframe_agrees_with_the_assignment_solver(seed, dim, omega, points):
+    # Where the assignment solver tracks the levels, the best-overlap rule
+    # gives its eigenframe bit for bit; where it loses them, the rule loses
+    # them at the same step. The overlaps named may differ: the rule names
+    # each lost level's best overlap, the solver the one it assigned.
+    ham, family = rotating_frame_model(seed, dim, omega)
+    grid = np.linspace(0.0, 1.0, points)
+    solver = _assignment_outcome(ham, family, grid)
+    stacked = _outcome(build_eigenframe, ham, family, grid)
+    if isinstance(solver, EigenFrame):
+        assert isinstance(stacked, EigenFrame)
+        assert same_bits(stacked.energies, solver.energies)
+        assert same_bits(stacked.states, solver.states)
+        assert stacked.diagnostics == solver.diagnostics
+    elif solver[0] is LevelTrackingError:
+        assert stacked[0] is LevelTrackingError
+        assert stacked[1].split(":")[0] == solver[1].split(":")[0]
+    else:
+        assert stacked == solver
+
+
+def test_eigenframe_names_each_lost_levels_best_overlap():
+    ham, family = rotating_frame_model(1, 3, 1.0)
+    grid = np.linspace(0.0, 1.0, 2)
+    prefix = "level continuity lost between t=0.0 and t=1.0: levels [0, 1, 2] have overlap"
+    with pytest.raises(LevelTrackingError) as err:
+        build_eigenframe(ham, family, grid)
+    assert str(err.value) == f"{prefix} [0.73485953 0.62664072 0.77177367] < 0.9"
+    assert _assignment_outcome(ham, family, grid) == (
+        LevelTrackingError, f"{prefix} [0.73485953 0.55815533 0.77177367] < 0.9")
+
+
+def test_eigenframe_rejects_two_levels_sharing_one_eigenvector():
+    # The frame angles swing so far in one step that the tracked vectors'
+    # frame norms in the new metric leave the range the 0.9 threshold
+    # separates, and both labels pick the same new eigenvector. The solver
+    # assigned one of them elsewhere; the best-overlap rule reports the
+    # ambiguity.
+    ham, family = jumping_block_model(8, 2)
+    grid = np.array([0.0, 1.0])
+    assert isinstance(_assignment_outcome(ham, family, grid), EigenFrame)
+    with pytest.raises(LevelTrackingError,
+                       match=r"lost between t=0.0 and t=1.0: levels \[0, 1\] have overlap"):
+        build_eigenframe(ham, family, grid)
+
+
 # Scripted failures at chosen grid points of a 2x2 or 3x3 family with the
 # identity metric, and the error each makes the one-point loop raise first.
 FAILURES = {
-    "value": (ValueError, "non-finite"),
+    "value": (NonFiniteError, "non-finite"),
     "residual": (ConvergenceError, "eigenpair residual"),
     "lapack": (ConvergenceError, "eigendecomposition failed"),
     "broken": (BrokenSymmetryError, "broken PT symmetry"),
@@ -654,8 +718,19 @@ def test_cumulative_trapezoid_bit_identical_to_scipy(n):
                      cumulative_trapezoid(z, x, axis=0, initial=0.0))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, ptdyn; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "False"
+def test_run_needs_numpy_only(tmp_path):
+    # scipy made unimportable: ptdyn imports, a bundled scenario runs and
+    # passes, and no scipy module gets loaded
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ptdyn, ptdyn.cli\n"
+        "status = ptdyn.cli.main(['run', 'scenarios/two_level_ramp.json', '--out-dir', sys.argv[1]])\n"
+        "print(status, sorted(m for m, mod in sys.modules.items()\n"
+        "                     if m.split('.')[0] == 'scipy' and mod is not None))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, cwd=root,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.splitlines()[-1] == "0 []"

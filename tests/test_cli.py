@@ -165,6 +165,33 @@ def test_cli_numeric_abort_exit_code(tmp_path, capsys):
     assert "numerical abort" in capsys.readouterr().err
 
 
+def nonfinite_constant_metric_raw():
+    """The bundled constant-metric scenario with a(t) = 1e308 sin(t) + 1e308, which overflows."""
+    raw = json.loads((ROOT / "scenarios" / "constant_metric.json").read_text())
+    raw["model"]["a"] = {"kind": "sinusoid", "amplitude": 1e308, "frequency": 1.0,
+                         "offset": 1e308}
+    return raw
+
+
+def test_cli_non_finite_model_value_is_a_numerical_abort(tmp_path, capsys):
+    path = write_config(tmp_path, nonfinite_constant_metric_raw())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical abort: family value at t=1.0 contains non-finite entries\n")
+
+
+def test_sweep_records_a_non_finite_model_value_as_an_error_row(tmp_path):
+    # b = 1e308 overflows b*C at every t; b = 1 is the bundled scenario
+    cfg = load_config(ROOT / "scenarios" / "constant_metric.json")
+    with np.errstate(over="ignore"):
+        rows = sweep(cfg, "model.b.value", [1.0, 1e308], out_dir=tmp_path)
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert rows[1]["error"] == "family value at t=0.0 contains non-finite entries"
+    last = (tmp_path / "sweep.csv").read_text().splitlines()[-1]
+    assert last.endswith(",error,family value at t=0.0 contains non-finite entries")
+
+
 def test_cli_overrides(tmp_path):
     path = write_config(tmp_path, two_level_raw(points=21))
     assert main([

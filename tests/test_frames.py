@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import random_frame_matrices, two_level_matrices
+from helpers import random_frame_matrices, rotating_frame_model, two_level_matrices
 from ptdyn import frames
 from ptdyn.frames import (
     FrameAxiomError,
@@ -239,10 +239,21 @@ def test_norm_equivalence_two_level():
     assert upper == pytest.approx((2.0 + SQRT3) ** 0.5, abs=1e-12)
 
 
-def test_norm_equivalence_sandwich_property(rng):
+def _sandwich_frames(rng):
+    """Random block frames, then frames turned by a P-commuting rotation, dims 2-6."""
     for dim in (2, 3, 5):
         C, P, K = random_frame_matrices(rng, dim)
-        frame = validate_frames(C, P, AntilinearOperator(K))
+        yield validate_frames(C, P, AntilinearOperator(K))
+    for seed in range(2):
+        for dim in range(2, 7):
+            family = rotating_frame_model(seed, dim)[1]
+            for t in (0.0, 0.25, 0.5, 1.0):
+                yield family.frame_at(t)
+
+
+def test_norm_equivalence_sandwich_property(rng):
+    for frame in _sandwich_frames(rng):
+        dim = frame.dim
         lower, upper = norm_equivalence_bounds(frame)
         for _ in range(200):
             x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -342,6 +353,14 @@ def test_frame_grid_names_the_axiom_and_time_of_a_broken_point(seed, dim, omega,
         fam.on_grid(grid)
     assert batched.value.axiom == pointwise.value.axiom
     assert f"t={grid[bad]}" in str(batched.value)
+
+
+def test_frame_grid_names_the_time_c_changes_shape():
+    fam = FrameFamily(OperatorFamily(0.0, 1.0, lambda t: SWAP if t < 0.5 else np.eye(3)),
+                      SWAP, conjugation())
+    with pytest.raises(ValueError) as err:
+        fam.on_grid(np.linspace(0.0, 1.0, 5))
+    assert str(err.value) == "family value at t=0.5 has shape (3, 3), expected (2, 2)"
 
 
 def test_frame_grid_is_kept_and_logs_one_sided_derivatives_once(caplog):

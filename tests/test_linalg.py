@@ -19,6 +19,7 @@ from ptdyn import linalg
 from ptdyn.linalg import (
     AntilinearOperator,
     ConvergenceError,
+    NonFiniteError,
     OperatorFamily,
     eigenpairs,
     eigenpairs_stack,
@@ -328,6 +329,17 @@ def test_family_stack_errors_name_the_earliest_offending_time():
     with pytest.raises(ValueError) as err:
         ragged.stack(times)
     assert str(err.value) == _call_error(ragged, 0.5)
+
+
+def test_family_stack_names_the_time_a_value_changes_shape():
+    mixed = OperatorFamily(0.0, 1.0, lambda t: np.eye(2) if t < 0.5 else np.eye(3))
+    with pytest.raises(ValueError) as err:
+        mixed.stack(np.linspace(0.0, 1.0, 5))
+    assert str(err.value) == "family value at t=0.5 has shape (3, 3), expected (2, 2)"
+    # a value the one-point check rejects, before the shape changes, is raised first
+    early = OperatorFamily(0.0, 1.0, lambda t: np.eye(3) if t > 0.5 else np.full((2, 2), np.nan))
+    with pytest.raises(NonFiniteError, match="^family value at t=0.0 contains non-finite"):
+        early.stack(np.linspace(0.0, 1.0, 5))
 
 
 def _nan_then_raise(t):
