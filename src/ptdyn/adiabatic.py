@@ -141,12 +141,12 @@ def build_eigenframe(
             perm = np.argmax(overlap, axis=0)   # perm[label] = index into new pairs
             chosen = overlap[perm, np.arange(dim)]
             min_overlap = min(min_overlap, float(chosen.min()))
-            lost = (chosen < OVERLAP_THRESHOLD) | (np.bincount(perm, minlength=dim)[perm] > 1)
-            if lost.any():
-                bad = np.nonzero(lost)[0].tolist()
+            low = chosen < OVERLAP_THRESHOLD
+            shared = (np.bincount(perm, minlength=dim)[perm] > 1) & ~low
+            if low.any() or shared.any():
                 failure = LevelTrackingError(
                     f"level continuity lost between t={grid[k-1]} and t={grid[k]}: "
-                    f"levels {bad} have overlap {chosen[bad]} < {OVERLAP_THRESHOLD}"
+                    + _lost_levels(chosen, low, shared)
                 )
                 hi = k
                 break
@@ -178,6 +178,18 @@ def build_eigenframe(
         metrics=fg.metric,
         diagnostics={"min_overlap": min_overlap},
     )
+
+
+def _lost_levels(chosen: np.ndarray, low: np.ndarray, shared: np.ndarray) -> str:
+    """Why labels were lost: a best overlap below the threshold, or a pick another label shares."""
+    reasons = []
+    if low.any():
+        bad = np.nonzero(low)[0].tolist()
+        reasons.append(f"levels {bad} have overlap {chosen[bad]} < {OVERLAP_THRESHOLD}")
+    if shared.any():
+        twins = np.nonzero(shared)[0].tolist()
+        reasons.append(f"levels {twins} share an eigenvector with another level")
+    return "; ".join(reasons)
 
 
 def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,

@@ -11,7 +11,7 @@
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 configuration
 error, 3 numerical abort (message carries the last good time, or the time
-of a non-finite model value).
+of a non-finite model value or of an SVD that did not converge).
 """
 
 from __future__ import annotations
@@ -114,10 +114,9 @@ def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, b
 def _norm_check_enabled(cfg: ScenarioConfig) -> bool:
     if cfg.equation is dyn.Equation.COMPENSATED:
         return True
-    # The plain equation conserves the frame norm only when the metric is static.
-    return cfg.equation is dyn.Equation.SCHRODINGER and cfg.model_kind in (
-        "constant_metric", "inline",
-    )
+    # The plain equation conserves the frame norm only when the metric is static (C a matrix).
+    return (cfg.equation is dyn.Equation.SCHRODINGER
+            and cfg_mod.MODEL_KINDS[cfg.model_kind].get("C") == "matrix")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
@@ -302,7 +301,7 @@ def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
                 return str(v).lower()
             if isinstance(v, float):
                 return _fmt(v)
-            return str(v).replace(",", ";")
+            return str(v).replace(",", ";").replace("\n", " ")
         lines.append(",".join(cell(k) for k in (
             "value", "bound", "max_fidelity_loss", "bound_satisfied",
             "norm_drift", "status", "error",

@@ -18,15 +18,22 @@ stay diff-able. Example:
                      "norm_drift": 1e-6, "realness": 1e-10}
     }
 
-Model kinds: ``two_level`` (fields s, alpha), ``constant_metric`` (fields
-a, b, C, P, K), ``inline`` (constant matrices H, C, P, K, and optionally G
-for the augmented equation). A ramp without explicit t_start/t_end spans
-the grid.
+Model kinds (``MODEL_KINDS``): ``two_level`` (scalars s, alpha),
+``constant_metric`` (scalars a, b; matrices C, P, K), ``inline`` (matrices
+H, C, P, K); each also takes a matrix G for the augmented equation. A ramp
+without explicit t_start/t_end spans the grid.
+
+Numbers are finite JSON numbers, not strings or booleans; ``grid.points``,
+``level`` and ``substeps`` take integral values (101.0 passes). Unknown keys
+are rejected. A malformed field raises :class:`ConfigError` naming the
+dotted field; the CLI exits 2 with ``config error: <field>: ...``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -48,7 +55,17 @@ __all__ = [
     "save_config",
 ]
 
-MODEL_KINDS = ("two_level", "constant_metric", "inline")
+# Each model kind's required fields and their form; G is every kind's optional matrix.
+MODEL_KINDS = {
+    "two_level": {"s": "scalar", "alpha": "scalar"},
+    "constant_metric": {"a": "scalar", "b": "scalar", "C": "matrix", "P": "matrix", "K": "matrix"},
+    "inline": {"H": "matrix", "C": "matrix", "P": "matrix", "K": "matrix"},
+}
+
+_TOP_LEVEL_KEYS = ("model", "equation", "hbar", "grid", "level", "epsilon", "substeps",
+                   "tolerances", "output")
+_GRID_KEYS = ("t_start", "t_end", "points")
+_INTEGRAL_FIELDS = ("grid.points", "level", "substeps")
 
 DEFAULT_TOLERANCES = {
     "frame": 1e-10,
@@ -111,30 +128,68 @@ def frame_from_dict(data: dict, tol: float = 1e-10):
     )
 
 
+def _number(value, name: str, valid=None, bound: str = ""):
+    """``value`` of the dotted field ``name`` if a finite JSON number, not a bool, integral
+    for ``_INTEGRAL_FIELDS`` (returned as an int, else a float) and within ``valid``, the
+    field's bound; ``bound``, formatted with the value, is the message when it is not."""
+    # abs(x) <= max is False for NaN, the infinities and ints beyond the float range
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(name, f"must be a finite JSON number, got {value!r}")
+    if name in _INTEGRAL_FIELDS and value != int(value):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    value = int(value) if name in _INTEGRAL_FIELDS else float(value)
+    if valid is not None and not valid(value):
+        raise ConfigError(name, bound.format(value))
+    return value
+
+
+def _object(value, name: str, known, required=()) -> dict:
+    """``value`` of the dotted field ``name`` ("" for the root): a JSON object
+    with every ``required`` key and, unless ``known`` is None, no other key."""
+    if not isinstance(value, dict):
+        raise ConfigError(name or "<root>", "must be a JSON object")
+    prefix = f"{name}." if name else ""
+    for key in required:
+        if key not in value:
+            raise ConfigError(prefix + key, "missing required field")
+    for key in value:
+        if known is not None and key not in known:
+            raise ConfigError(prefix + key, f"unknown {name or 'top-level'} field (known: {known})")
+    return value
+
+
 def _scalar_from_spec(spec, field_name: str, t_start: float, t_end: float) -> ScalarFunction:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return ScalarFunction.constant(float(spec))
+        return ScalarFunction.constant(_number(spec, field_name))
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(field_name, "must be a number or an object with a 'kind'")
     kind = spec["kind"]
+
+    def num(key, default=None):  # a missing key without a default raises KeyError
+        value = spec[key] if default is None else spec.get(key, default)
+        return _number(value, f"{field_name}.{key}")
+
     try:
         if kind == "constant":
-            return ScalarFunction.constant(spec["value"])
+            return ScalarFunction.constant(num("value"))
         if kind == "ramp":
             return ScalarFunction.ramp(
-                spec["start"], spec["stop"],
-                spec.get("t_start", t_start), spec.get("t_end", t_end),
+                num("start"), num("stop"), num("t_start", t_start), num("t_end", t_end),
             )
         if kind == "sinusoid":
             return ScalarFunction.sinusoid(
-                spec["amplitude"], spec["frequency"],
-                spec.get("phase", 0.0), spec.get("offset", 0.0),
+                num("amplitude"), num("frequency"), num("phase", 0.0), num("offset", 0.0),
             )
         if kind == "samples":
-            return ScalarFunction.from_samples(spec["times"], spec["values"])
+            times = [_number(x, f"{field_name}.times") for x in spec["times"]]
+            values = [_number(x, f"{field_name}.values") for x in spec["values"]]
+            return ScalarFunction.from_samples(times, values)
     except KeyError as exc:
         raise ConfigError(field_name, f"missing field {exc} for kind '{kind}'") from exc
-    except ValueError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(field_name, str(exc)) from exc
     raise ConfigError(field_name, f"unknown scalar function kind '{kind}'")
 
@@ -151,18 +206,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: model choice, equation, grid, and run knobs."""
+    """Validated scenario: model choice, equation, grid, and run knobs (see :func:`from_dict`)."""
 
     model_kind: str
     model_fields: dict = field(repr=False)
-    equation: Equation = Equation.COMPENSATED
-    hbar: float = 1.0
-    grid: GridSpec = GridSpec(0.0, 1.0, 101)
-    level: int = 0
-    epsilon: float = 0.5
-    substeps: Optional[int] = None
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    out_dir: Optional[str] = None
+    equation: Equation
+    hbar: float
+    grid: GridSpec
+    level: int
+    epsilon: float
+    substeps: Optional[int]
+    tolerances: dict
+    out_dir: Optional[str]
 
     def scalar(self, name: str) -> ScalarFunction:
         return _scalar_from_spec(
@@ -173,115 +228,60 @@ class ScenarioConfig:
         return pairs_to_matrix(self.model_fields[name], f"model.{name}")
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing required field")
-    return mapping[key]
-
-
 def from_dict(raw: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from parsed JSON."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "configuration must be a JSON object")
+    raw = _object(raw, "", _TOP_LEVEL_KEYS, ("model", "grid"))
+    model = _object(raw["model"], "model", None, ("kind",))
+    kind = model["kind"]
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ConfigError("model.kind",
+                          f"unknown model preset '{kind}' (known: {tuple(MODEL_KINDS)})")
+    fields = MODEL_KINDS[kind]
+    _object(model, "model", ("kind", *fields, "G"), fields)
 
-    model = _require(raw, "model", "")
-    if not isinstance(model, dict):
-        raise ConfigError("model", "must be an object")
-    kind = _require(model, "kind", "model")
-    if kind not in MODEL_KINDS:
-        raise ConfigError("model.kind", f"unknown model preset '{kind}' (known: {MODEL_KINDS})")
-
-    grid_raw = _require(raw, "grid", "")
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("grid", "must be an object")
-    try:
-        grid = GridSpec(
-            t_start=float(_require(grid_raw, "t_start", "grid")),
-            t_end=float(_require(grid_raw, "t_end", "grid")),
-            points=int(_require(grid_raw, "points", "grid")),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("grid", f"non-numeric grid field: {exc}") from exc
-    if grid.points < 2:
-        raise ConfigError("grid.points", f"must be >= 2, got {grid.points}")
+    grid_raw = _object(raw["grid"], "grid", _GRID_KEYS, _GRID_KEYS)
+    grid = GridSpec(
+        t_start=_number(grid_raw["t_start"], "grid.t_start"),
+        t_end=_number(grid_raw["t_end"], "grid.t_end"),
+        points=_number(grid_raw["points"], "grid.points", lambda n: n >= 2, "must be >= 2, got {}"),
+    )
     if not grid.t_start < grid.t_end:
         raise ConfigError("grid", f"t_start {grid.t_start} must be < t_end {grid.t_end}")
 
+    names = [e.value for e in Equation]
     eq_name = raw.get("equation", "compensated")
-    try:
-        equation = Equation(eq_name)
-    except ValueError:
-        raise ConfigError(
-            "equation",
-            f"unknown equation '{eq_name}' (one of {[e.value for e in Equation]})",
-        ) from None
+    if eq_name not in names:
+        raise ConfigError("equation", f"unknown equation '{eq_name}' (one of {names})")
+    equation = Equation(eq_name)
 
-    hbar = float(raw.get("hbar", 1.0))
-    if hbar <= 0:
-        raise ConfigError("hbar", f"must be positive, got {hbar}")
+    tolerances = _object(raw.get("tolerances", {}), "tolerances", tuple(DEFAULT_TOLERANCES))
 
-    epsilon = float(raw.get("epsilon", 0.5))
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError("epsilon", f"epsilon out of (0,1): {epsilon}")
-
-    level = int(raw.get("level", 0))
-    if level < 0:
-        raise ConfigError("level", f"must be >= 0, got {level}")
-
-    substeps = raw.get("substeps")
-    if substeps is not None:
-        substeps = int(substeps)
-        if substeps < 1:
-            raise ConfigError("substeps", f"must be >= 1, got {substeps}")
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in raw.get("tolerances", {}).items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"tolerances.{key}", "unknown tolerance name")
-        value = float(value)
-        if value <= 0:
-            raise ConfigError(f"tolerances.{key}", f"must be positive, got {value}")
-        tolerances[key] = value
-
-    out_dir = raw.get("output", {})
-    if out_dir and not isinstance(out_dir, dict):
-        raise ConfigError("output", "must be an object like {\"dir\": \"path\"}")
-    out_dir = out_dir.get("dir") if isinstance(out_dir, dict) else None
+    out_dir = _object(raw.get("output", {}), "output", ("dir",)).get("dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("output.dir", "must be a string path")
 
     model_fields = {k: v for k, v in model.items() if k != "kind"}
-    required = {
-        "two_level": ("s", "alpha"),
-        "constant_metric": ("a", "b", "C", "P", "K"),
-        "inline": ("H", "C", "P", "K"),
-    }[kind]
-    for name in required:
-        if name not in model_fields:
-            raise ConfigError(f"model.{name}", f"missing required field for kind '{kind}'")
-
     cfg = ScenarioConfig(
         model_kind=kind,
         model_fields=model_fields,
         equation=equation,
-        hbar=hbar,
+        hbar=_number(raw.get("hbar", 1.0), "hbar", lambda x: x > 0, "must be positive, got {}"),
         grid=grid,
-        level=level,
-        epsilon=epsilon,
-        substeps=substeps,
-        tolerances=tolerances,
+        level=_number(raw.get("level", 0), "level", lambda n: n >= 0, "must be >= 0, got {}"),
+        epsilon=_number(raw.get("epsilon", 0.5), "epsilon", lambda x: 0.0 < x < 1.0,
+                        "epsilon out of (0,1): {}"),
+        substeps=None if raw.get("substeps") is None else _number(
+            raw["substeps"], "substeps", lambda n: n >= 1, "must be >= 1, got {}"),
+        tolerances={
+            key: _number(tolerances.get(key, default), f"tolerances.{key}", lambda x: x > 0,
+                         "must be positive, got {}")
+            for key, default in DEFAULT_TOLERANCES.items()
+        },
         out_dir=out_dir,
     )
-    # Force early validation of scalar specs and matrix shapes.
-    for name in required:
-        if name in ("s", "alpha", "a", "b"):
-            cfg.scalar(name)
-        else:
-            cfg.matrix(name)
-    if "G" in model_fields:
-        cfg.matrix("G")
+    # Parse each model field now with the accessor its form names (G is a matrix).
+    for name in model_fields:
+        getattr(cfg, fields.get(name, "matrix"))(name)
     if equation is Equation.AUGMENTED and "G" not in model_fields:
         raise ConfigError("model.G", "augmented equation requires an inline G matrix")
     return cfg

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .linalg import (AntilinearOperator, OperatorFamily, as_grid, as_operator, as_state,
-                     operator_norms)
+from .linalg import (AntilinearOperator, ConvergenceError, OperatorFamily, as_grid, as_operator,
+                     as_state, operator_norms)
 
 __all__ = [
     "FrameAxiomError",
@@ -409,8 +409,16 @@ class FrameGrid:
                    metric_eigenvalues=eigs, residuals=residuals, one_sided=one_sided)
 
     def symmetry_reports(self, hams, tol: float = DEFAULT_FRAME_TOL) -> list[SymmetryReport]:
-        """:func:`symmetry_report` at every grid time, for the stack hams[k] = H(t_k)."""
+        """:func:`symmetry_report` at every grid time, for the stack hams[k] = H(t_k).
+
+        A norm or eigensolve that fails raises :class:`ConvergenceError`
+        naming the grid time of the failing matrix.
+        """
         hams = np.asarray(hams, dtype=complex)
         if hams.shape != self.metric.shape:
             raise ValueError(f"operator stack {hams.shape} does not match the grid {self.metric.shape}")
-        return _classify(self.p @ self.t.conj_matrix, self.metric, hams, tol)
+        try:
+            return _classify(self.p @ self.t.conj_matrix, self.metric, hams, tol)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"symmetry scan at t={self.times[exc.index]}: {exc}",
+                                   exc.index) from exc

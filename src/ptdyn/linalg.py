@@ -194,8 +194,22 @@ def operator_norm(M) -> float:
 
 
 def operator_norms(X) -> np.ndarray:
-    """Largest singular value of each matrix in a stack (the norm of :func:`operator_norm`)."""
-    return np.linalg.norm(X, 2, axis=(-2, -1))
+    """Largest singular value of each matrix in a stack (the norm of :func:`operator_norm`).
+
+    An SVD that does not converge raises :class:`ConvergenceError` with the
+    position of the first failing matrix in ``index``, found by taking the
+    matrices one at a time once the stacked SVD has failed.
+    """
+    try:
+        return np.linalg.norm(X, 2, axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        X = np.asarray(X)
+        for k, A in enumerate(X.reshape(-1, *X.shape[-2:])):
+            try:
+                np.linalg.norm(A, 2)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"SVD did not converge for stack matrix {k}", index=k) from exc
+        raise
 
 
 def _vector_norms(X: np.ndarray) -> np.ndarray:

@@ -376,10 +376,15 @@ def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-
             chosen = np.abs(overlap[perm, np.arange(dim)])
             min_overlap = min(min_overlap, float(chosen.min()))
             if np.any(lost):
-                bad = np.nonzero(lost)[0].tolist()
+                low = chosen < overlap_threshold
+                bad, twins = np.nonzero(low)[0].tolist(), np.nonzero(lost & ~low)[0].tolist()
+                reasons = []
+                if bad:
+                    reasons.append(f"levels {bad} have overlap {chosen[bad]} < {overlap_threshold}")
+                if twins:
+                    reasons.append(f"levels {twins} share an eigenvector with another level")
                 raise LevelTrackingError(
-                    f"level continuity lost between t={grid[k-1]} and t={t}: "
-                    f"levels {bad} have overlap {chosen[bad]} < {overlap_threshold}"
+                    f"level continuity lost between t={grid[k-1]} and t={t}: " + "; ".join(reasons)
                 )
             for label in range(dim):
                 v = vecs[perm[label]]

@@ -279,7 +279,8 @@ def test_eigenframe_rejects_two_levels_sharing_one_eigenvector():
     grid = np.array([0.0, 1.0])
     assert isinstance(_assignment_outcome(ham, family, grid), EigenFrame)
     with pytest.raises(LevelTrackingError,
-                       match=r"lost between t=0.0 and t=1.0: levels \[0, 1\] have overlap"):
+                       match=r"lost between t=0.0 and t=1.0: "
+                             r"levels \[0, 1\] share an eigenvector with another level$"):
         build_eigenframe(ham, family, grid)
 
 

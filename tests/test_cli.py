@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -11,7 +12,7 @@ from scipy.linalg import expm
 from helpers import two_level_matrices
 from ptdyn import frames, linalg
 from ptdyn.cli import main, run_scenario, sweep
-from ptdyn.config import from_dict, load_config, matrix_to_pairs
+from ptdyn.config import ConfigError, from_dict, load_config, matrix_to_pairs
 from ptdyn.frames import FrameGrid
 
 
@@ -192,6 +193,82 @@ def test_sweep_records_a_non_finite_model_value_as_an_error_row(tmp_path):
     assert last.endswith(",error,family value at t=0.0 contains non-finite entries")
 
 
+def huge_amplitude_constant_metric_raw():
+    """The bundled constant-metric scenario with a(t) = 1e308 sin(t): finite, but the
+    symmetry scan's H^dag PC - PC H overflows to NaN, where LAPACK's SVD fails."""
+    raw = json.loads((ROOT / "scenarios" / "constant_metric.json").read_text())
+    raw["model"]["a"] = {"kind": "sinusoid", "amplitude": 1e308, "frequency": 1.0}
+    return raw
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_svd_failure_is_a_numerical_abort_naming_the_time(tmp_path, capsys, command):
+    raw = huge_amplitude_constant_metric_raw()
+    path = write_config(tmp_path, raw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"numerical abort: symmetry scan at t=(\S+): "
+                         r"SVD did not converge for stack matrix (\d+)\n", err)
+    assert found, err
+    grid = np.linspace(raw["grid"]["t_start"], raw["grid"]["t_end"], raw["grid"]["points"])
+    assert float(found[1]) == grid[int(found[2])]
+
+
+def test_sweep_records_an_svd_failure_as_an_error_row(tmp_path):
+    cfg = load_config(ROOT / "scenarios" / "constant_metric.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = sweep(cfg, "model.a.amplitude", [1.0, 1e308], out_dir=tmp_path)
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert rows[1]["error"].startswith("symmetry scan at t=")
+    assert "SVD did not converge" in rows[1]["error"]
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+
+
+# Edits of the ramp scenario (dotted key, value) and the field each error names.
+MALFORMED = {
+    "hbar-string": ("hbar", "abc", "hbar"),
+    "epsilon-null": ("epsilon", None, "epsilon"),
+    "level-string": ("level", "x", "level"),
+    "substeps-string": ("substeps", "many", "substeps"),
+    "tolerance-null": ("tolerances", {"frame": None}, "tolerances.frame"),
+    "tolerances-list": ("tolerances", [1], "tolerances"),
+    "ramp-start-null": ("model.alpha.start", None, "model.alpha.start"),
+    "points-fraction": ("grid.points", 2.9, "grid.points"),
+    "level-fraction": ("level", 0.7, "level"),
+    "substeps-fraction": ("substeps", 2.5, "substeps"),
+    "hbar-bool": ("hbar", True, "hbar"),
+    "hbar-infinity": ("hbar", math.inf, "hbar"),
+    "points-huge-int": ("grid.points", 10**400, "grid.points"),
+    "unknown-top-level": ("epsilom", 0.01, "epsilom"),
+    "unknown-grid": ("grid.pts", 3, "grid.pts"),
+    "unknown-model": ("model.alfa", 0.1, "model.alfa"),
+    "unknown-output": ("output", {"dri": "out"}, "output.dri"),
+    "samples-times-null": ("model.alpha", {"kind": "samples", "times": [0.0, None],
+                                           "values": [0.1, 0.2]}, "model.alpha.times"),
+    "samples-times-number": ("model.alpha", {"kind": "samples", "times": 5,
+                                             "values": [0.1]}, "model.alpha"),
+}
+
+
+@pytest.mark.parametrize("key, value, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, key, value, field):
+    raw = json.loads((ROOT / "scenarios" / "two_level_ramp.json").read_text())
+    *parents, last = key.split(".")
+    node = raw
+    for name in parents:
+        node = node[name]
+    node[last] = value
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.field == field
+    path = write_config(tmp_path, raw)
+    assert main(["validate", str(path)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"config error: {field}: ")
+    assert "Traceback" not in stderr
+
+
 def test_cli_overrides(tmp_path):
     path = write_config(tmp_path, two_level_raw(points=21))
     assert main([
@@ -241,13 +318,20 @@ def test_sweep_over_total_time_keeps_angle_budget(tmp_path):
     assert all(r["max_fidelity_loss"] < 1e-6 for r in rows)
 
 
-def test_sweep_records_row_failures_and_continues(tmp_path):
+@pytest.mark.parametrize("axis, values, statuses", [
+    ("epsilon", [0.5, 1.5, 0.3], ["ok", "error", "ok"]),
+    # the CLI passes every value as a float: integral ones pass an integer field
+    ("grid.points", [101.0, 201.0], ["ok", "ok"]),
+    ("level", [0.5], ["error"]),
+])
+def test_sweep_records_row_failures_and_continues(tmp_path, axis, values, statuses):
     cfg = from_dict(two_level_raw(points=21))
-    rows = sweep(cfg, "epsilon", [0.5, 1.5, 0.3], out_dir=tmp_path)
-    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
-    assert "epsilon" in rows[1]["error"]
+    rows = sweep(cfg, axis, values, out_dir=tmp_path)
+    assert [r["status"] for r in rows] == statuses
+    for row in rows:
+        assert row["error"].startswith(f"{axis}: ") == (row["status"] == "error")
     table = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert len(table) == 4
+    assert len(table) == len(values) + 1
 
 
 def test_sweep_unknown_axis(tmp_path, capsys):

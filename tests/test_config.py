@@ -116,6 +116,16 @@ def test_hbar_substeps_level_validation():
         from_dict(raw)
 
 
+def test_integral_fields_take_integral_floats():
+    raw = base_config()
+    raw["grid"]["points"], raw["level"], raw["substeps"] = 101.0, 0.0, 3.0
+    cfg = from_dict(raw)
+    assert [type(v) for v in (cfg.grid.points, cfg.level, cfg.substeps)] == [int] * 3
+    ints = base_config()
+    ints["grid"]["points"], ints["level"], ints["substeps"] = 101, 0, 3
+    assert json.dumps(to_dict(cfg)) == json.dumps(to_dict(from_dict(ints)))
+
+
 def test_matrix_codec_round_trip(rng):
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     pairs = matrix_to_pairs(M)

@@ -26,6 +26,7 @@ from ptdyn.linalg import (
     family_derivative,
     family_derivatives,
     operator_norm,
+    operator_norms,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -167,6 +168,15 @@ def test_operator_norm_examples():
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
     _, C, P = two_level_matrices(1.0, math.pi / 3)
     assert operator_norm(P @ C) == pytest.approx(2.0 + SQRT3, abs=1e-12)
+
+
+def test_operator_norms_names_the_matrix_whose_svd_fails():
+    # A NaN entry makes LAPACK's SVD fail; the stack's other norms are unaffected.
+    stack = np.stack([np.eye(2), np.diag([np.nan, 1.0]), 2.0 * np.eye(2), np.diag([1.0, np.nan])])
+    with pytest.raises(ConvergenceError, match="^SVD did not converge for stack matrix 1$") as err:
+        operator_norms(stack)
+    assert err.value.index == 1
+    assert np.array_equal(operator_norms(stack[[0, 2]]), [1.0, 2.0])
 
 
 # ---------------------------------------------------------- family_derivative
