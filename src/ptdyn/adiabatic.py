@@ -204,7 +204,7 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,
     try:
         H = hamiltonian.stack(grid)
     except ValueError:
-        n, failure = _first_error(hamiltonian, grid)
+        n, failure = linalg._first_error(hamiltonian, grid)
         if failure is None:
             raise
         H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
@@ -224,16 +224,6 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,
         )
         lams, vecs = lams[:n], vecs[:n]
     return lams, vecs, failure
-
-
-def _first_error(family: OperatorFamily, times) -> tuple[int, Optional[ValueError]]:
-    """Index and error of the first time at which ``family(t)`` raises, else (len, None)."""
-    for k, t in enumerate(times):
-        try:
-            family(t)
-        except ValueError as exc:
-            return k, exc
-    return len(times), None
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -189,17 +189,19 @@ def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> n
 def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     """Fixed-step RK4 over the grid; returns (values at grid points, diagnostics).
 
-    The right-hand side is y' = -(i/hbar) * generator(t) y. The substep
-    count of an interval follows from the generator norm at its start.
-    Each block of substeps (three (d, d) matrices each, within
-    ``linalg.STACK_ENTRIES`` entries) then evaluates the generator once per
-    distinct node time as one ascending stack; the nodes of a substep are
-    t = t0 + j*h, t + 0.5*h and t + h, the float expressions of the
-    one-point scheme. The last node's matrix is kept and reused when the
-    next block or interval starts at the same time. The state arithmetic
-    is the classical one-point RK4, so the values are bit-identical to
-    evaluating the generator at every stage. Works unchanged for state
-    vectors and for propagator matrices.
+    The right-hand side is y' = -(i/hbar) * generator(t) y. The generators
+    at the interval starts come first, in stacks of ``linalg.STACK_ENTRIES``
+    entries; their norms give the substep counts. The substeps are then
+    taken in blocks (three (d, d) matrices each, within that bound) that
+    cross interval ends. A substep's nodes are t = t0 + j*h, t + 0.5*h and
+    t + h, the one-point scheme's float expressions; a block evaluates the
+    generator once per distinct node that is neither an interval start nor
+    the last block's last node, as one ascending stack. The state arithmetic
+    is the one-point RK4's, so the values are bit-identical to evaluating
+    the generator at every stage. If a stack fails, the walk stops before
+    the node that fails first on its own in the one-point scheme's order
+    (an earlier non-finite state still aborts first) and raises its error.
+    Works unchanged for state vectors and for propagator matrices.
 
     ``diagnostics`` holds the substep count of each interval and the number
     of generator evaluations. The nodes whose dC/dt fell back to a one-sided
@@ -207,67 +209,95 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     """
     rate = -1j / problem.hbar
     grid = problem.grid
+    dim = problem.frame_family.dim
     y = y0.astype(complex)
     values = [y]
-    substeps_used = []
     evaluations = one_sided = 0
-    block = max(1, linalg.STACK_ENTRIES // (3 * problem.frame_family.dim ** 2))
-    kept_t, kept = math.nan, None  # the last evaluated node and its generator
 
-    def generators_at(nodes: np.ndarray) -> np.ndarray:
-        """Generators at the ascending, distinct ``nodes``, reusing the kept one."""
-        nonlocal evaluations, one_sided, kept_t, kept
-        reuse = nodes[0] == kept_t
-        fresh = nodes[1:] if reuse else nodes
-        if fresh.size:
-            gens, edges = _generators(problem, fresh)
-            evaluations += fresh.size
-            one_sided += edges
-            if reuse:
-                gens = np.concatenate((kept[None], gens))
-        else:
-            gens = kept[None]
-        kept_t, kept = nodes[-1], gens[-1]
+    def generators(times: np.ndarray) -> np.ndarray:
+        nonlocal evaluations, one_sided
+        gens, edges = _generators(problem, times)
+        evaluations += times.size
+        one_sided += edges
         return gens
 
-    for k in range(grid.size - 1):
-        t0, t1 = grid[k], grid[k + 1]
-        dt = t1 - t0
-        gnorm = linalg.operator_norm(generators_at(grid[k:k + 1])[0])
-        if problem.substeps is not None:
-            nsub = problem.substeps
-        else:
-            nsub = max(1, int(math.ceil(SUBSTEP_DENSITY * gnorm * dt)))
-        h = dt / nsub
-        if gnorm * h > STEP_NORM_WARN:
-            logger.warning(
-                "coarse step at t=%g: ||generator||*h = %.3g > %.2g",
-                t0, gnorm * h, STEP_NORM_WARN,
-            )
-        substeps_used.append(nsub)
+    # the interval starts, a stack at a time; from a failing stack on, one at a time
+    starts, parts, failure = grid[:-1], [np.empty((0, dim, dim), dtype=complex)], None
+    lo, step = 0, max(1, linalg.STACK_ENTRIES // dim ** 2)
+    while lo < starts.size:
+        try:
+            parts.append(generators(starts[lo:lo + step]))
+            lo += step
+        except ValueError as exc:
+            if step == 1:
+                starts, failure = starts[:lo], exc
+            step = 1
+    G0 = np.concatenate(parts)
+    norms = linalg.operator_norms(G0)
+    dt = np.diff(grid)[:starts.size]
+    if problem.substeps is not None:
+        nsub = np.full(starts.size, problem.substeps)
+    else:
+        nsub = np.maximum(1, np.ceil(SUBSTEP_DENSITY * norms * dt)).astype(int)
+    h = dt / nsub
+    first = np.concatenate(([0], np.cumsum(nsub)))  # first[k]: the first substep of interval k
+    first_list, coarse = first.tolist(), (norms * h > STEP_NORM_WARN).tolist()
 
+    def enter(k: int):
+        """Log interval k's coarse-step warning, where the one-point scheme logs it."""
+        if k < len(coarse) and coarse[k]:
+            logger.warning("coarse step at t=%g: ||generator||*h = %.3g > %.2g",
+                           grid[k], norms[k] * h[k], STEP_NORM_WARN)
+
+    block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
+    lo, stop, k = 0, first_list[-1], 0  # the next substep, where the walk ends, its interval
+    kept_t, kept = math.nan, None  # the last node evaluated and its generator
+    enter(0)
+    while lo < stop:
+        sub = np.arange(lo, min(lo + block, stop))
+        ks = np.searchsorted(first, sub, side="right") - 1
+        t_a = grid[ks] + (sub - first[ks]) * h[ks]
+        t_b, t_c = t_a + 0.5 * h[ks], t_a + h[ks]
+        nodes = np.unique(np.concatenate((t_a, t_b, t_c)))
+        known = np.isin(nodes, starts)
+        fresh = ~known & (nodes != kept_t)
+        gens = np.empty((nodes.size, dim, dim), dtype=complex)
+        gens[known] = G0[np.searchsorted(starts, nodes[known])]
+        gens[~known & ~fresh] = kept
+        if fresh.any():
+            try:
+                gens[fresh] = generators(nodes[fresh])
+            except ValueError:
+                # the one-point scheme evaluates t_a, t_b, t_c of one substep before the next
+                n, failure = linalg._first_error(lambda t: _generators(problem, np.array([t])),
+                                                 np.stack((t_a, t_b, t_c), 1).ravel())
+                if failure is None:
+                    raise
+                stop = lo + n // 3
+                continue
+        kept_t, kept = nodes[-1], gens[-1]
+        index = (np.searchsorted(nodes, x).tolist() for x in (t_a, t_b, t_c))
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, nsub, block):
-                starts = t0 + np.arange(lo, min(lo + block, nsub)) * h
-                mids = starts + 0.5 * h
-                ends = starts + h
-                nodes = np.unique(np.concatenate((starts, mids, ends)))
-                gens = generators_at(nodes)
-                for a, b, c in zip(*(np.searchsorted(nodes, x).tolist() for x in (starts, mids, ends))):
-                    k1 = rate * (gens[a] @ y)
-                    k2 = rate * (gens[b] @ (y + 0.5 * h * k1))
-                    k3 = rate * (gens[b] @ (y + 0.5 * h * k2))
-                    k4 = rate * (gens[c] @ (y + h * k3))
-                    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationAbort(
-                f"state became non-finite between t={t0} and t={t1}", last_good_t=t0
-            )
-        values.append(y)
+            for j, a, b, c, dh in zip(sub.tolist(), *index, h[ks].tolist()):
+                k1 = rate * (gens[a] @ y)
+                k2 = rate * (gens[b] @ (y + 0.5 * dh * k1))
+                k3 = rate * (gens[b] @ (y + 0.5 * dh * k2))
+                k4 = rate * (gens[c] @ (y + dh * k3))
+                y = y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if j + 1 == first_list[k + 1]:
+                    if not np.all(np.isfinite(y)):
+                        raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
+                                               f"and t={grid[k + 1]}", last_good_t=grid[k])
+                    values.append(y)
+                    k += 1
+                    enter(k)
+        lo += sub.size
+    if failure is not None:
+        raise failure
     if one_sided:
         logger.warning("one-sided derivative of C at %d of %d generator nodes in [%g, %g]",
                        one_sided, evaluations, grid[0], grid[-1])
-    return values, {"substeps": substeps_used, "generator_evaluations": evaluations}
+    return values, {"substeps": nsub.tolist(), "generator_evaluations": evaluations}
 
 
 def evolve_state(problem: EvolutionProblem) -> Trajectory:

@@ -201,18 +201,6 @@ class SymmetryReport:
     cpt_residual: float
 
 
-def _group_eigenpairs(pairs, tol, scale):
-    """Partition eigenpairs into clusters of eigenvalues within tol*scale."""
-    groups = []
-    for lam, v in pairs:
-        if groups and abs(lam - groups[-1][0][-1]) <= tol * max(scale, 1.0):
-            groups[-1][0].append(lam)
-            groups[-1][1].append(v)
-        else:
-            groups.append(([lam], [v]))
-    return groups
-
-
 def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> SymmetryReport:
     """Classify H: PT-symmetric, metric-Hermitian, unbroken.
 
@@ -236,20 +224,32 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
     if tol <= 0:
         raise ValueError("tol must be positive")
     nH = operator_norms(hams)
-    pt_residual = operator_norms(hams @ pt_map - pt_map @ np.conj(hams))
-    cpt_residual = operator_norms(hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
+        pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
+        cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
+    pt_residual, cpt_residual = operator_norms(pt_residual), operator_norms(cpt_residual)
     cpt_scale = nH * operator_norms(metrics)
     map_scale = max(1.0, float(operator_norms(pt_map)))
     lams, vecs = linalg.eigenpairs_stack(hams, tol=max(tol, linalg.DEFAULT_EIGEN_TOL))
     realness = np.abs(lams.imag).max(axis=1)
+    # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
+    # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
+    joined = np.abs(np.diff(lams, axis=1)) <= tol * np.maximum(nH, 1.0)[:, None]
+    clustered = np.pad(joined, ((0, 0), (1, 0))) | np.pad(joined, ((0, 0), (0, 1)))
+    images = np.conj(vecs) @ pt_map.T  # images[k, i] = PT map of eigenvector i at point k
+    mu = np.vecdot(vecs, images)
+    fails = ~clustered & ((linalg._vector_norms(images - mu[..., None] * vecs) > tol * map_scale)
+                          | (np.abs(np.abs(mu) - 1.0) > tol * 10))
     reports = []
     for k in range(hams.shape[0]):
         pt_symmetric = bool(pt_residual[k] <= tol * max(nH[k], 1e-300))
-        pairs = [(complex(lam), v) for lam, v in zip(lams[k], vecs[k])]
+        unbroken = pt_symmetric and not fails[k].any() and (
+            not joined[k].any() or _clusters_invariant(lams[k], vecs[k], joined[k], pt_map,
+                                                       tol * map_scale))
         reports.append(SymmetryReport(
             pt_symmetric=pt_symmetric,
             cpt_hermitian=bool(cpt_residual[k] <= tol * max(cpt_scale[k], 1e-300)),
-            unbroken=pt_symmetric and _pt_invariant(pairs, pt_map, tol * map_scale, tol, nH[k]),
+            unbroken=unbroken,
             eigen_realness=float(realness[k]),
             pt_residual=float(pt_residual[k]),
             cpt_residual=float(cpt_residual[k]),
@@ -257,21 +257,15 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
     return reports
 
 
-def _pt_invariant(pairs, pt_map, vec_tol: float, tol: float, scale: float) -> bool:
-    """Whether PT maps every eigenspace of a PT-symmetric H into itself."""
-    for lams, vecs in _group_eigenpairs(pairs, tol, scale):
-        if len(lams) == 1:
-            v = vecs[0]
-            w = pt_map @ np.conj(v)
-            mu = np.vdot(v, w)  # v is unit norm
-            if np.linalg.norm(w - mu * v) > vec_tol or abs(abs(mu) - 1.0) > tol * 10:
-                return False
-        else:
+def _clusters_invariant(lams, vecs, joined, pt_map, vec_tol: float) -> bool:
+    """Whether PT maps the eigenspace of every eigenvalue cluster (see ``joined``) into itself."""
+    for group in np.split(np.arange(lams.size), np.flatnonzero(~joined) + 1):
+        if group.size > 1:
             logger.info(
                 "degenerate eigenvalue cluster at %s: testing PT-invariance of the eigenspace",
-                lams[0],
+                complex(lams[group[0]]),
             )
-            Q, _ = np.linalg.qr(np.column_stack(vecs))
+            Q, _ = np.linalg.qr(vecs[group].T)
             proj = Q @ Q.conj().T
             for q in Q.T:
                 w = pt_map @ np.conj(q)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,15 +116,18 @@ class AntilinearOperator:
 class OperatorFamily:
     """Time-parametrized matrix t -> M(t) on [t_start, t_end].
 
-    ``derivative``, when given, must be the analytic d/dt of ``evaluate``;
-    otherwise derivatives fall back to central differences
-    (see :func:`family_derivatives`).
+    ``evaluate`` and ``derivative`` map a float t to a (d, d) array; with
+    ``vectorized=True`` they also map an (n,) time array to the (n, d, d)
+    stack in one call, else stacks call them once per time. ``derivative``,
+    when given, must be the analytic d/dt of ``evaluate``; otherwise
+    derivatives fall back to central differences (see :func:`family_derivatives`).
     """
 
     t_start: float
     t_end: float
     evaluate: Callable[[float], np.ndarray]
     derivative: Optional[Callable[[float], np.ndarray]] = None
+    vectorized: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
@@ -141,7 +144,7 @@ class OperatorFamily:
         times = np.asarray(times, dtype=float)
         outside = (times < self.t_start) | (times > self.t_end)
         n = int(np.argmax(outside)) if outside.any() else times.size
-        out = _stack_of(self.evaluate, times[:n], "family value")
+        out = _stack_of(self.evaluate, times[:n], "family value", self.vectorized)
         if n < times.size:
             raise ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]")
         return out
@@ -149,12 +152,17 @@ class OperatorFamily:
     @classmethod
     def constant(cls, M) -> "OperatorFamily":
         A = as_operator(M)
-        return cls(-math.inf, math.inf, lambda t: A, lambda t: np.zeros_like(A))
+        return cls(-math.inf, math.inf, lambda t: np.broadcast_to(A, np.shape(t) + A.shape),
+                   lambda t: np.zeros(np.shape(t) + A.shape, dtype=complex), vectorized=True)
 
 
-def _stack_of(fn: Callable[[float], np.ndarray], times: np.ndarray, name: str) -> np.ndarray:
-    """``fn(t)`` at each of ``times`` as one stack; the first value ``as_operator(fn(t),
-    f"{name} at t={t}")`` would reject raises, also when ``fn`` raises later."""
+def _stack_of(fn: Callable[[float], np.ndarray], times: np.ndarray, name: str,
+              vectorized: bool = False) -> np.ndarray:
+    """``fn(t)`` at each of ``times`` as one stack (one call ``fn(times)`` when ``vectorized``);
+    the first value ``as_operator(fn(t), f"{name} at t={t}")`` would reject raises, also when
+    ``fn`` raises later."""
+    if vectorized and times.size:
+        return _checked(times, fn(times), name)
     values = []
     try:
         for t in times:
@@ -167,7 +175,7 @@ def _stack_of(fn: Callable[[float], np.ndarray], times: np.ndarray, name: str) -
 
 def _checked(times: np.ndarray, values: list, name: str) -> np.ndarray:
     """``values`` (taken at ``times``) as one stack, or the ValueError for the first bad one."""
-    if not values:
+    if len(values) == 0:
         return np.empty((0, 0, 0), dtype=complex)
     try:
         out = np.array(values, dtype=complex)
@@ -185,6 +193,16 @@ def _checked(times: np.ndarray, values: list, name: str) -> np.ndarray:
     if bad.any():
         raise NonFiniteError(f"{name} at t={times[np.argmax(bad)]} contains non-finite entries")
     return out
+
+
+def _first_error(fn: Callable, times) -> tuple[int, Optional[ValueError]]:
+    """Index and error of the first of ``times`` at which ``fn(t)`` raises ValueError, else (len, None)."""
+    for k, t in enumerate(times):
+        try:
+            fn(t)
+        except ValueError as exc:
+            return k, exc
+    return len(times), None
 
 
 def operator_norm(M) -> float:
@@ -373,7 +391,7 @@ def family_derivatives(F: OperatorFamily, times, h: Optional[float] = None
     """
     times = np.asarray(times, dtype=float)
     if F.derivative is not None:
-        return _stack_of(F.derivative, times, "family derivative"), 0
+        return _stack_of(F.derivative, times, "family derivative", F.vectorized), 0
     if h is None:
         h = 1e-5 * np.fmax(1.0, np.abs(times))  # fmax: a NaN t keeps h = 1e-5, as max() does
     elif h <= 0:

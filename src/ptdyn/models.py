@@ -24,7 +24,7 @@ Both carry analytic eigendata (``energies``, and for the two-level model
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,16 +44,31 @@ __all__ = [
 MIN_COS_ALPHA = 0.5
 
 
+def _broadcasting(expr: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """A preset's fn or dfn: ``expr`` of a float array, a float for a scalar time."""
+    def fn(t):
+        value = expr(np.asarray(t, dtype=float))
+        return float(value) if np.ndim(value) == 0 else value
+    return fn
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
-    """Real-valued function of time with an optional analytic derivative."""
+    """Real-valued function of time with an optional analytic derivative.
+
+    ``fn`` and ``dfn`` take a float time. With ``vectorized=True``, as for
+    every preset, they also map an (n,) time array to an (n,) float array
+    in one call, and so does calling the function; a model built on a plain
+    per-point callable evaluates its families one time per call.
+    """
 
     fn: Callable[[float], float]
     dfn: Optional[Callable[[float], float]] = None
+    vectorized: bool = field(default=False, kw_only=True)
 
     def __call__(self, t: float) -> float:
         value = self.fn(t)
-        if type(value) is float:
+        if type(value) is float or self.vectorized:
             return value
         if isinstance(value, complex) or np.iscomplexobj(value):
             raise ValueError(f"scalar function returned non-real value {value!r} at t={t}")
@@ -62,7 +77,8 @@ class ScalarFunction:
     @classmethod
     def constant(cls, value: float) -> "ScalarFunction":
         value = float(value)
-        return cls(lambda t: value, lambda t: 0.0)
+        return cls(_broadcasting(lambda t: np.full(t.shape, value)),
+                   _broadcasting(lambda t: np.zeros(t.shape)), vectorized=True)
 
     @classmethod
     def ramp(cls, start: float, stop: float, t_start: float, t_end: float) -> "ScalarFunction":
@@ -72,18 +88,12 @@ class ScalarFunction:
         if not t_start < t_end:
             raise ValueError("ramp needs t_start < t_end")
         slope = (stop - start) / (t_end - t_start)
-
-        def fn(t):
-            if t <= t_start:
-                return start
-            if t >= t_end:
-                return stop
-            return start + slope * (float(t) - t_start)
-
-        def dfn(t):
-            return slope if t_start < t < t_end else 0.0
-
-        return cls(fn, dfn)
+        return cls(
+            _broadcasting(lambda t: np.where(
+                t <= t_start, start, np.where(t >= t_end, stop, start + slope * (t - t_start)))),
+            _broadcasting(lambda t: np.where((t_start < t) & (t < t_end), slope, 0.0)),
+            vectorized=True,
+        )
 
     @classmethod
     def sinusoid(cls, amplitude: float, frequency: float, phase: float = 0.0,
@@ -92,8 +102,9 @@ class ScalarFunction:
         amplitude, frequency = float(amplitude), float(frequency)
         phase, offset = float(phase), float(offset)
         return cls(
-            lambda t: offset + amplitude * math.sin(frequency * t + phase),
-            lambda t: amplitude * frequency * math.cos(frequency * t + phase),
+            _broadcasting(lambda t: offset + amplitude * np.sin(frequency * t + phase)),
+            _broadcasting(lambda t: amplitude * frequency * np.cos(frequency * t + phase)),
+            vectorized=True,
         )
 
     @classmethod
@@ -114,13 +125,28 @@ class ScalarFunction:
         ts = as_grid(times, "sample times")
         if vs.shape != ts.shape:
             raise ValueError("times and values must have the same length")
-        return cls(lambda t: float(np.interp(t, ts, vs)))
+        return cls(_broadcasting(lambda t: np.interp(t, ts, vs)), vectorized=True)
 
 
-def _two_level_c(a: float) -> np.ndarray:
-    return (1.0 / math.cos(a)) * np.array(
-        [[1j * math.sin(a), 1.0], [1.0, -1j * math.sin(a)]], dtype=complex
-    )
+# math.tan, not np.tan: numpy's vectorised tan rounds differently on some inputs.
+_tan = np.vectorize(math.tan, otypes=[float])
+
+
+def _column(x) -> np.ndarray:
+    """Scalars at a float time or an array of times, shaped to scale (..., d, d) matrices."""
+    return np.asarray(x)[..., None, None]
+
+
+def _two_by_two(a, b, c, d) -> np.ndarray:
+    """The complex matrices [[a, b], [c, d]] of broadcasting entries, as a (..., 2, 2) array."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, (a, b, c, d))) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _two_level_c(a) -> np.ndarray:
+    sec, sin_a = 1.0 / np.cos(a), np.sin(a)
+    return _two_by_two(sec * (1j * sin_a), sec, sec, sec * (-1j * sin_a))
 
 
 @dataclass(frozen=True)
@@ -161,7 +187,7 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
     """
     def evaluate(t):
         s_t, a = s(t), alpha(t)
-        return np.array([[s_t * np.exp(1j * a), s_t], [s_t, s_t * np.exp(-1j * a)]], dtype=complex)
+        return _two_by_two(s_t * np.exp(1j * a), s_t, s_t, s_t * np.exp(-1j * a))
 
     derivative = None
     if s.dfn is not None and alpha.dfn is not None:
@@ -169,10 +195,8 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
             s_t, a = s(t), alpha(t)
             sd, ad = s.dfn(t), alpha.dfn(t)
             ea = np.exp(1j * a)
-            return np.array([
-                [sd * ea + 1j * ad * s_t * ea, sd],
-                [sd, sd / ea - 1j * ad * s_t / ea],
-            ], dtype=complex)
+            return _two_by_two(sd * ea + 1j * ad * s_t * ea, sd,
+                               sd, sd / ea - 1j * ad * s_t / ea)
 
     def c_evaluate(t):
         return _two_level_c(alpha(t))
@@ -182,8 +206,8 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
         def c_derivative(t):
             # dC/d_alpha = tan(a) C + i diag(1, -1)
             a = alpha(t)
-            return alpha.dfn(t) * (
-                math.tan(a) * _two_level_c(a) + 1j * np.diag([1.0, -1.0])
+            return _column(alpha.dfn(t)) * (
+                _column(_tan(a)) * _two_level_c(a) + 1j * np.diag([1.0, -1.0])
             )
 
     def energies(t: float) -> np.ndarray:
@@ -212,13 +236,14 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
         raise ValueError(f"unknown normalization {normalization!r}")
 
     frames = FrameFamily(
-        OperatorFamily(t_start, t_end, c_evaluate, c_derivative),
+        OperatorFamily(t_start, t_end, c_evaluate, c_derivative, vectorized=alpha.vectorized),
         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
         AntilinearOperator.conjugation(2),
         tol=frame_tol,
     )
-    return Model(OperatorFamily(t_start, t_end, evaluate, derivative), frames,
-                 energies, eigenvector)
+    return Model(OperatorFamily(t_start, t_end, evaluate, derivative,
+                                vectorized=s.vectorized and alpha.vectorized),
+                 frames, energies, eigenvector)
 
 
 def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
@@ -231,13 +256,13 @@ def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
     the model's frame family for the run's later stages.
     """
     grid = as_grid(grid)
-    for t in grid:
-        c = math.cos(alpha(t))
-        if c < MIN_COS_ALPHA:
-            raise ValueError(
-                f"cos(alpha) = {c:.4f} < {MIN_COS_ALPHA} at t={t}; "
-                "the angle must keep cos(alpha) >= 1/2"
-            )
+    cos_alpha = np.cos(alpha(grid) if alpha.vectorized else [alpha(t) for t in grid])
+    if np.any(cos_alpha < MIN_COS_ALPHA):
+        k = int(np.argmax(cos_alpha < MIN_COS_ALPHA))
+        raise ValueError(
+            f"cos(alpha) = {cos_alpha[k]:.4f} < {MIN_COS_ALPHA} at t={grid[k]}; "
+            "the angle must keep cos(alpha) >= 1/2"
+        )
     model = two_level(s, alpha, float(grid[0]), float(grid[-1]), frame_tol=frame_tol)
     model.frame_family.on_grid(grid)  # raises FrameAxiomError on any violation
     return model
@@ -260,12 +285,12 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
     C = frame.c
 
     def evaluate(t):
-        return a(t) * eye + b(t) * C
+        return _column(a(t)) * eye + _column(b(t)) * C
 
     derivative = None
     if a.dfn is not None and b.dfn is not None:
         def derivative(t):
-            return a.dfn(t) * eye + b.dfn(t) * C
+            return _column(a.dfn(t)) * eye + _column(b.dfn(t)) * C
 
     c_eigs = np.sort(np.linalg.eigvals(C).real)
 
@@ -273,5 +298,6 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
         """a(t) + b(t) * (eigenvalues of C), sorted ascending."""
         return np.sort(a(t) + b(t) * c_eigs)
 
-    return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate, derivative),
+    return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate, derivative,
+                                vectorized=a.vectorized and b.vectorized),
                  FrameFamily.constant(frame), energies)

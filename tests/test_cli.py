@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +215,17 @@ def test_cli_svd_failure_is_a_numerical_abort_naming_the_time(tmp_path, capsys, 
     assert found, err
     grid = np.linspace(raw["grid"]["t_start"], raw["grid"]["t_end"], raw["grid"]["points"])
     assert float(found[1]) == grid[int(found[2])]
+
+
+def test_cli_overflowing_symmetry_scan_prints_only_the_abort(tmp_path):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    path = write_config(tmp_path, huge_amplitude_constant_metric_raw())
+    out = subprocess.run([sys.executable, "-m", "ptdyn.cli", "validate", str(path)],
+                         capture_output=True, text=True, cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.returncode == 3
+    assert re.fullmatch(r"numerical abort: symmetry scan at t=\S+: "
+                        r"SVD did not converge for stack matrix \d+\n", out.stderr), out.stderr
 
 
 def test_sweep_records_an_svd_failure_as_an_error_row(tmp_path):

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from helpers import (random_frame_matrices, reference_rk4_run, rotating_frame_model,
                      two_level_matrices)
+from ptdyn import dynamics
 from ptdyn.dynamics import (
     Equation,
     EvolutionProblem,
@@ -570,6 +571,59 @@ def test_rk4_one_sided_derivatives_logged_once_per_run(caplog):
     assert logged[0].startswith("one-sided derivative of C at ")
     assert f" of {n} generator nodes in [0, 1]" in logged[0]
     assert not [r for r in caplog.records if r.name == "ptdyn.linalg"]
+
+
+def test_rk4_plans_the_ramp_in_a_few_stacks(monkeypatch):
+    # 2000 interval starts as one stack, then 2000 midpoints and the last end
+    # point in three blocks that cross interval ends
+    grid = np.linspace(0.0, 1.0, 2001)
+    model = build_two_level(ScalarFunction.constant(1.1), ScalarFunction.ramp(0.1, 0.3, 0.0, 1.0),
+                            grid)
+    sizes = []
+    stacked = dynamics._generators
+    monkeypatch.setattr(dynamics, "_generators",
+                        lambda problem, times: sizes.append(times.size) or stacked(problem, times))
+    traj = evolve_state(model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.3j])))
+    assert len(sizes) <= 6
+    assert traj.diagnostics["generator_evaluations"] == sum(sizes) == 4001
+    assert traj.diagnostics["substeps"] == [1] * 2000
+
+
+def _blowing_up(hamiltonian):
+    """The augmented blow-up problem (G = 200 I aborts near t = 8) with a given H."""
+    return EvolutionProblem(
+        hamiltonian=hamiltonian,
+        frame_family=identity_metric_family(),
+        grid=np.linspace(0.0, 10.0, 21),
+        equation=Equation.AUGMENTED,
+        initial_state=np.array([1.0, 0.0]),
+        correction=OperatorFamily.constant(200.0 * np.eye(2)),
+        substeps=5,
+    )
+
+
+@pytest.mark.parametrize("bad", [9.0, 9.0 + 0.1 + 0.05])
+def test_rk4_abort_before_a_failing_node_still_wins(bad):
+    # a NaN in H at a later grid point (found by the up-front pass over the
+    # interval starts) or at a later interior node (in the same substep block)
+    # must not hide the abort the one-point loop reaches first
+    assert bad in _nodes(9.0, 9.5, 5)
+    zero = np.zeros((2, 2), dtype=complex)
+    problem = _blowing_up(OperatorFamily(-1.0, 11.0, lambda t: zero * (math.nan if t == bad else 1.0)))
+    err = _same_error(problem, IntegrationAbort)
+    assert err.last_good_t < 9.0
+
+
+def test_rk4_failing_node_after_coarse_steps_logs_as_the_one_point_loop(caplog):
+    zero = np.zeros((2, 2), dtype=complex)
+    for bad in (3.0, 3.0 + 0.05):
+        problem = _blowing_up(OperatorFamily(-1.0, 11.0, lambda t: zero * (math.nan if t == bad else 1.0)))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            _same_error(problem)
+        ref = [r.message for r in caplog.records if r.name == "rk4_reference"]
+        got = [r.message for r in caplog.records if r.name == "ptdyn.dynamics"]
+        assert ref and got == ref
 
 
 # ------------------------------------------------ invariants on random turning frames

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import two_level_matrices
+from helpers import same_bits, two_level_matrices
 from ptdyn.dynamics import Equation, evolve_state
 from ptdyn.frames import FrameAxiomError, validate_frames
-from ptdyn.linalg import AntilinearOperator, eigenpairs, family_derivative, operator_norm
+from ptdyn.linalg import (AntilinearOperator, OperatorFamily, eigenpairs, family_derivative,
+                          family_derivatives, operator_norm)
 from ptdyn.models import (
     ScalarFunction,
     build_constant_metric,
     build_two_level,
+    two_level,
 )
 
 
@@ -273,3 +275,168 @@ def test_scalar_real_values_pass_as_float(value):
 def test_scalar_non_float_values_keep_the_non_real_check(value):
     with pytest.raises(ValueError, match="non-real"):
         ScalarFunction(lambda t: value)(0.0)
+
+
+# ------------------------------------------- array-valued presets and model families
+#
+# Each preset and each model family evaluates a whole time array with one
+# broadcasting expression. The scalar expressions below are the one-point
+# forms they replaced; the array forms must give the same bits, for one time
+# and for many.
+
+def _scalar_ramp(start, stop, t_start, t_end):
+    slope = (stop - start) / (t_end - t_start)
+
+    def fn(t):
+        if t <= t_start:
+            return start
+        if t >= t_end:
+            return stop
+        return start + slope * (float(t) - t_start)
+
+    return fn, lambda t: slope if t_start < t < t_end else 0.0
+
+
+def _scalar_sinusoid(amplitude, frequency, phase, offset):
+    return (lambda t: offset + amplitude * math.sin(frequency * t + phase),
+            lambda t: amplitude * frequency * math.cos(frequency * t + phase))
+
+
+SAMPLE_TIMES, SAMPLE_VALUES = [0.0, 0.4, 1.1, 2.0], [0.3, -0.2, 0.9, 0.1]
+
+# name -> (preset, scalar fn, scalar dfn or None)
+PRESETS = {
+    "constant": (ScalarFunction.constant(-1.75), lambda t: -1.75, lambda t: 0.0),
+    "ramp": (ScalarFunction.ramp(0.1, 0.45, 0.25, 1.5), *_scalar_ramp(0.1, 0.45, 0.25, 1.5)),
+    "sinusoid": (ScalarFunction.sinusoid(0.8, 2.3, phase=0.4, offset=-0.1),
+                 *_scalar_sinusoid(0.8, 2.3, 0.4, -0.1)),
+    "samples": (ScalarFunction.from_samples(SAMPLE_TIMES, SAMPLE_VALUES),
+                lambda t: float(np.interp(t, SAMPLE_TIMES, SAMPLE_VALUES)), None),
+}
+
+
+def _times(n, seed=5):
+    """n times in [-1, 3]: beyond both ramp ends, the ramp's and the samples' nodes included."""
+    special = [0.25, 1.5, 0.0, 0.4, 1.1, 2.0, -1.0, 3.0]
+    t = np.random.default_rng(seed).uniform(-1.0, 3.0, n)
+    t[:min(n, len(special))] = special[:n]
+    return t
+
+
+def _scalar_stack(fn, times):
+    return np.array([fn(float(t)) for t in times])
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("n", [1, 2, 5000])
+def test_presets_evaluate_an_array_as_the_scalar_expression(name, n):
+    preset, fn, dfn = PRESETS[name]
+    times = _times(n)
+    assert preset.vectorized
+    assert same_bits(preset(times), _scalar_stack(fn, times))
+    if dfn is not None:
+        assert same_bits(preset.dfn(times), _scalar_stack(dfn, times))
+    for t in times[:8]:
+        value = preset(t)
+        assert type(value) is float and same_bits(np.float64(value), np.float64(fn(float(t))))
+
+
+def test_models_on_plain_callables_evaluate_one_time_per_call():
+    calls = []
+    s = ScalarFunction(lambda t: calls.append(t) or 1.0 + 0.1 * t, lambda t: 0.1)
+    model = build_two_level(s, ScalarFunction.ramp(0.1, 0.3, 0.0, 1.0), np.linspace(0.0, 1.0, 3))
+    assert not s.vectorized and not model.hamiltonian.vectorized
+    assert model.frame_family.c_family.vectorized
+    times = np.linspace(0.0, 1.0, 7)
+    calls.clear()
+    model.hamiltonian.stack(times)
+    assert calls == times.tolist() and all(type(t) is np.float64 for t in calls)
+    bad = two_level(ScalarFunction(lambda t: 1j if t >= 0.5 else 1.0), s, 0.0, 1.0)
+    with pytest.raises(ValueError, match="non-real value .* at t=0.5"):
+        bad.hamiltonian.stack(times[::3])
+
+
+def _scalar_two_level(s, ds, a, da):
+    """H, dH/dt, C and dC/dt of the two-level model at one time, as the per-point closures
+    built them (s, a and their rates as floats)."""
+    ea = np.exp(1j * a)
+    H = np.array([[s * np.exp(1j * a), s], [s, s * np.exp(-1j * a)]], dtype=complex)
+    Hdot = np.array([[ds * ea + 1j * da * s * ea, ds], [ds, ds / ea - 1j * da * s / ea]],
+                    dtype=complex)
+    C = (1.0 / math.cos(a)) * np.array(
+        [[1j * math.sin(a), 1.0], [1.0, -1j * math.sin(a)]], dtype=complex)
+    Cdot = da * (math.tan(a) * C + 1j * np.diag([1.0, -1.0]))
+    return H, Hdot, C, Cdot
+
+
+def _family_stacks(model, times):
+    ham, cfam = model.hamiltonian, model.frame_family.c_family
+    return (ham.stack(times), family_derivatives(ham, times)[0],
+            cfam.stack(times), family_derivatives(cfam, times)[0])
+
+
+@pytest.mark.parametrize("alpha", ["ramp", "sinusoid"])
+@pytest.mark.parametrize("n", [1, 3, 5000])
+def test_two_level_stacks_are_the_scalar_expressions(alpha, n):
+    s = ScalarFunction.sinusoid(0.3, 1.7, phase=0.2, offset=1.1)
+    a = (ScalarFunction.ramp(-0.3, 0.7, 0.25, 1.5) if alpha == "ramp"
+         else ScalarFunction.sinusoid(0.6, 2.9, phase=-0.5))
+    model = build_two_level(s, a, np.linspace(-1.0, 3.0, 9))
+    times = np.sort(_times(n))
+    ref = [np.array(m) for m in zip(*(
+        _scalar_two_level(s(t), s.dfn(t), a(t), a.dfn(t)) for t in times))]
+    for got, want in zip(_family_stacks(model, times), ref):
+        assert same_bits(got, want)
+    # the same functions, called once per time, give the same bits
+    per_point = two_level(ScalarFunction(s.fn, s.dfn), ScalarFunction(a.fn, a.dfn), -1.0, 3.0)
+    for got, want in zip(_family_stacks(per_point, times), ref):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5000])
+def test_constant_metric_stacks_are_the_scalar_expressions(n):
+    frame = frozen_frame(0.4)
+    a = ScalarFunction.sinusoid(1.3, 0.9, phase=2.0)
+    b = ScalarFunction.ramp(0.5, 1.5, 0.25, 1.5)
+    model = build_constant_metric(a, b, frame, np.linspace(-1.0, 3.0, 9))
+    times = np.sort(_times(n))
+    eye = np.eye(2, dtype=complex)
+    H = np.array([a(t) * eye + b(t) * frame.c for t in times])
+    Hdot = np.array([a.dfn(t) * eye + b.dfn(t) * frame.c for t in times])
+    assert same_bits(model.hamiltonian.stack(times), H)
+    assert same_bits(family_derivatives(model.hamiltonian, times)[0], Hdot)
+
+
+def test_families_keep_the_one_time_form():
+    two = build_two_level(ScalarFunction.constant(1.0), ScalarFunction.ramp(0.1, 0.3, 0.0, 1.0),
+                          np.linspace(0.0, 1.0, 5))
+    constant = build_constant_metric(ScalarFunction.sinusoid(1.0, 1.0),
+                                     ScalarFunction.constant(0.5), frozen_frame(),
+                                     np.linspace(0.0, 1.0, 5))
+    families = (two.hamiltonian, two.frame_family.c_family, constant.hamiltonian,
+                constant.frame_family.c_family, OperatorFamily.constant(np.eye(3)))
+    for family in families:
+        assert family.vectorized
+        for t in (0.0, 0.3, np.float64(0.7)):
+            value, rate = family.evaluate(t), family.derivative(t)
+            assert value.shape == rate.shape == (family.stack([t]).shape[1],) * 2
+            assert same_bits(np.asarray(value, dtype=complex), family.stack([t, 1.0])[0])
+            assert same_bits(np.asarray(rate, dtype=complex),
+                             family_derivatives(family, [t, 1.0])[0][0])
+
+
+def test_vectorized_family_names_the_earliest_non_finite_time():
+    M = np.eye(2, dtype=complex)
+    calls = []
+
+    def evaluate(t):
+        calls.append(np.shape(t))
+        return np.where((np.asarray(t) > 0.4)[..., None, None], math.nan, 1.0) * M
+
+    family = OperatorFamily(0.0, 1.0, evaluate, vectorized=True)
+    with pytest.raises(ValueError, match=r"family value at t=0\.5 contains non-finite"):
+        family.stack(np.linspace(0.0, 1.0, 5))
+    assert calls == [(5,)]
+    with pytest.raises(ValueError, match=r"t=1\.5 outside family domain"):
+        family.stack([0.1, 0.2, 1.5, 0.3])
+    assert calls[-1] == (2,)
