@@ -15,6 +15,7 @@ grid point.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -186,6 +187,36 @@ def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> n
     return vals.real
 
 
+def _rk4_step(rate, ga, gb, gc, y, dh):
+    """One RK4 substep of y' = rate * g(t) y, with g = ga, gb, gb, gc at its four stages."""
+    k1 = rate * (ga @ y)
+    k2 = rate * (gb @ (y + 0.5 * dh * k1))
+    k3 = rate * (gb @ (y + 0.5 * dh * k2))
+    k4 = rate * (gc @ (y + dh * k3))
+    return y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_step_pair(v, rate, ga, gb, gc, y, dh):
+    """:func:`_rk4_step`, bit for bit, on a 2-vector held as two Python complex numbers.
+
+    Each stage's matrix-vector product stays numpy's: BLAS gemv on the scratch
+    2-vector ``v``, which ``@`` also calls. Every other product is one rounded
+    real product in either arithmetic, as ``rate`` has a zero real part and ``dh`` is real.
+    """
+    def slope(g, u, w):
+        v[0], v[1] = u, w
+        p, q = g.dot(v).tolist()
+        return rate * p, rate * q
+
+    y0, y1 = y
+    a0, a1 = slope(ga, y0, y1)
+    b0, b1 = slope(gb, y0 + 0.5 * dh * a0, y1 + 0.5 * dh * a1)
+    c0, c1 = slope(gb, y0 + 0.5 * dh * b0, y1 + 0.5 * dh * b1)
+    d0, d1 = slope(gc, y0 + dh * c0, y1 + dh * c1)
+    w = dh / 6.0
+    return (y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
+
+
 def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     """Fixed-step RK4 over the grid; returns (values at grid points, diagnostics).
 
@@ -197,11 +228,12 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     t + h, the one-point scheme's float expressions; a block evaluates the
     generator once per distinct node that is neither an interval start nor
     the last block's last node, as one ascending stack. The state arithmetic
-    is the one-point RK4's, so the values are bit-identical to evaluating
-    the generator at every stage. If a stack fails, the walk stops before
-    the node that fails first on its own in the one-point scheme's order
-    (an earlier non-finite state still aborts first) and raises its error.
-    Works unchanged for state vectors and for propagator matrices.
+    is the one-point RK4's: :func:`_rk4_step_pair` for a state vector of
+    dimension 2, the array step :func:`_rk4_step` for larger states and for
+    propagator matrices. So the values are bit-identical to evaluating the
+    generator at every stage. If a stack fails, the walk stops before the
+    node that fails first on its own in the one-point scheme's order (an
+    earlier non-finite state still aborts first) and raises its error.
 
     ``diagnostics`` holds the substep count of each interval and the number
     of generator evaluations. The nodes whose dC/dt fell back to a one-sided
@@ -212,6 +244,8 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     dim = problem.frame_family.dim
     y = y0.astype(complex)
     values = [y]
+    pair = functools.partial(_rk4_step_pair, np.empty(2, dtype=complex))
+    advance, y = (pair, y.tolist()) if y.shape == (2,) else (_rk4_step, y)
     evaluations = one_sided = 0
 
     def generators(times: np.ndarray) -> np.ndarray:
@@ -275,20 +309,16 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
                     raise
                 stop = lo + n // 3
                 continue
-        kept_t, kept = nodes[-1], gens[-1]
+        kept_t, kept, mats = nodes[-1], gens[-1], list(gens)
         index = (np.searchsorted(nodes, x).tolist() for x in (t_a, t_b, t_c))
         with np.errstate(over="ignore", invalid="ignore"):
             for j, a, b, c, dh in zip(sub.tolist(), *index, h[ks].tolist()):
-                k1 = rate * (gens[a] @ y)
-                k2 = rate * (gens[b] @ (y + 0.5 * dh * k1))
-                k3 = rate * (gens[b] @ (y + 0.5 * dh * k2))
-                k4 = rate * (gens[c] @ (y + dh * k3))
-                y = y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                y = advance(rate, mats[a], mats[b], mats[c], y, dh)
                 if j + 1 == first_list[k + 1]:
                     if not np.all(np.isfinite(y)):
                         raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
                                                f"and t={grid[k + 1]}", last_good_t=grid[k])
-                    values.append(y)
+                    values.append(np.asarray(y))
                     k += 1
                     enter(k)
         lo += sub.size

@@ -238,6 +238,33 @@ def test_sweep_records_an_svd_failure_as_an_error_row(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
 
+# hbar = 1e-300 scales the ramp's rate -i/hbar so far that its 2-vector state
+# overflows within the first grid interval.
+TINY_HBAR_ABORT = "state became non-finite between t=0.0 and t=0.005"
+
+
+def test_cli_overflowing_state_is_a_numerical_abort(tmp_path):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    raw = json.loads((ROOT / "scenarios" / "two_level_ramp.json").read_text())
+    raw["hbar"] = 1e-300
+    path = write_config(tmp_path, raw)
+    out = subprocess.run(
+        [sys.executable, "-m", "ptdyn.cli", "run", str(path), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.returncode == 3
+    assert out.stderr == f"numerical abort: {TINY_HBAR_ABORT}\n"
+
+
+def test_sweep_records_an_integration_abort_as_an_error_row(tmp_path):
+    cfg = load_config(ROOT / "scenarios" / "two_level_ramp.json")
+    rows = sweep(cfg, "hbar", [1.0, 1e-300], out_dir=tmp_path)
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert rows[1]["error"] == TINY_HBAR_ABORT
+    last = (tmp_path / "sweep.csv").read_text().splitlines()[-1]
+    assert last.endswith(",error," + TINY_HBAR_ABORT)
+
+
 # Edits of the ramp scenario (dotted key, value) and the field each error names.
 MALFORMED = {
     "hbar-string": ("hbar", "abc", "hbar"),

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -348,12 +349,16 @@ def _correction_like_compensated(model):
 
 
 def _problems(equation, substeps):
-    """The same equation on the two-level model and on the constant-metric model."""
+    """The same equation on the two-level model (at two values of hbar) and on the
+    constant-metric model."""
     x0 = np.array([1.0, 0.4 + 0.3j])
     two_level = two_level_model(amp=0.7, freq=1.7)
     correction = (_correction_like_compensated(two_level)
                   if equation is Equation.AUGMENTED else None)
     yield two_level.problem(np.linspace(0.0, 1.5, 16), equation, x0,
+                            substeps=substeps, correction=correction)
+    # hbar != 1: the rate -i/hbar is no longer exactly -i
+    yield two_level.problem(np.linspace(0.0, 1.5, 16), equation, x0, hbar=0.37,
                             substeps=substeps, correction=correction)
     constant = build_constant_metric(
         ScalarFunction.sinusoid(amplitude=1.2, frequency=1.3, phase=0.4),
@@ -391,8 +396,10 @@ def _cayley(A, t):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), points=st.integers(2, 5),
-       equation=st.sampled_from(list(Equation)), substeps=st.sampled_from([None, 1, 2, 5]))
-def test_stacked_rk4_bit_identical_on_random_frames(seed, dim, points, equation, substeps):
+       equation=st.sampled_from(list(Equation)), substeps=st.sampled_from([None, 1, 2, 5]),
+       hbar=st.sampled_from([1.0, 0.37, 2.5]))
+def test_stacked_rk4_bit_identical_on_random_frames(seed, dim, points, equation, substeps,
+                                                    hbar):
     # C(t) = R(t) C0 R(t)^T with R orthogonal and commuting with P stays a
     # valid frame; dC/dt is differenced, one-sided near t = 1.
     rng = np.random.default_rng(seed)
@@ -422,9 +429,48 @@ def test_stacked_rk4_bit_identical_on_random_frames(seed, dim, points, equation,
         equation=equation,
         initial_state=rng.normal(size=dim) + 1j * rng.normal(size=dim),
         correction=correction,
+        hbar=hbar,
         substeps=substeps,
     )
     _assert_matches_reference(problem)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5, 1e-300])
+def test_pair_step_is_the_array_step_bit_for_bit(hbar):
+    # random stage matrices and states over 600 decades of scale, so that some
+    # substeps overflow: those must turn non-finite in the same components
+    rng = np.random.default_rng(11)
+    rate = -1j / hbar
+    v = np.empty(2, dtype=complex)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-300, 300, size=(3, 2, 2))
+        ga, gb, gc = scale * (rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
+        y = 10.0 ** rng.uniform(-300, 300) * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        dh = 10.0 ** rng.uniform(-6, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = dynamics._rk4_step(rate, ga, gb, gc, y, dh)
+            got = np.array(dynamics._rk4_step_pair(v, rate, ga, gb, gc, y.tolist(), dh))
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def test_rk4_takes_the_pair_step_for_2_vectors_only(monkeypatch):
+    calls = []
+    for name in ("_rk4_step", "_rk4_step_pair"):
+        def counted(*args, _name=name, _step=getattr(dynamics, name)):
+            calls.append(_name)
+            return _step(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    problem = dataclasses.replace(_turning_problem(3, 2, 0.5), substeps=2)
+    evolve_state(problem)
+    assert calls == ["_rk4_step_pair"] * 20
+    calls.clear()
+    evolve_propagator(problem)
+    assert calls == ["_rk4_step"] * 20
+    calls.clear()
+    evolve_state(dataclasses.replace(_turning_problem(3, 3, 0.5), substeps=2))
+    assert calls == ["_rk4_step"] * 20
 
 
 def _counting_problem(grid, substeps, domain=(-100.0, 100.0)):
