@@ -209,12 +209,12 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,
             raise
         H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
     try:
-        lams, vecs = linalg.eigenpairs_stack(H)
+        lams, vecs, norms = linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
     except linalg.ConvergenceError as exc:
         failure, H = exc, H[:exc.index]
-        lams, vecs = linalg.eigenpairs_stack(H)
+        lams, vecs, norms = linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
     imag = np.abs(lams.imag)
-    scale = np.maximum(1.0, linalg.operator_norms(H))
+    scale = np.maximum(1.0, norms)  # ||H||, as the eigensolve's residual check took it
     broken = np.nonzero(imag.max(axis=1) > realness_tol * scale)[0]
     if broken.size:
         n = int(broken[0])

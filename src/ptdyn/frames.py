@@ -87,39 +87,43 @@ def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> tuple[dict, float, f
     return residuals, nP, nK
 
 
-def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: tuple, tol: float, times=None):
+_C_AXIOMS = ("C^2 = I", "CPT = TPC", "metric Hermitian")
+
+
+def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: tuple, tol: float, times=None,
+              start: int = 0):
     """Check the C-dependent axioms on a stack C of shape (n, d, d), given ``pt = _pt_axioms(P, K)``.
 
     Returns (residuals, metric, eigenvalues): per-point residual arrays keyed
     by axiom, the metric stack PC and its ascending eigenvalues. The first
     failing point raises :class:`FrameAxiomError` naming the first axiom it
-    fails, in :func:`validate_frames` order, and ``times[k]`` when given.
+    fails, in :func:`validate_frames` order, and ``times[k]`` when given. The
+    norms (C, PC and three residuals a point) come from one SVD, whose failure
+    at point k raises :class:`ConvergenceError` naming point ``start + k``.
     """
     eye = np.eye(P.shape[0])
     _, nP, nK = pt
-    nC = operator_norms(C)
     metric = P @ C
     metric_h = metric.conj().swapaxes(-1, -2)
-    nM = operator_norms(metric)
+    norms = linalg._joint_norms(
+        C, metric, C @ C - eye, C @ P @ K - K @ np.conj(P) @ np.conj(C), metric - metric_h,
+        start=start).reshape(5, C.shape[0])
+    nC, nM, resids = norms[0], norms[1], norms[2:]
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
-    checks = {
-        "C^2 = I": (operator_norms(C @ C - eye), nC * nC),
-        "CPT = TPC": (operator_norms(C @ P @ K - K @ np.conj(P) @ np.conj(C)), nC * nP * nK),
-        "metric Hermitian": (operator_norms(metric - metric_h), nM),
-    }
-    failed = {axiom: resid > tol * np.maximum(scale, 1.0) for axiom, (resid, scale) in checks.items()}
-    failed["metric positive definite"] = eigs[:, 0] <= tol * nM
-    bad = np.logical_or.reduce(list(failed.values()))
+    scales = np.array((nC * nC, nC * nP * nK, nM))  # in _C_AXIOMS order
+    failed = np.concatenate((resids > tol * np.maximum(scales, 1.0), [eigs[:, 0] <= tol * nM]))
+    bad = failed.any(axis=0)
     if bad.any():
         k = int(np.argmax(bad))
-        axiom = next(name for name, mask in failed.items() if mask[k])
-        if axiom == "metric positive definite":
+        i = int(np.argmax(failed[:, k]))
+        if i == len(_C_AXIOMS):
+            axiom = "metric positive definite"
             detail = f"minimum eigenvalue of PC is {eigs[k, 0]:.3e} (metric norm {nM[k]:.3g})"
         else:
-            resid, scale = checks[axiom][0][k], checks[axiom][1][k]
-            detail = f"residual {resid:.3e} (tolerance {tol:.1e}, scale {scale:.3g})"
+            axiom = _C_AXIOMS[i]
+            detail = f"residual {resids[i, k]:.3e} (tolerance {tol:.1e}, scale {scales[i, k]:.3g})"
         raise FrameAxiomError(axiom, detail if times is None else f"{detail} at t={times[k]}")
-    return {axiom: resid for axiom, (resid, _) in checks.items()}, metric, eigs
+    return dict(zip(_C_AXIOMS, resids)), metric, eigs
 
 
 def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL) -> CPTFrame:
@@ -223,38 +227,35 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
     """Symmetry reports of a stack of H against a stack of metrics PC."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    nH = operator_norms(hams)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
         pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
         cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
-    pt_residual, cpt_residual = operator_norms(pt_residual), operator_norms(cpt_residual)
-    cpt_scale = nH * operator_norms(metrics)
-    map_scale = max(1.0, float(operator_norms(pt_map)))
-    lams, vecs = linalg.eigenpairs_stack(hams, tol=max(tol, linalg.DEFAULT_EIGEN_TOL))
+    norms = linalg._joint_norms(hams, pt_residual, cpt_residual, metrics, pt_map[None])
+    nH, pt_residual, cpt_residual, nM = norms[:-1].reshape(4, len(hams))
+    cpt_scale = nH * nM
+    map_scale = max(1.0, float(norms[-1]))
+    lams, vecs, _ = linalg._eigenpairs(hams, max(tol, linalg.DEFAULT_EIGEN_TOL), nH)
     realness = np.abs(lams.imag).max(axis=1)
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
     # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
-    joined = np.abs(np.diff(lams, axis=1)) <= tol * np.maximum(nH, 1.0)[:, None]
-    clustered = np.pad(joined, ((0, 0), (1, 0))) | np.pad(joined, ((0, 0), (0, 1)))
+    joined = np.abs(lams[:, 1:] - lams[:, :-1]) <= tol * np.maximum(nH, 1.0)[:, None]
+    clustered = np.zeros(lams.shape, dtype=bool)
+    clustered[:, 1:] = joined
+    clustered[:, :-1] |= joined
     images = np.conj(vecs) @ pt_map.T  # images[k, i] = PT map of eigenvector i at point k
     mu = np.vecdot(vecs, images)
     fails = ~clustered & ((linalg._vector_norms(images - mu[..., None] * vecs) > tol * map_scale)
                           | (np.abs(np.abs(mu) - 1.0) > tol * 10))
-    reports = []
-    for k in range(hams.shape[0]):
-        pt_symmetric = bool(pt_residual[k] <= tol * max(nH[k], 1e-300))
-        unbroken = pt_symmetric and not fails[k].any() and (
-            not joined[k].any() or _clusters_invariant(lams[k], vecs[k], joined[k], pt_map,
-                                                       tol * map_scale))
-        reports.append(SymmetryReport(
-            pt_symmetric=pt_symmetric,
-            cpt_hermitian=bool(cpt_residual[k] <= tol * max(cpt_scale[k], 1e-300)),
-            unbroken=unbroken,
-            eigen_realness=float(realness[k]),
-            pt_residual=float(pt_residual[k]),
-            cpt_residual=float(cpt_residual[k]),
-        ))
-    return reports
+    pt_symmetric = pt_residual <= tol * np.maximum(nH, 1e-300)
+    unbroken = pt_symmetric & ~fails.any(axis=1)
+    for k in np.flatnonzero(unbroken & joined.any(axis=1)):
+        unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, tol * map_scale)
+    cpt_hermitian = cpt_residual <= tol * np.maximum(cpt_scale, 1e-300)
+    return [SymmetryReport(pt_symmetric=s, cpt_hermitian=h, unbroken=u, eigen_realness=r,
+                           pt_residual=p, cpt_residual=c)
+            for s, h, u, r, p, c in zip(pt_symmetric.tolist(), cpt_hermitian.tolist(),
+                                        unbroken.tolist(), realness.tolist(),
+                                        pt_residual.tolist(), cpt_residual.tolist())]
 
 
 def _clusters_invariant(lams, vecs, joined, pt_map, vec_tol: float) -> bool:
@@ -373,8 +374,10 @@ class FrameGrid:
 
         C is evaluated on the whole grid first, then dC/dt, each raising at
         its earliest failing time. The C-dependent axioms are then checked in
-        ``linalg.STACK_ENTRIES`` stacks: :class:`FrameAxiomError` names the
-        axiom and time of the first failure.
+        stacks whose SVD (five matrices a point) holds at most
+        ``linalg.STACK_ENTRIES`` entries: :class:`FrameAxiomError` names the
+        axiom and time of the first failure, :class:`ConvergenceError` the
+        grid index of the first point whose SVD fails.
         """
         P, K = family.p, family.t.conj_matrix
         grid = np.array(grid, dtype=float)
@@ -389,11 +392,11 @@ class FrameGrid:
         residuals = dict(family._pt[0])
         metric = np.empty_like(c)
         eigs = np.empty((n, dim))
-        step = max(1, linalg.STACK_ENTRIES // dim ** 2)
+        step = max(1, linalg.STACK_ENTRIES // (5 * dim ** 2))
         for lo in range(0, n, step):
             part = slice(lo, lo + step)
             chunk_residuals, metric[part], eigs[part] = _c_axioms(
-                c[part], P, K, family._pt, family.tol, grid[part])
+                c[part], P, K, family._pt, family.tol, grid[part], lo)
             for axiom, resid in chunk_residuals.items():
                 residuals[axiom] = max(residuals.get(axiom, 0.0), float(resid.max()))
         residuals["metric min eigenvalue"] = float(eigs[:, 0].min())

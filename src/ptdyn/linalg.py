@@ -59,7 +59,7 @@ def as_operator(M, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     if A.shape[0] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return A
 
@@ -69,7 +69,7 @@ def as_state(v, name: str = "vector") -> np.ndarray:
     x = np.asarray(v, dtype=complex)
     if x.ndim != 1 or x.shape[0] < 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return x
 
@@ -219,15 +219,26 @@ def operator_norms(X) -> np.ndarray:
     matrices one at a time once the stacked SVD has failed.
     """
     try:
-        return np.linalg.norm(X, 2, axis=(-2, -1))
+        return np.linalg.svd(X, compute_uv=False).max(axis=-1)  # what np.linalg.norm(A, 2) takes
     except np.linalg.LinAlgError:
         X = np.asarray(X)
         for k, A in enumerate(X.reshape(-1, *X.shape[-2:])):
             try:
-                np.linalg.norm(A, 2)
+                np.linalg.svd(A, compute_uv=False)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"SVD did not converge for stack matrix {k}", index=k) from exc
         raise
+
+
+def _joint_norms(*stacks, start: int = 0) -> np.ndarray:
+    """:func:`operator_norms` of stacks, concatenated, in one SVD. Each stack holds one matrix
+    per point start, ..., start + n - 1 (a last one may hold fewer). The first failing matrix j
+    of the concatenation raises :class:`ConvergenceError` naming point start + j mod n."""
+    try:
+        return operator_norms(np.concatenate(stacks))
+    except ConvergenceError as exc:
+        k = start + exc.index % len(stacks[0])
+        raise ConvergenceError(f"SVD did not converge for stack matrix {k}", index=k) from exc.__cause__
 
 
 def _vector_norms(X: np.ndarray) -> np.ndarray:
@@ -274,9 +285,9 @@ def _eigenpairs_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phase_gauge(V: np.ndarray) -> np.ndarray:
-    """Rotate each vector so its first largest-modulus component is real and positive."""
-    idx = np.argmax(np.abs(V), axis=-1)[..., None]
-    pivot = np.take_along_axis(V, idx, axis=-1)
+    """Rotate each row of an (n, d, d) stack so its first largest-modulus entry is real positive."""
+    rows = V.reshape(-1, V.shape[-1])
+    pivot = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=-1)].reshape(*V.shape[:-1], 1)
     gauged = V * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
     return np.where(pivot == 0.0, V, gauged)
 
@@ -316,35 +327,45 @@ def eigenpairs_stack(X, tol: float = DEFAULT_EIGEN_TOL) -> tuple[np.ndarray, np.
     time. The first matrix that fails raises :class:`ConvergenceError`
     with its position in ``index``.
     """
+    return _eigenpairs(X, tol)[:2]
+
+
+def _eigenpairs(X, tol: float, norms: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+    """:func:`eigenpairs_stack`, plus the norms ||M|| of its residual check; ``norms``, when
+    given, must be ``operator_norms(X)``, which the check then takes instead of computing."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] < 1:
         raise ValueError(f"matrix stack must have shape (n, d, d) with d >= 1, got {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise NonFiniteError("matrix stack contains non-finite entries")
     if tol <= 0:
         raise ValueError("tol must be positive")
     lams = np.empty(X.shape[:2], dtype=complex)
     vecs = np.empty(X.shape, dtype=complex)
+    out_norms = np.empty(X.shape[0])
     step = max(1, STACK_ENTRIES // X.shape[1] ** 2)
     for lo in range(0, X.shape[0], step):
         part = slice(lo, lo + step)
         try:
-            lams[part], vecs[part] = _checked_eigenpairs(X[part], tol)
+            lams[part], vecs[part], out_norms[part] = _checked_eigenpairs(
+                X[part], tol, None if norms is None else norms[part])
         except ConvergenceError as exc:
             exc.index += lo
             raise
-    return lams, vecs
+    return lams, vecs, out_norms
 
 
-def _checked_eigenpairs(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eigenpairs_stack` of one chunk, without the input checks."""
+def _checked_eigenpairs(X: np.ndarray, tol: float, norms: Optional[np.ndarray]
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_eigenpairs` of one chunk, without the input checks."""
     lams, vecs = _eigenpairs_2x2(X) if X.shape[1] == 2 else _eig(X, tol)
     order = np.lexsort((lams.imag, lams.real), axis=-1)
-    lams = np.take_along_axis(lams, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None], axis=-2)
+    rows = np.arange(X.shape[0])[:, None]
+    lams, vecs = lams[rows, order], vecs[rows, order]
     vecs = _phase_gauge(vecs / _vector_norms(vecs)[..., None])
     resid = _vector_norms(np.matmul(X[:, None], vecs[..., None])[..., 0] - lams[..., None] * vecs)
-    bad = resid > tol * np.maximum(operator_norms(X), 1e-300)[:, None]
+    norms = operator_norms(X) if norms is None else norms
+    bad = resid > tol * np.maximum(norms, 1e-300)[:, None]
     if bad.any():
         k = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[k]))
@@ -352,7 +373,7 @@ def _checked_eigenpairs(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
             f"eigenpair residual {resid[k, i]:.3e} exceeds {tol:.1e}*||M|| for matrix:\n{X[k]}",
             index=k,
         )
-    return lams, vecs
+    return lams, vecs, norms
 
 
 def eigenpairs(M, tol: float = DEFAULT_EIGEN_TOL) -> list[tuple[complex, np.ndarray]]:

@@ -1,5 +1,14 @@
-import numpy as np
-import pytest
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # OpenBLAS reads its thread count once, when numpy loads. Its default (one
+    # thread per core) makes the small-matrix kernels crawl next to other CPU
+    # load; an explicit setting in the environment wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from ptdyn import linalg
 from ptdyn.adiabatic import BrokenSymmetryError, EigenFrame, LevelTrackingError
 from ptdyn.dynamics import STEP_NORM_WARN, SUBSTEP_DENSITY, Equation, IntegrationAbort
-from ptdyn.frames import FrameFamily
+from ptdyn.frames import FrameFamily, SymmetryReport
 from ptdyn.linalg import AntilinearOperator, ConvergenceError, OperatorFamily, as_operator
 
 reference_logger = logging.getLogger("rk4_reference")
@@ -59,6 +59,29 @@ def random_frame_matrices(rng, dim: int):
     P = direct_sum(blocks_p)
     Q = random_orthogonal(rng, dim).astype(complex)
     return Q @ C @ Q.T, Q @ P @ Q.T, np.eye(dim, dtype=complex)
+
+
+def unbroken_model_matrices(rng, dim: int):
+    """(H, C, P, K): a random frame as in :func:`random_frame_matrices`, and an H that is
+    PT-symmetric, metric-Hermitian and unbroken with a spectrum of distinct levels.
+
+    H is the two-level Hamiltonian of each block's angle (strength in [0.5, 1.5],
+    shifted by 4 per block), conjugated by the frame's orthogonal matrix.
+    """
+    blocks_h, blocks_c, blocks_p = [], [], []
+    for j in range(dim // 2):
+        a = rng.uniform(-1.0, 1.0) * (np.pi / 3) * 0.98
+        H2, C2, P2 = two_level_matrices(rng.uniform(0.5, 1.5), a)
+        blocks_h.append(H2 + 4.0 * j * np.eye(2))
+        blocks_c.append(C2)
+        blocks_p.append(P2)
+    if dim % 2:
+        blocks_h.append(np.full((1, 1), -4.0, dtype=complex))
+        blocks_c.append(np.eye(1, dtype=complex))
+        blocks_p.append(np.eye(1, dtype=complex))
+    Q = random_orthogonal(rng, dim).astype(complex)
+    H, C, P = (Q @ direct_sum(b) @ Q.T for b in (blocks_h, blocks_c, blocks_p))
+    return H, C, P, np.eye(dim, dtype=complex)
 
 
 def direct_sum(blocks):
@@ -316,6 +339,68 @@ def reference_eigenpairs(M, tol=linalg.DEFAULT_EIGEN_TOL):
             )
         out.append((lam, v))
     return out
+
+
+def _reference_norm(A) -> float:
+    return float(np.linalg.norm(A, 2))
+
+
+def reference_frame_residuals(C, P, K):
+    """The residuals :func:`validate_frames` records, one ``np.linalg.norm(A, 2)`` per matrix."""
+    eye = np.eye(P.shape[0])
+    metric = P @ C
+    metric_h = metric.conj().T
+    return {
+        "P^2 = I": _reference_norm(P @ P - eye),
+        "T^2 = I": _reference_norm(K @ np.conj(K) - eye),
+        "PT = TP": _reference_norm(P @ K - K @ np.conj(P)),
+        "C^2 = I": _reference_norm(C @ C - eye),
+        "CPT = TPC": _reference_norm(C @ P @ K - K @ np.conj(P) @ np.conj(C)),
+        "metric Hermitian": _reference_norm(metric - metric_h),
+        "metric min eigenvalue": float(np.linalg.eigvalsh(0.5 * (metric + metric_h))[0]),
+    }
+
+
+def reference_symmetry_report(frame, H, tol):
+    """The one-point symmetry classification, one ``np.linalg.norm(A, 2)`` per matrix, with
+    :func:`reference_eigenpairs` and the eigenvalue clusters' PT-invariance tested per vector."""
+    H = as_operator(H)
+    pt_map = frame.p @ frame.t.conj_matrix
+    metric = frame.metric
+    nH = _reference_norm(H)
+    pt_residual = _reference_norm(H @ pt_map - pt_map @ np.conj(H))
+    cpt_residual = _reference_norm(H.conj().T @ metric - metric @ H)
+    vec_tol = tol * max(1.0, _reference_norm(pt_map))
+    pairs = reference_eigenpairs(H, tol=max(tol, linalg.DEFAULT_EIGEN_TOL))
+    lams = np.array([lam for lam, _ in pairs])
+    pt_symmetric = pt_residual <= tol * max(nH, 1e-300)
+    unbroken = pt_symmetric
+    # clusters: runs of eigenvalues each within tol*max(||H||, 1) of the one before
+    start = 0
+    for i in range(1, len(pairs) + 1):
+        if i < len(pairs) and abs(lams[i] - lams[i - 1]) <= tol * max(nH, 1.0):
+            continue
+        vecs = np.array([v for _, v in pairs[start:i]])
+        if i - start == 1:
+            image = pt_map @ np.conj(vecs[0])
+            mu = np.vdot(vecs[0], image)
+            if np.linalg.norm(image - mu * vecs[0]) > vec_tol or abs(abs(mu) - 1.0) > tol * 10:
+                unbroken = False
+        else:
+            Q, _ = np.linalg.qr(vecs.T)
+            for q in Q.T:
+                w = pt_map @ np.conj(q)
+                if np.linalg.norm(w - Q @ Q.conj().T @ w) > vec_tol:
+                    unbroken = False
+        start = i
+    return SymmetryReport(
+        pt_symmetric=pt_symmetric,
+        cpt_hermitian=cpt_residual <= tol * max(nH * _reference_norm(metric), 1e-300),
+        unbroken=unbroken,
+        eigen_realness=float(np.abs(lams.imag).max()),
+        pt_residual=pt_residual,
+        cpt_residual=cpt_residual,
+    )
 
 
 def best_overlap_match(overlap, threshold):

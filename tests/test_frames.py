@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import random_frame_matrices, rotating_frame_model, two_level_matrices
+from helpers import (random_frame_matrices, reference_frame_residuals, reference_symmetry_report,
+                     rotating_frame_model, two_level_matrices, unbroken_model_matrices)
 from ptdyn import frames
 from ptdyn.frames import (
     FrameAxiomError,
@@ -20,7 +21,7 @@ from ptdyn.frames import (
     symmetry_report,
     validate_frames,
 )
-from ptdyn.linalg import AntilinearOperator, OperatorFamily, operator_norm
+from ptdyn.linalg import AntilinearOperator, ConvergenceError, OperatorFamily, operator_norm
 
 SQRT3 = math.sqrt(3.0)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -404,3 +405,71 @@ def test_family_rejects_p_t_at_construction():
         FrameFamily(OperatorFamily.constant(C), 2.0 * SWAP, conjugation())
     with pytest.raises(ValueError, match="dimension mismatch: P"):
         FrameFamily(OperatorFamily.constant(C), SWAP, conjugation(3))
+
+
+# ------------------------------------------------------ one-point kernels
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), omega=st.floats(0.1, 3.0),
+       tol=st.sampled_from([1e-10, 1e-9]))
+def test_one_point_kernels_match_the_one_norm_per_matrix_reference(seed, dim, omega, tol):
+    # The frame check and the symmetry report take their norms in one stacked SVD;
+    # every residual and report field is still what one norm per matrix gives. H is
+    # unbroken with distinct levels, C itself (two degenerate levels), a generic
+    # matrix (broken), and a metric-Hermitian H that is not PT-symmetric.
+    rng = np.random.default_rng(seed)
+    H, C, P, K = unbroken_model_matrices(rng, dim)
+    T = AntilinearOperator(K)
+    frame = validate_frames(C, P, T, tol)
+    assert repr(frame.residuals) == repr(reference_frame_residuals(C, P, K))
+    generic = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for X in (H, C, generic):
+        assert repr(symmetry_report(frame, X, tol)) == repr(reference_symmetry_report(frame, X, tol))
+    assert symmetry_report(frame, H, tol).unbroken
+
+    ham, fam = rotating_frame_model(seed, dim, omega)
+    grid = np.linspace(0.0, 1.0, 5)
+    fg = fam.on_grid(grid)
+    for hams in (ham.stack(grid), fg.c):
+        one_point = []
+        for t, X in zip(grid, hams):
+            frame = fam.frame_at(t)
+            assert repr(frame.residuals) == repr(reference_frame_residuals(fam.c_at(t), fam.p, fam.t.conj_matrix))
+            one_point.append(symmetry_report(frame, X, tol))
+            assert repr(one_point[-1]) == repr(reference_symmetry_report(frame, X, tol))
+        assert repr(fg.symmetry_reports(hams, tol)) == repr(one_point)
+
+
+def test_batched_norm_failure_names_the_point_within_the_stack():
+    # H at point k is finite, with one entry near the largest float. Its norm, the
+    # first matrix of the point in the batched SVD, converges; its metric residual
+    # H^dag PC - PC H, the third, holds a NaN (inf - inf) beside finite entries.
+    n, k = 7, 4
+    H, C, P = two_level_matrices(1.0, 1.2)
+    frame = validate_frames(C, P, conjugation())
+    hams = np.stack([H] * n)
+    hams[k] = np.diag([1e308 * (1 + 1j), 1.0])
+    pt_map = frame.p @ frame.t.conj_matrix
+    with pytest.raises(ConvergenceError, match=f"^SVD did not converge for stack matrix {k}$") as err:
+        frames._classify(pt_map, np.stack([frame.metric] * n), hams, 1e-10)
+    assert err.value.index == k
+    grid = np.linspace(0.0, 1.0, n)
+    with pytest.raises(ConvergenceError) as err:
+        FrameFamily.constant(frame).on_grid(grid).symmetry_reports(hams)
+    assert err.value.index == k
+    assert str(err.value) == f"symmetry scan at t={grid[k]}: SVD did not converge for stack matrix {k}"
+
+
+def test_frame_grid_svd_failure_names_the_grid_point():
+    # At 2x2 the axiom check takes 409 points a stack. C at point 700 (in the
+    # second stack) is finite, and so is PC; C^2 - I, the third matrix of the
+    # point in the batched SVD, holds a NaN (inf - inf) beside finite entries.
+    grid = np.linspace(0.0, 1.0, 1000)
+    _, C, P = two_level_matrices(1.0, 0.3)
+    huge = np.diag([1e308 * (1 + 1j), 1.0])
+    fam = FrameFamily(OperatorFamily(0.0, 1.0, lambda t: huge if t == grid[700] else C),
+                      P, conjugation())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as err:
+        fam.on_grid(grid)
+    assert err.value.index == 700
+    assert str(err.value) == "SVD did not converge for stack matrix 700"

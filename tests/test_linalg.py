@@ -179,6 +179,22 @@ def test_operator_norms_names_the_matrix_whose_svd_fails():
     assert np.array_equal(operator_norms(stack[[0, 2]]), [1.0, 2.0])
 
 
+def test_joint_norms_name_the_point_of_the_first_failing_matrix():
+    # Three 5-point stacks in one SVD: the second fails at point 3, the third at point 1.
+    # The first failing matrix of the concatenation is the second stack's, at point 3.
+    eye = np.stack([np.eye(2)] * 5)
+    second, third = eye.copy(), eye.copy()
+    second[3] = third[1] = np.diag([np.nan, 1.0])
+    with pytest.raises(ConvergenceError, match="^SVD did not converge for stack matrix 3$") as err:
+        linalg._joint_norms(eye, second, third)
+    assert err.value.index == 3
+    with pytest.raises(ConvergenceError, match="^SVD did not converge for stack matrix 43$") as err:
+        linalg._joint_norms(eye, second, third, start=40)
+    assert err.value.index == 43
+    norms = linalg._joint_norms(eye, 2.0 * eye, np.eye(2)[None])
+    assert norms.tolist() == [1.0] * 5 + [2.0] * 5 + [1.0]
+
+
 # ---------------------------------------------------------- family_derivative
 
 def test_family_derivative_constant_and_linear():
