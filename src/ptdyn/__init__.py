@@ -35,7 +35,6 @@ from .dynamics import (
     effective_generator,
     evolve_propagator,
     evolve_state,
-    norm_drift_rate,
 )
 from .frames import (
     CPTFrame,
@@ -55,9 +54,7 @@ from .linalg import (
     ConvergenceError,
     NonFiniteError,
     OperatorFamily,
-    eigenpairs,
     eigenpairs_stack,
-    family_derivative,
     operator_norm,
 )
 from .models import (
@@ -103,18 +100,15 @@ __all__ = [
     "cpt_norm",
     "dynamical_phase",
     "effective_generator",
-    "eigenpairs",
     "eigenpairs_stack",
     "evolve_propagator",
     "evolve_state",
-    "family_derivative",
     "fidelity_loss",
     "frame_from_dict",
     "frame_to_dict",
     "gauge_fix",
     "level_coupling_residual",
     "load_config",
-    "norm_drift_rate",
     "norm_equivalence_bounds",
     "operator_norm",
     "operator_phase",

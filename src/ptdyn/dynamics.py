@@ -35,7 +35,6 @@ __all__ = [
     "OperatorFamily",
     "Trajectory",
     "effective_generator",
-    "norm_drift_rate",
     "evolve_state",
     "evolve_propagator",
 ]
@@ -147,29 +146,15 @@ def _generators(problem: EvolutionProblem, times: np.ndarray) -> tuple[np.ndarra
     return H - 0.5j * problem.hbar * (C @ Cdot), one_sided
 
 
-def norm_drift_rate(problem: EvolutionProblem, phi: np.ndarray, t: float) -> float:
-    """d/dt of the squared frame norm along a solution at (phi, t).
+def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> np.ndarray:
+    """d/dt of the squared frame norm along a solution, at each (times[k], states[k]),
+    from stacked C, dC/dt and PC.
 
     For the Schrodinger equation this is <phi|P Cdot phi>; the augmented
     equation adds (2/hbar) PC G. For the compensated equation the quantity
-    vanishes identically and the computed value is returned as a residual
-    health check. The value is analytically real; a notable imaginary part
-    is logged. This is the one-point case of the rates :func:`evolve_state`
-    records.
-    """
-    fam = problem.frame_family
-    C = fam.c_at(t)
-    return float(_drift_rates(
-        problem, np.array([t]), C[None], fam.cdot_at(t)[None], (fam.p @ C)[None],
-        as_state(phi)[None],
-    )[0])
-
-
-def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> np.ndarray:
-    """:func:`norm_drift_rate` at each (times[k], states[k]) from stacked C, dC/dt and PC.
-
-    When any value has an imaginary part above 1e-10 * max(|value|, 1), the
-    largest |Im| and its time are logged once.
+    vanishes identically and the computed value is a residual health check.
+    The value is analytically real: when any value has an imaginary part
+    above 1e-10 * max(|value|, 1), the largest |Im| and its time are logged once.
     """
     cdot_phi = np.einsum("kij,kj->ki", cdot, states)
     op_phi = np.einsum("ij,kj->ki", problem.frame_family.p, cdot_phi)

@@ -72,7 +72,7 @@ class CPTFrame:
 
 def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
     residuals[axiom] = resid
-    if resid > tol * max(scale, 1.0):
+    if not resid <= tol * max(scale, 1.0):  # a NaN residual fails
         raise FrameAxiomError(axiom, f"residual {resid:.3e} (tolerance {tol:.1e}, scale {scale:.3g})")
 
 
@@ -111,7 +111,8 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: tuple, tol: float
     nC, nM, resids = norms[0], norms[1], norms[2:]
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
     scales = np.array((nC * nC, nC * nP * nK, nM))  # in _C_AXIOMS order
-    failed = np.concatenate((resids > tol * np.maximum(scales, 1.0), [eigs[:, 0] <= tol * nM]))
+    # written so that a NaN residual or eigenvalue fails
+    failed = ~np.concatenate((resids <= tol * np.maximum(scales, 1.0), [eigs[:, 0] > tol * nM]))
     bad = failed.any(axis=0)
     if bad.any():
         k = int(np.argmax(bad))
@@ -313,16 +314,6 @@ class FrameFamily:
     def dim(self) -> int:
         return self.p.shape[0]
 
-    def c_at(self, t: float) -> np.ndarray:
-        return self.c_family(t)
-
-    def cdot_at(self, t: float) -> np.ndarray:
-        return linalg.family_derivative(self.c_family, t)
-
-    def metric_at(self, t: float) -> np.ndarray:
-        """PC(t) without running full frame validation."""
-        return self.p @ self.c_family(t)
-
     def frame_at(self, t: float) -> CPTFrame:
         """Validated frame at time t (the C-dependent axioms checked)."""
         return _validated(self.c_family(t), self.p, self.t, self.tol, self._pt)
@@ -377,7 +368,7 @@ class FrameGrid:
         stacks whose SVD (five matrices a point) holds at most
         ``linalg.STACK_ENTRIES`` entries: :class:`FrameAxiomError` names the
         axiom and time of the first failure, :class:`ConvergenceError` the
-        grid index of the first point whose SVD fails.
+        grid time and index of the first point whose SVD fails.
         """
         P, K = family.p, family.t.conj_matrix
         grid = np.array(grid, dtype=float)
@@ -395,8 +386,12 @@ class FrameGrid:
         step = max(1, linalg.STACK_ENTRIES // (5 * dim ** 2))
         for lo in range(0, n, step):
             part = slice(lo, lo + step)
-            chunk_residuals, metric[part], eigs[part] = _c_axioms(
-                c[part], P, K, family._pt, family.tol, grid[part], lo)
+            try:
+                chunk_residuals, metric[part], eigs[part] = _c_axioms(
+                    c[part], P, K, family._pt, family.tol, grid[part], lo)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"frame check at t={grid[exc.index]}: {exc}",
+                                       exc.index) from exc
             for axiom, resid in chunk_residuals.items():
                 residuals[axiom] = max(residuals.get(axiom, 0.0), float(resid.max()))
         residuals["metric min eigenvalue"] = float(eigs[:, 0].min())

@@ -7,7 +7,6 @@ shared mutable state.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -22,18 +21,14 @@ __all__ = [
     "as_operator",
     "as_state",
     "as_grid",
-    "eigenpairs",
     "eigenpairs_stack",
     "operator_norm",
     "operator_norms",
-    "family_derivative",
     "family_derivatives",
 ]
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_EIGEN_TOL = 1e-12
-# Matrix entries per stack (eigensolve, axiom check, RK4 block): each temporary stays <= 128 KiB.
+# Matrix entries per chunk (axiom check, eigenframe, RK4 block): each temporary stays <= 128 KiB.
 STACK_ENTRIES = 2**13
 
 
@@ -316,16 +311,16 @@ def eigenpairs_stack(X, tol: float = DEFAULT_EIGEN_TOL) -> tuple[np.ndarray, np.
     """Eigenvalues and eigenvectors of each matrix in an (n, d, d) stack.
 
     Returns ``(values, vectors)`` of shapes (n, d) and (n, d, d), where
-    ``vectors[k, i]`` is the eigenvector (a row) of ``values[k, i]``. Each
-    matrix gets, bit for bit, what :func:`eigenpairs` (its one-point case)
-    gives it: pairs sorted by (real, imaginary) part of the eigenvalue,
-    unit Euclidean norm, the phase gauge, and the residual check
-    ``||M v - lam v|| <= tol * ||M||``.
+    ``vectors[k, i]`` is the eigenvector (a row) of ``values[k, i]``. Per
+    matrix, pairs are sorted by (real, imaginary) part of the eigenvalue,
+    have unit Euclidean norm and a deterministic phase gauge (the first
+    largest-modulus component is real positive), and pass the residual
+    check ``||M v - lam v|| <= tol * ||M||``. Each matrix gets the same bits
+    whatever stack it is solved in.
 
     2x2 matrices use the closed-form quadratic elementwise; larger ones a
-    stacked LAPACK solve. Matrices are taken STACK_ENTRIES entries at a
-    time. The first matrix that fails raises :class:`ConvergenceError`
-    with its position in ``index``.
+    stacked LAPACK solve, of the whole stack at once. The first matrix that
+    fails raises :class:`ConvergenceError` with its position in ``index``.
     """
     return _eigenpairs(X, tol)[:2]
 
@@ -340,24 +335,6 @@ def _eigenpairs(X, tol: float, norms: Optional[np.ndarray] = None) -> tuple[np.n
         raise NonFiniteError("matrix stack contains non-finite entries")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lams = np.empty(X.shape[:2], dtype=complex)
-    vecs = np.empty(X.shape, dtype=complex)
-    out_norms = np.empty(X.shape[0])
-    step = max(1, STACK_ENTRIES // X.shape[1] ** 2)
-    for lo in range(0, X.shape[0], step):
-        part = slice(lo, lo + step)
-        try:
-            lams[part], vecs[part], out_norms[part] = _checked_eigenpairs(
-                X[part], tol, None if norms is None else norms[part])
-        except ConvergenceError as exc:
-            exc.index += lo
-            raise
-    return lams, vecs, out_norms
-
-
-def _checked_eigenpairs(X: np.ndarray, tol: float, norms: Optional[np.ndarray]
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_eigenpairs` of one chunk, without the input checks."""
     lams, vecs = _eigenpairs_2x2(X) if X.shape[1] == 2 else _eig(X, tol)
     order = np.lexsort((lams.imag, lams.real), axis=-1)
     rows = np.arange(X.shape[0])[:, None]
@@ -374,31 +351,6 @@ def _checked_eigenpairs(X: np.ndarray, tol: float, norms: Optional[np.ndarray]
             index=k,
         )
     return lams, vecs, norms
-
-
-def eigenpairs(M, tol: float = DEFAULT_EIGEN_TOL) -> list[tuple[complex, np.ndarray]]:
-    """Eigenvalue/eigenvector pairs of a square complex matrix.
-
-    Pairs are sorted by (real, imaginary) part of the eigenvalue ascending.
-    Eigenvectors have unit Euclidean norm and a deterministic phase gauge
-    (the first largest-modulus component is real positive). Every pair is
-    verified to satisfy ``||M v - lam v|| <= tol * ||M||``.
-
-    2x2 inputs use the closed-form quadratic; larger ones use the LAPACK
-    dense solver. A failed residual check raises :class:`ConvergenceError`.
-    This is the one-point case of :func:`eigenpairs_stack`.
-    """
-    A = as_operator(M)
-    lams, vecs = eigenpairs_stack(A[None], tol)
-    return [(complex(lam), v) for lam, v in zip(lams[0], vecs[0])]
-
-
-def family_derivative(F: OperatorFamily, t: float, h: Optional[float] = None) -> np.ndarray:
-    """d/dt of an operator family at t (one-point :func:`family_derivatives`); logs a one-sided one."""
-    values, one_sided = family_derivatives(F, [t], h)
-    if one_sided:
-        logger.warning("one-sided derivative at t=%g (domain [%g, %g])", t, F.t_start, F.t_end)
-    return values[0]
 
 
 def family_derivatives(F: OperatorFamily, times, h: Optional[float] = None

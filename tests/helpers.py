@@ -211,7 +211,7 @@ def reference_generator(problem, t):
         return H
     if problem.equation is Equation.AUGMENTED:
         return H + 1j * problem.correction(t)
-    C = problem.frame_family.c_at(t)
+    C = problem.frame_family.c_family(t)
     Cdot, _ = reference_derivative_stencil(problem.frame_family.c_family, t)
     return H - 0.5j * problem.hbar * (C @ Cdot)
 

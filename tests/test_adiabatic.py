@@ -46,6 +46,7 @@ from ptdyn.linalg import (
     ConvergenceError,
     NonFiniteError,
     OperatorFamily,
+    family_derivatives,
     operator_norm,
 )
 from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level
@@ -388,7 +389,8 @@ def test_phase_rotated_level_solves_compensated_equation():
         dpsi = np.gradient(psi, grid, axis=0, edge_order=2)
         resid = []
         for k, t in enumerate(grid[2:-2], start=2):
-            gen = ham(t) - 0.5j * family.c_at(t) @ family.cdot_at(t)
+            cdot = family_derivatives(family.c_family, [t])[0][0]
+            gen = ham(t) - 0.5j * family.c_family(t) @ cdot
             resid.append(np.linalg.norm(1j * dpsi[k] - gen @ psi[k]))
         assert max(resid) <= 1e-6
 

@@ -18,10 +18,10 @@ from ptdyn.dynamics import (
     effective_generator,
     evolve_propagator,
     evolve_state,
-    norm_drift_rate,
 )
 from ptdyn.frames import FrameFamily, cpt_norm, validate_frames
-from ptdyn.linalg import AntilinearOperator, OperatorFamily, operator_norm, operator_norms
+from ptdyn.linalg import (AntilinearOperator, OperatorFamily, family_derivatives, operator_norm,
+                          operator_norms)
 from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level, two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -64,7 +64,7 @@ def test_generator_augmented_matches_compensated_for_matching_g():
     x0 = np.array([1.0, 0.0])
 
     def G(t):
-        return -0.5 * family.c_at(t) @ family.cdot_at(t)
+        return -0.5 * family.c_family(t) @ family_derivatives(family.c_family, [t])[0][0]
 
     augmented = model.problem(grid, Equation.AUGMENTED, x0,
                               correction=OperatorFamily(-100, 100, G))
@@ -155,7 +155,7 @@ def test_augmented_with_matching_g_reproduces_compensated_run():
     x0 = np.array([0.3, 1.0])
 
     def G(t):
-        return -0.5 * family.c_at(t) @ family.cdot_at(t)
+        return -0.5 * family.c_family(t) @ family_derivatives(family.c_family, [t])[0][0]
 
     t_aug = evolve_state(model.problem(grid, Equation.AUGMENTED, x0,
                                        correction=OperatorFamily(-100, 100, G)))
@@ -265,13 +265,13 @@ def test_propagator_reproduces_state_evolution_and_metric_unitarity():
     problem = model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.0]),
                             substeps=20)
     pairs = evolve_propagator(problem)
-    metric0 = family.metric_at(grid[0])
+    metric0 = family.p @ family.c_family(grid[0])
     for col, e in enumerate(np.eye(2)):
         traj = evolve_state(model.problem(grid, Equation.COMPENSATED, e, substeps=20))
         for (t, U), state in zip(pairs, traj.states):
             assert np.linalg.norm(U[:, col] - state) <= 1e-8
     for t, U in pairs:
-        metric_t = family.metric_at(t)
+        metric_t = family.p @ family.c_family(t)
         assert operator_norm(U.conj().T @ metric_t @ U - metric0) <= 1e-7
 
 
@@ -287,7 +287,7 @@ def test_propagator_requires_compensated_equation():
         evolve_propagator(problem)
 
 
-# -------------------------------------------------------------- norm_drift_rate
+# ------------------------------------------------------------------ drift rates
 
 def test_drift_rate_zero_for_static_metric():
     problem = EvolutionProblem(
@@ -297,7 +297,10 @@ def test_drift_rate_zero_for_static_metric():
         equation=Equation.SCHRODINGER,
         initial_state=np.array([1.0, 0.0]),
     )
-    assert norm_drift_rate(problem, np.array([1.0, 2.0j]), 0.5) == pytest.approx(0.0, abs=1e-14)
+    fam, t = problem.frame_family, np.array([0.5])
+    C, Cdot = fam.c_family.stack(t), family_derivatives(fam.c_family, t)[0]
+    rate = dynamics._drift_rates(problem, t, C, Cdot, fam.p @ C, np.array([[1.0, 2.0j]]))[0]
+    assert rate == pytest.approx(0.0, abs=1e-14)
 
 
 def test_drift_rate_compensated_residual_is_tiny():
@@ -343,7 +346,7 @@ def _correction_like_compensated(model):
     family = model.frame_family
 
     def G(t):
-        return -0.5 * family.c_at(t) @ family.cdot_at(t)
+        return -0.5 * family.c_family(t) @ family_derivatives(family.c_family, [t])[0][0]
 
     return OperatorFamily(-100.0, 100.0, G)
 

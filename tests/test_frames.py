@@ -84,6 +84,13 @@ def test_validate_rejects_each_axiom_distinctly():
         validate_frames(C, np.eye(2), conjugation())
 
 
+def test_validate_rejects_an_overflowing_involution():
+    # P^2 overflows to inf, and P^2 - I has a NaN residual: the axiom fails, not passes
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FrameAxiomError, match="P\\^2 = I.*residual nan"):
+        validate_frames(SWAP, 1e200 * SWAP, conjugation())
+
+
 def test_validation_error_reports_residual():
     with pytest.raises(FrameAxiomError, match="residual"):
         validate_frames(2.0 * np.eye(2), SWAP, conjugation())
@@ -272,7 +279,7 @@ def test_frame_family_validates_pointwise():
 
     fam = FrameFamily(OperatorFamily(0.0, 1.0, C_of_t), SWAP, conjugation())
     frame = fam.frame_at(0.5)
-    assert np.allclose(frame.metric, fam.metric_at(0.5))
+    assert np.allclose(frame.metric, fam.p @ fam.c_family(0.5))
     # a frame family whose C stops being an involution must fail loudly
     bad = FrameFamily(OperatorFamily(0.0, 1.0, lambda t: (1 + t) * SWAP), SWAP, conjugation())
     with pytest.raises(FrameAxiomError):
@@ -434,7 +441,7 @@ def test_one_point_kernels_match_the_one_norm_per_matrix_reference(seed, dim, om
         one_point = []
         for t, X in zip(grid, hams):
             frame = fam.frame_at(t)
-            assert repr(frame.residuals) == repr(reference_frame_residuals(fam.c_at(t), fam.p, fam.t.conj_matrix))
+            assert repr(frame.residuals) == repr(reference_frame_residuals(fam.c_family(t), fam.p, fam.t.conj_matrix))
             one_point.append(symmetry_report(frame, X, tol))
             assert repr(one_point[-1]) == repr(reference_symmetry_report(frame, X, tol))
         assert repr(fg.symmetry_reports(hams, tol)) == repr(one_point)
@@ -472,4 +479,17 @@ def test_frame_grid_svd_failure_names_the_grid_point():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as err:
         fam.on_grid(grid)
     assert err.value.index == 700
-    assert str(err.value) == "SVD did not converge for stack matrix 700"
+    assert str(err.value) == f"frame check at t={grid[700]}: SVD did not converge for stack matrix 700"
+
+
+def test_frame_grid_rejects_an_overflowing_point():
+    # C^2 at point 500 overflows to inf and NaN in every entry, so its SVD returns
+    # a NaN residual without failing; the check must reject it, naming the time.
+    grid = np.linspace(0.0, 1.0, 1000)
+    _, C, P = two_level_matrices(1.0, 0.3)
+    fam = FrameFamily(OperatorFamily(0.0, 1.0, lambda t: 1e200 * C if t == grid[500] else C),
+                      P, conjugation())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FrameAxiomError) as err:
+        fam.on_grid(grid)
+    assert err.value.axiom == "C^2 = I"
+    assert str(err.value).endswith(f" at t={grid[500]}")

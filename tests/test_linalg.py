@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -21,9 +20,7 @@ from ptdyn.linalg import (
     ConvergenceError,
     NonFiniteError,
     OperatorFamily,
-    eigenpairs,
     eigenpairs_stack,
-    family_derivative,
     family_derivatives,
     operator_norm,
     operator_norms,
@@ -35,16 +32,15 @@ SQRT3 = math.sqrt(3.0)
 # ---------------------------------------------------------------- eigenpairs
 
 def test_eigenpairs_identity():
-    pairs = eigenpairs(np.eye(2))
-    assert [lam for lam, _ in pairs] == [1.0, 1.0]
-    vecs = np.array([v for _, v in pairs])
-    assert np.allclose(vecs, np.eye(2))
+    lams, vecs = eigenpairs_stack(np.eye(2)[None])
+    assert lams[0].tolist() == [1.0, 1.0]
+    assert np.allclose(vecs[0], np.eye(2))
 
 
 def test_eigenpairs_two_level_hamiltonian():
     # s = 1, alpha = pi/3: eigenvalues 0 and 2 s cos(alpha) = 1
     H, _, _ = two_level_matrices(1.0, math.pi / 3)
-    lams = [lam for lam, _ in eigenpairs(H)]
+    lams = eigenpairs_stack(H[None])[0][0]
     assert abs(lams[0]) < 1e-12
     assert abs(lams[1] - 1.0) < 1e-12
 
@@ -52,17 +48,17 @@ def test_eigenpairs_two_level_hamiltonian():
 def test_eigenpairs_two_level_metric():
     # eigenvalues of PC are (1 -+ sin a)/cos a = 2 -+ sqrt(3) at a = pi/3
     _, C, P = two_level_matrices(1.0, math.pi / 3)
-    lams = [lam for lam, _ in eigenpairs(P @ C)]
+    lams = eigenpairs_stack((P @ C)[None])[0][0]
     assert abs(lams[0] - (2.0 - SQRT3)) < 1e-12
     assert abs(lams[1] - (2.0 + SQRT3)) < 1e-12
 
 
 def test_eigenpairs_sorted_and_gauged(rng):
     M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    pairs = eigenpairs(M)
-    lams = [lam for lam, _ in pairs]
+    lams, vecs = eigenpairs_stack(M[None])
+    lams = lams[0].tolist()
     assert lams == sorted(lams, key=lambda z: (z.real, z.imag))
-    for _, v in pairs:
+    for v in vecs[0]:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         pivot = v[np.argmax(np.abs(v))]
         assert pivot.real > 0 and abs(pivot.imag) < 1e-12
@@ -74,25 +70,26 @@ def test_eigenpairs_residual_property(dim, seed):
     gen = np.random.default_rng(seed)
     M = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     tol = 1e-10
-    for lam, v in eigenpairs(M, tol=tol):
+    lams, vecs = eigenpairs_stack(M[None], tol=tol)
+    for lam, v in zip(lams[0], vecs[0]):
         assert np.linalg.norm(M @ v - lam * v) <= tol * operator_norm(M)
 
 
 def test_eigenpairs_rejects_bad_input():
     with pytest.raises(ValueError):
-        eigenpairs(np.ones((2, 3)))
+        eigenpairs_stack(np.ones((2, 3))[None])
     with pytest.raises(ValueError):
-        eigenpairs(np.array([[np.nan, 0], [0, 1]]))
+        eigenpairs_stack(np.array([[np.nan, 0], [0, 1]])[None])
     with pytest.raises(ValueError):
-        eigenpairs(np.eye(2), tol=0.0)
+        eigenpairs_stack(np.eye(2)[None], tol=0.0)
 
 
 def test_non_contiguous_input_accepted(rng):
     # transposed views must go through validation like any other carrier
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert operator_norm(M.T) == pytest.approx(operator_norm(M.T.copy()))
-    pairs = eigenpairs(M.T)
-    assert len(pairs) == 3
+    lams, _ = eigenpairs_stack(M.T[None])
+    assert lams.shape == (1, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,13 +112,15 @@ def test_eigenpairs_stack_bit_identical_to_one_point(dim, n, seed, kind):
         X[1::3, 0, -1] = 0.0
     lams, vecs = eigenpairs_stack(X)
     for k in range(n):
-        for pairs in (eigenpairs(X[k]), reference_eigenpairs(X[k])):
-            assert same_bits(lams[k], np.array([lam for lam, _ in pairs]))
-            assert same_bits(vecs[k], np.array([v for _, v in pairs]))
-    with pytest.MonkeyPatch.context() as mp:  # two matrices per stacked solve
-        mp.setattr(linalg, "STACK_ENTRIES", 2 * dim * dim)
-        chunked = eigenpairs_stack(X)
-    assert same_bits(chunked[0], lams) and same_bits(chunked[1], vecs)
+        one_lams, one_vecs = eigenpairs_stack(X[k][None])
+        assert same_bits(lams[k], one_lams[0]) and same_bits(vecs[k], one_vecs[0])
+        pairs = reference_eigenpairs(X[k])
+        assert same_bits(lams[k], np.array([lam for lam, _ in pairs]))
+        assert same_bits(vecs[k], np.array([v for _, v in pairs]))
+    # two matrices per stacked solve
+    chunked = [eigenpairs_stack(X[lo:lo + 2]) for lo in range(0, n, 2)]
+    assert same_bits(np.concatenate([c[0] for c in chunked]), lams)
+    assert same_bits(np.concatenate([c[1] for c in chunked]), vecs)
 
 
 @pytest.mark.parametrize("marks, first", [
@@ -130,14 +129,11 @@ def test_eigenpairs_stack_bit_identical_to_one_point(dim, n, seed, kind):
     ({1: RESIDUAL_MARK, 4: LAPACK_MARK}, 1),
     ({1: LAPACK_MARK, 4: RESIDUAL_MARK}, 1),
 ], ids=["residual-residual", "lapack-lapack", "residual-lapack", "lapack-residual"])
-@pytest.mark.parametrize("per_solve", [None, 2], ids=["one-solve", "two-per-solve"])
-def test_eigenpairs_stack_raises_for_the_first_failing_matrix(monkeypatch, rng, marks, first, per_solve):
+def test_eigenpairs_stack_raises_for_the_first_failing_matrix(monkeypatch, rng, marks, first):
     X = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
     for k, mark in marks.items():
         X[k, -1, 0] = mark
     monkeypatch.setattr(np.linalg, "eig", scripted_eig(np.linalg.eig))
-    if per_solve:
-        monkeypatch.setattr(linalg, "STACK_ENTRIES", per_solve * 9)
     with pytest.raises(ConvergenceError) as stacked:
         eigenpairs_stack(X)
     with pytest.raises(ConvergenceError) as one_point:
@@ -197,18 +193,23 @@ def test_joint_norms_name_the_point_of_the_first_failing_matrix():
 
 # ---------------------------------------------------------- family_derivative
 
+def _derivative(F, t, h=None):
+    """dF/dt at one time through the stacked kernel."""
+    return family_derivatives(F, [t], h)[0][0]
+
+
 def test_family_derivative_constant_and_linear():
     M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     const = OperatorFamily(0.0, 10.0, lambda t: M)
-    assert np.allclose(family_derivative(const, 5.0), 0.0)
+    assert np.allclose(_derivative(const, 5.0), 0.0)
     linear = OperatorFamily(0.0, 10.0, lambda t: t * M)
-    assert np.allclose(family_derivative(linear, 5.0), M, atol=1e-10)
+    assert np.allclose(_derivative(linear, 5.0), M, atol=1e-10)
 
 
 def test_family_derivative_analytic_wins():
     M = np.eye(2, dtype=complex)
     fam = OperatorFamily(0.0, 1.0, lambda t: t * M, lambda t: 7.0 * M)
-    assert np.allclose(family_derivative(fam, 0.5), 7.0 * M)
+    assert np.allclose(_derivative(fam, 0.5), 7.0 * M)
 
 
 def test_family_derivative_two_level_metric_operator():
@@ -223,7 +224,7 @@ def test_family_derivative_two_level_metric_operator():
     a = omega * t
     C = C_of_t(t)
     expected = omega * (math.tan(a) * C + 1j * np.diag([1.0, -1.0]))
-    got = family_derivative(fam, t)
+    got = _derivative(fam, t)
     assert operator_norm(got - expected) < 1e-8
 
 
@@ -231,18 +232,17 @@ def test_family_derivative_quadratic_convergence():
     fam = OperatorFamily(-10.0, 10.0, lambda t: np.array([[np.sin(t), 0], [0, np.cos(2 * t)]], dtype=complex))
     t = 0.7
     exact = np.array([[np.cos(t), 0], [0, -2 * np.sin(2 * t)]], dtype=complex)
-    err_h = operator_norm(family_derivative(fam, t, h=1e-3) - exact)
-    err_h2 = operator_norm(family_derivative(fam, t, h=5e-4) - exact)
+    err_h = operator_norm(_derivative(fam, t, h=1e-3) - exact)
+    err_h2 = operator_norm(_derivative(fam, t, h=5e-4) - exact)
     ratio = err_h / err_h2
     assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
 
 
-def test_family_derivative_one_sided_at_edge(caplog):
+def test_family_derivative_one_sided_at_edge():
     fam = OperatorFamily(0.0, 1.0, lambda t: np.array([[np.sin(t)]], dtype=complex))
-    with caplog.at_level(logging.WARNING, logger="ptdyn.linalg"):
-        got = family_derivative(fam, 0.0, h=1e-4)
-    assert any("one-sided" in rec.message for rec in caplog.records)
-    assert abs(got[0, 0] - 1.0) < 1e-6
+    values, one_sided = family_derivatives(fam, [0.0], h=1e-4)
+    assert one_sided == 1
+    assert abs(values[0][0, 0] - 1.0) < 1e-6
 
 
 # --------------------------------------------------------- family_derivatives
@@ -264,8 +264,6 @@ def test_family_derivatives_bit_identical_to_one_point_stencil(fam, h):
     assert one_sided == sum(edge for _, edge in ref)
     if fam is DIFFERENCED:
         assert 0 < one_sided < STENCIL_TIMES.size
-    for t, (value, _) in zip(STENCIL_TIMES.tolist(), ref):
-        assert same_bits(family_derivative(fam, t, h), value)
 
 
 def _stencil_error(fam, t, h=None):
