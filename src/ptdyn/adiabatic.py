@@ -107,11 +107,13 @@ def build_eigenframe(
     Orthonormality of the resulting basis in the frame inner product is
     verified to ``DEFAULT_ORTHO_TOL`` at every point.
 
-    H(t) is evaluated and everything but the label matching is done on
-    stacks of grid points (``linalg.STACK_ENTRIES`` matrix entries at a
-    time); the matching steps from point to point. A failure raises the
-    error of the earliest failing point and, at that point, of the first
-    failing step in the order above (evaluating H comes first).
+    All of it runs on stacks of grid points (``linalg.STACK_ENTRIES`` matrix
+    entries at a time) but the rephasing, which steps from point to point.
+    The raw eigenvectors' overlap moduli, blind to phases, propose every
+    match; the rephased states' overlaps decide each one, and a pass
+    restarts where they differ (a tie within rounding). A failure raises
+    the error of the earliest failing point and, at that point, of the
+    first failing step in the order above (evaluating H comes first).
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
@@ -120,48 +122,60 @@ def build_eigenframe(
     energies = np.empty((n_t, dim))
     states = np.empty((n_t, dim, dim), dtype=complex)
     min_overlap = 1.0
+    # the label -> raw pair index map, and the raw pairs, at the last point matched
+    labels, last = np.arange(dim), None
     step = max(1, linalg.STACK_ENTRIES // (dim * dim))
     for lo in range(0, n_t, step):
         # Each check runs on the points before the earliest failure found so
         # far; that failure is raised once the earlier points have passed.
         lams, vecs, failure = _real_spectra(hamiltonian, grid[lo:lo + step], dim, realness_tol)
-        hi = lo + lams.shape[0]
-        metrics = fg.metric[lo:hi]
+        n = lams.shape[0]
+        metrics = fg.metric[lo:lo + n]
         # unit frame norm (the metric is positive definite, so this is always defined)
         nrm2 = np.vecdot(vecs, np.matmul(metrics[:, None], vecs[..., None])[..., 0]).real
         vecs /= np.sqrt(nrm2)[..., None]
-        for k in range(lo, hi):
-            if k == 0:
-                energies[0] = lams[0].real
-                states[0] = vecs[0]
-                continue
-            new, metric, prev = vecs[k - lo], metrics[k - lo], states[k - 1]
-            # overlap[i, j] = |(new_i | prev_j)| at the current time
-            overlap = np.abs(new.conj() @ metric @ prev.T)
-            perm = np.argmax(overlap, axis=0)   # perm[label] = index into new pairs
-            chosen = overlap[perm, np.arange(dim)]
-            min_overlap = min(min_overlap, float(chosen.min()))
-            low = chosen < OVERLAP_THRESHOLD
-            shared = (np.bincount(perm, minlength=dim)[perm] > 1) & ~low
-            if low.any() or shared.any():
+        bra = vecs.conj() @ metrics
+        k = 1 if lo == 0 and n else 0  # the first point matched; point 0 has no predecessor
+        if k:
+            energies[0], states[0] = lams[0].real, vecs[0]
+        picks = _proposed_picks(bra, np.concatenate((last if lo else vecs[:1], vecs[:-1])))
+        maps = np.empty((n + 1, dim), dtype=int)  # maps[j + 1]: label -> pair index at point j
+        maps[k] = labels
+        while k < n:
+            maps[k + 1:] = maps[k]  # a label map changes only where a point's picks do
+            for j in k + np.flatnonzero((picks[k:] != np.arange(dim)).any(axis=1)):
+                maps[j + 1:] = picks[j, maps[j]]
+            rows = np.arange(k, n)[:, None]
+            energies[lo + k:lo + n] = lams.real[rows, maps[k + 1:]]
+            for j, new, metric in zip(range(lo + k, lo + n), vecs[rows, maps[k + 1:]], metrics[k:]):
+                mv = np.matmul(metric, states[j - 1][..., None])[..., 0]
+                g = np.vecdot(new, mv).tolist()
+                units = [c / abs(c) for c in g if abs(c) > 0]
+                if len(units) == dim:
+                    states[j] = new * np.array(units)[:, None]
+                else:  # a vector whose overlap is 0 or NaN keeps its phase
+                    states[j] = [v * (c / abs(c)) if abs(c) > 0 else v for v, c in zip(new, g)]
+            # The rephased overlaps decide. The pass fails at the first point where
+            # they lose a level, and restarts where they only pick otherwise.
+            overlap = np.abs(bra[k:] @ states[lo + k - 1:lo + n - 1].swapaxes(1, 2))
+            perm = overlap.argmax(axis=1)  # perm[j, label] = index into new pairs
+            chosen = np.take_along_axis(overlap, perm[:, None], axis=1)[:, 0]
+            lost = (chosen < OVERLAP_THRESHOLD).any(axis=1) | (
+                np.sort(perm, axis=1) != np.arange(dim)).any(axis=1)
+            r = k + int(np.argmax(np.append(lost | (perm != maps[k + 1:]).any(axis=1), True)))
+            min_overlap = float(np.fmin.reduce(chosen[:r - k].min(axis=1), initial=min_overlap))
+            if r < n and lost[r - k]:
                 failure = LevelTrackingError(
-                    f"level continuity lost between t={grid[k-1]} and t={grid[k]}: "
-                    + _lost_levels(chosen, low, shared)
-                )
-                hi = k
-                break
-            for label in range(dim):
-                v = new[perm[label]]
-                g = complex(np.vdot(v, metric @ prev[label]))
-                if abs(g) > 0:
-                    v = v * (g / abs(g))
-                states[k, label] = v
-            energies[k] = lams[k - lo].real[perm]
+                    f"level continuity lost between t={grid[lo + r - 1]} and t={grid[lo + r]}: "
+                    + _lost_levels(chosen[r - k], perm[r - k]))
+                n = r
+            elif r < n:
+                picks[r, maps[r]] = perm[r - k]
+            k = r
+        labels, last = maps[n], vecs[n - 1:n]
 
-        gram = states[lo:hi].conj() @ metrics[:hi - lo]
-        gram = gram @ states[lo:hi].swapaxes(1, 2)
-        gram -= np.eye(dim)
-        ortho_resid = np.abs(gram).max(axis=(1, 2))
+        gram = states[lo:lo + n].conj() @ metrics[:n] @ states[lo:lo + n].swapaxes(1, 2)
+        ortho_resid = np.abs(gram - np.eye(dim)).max(axis=(1, 2))
         skewed = np.nonzero(ortho_resid > DEFAULT_ORTHO_TOL)[0]
         if skewed.size:
             k = lo + skewed[0]
@@ -171,17 +185,20 @@ def build_eigenframe(
             )
         if failure is not None:
             raise failure
-    return EigenFrame(
-        times=grid,
-        energies=energies,
-        states=states,
-        metrics=fg.metric,
-        diagnostics={"min_overlap": min_overlap},
-    )
+    return EigenFrame(times=grid, energies=energies, states=states, metrics=fg.metric,
+                      diagnostics={"min_overlap": min_overlap})
 
 
-def _lost_levels(chosen: np.ndarray, low: np.ndarray, shared: np.ndarray) -> str:
+def _proposed_picks(bra: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """picks[k, i]: the new eigenpair of largest overlap modulus with raw pair i of the
+    previous point. Raw moduli do not depend on the phases; only the rephased ones decide."""
+    return np.abs(bra @ prev.swapaxes(1, 2)).argmax(axis=1)
+
+
+def _lost_levels(chosen: np.ndarray, perm: np.ndarray) -> str:
     """Why labels were lost: a best overlap below the threshold, or a pick another label shares."""
+    low = chosen < OVERLAP_THRESHOLD
+    shared = (np.bincount(perm, minlength=perm.size)[perm] > 1) & ~low
     reasons = []
     if low.any():
         bad = np.nonzero(low)[0].tolist()
@@ -391,17 +408,9 @@ def build_report(
     profile = adiabatic_bound_profile(eframe, frame_family, level)
     loss = fidelity_loss(trajectory, eframe, level)
     theta = dynamical_phase(eframe, level, hbar=hbar)
-    if eframe.dim > 1:
-        coupling = np.max(
-            [
-                level_coupling_residual(eframe, frame_family, n, level)
-                for n in range(eframe.dim)
-                if n != level
-            ],
-            axis=0,
-        )
-    else:
-        coupling = np.zeros_like(eframe.times)
+    others = [level_coupling_residual(eframe, frame_family, n, level)
+              for n in range(eframe.dim) if n != level]
+    coupling = np.max(others, axis=0) if others else np.zeros_like(eframe.times)
     bound = float(profile[-1])
     max_loss = float(np.max(loss))
     satisfied = (bound >= epsilon) or (max_loss < epsilon)

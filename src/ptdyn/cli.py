@@ -100,15 +100,10 @@ def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, b
     fg = model.frame_family.on_grid(grid)
     ham = model.hamiltonian
     reports = fg.symmetry_reports(ham.stack(fg.times), tol=cfg.tolerances["symmetry"])
-    symmetry = {
-        key: all(getattr(rep, key) for rep in reports)
-        for key in ("pt_symmetric", "cpt_hermitian", "unbroken")
-    }
+    keys = ("pt_symmetric", "cpt_hermitian", "unbroken")
+    symmetry = {key: all(getattr(rep, key) for rep in reports) for key in keys}
     symmetry["max_eigen_imag"] = max(0.0, *(rep.eigen_realness for rep in reports))
-    symmetry_ok = bool(
-        symmetry["pt_symmetric"] and symmetry["cpt_hermitian"] and symmetry["unbroken"]
-    )
-    return dict(fg.residuals), symmetry, symmetry_ok
+    return dict(fg.residuals), symmetry, all(symmetry[key] for key in keys)
 
 
 def _norm_check_enabled(cfg: ScenarioConfig) -> bool:
@@ -213,11 +208,6 @@ def _resolve_dotted(raw: dict, path: str) -> tuple[dict, str]:
     return node, last
 
 
-def _set_dotted(raw: dict, path: str, value: float) -> None:
-    node, last = _resolve_dotted(raw, path)
-    node[last] = value
-
-
 def sweep(cfg: ScenarioConfig, axis: str, values: Sequence[float],
           out_dir: Optional[Path] = None) -> list[dict]:
     """Run the scenario once per axis value; failures are recorded in-row.
@@ -235,7 +225,8 @@ def sweep(cfg: ScenarioConfig, axis: str, values: Sequence[float],
                "status": "ok", "error": ""}
         try:
             raw = json.loads(json.dumps(base))
-            _set_dotted(raw, axis, value)
+            node, key = _resolve_dotted(raw, axis)
+            node[key] = value
             row_cfg = cfg_mod.from_dict(raw)
             summary = run_scenario(row_cfg, out_dir=None)
             row["bound"] = summary["adiabatic"]["bound"]
