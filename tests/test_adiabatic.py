@@ -240,17 +240,22 @@ def test_eigenframe_bit_identical_on_turning_frames_three_per_stack(seed, dim, o
         _assert_same_outcome(ham, family, np.linspace(0.0, 1.0, points))
 
 
+def _exact_crossing():
+    # H = diag(t - 1/2, 1/2 - t) on 20 points that skip t = 1/2
+    ham = OperatorFamily(0.0, 1.0, lambda t: np.diag([t - 0.5, 0.5 - t]).astype(complex))
+    return ham, identity_frame_family(2), np.linspace(0.0, 1.0, 20)
+
+
 @pytest.mark.parametrize("per_solve", [None, 3], ids=["one-solve", "three-per-solve"])
 def test_eigenframe_labels_keep_their_eigenvectors_through_an_exact_crossing(monkeypatch, per_solve):
-    # H = diag(t - 1/2, 1/2 - t): the sorted eigenpairs swap at t = 1/2, which
-    # the grid skips, and each label keeps its eigenvector, so level 0 is
-    # t - 1/2 on the whole grid. The label map is not the identity after the
-    # swap, and with three points per stack it is carried across boundaries.
+    # The sorted eigenpairs swap at t = 1/2 and each label keeps its
+    # eigenvector, so level 0 is t - 1/2 on the whole grid. The label map is
+    # not the identity after the swap, and with three points per stack it is
+    # carried across stack boundaries.
     if per_solve:
         monkeypatch.setattr(linalg, "STACK_ENTRIES", per_solve * 4)
-    grid = np.linspace(0.0, 1.0, 20)
-    ham = OperatorFamily(0.0, 1.0, lambda t: np.diag([t - 0.5, 0.5 - t]).astype(complex))
-    eframe = _assert_same_outcome(ham, identity_frame_family(2), grid)
+    ham, family, grid = _exact_crossing()
+    eframe = _assert_same_outcome(ham, family, grid)
     assert np.array_equal(eframe.energies[:, 0], grid - 0.5)
     assert np.array_equal(eframe.energies[:, 1], 0.5 - grid)
 
@@ -272,8 +277,7 @@ def test_eigenframe_rephased_overlaps_overrule_any_proposal(monkeypatch, per_sol
     rng = np.random.default_rng(7)
     monkeypatch.setattr(adiabatic, "_proposed_picks",
                         lambda bra, prev: rng.integers(0, bra.shape[1], bra.shape[:2]))
-    crossing = OperatorFamily(0.0, 1.0, lambda t: np.diag([t - 0.5, 0.5 - t]).astype(complex))
-    cases = [(crossing, identity_frame_family(2), np.linspace(0.0, 1.0, 20)), _ramp_model()]
+    cases = [_exact_crossing(), _ramp_model()]
     cases += [(*rotating_frame_model(seed, dim, 1.5), np.linspace(0.0, 1.0, 12))
               for seed in range(4) for dim in range(2, 7)]
     cases += [(*jumping_block_model(seed, 2), np.array([0.0, 1.0])) for seed in range(10)]
