@@ -160,9 +160,10 @@ def build_eigenframe(
             overlap = np.abs(bra[k:] @ states[lo + k - 1:lo + n - 1].swapaxes(1, 2))
             perm = overlap.argmax(axis=1)  # perm[j, label] = index into new pairs
             chosen = np.take_along_axis(overlap, perm[:, None], axis=1)[:, 0]
-            lost = (chosen < OVERLAP_THRESHOLD).any(axis=1) | (
-                np.sort(perm, axis=1) != np.arange(dim)).any(axis=1)
-            r = k + int(np.argmax(np.append(lost | (perm != maps[k + 1:]).any(axis=1), True)))
+            lost = (chosen < OVERLAP_THRESHOLD).any(axis=1)
+            lost |= (np.sort(perm, axis=1) != np.arange(dim)).any(axis=1)  # a shared pick
+            disagree = lost | (perm != maps[k + 1:]).any(axis=1)
+            r = k + int(np.argmax(np.append(disagree, True)))  # the first point that disagrees, or n
             min_overlap = float(np.fmin.reduce(chosen[:r - k].min(axis=1), initial=min_overlap))
             if r < n and lost[r - k]:
                 failure = LevelTrackingError(
@@ -174,8 +175,10 @@ def build_eigenframe(
             k = r
         labels, last = maps[n], vecs[n - 1:n]
 
-        gram = states[lo:lo + n].conj() @ metrics[:n] @ states[lo:lo + n].swapaxes(1, 2)
-        ortho_resid = np.abs(gram - np.eye(dim)).max(axis=(1, 2))
+        gram = states[lo:lo + n].conj() @ metrics[:n]
+        gram = gram @ states[lo:lo + n].swapaxes(1, 2)
+        gram -= np.eye(dim)
+        ortho_resid = np.abs(gram).max(axis=(1, 2))
         skewed = np.nonzero(ortho_resid > DEFAULT_ORTHO_TOL)[0]
         if skewed.size:
             k = lo + skewed[0]
@@ -185,8 +188,13 @@ def build_eigenframe(
             )
         if failure is not None:
             raise failure
-    return EigenFrame(times=grid, energies=energies, states=states, metrics=fg.metric,
-                      diagnostics={"min_overlap": min_overlap})
+    return EigenFrame(
+        times=grid,
+        energies=energies,
+        states=states,
+        metrics=fg.metric,
+        diagnostics={"min_overlap": min_overlap},
+    )
 
 
 def _proposed_picks(bra: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -408,9 +416,17 @@ def build_report(
     profile = adiabatic_bound_profile(eframe, frame_family, level)
     loss = fidelity_loss(trajectory, eframe, level)
     theta = dynamical_phase(eframe, level, hbar=hbar)
-    others = [level_coupling_residual(eframe, frame_family, n, level)
-              for n in range(eframe.dim) if n != level]
-    coupling = np.max(others, axis=0) if others else np.zeros_like(eframe.times)
+    if eframe.dim > 1:
+        coupling = np.max(
+            [
+                level_coupling_residual(eframe, frame_family, n, level)
+                for n in range(eframe.dim)
+                if n != level
+            ],
+            axis=0,
+        )
+    else:
+        coupling = np.zeros_like(eframe.times)
     bound = float(profile[-1])
     max_loss = float(np.max(loss))
     satisfied = (bound >= epsilon) or (max_loss < epsilon)

@@ -100,10 +100,15 @@ def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, b
     fg = model.frame_family.on_grid(grid)
     ham = model.hamiltonian
     reports = fg.symmetry_reports(ham.stack(fg.times), tol=cfg.tolerances["symmetry"])
-    keys = ("pt_symmetric", "cpt_hermitian", "unbroken")
-    symmetry = {key: all(getattr(rep, key) for rep in reports) for key in keys}
+    symmetry = {
+        key: all(getattr(rep, key) for rep in reports)
+        for key in ("pt_symmetric", "cpt_hermitian", "unbroken")
+    }
     symmetry["max_eigen_imag"] = max(0.0, *(rep.eigen_realness for rep in reports))
-    return dict(fg.residuals), symmetry, all(symmetry[key] for key in keys)
+    symmetry_ok = bool(
+        symmetry["pt_symmetric"] and symmetry["cpt_hermitian"] and symmetry["unbroken"]
+    )
+    return dict(fg.residuals), symmetry, symmetry_ok
 
 
 def _norm_check_enabled(cfg: ScenarioConfig) -> bool:
@@ -208,6 +213,11 @@ def _resolve_dotted(raw: dict, path: str) -> tuple[dict, str]:
     return node, last
 
 
+def _set_dotted(raw: dict, path: str, value: float) -> None:
+    node, last = _resolve_dotted(raw, path)
+    node[last] = value
+
+
 def sweep(cfg: ScenarioConfig, axis: str, values: Sequence[float],
           out_dir: Optional[Path] = None) -> list[dict]:
     """Run the scenario once per axis value; failures are recorded in-row.
@@ -225,8 +235,7 @@ def sweep(cfg: ScenarioConfig, axis: str, values: Sequence[float],
                "status": "ok", "error": ""}
         try:
             raw = json.loads(json.dumps(base))
-            node, key = _resolve_dotted(raw, axis)
-            node[key] = value
+            _set_dotted(raw, axis, value)
             row_cfg = cfg_mod.from_dict(raw)
             summary = run_scenario(row_cfg, out_dir=None)
             row["bound"] = summary["adiabatic"]["bound"]
