@@ -15,6 +15,7 @@ grid point.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import logging
 import math
@@ -184,20 +185,26 @@ def _rk4_step(rate, ga, gb, gc, y, dh):
 def _rk4_step_pair(v, rate, ga, gb, gc, y, dh):
     """:func:`_rk4_step`, bit for bit, on a 2-vector held as two Python complex numbers.
 
-    Each stage's matrix-vector product stays numpy's: BLAS gemv on the scratch
-    2-vector ``v``, which ``@`` also calls. Every other product is one rounded
-    real product in either arithmetic, as ``rate`` has a zero real part and ``dh`` is real.
+    Each stage writes its input into the scratch 2-vector ``v`` and takes the
+    matrix-vector product as numpy's BLAS gemv, which ``@`` also calls. Every
+    other product is one rounded real product in either arithmetic, as
+    ``rate`` has a zero real part and ``dh`` is real; ``half`` is the float
+    the array step forms, since ``0.5 * dh * k`` is ``(0.5 * dh) * k``.
     """
-    def slope(g, u, w):
-        v[0], v[1] = u, w
-        p, q = g.dot(v).tolist()
-        return rate * p, rate * q
-
     y0, y1 = y
-    a0, a1 = slope(ga, y0, y1)
-    b0, b1 = slope(gb, y0 + 0.5 * dh * a0, y1 + 0.5 * dh * a1)
-    c0, c1 = slope(gb, y0 + 0.5 * dh * b0, y1 + 0.5 * dh * b1)
-    d0, d1 = slope(gc, y0 + dh * c0, y1 + dh * c1)
+    half = 0.5 * dh
+    v[0], v[1] = y0, y1
+    p, q = ga.dot(v).tolist()
+    a0, a1 = rate * p, rate * q
+    v[0], v[1] = y0 + half * a0, y1 + half * a1
+    p, q = gb.dot(v).tolist()
+    b0, b1 = rate * p, rate * q
+    v[0], v[1] = y0 + half * b0, y1 + half * b1
+    p, q = gb.dot(v).tolist()
+    c0, c1 = rate * p, rate * q
+    v[0], v[1] = y0 + dh * c0, y1 + dh * c1
+    p, q = gc.dot(v).tolist()
+    d0, d1 = rate * p, rate * q
     w = dh / 6.0
     return (y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
 
@@ -216,21 +223,30 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     is the one-point RK4's: :func:`_rk4_step_pair` for a state vector of
     dimension 2, the array step :func:`_rk4_step` for larger states and for
     propagator matrices. So the values are bit-identical to evaluating the
-    generator at every stage. If a stack fails, the walk stops before the
-    node that fails first on its own in the one-point scheme's order (an
-    earlier non-finite state still aborts first) and raises its error.
+    generator at every stage. At each interval end the state must be finite:
+    a 2-vector stays two Python complex numbers, checked with
+    ``cmath.isfinite`` (the verdict of ``np.isfinite``) and kept as a tuple;
+    an array is checked with ``np.isfinite``. If a stack fails, the walk
+    stops before the node that fails first on its own in the one-point
+    scheme's order (an earlier non-finite state still aborts first) and
+    raises its error.
 
     ``diagnostics`` holds the substep count of each interval and the number
     of generator evaluations. The nodes whose dC/dt fell back to a one-sided
-    difference are logged once per run, with their count.
+    difference are logged once per run, with their count. The values are
+    the initial array, then one array or, for a 2-vector, one tuple per
+    grid point after it.
     """
     rate = -1j / problem.hbar
     grid = problem.grid
     dim = problem.frame_family.dim
     y = y0.astype(complex)
     values = [y]
-    pair = functools.partial(_rk4_step_pair, np.empty(2, dtype=complex))
-    advance, y = (pair, y.tolist()) if y.shape == (2,) else (_rk4_step, y)
+    if y.shape == (2,):
+        advance = functools.partial(_rk4_step_pair, np.empty(2, dtype=complex))
+        finite, y = (lambda y: cmath.isfinite(y[0]) and cmath.isfinite(y[1])), y.tolist()
+    else:
+        advance, finite = _rk4_step, (lambda y: np.all(np.isfinite(y)))
     evaluations = one_sided = 0
 
     def generators(times: np.ndarray) -> np.ndarray:
@@ -300,10 +316,10 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
             for j, a, b, c, dh in zip(sub.tolist(), *index, h[ks].tolist()):
                 y = advance(rate, mats[a], mats[b], mats[c], y, dh)
                 if j + 1 == first_list[k + 1]:
-                    if not np.all(np.isfinite(y)):
+                    if not finite(y):
                         raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
                                                f"and t={grid[k + 1]}", last_good_t=grid[k])
-                    values.append(np.asarray(y))
+                    values.append(y)
                     k += 1
                     enter(k)
         lo += sub.size
@@ -324,7 +340,7 @@ def evolve_state(problem: EvolutionProblem) -> Trajectory:
     """
     values, diagnostics = _rk4_run(problem, problem.initial_state)
     fg = problem.frame_family.on_grid(problem.grid)
-    states = np.array(values)
+    states = np.array(values, dtype=complex)
     norms2 = np.einsum("ki,ki->k", states.conj(), np.einsum("kij,kj->ki", fg.metric, states)).real
     return Trajectory(
         times=problem.grid.copy(),

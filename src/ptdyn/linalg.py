@@ -335,14 +335,15 @@ def _eigenpairs(X, tol: float, norms: Optional[np.ndarray] = None) -> tuple[np.n
         raise NonFiniteError("matrix stack contains non-finite entries")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lams, vecs = _eigenpairs_2x2(X) if X.shape[1] == 2 else _eig(X, tol)
-    order = np.lexsort((lams.imag, lams.real), axis=-1)
-    rows = np.arange(X.shape[0])[:, None]
-    lams, vecs = lams[rows, order], vecs[rows, order]
-    vecs = _phase_gauge(vecs / _vector_norms(vecs)[..., None])
-    resid = _vector_norms(np.matmul(X[:, None], vecs[..., None])[..., 0] - lams[..., None] * vecs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the residual check
+        lams, vecs = _eigenpairs_2x2(X) if X.shape[1] == 2 else _eig(X, tol)
+        order = np.lexsort((lams.imag, lams.real), axis=-1)
+        rows = np.arange(X.shape[0])[:, None]
+        lams, vecs = lams[rows, order], vecs[rows, order]
+        vecs = _phase_gauge(vecs / _vector_norms(vecs)[..., None])
+        resid = _vector_norms(np.matmul(X[:, None], vecs[..., None])[..., 0] - lams[..., None] * vecs)
     norms = operator_norms(X) if norms is None else norms
-    bad = resid > tol * np.maximum(norms, 1e-300)[:, None]
+    bad = ~(resid <= tol * np.maximum(norms, 1e-300)[:, None])  # a NaN residual fails
     if bad.any():
         k = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[k]))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -151,6 +152,14 @@ def test_eigenframe_continuity_overlaps():
 def test_eigenframe_broken_symmetry_error():
     H = np.diag([1j, -1j])
     with pytest.raises(BrokenSymmetryError, match="broken PT symmetry at t="):
+        build_eigenframe(OperatorFamily.constant(H), identity_frame_family(2),
+                         np.linspace(0.0, 1.0, 5))
+
+
+def test_eigenframe_overflowing_eigenpairs_error():
+    # the eigenpairs of this H are NaN: no realness or tracking verdict on them
+    H = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    with pytest.raises(ConvergenceError, match="^eigenpair residual nan exceeds"):
         build_eigenframe(OperatorFamily.constant(H), identity_frame_family(2),
                          np.linspace(0.0, 1.0, 5))
 
@@ -313,16 +322,23 @@ def _assignment_outcome(ham, family, grid):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), omega=st.floats(0.1, 4.0),
        points=st.integers(2, 30))
 @example(seed=1, dim=3, omega=1.0, points=2)  # both rules lose levels at the one step
+@example(seed=3, dim=3, omega=3.0, points=2)  # the solver tracks; two labels share a match
 def test_eigenframe_agrees_with_the_assignment_solver(seed, dim, omega, points):
     # Where the assignment solver tracks the levels, the best-overlap rule
-    # gives its eigenframe bit for bit; where it loses them, the rule loses
-    # them at the same step. The overlaps named may differ: the rule names
-    # each lost level's best overlap, the solver the one it assigned.
+    # gives its eigenframe bit for bit, or reports labels that share a best
+    # match (README's label-matching case (b)); where it loses them, the
+    # rule loses them at the same step. The overlaps named may differ: the
+    # rule names each lost level's best overlap, the solver the one it assigned.
     ham, family = rotating_frame_model(seed, dim, omega)
     grid = np.linspace(0.0, 1.0, points)
     solver = _assignment_outcome(ham, family, grid)
     stacked = _outcome(build_eigenframe, ham, family, grid)
-    if isinstance(solver, EigenFrame):
+    if isinstance(solver, EigenFrame) and not isinstance(stacked, EigenFrame):
+        assert stacked[0] is LevelTrackingError
+        assert re.fullmatch(r"level continuity lost between t=\S+ and t=\S+: "
+                            r"levels \[[0-9, ]+\] share an eigenvector with another level",
+                            stacked[1])
+    elif isinstance(solver, EigenFrame):
         assert isinstance(stacked, EigenFrame)
         assert same_bits(stacked.energies, solver.energies)
         assert same_bits(stacked.states, solver.states)

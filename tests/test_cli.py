@@ -228,6 +228,21 @@ def test_cli_overflowing_symmetry_scan_prints_only_the_abort(tmp_path):
                         r"SVD did not converge for stack matrix \d+\n", out.stderr), out.stderr
 
 
+def test_cli_overflowing_eigenpairs_are_a_numerical_abort(tmp_path):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    raw = json.loads((ROOT / "scenarios" / "inline_static.json").read_text())
+    raw["model"]["H"] = matrix_to_pairs(1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    path = write_config(tmp_path, raw)
+    out = subprocess.run(
+        [sys.executable, "-m", "ptdyn.cli", "run", str(path), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.returncode == 3
+    assert out.stderr.startswith("numerical abort: symmetry scan at t=0.0: "
+                                 "eigenpair residual nan exceeds 1.0e-10*||M|| for matrix:\n")
+    assert "Warning" not in out.stderr
+
+
 def test_sweep_records_an_svd_failure_as_an_error_row(tmp_path):
     cfg = load_config(ROOT / "scenarios" / "constant_metric.json")
     with np.errstate(over="ignore", invalid="ignore"):

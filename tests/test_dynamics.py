@@ -391,6 +391,38 @@ def test_stacked_rk4_bit_identical_to_one_point_loop(equation, substeps):
         _assert_matches_reference(problem)
 
 
+# At 2x2 a block holds linalg.STACK_ENTRIES // 12 = 682 substeps, so at 700 a
+# block ends inside each of the first two intervals.
+@pytest.mark.parametrize("equation", [Equation.SCHRODINGER, Equation.COMPENSATED])
+def test_stacked_rk4_bit_identical_across_blocks(equation):
+    for problem in _problems(equation, 700):
+        _assert_matches_reference(dataclasses.replace(problem, grid=problem.grid[:3]))
+
+
+@pytest.mark.parametrize("scale, finite", [(5e-43, True), (7e-43, False)])
+def test_rk4_pair_path_turning_non_finite_in_one_component(scale, finite):
+    # y1' = 400 y1 over 1400 substeps (blocks end after substeps 682 and 1364).
+    # From 7e-43, y1 overflows in substep 1400, the last of interval [1, 2] and
+    # in its second block, while y0 stays 1; from 5e-43 it ends near 8.8e304.
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily.constant(np.zeros((2, 2))),
+        frame_family=identity_metric_family(),
+        grid=np.array([0.0, 1.0, 2.0]),
+        equation=Equation.AUGMENTED,
+        initial_state=np.array([1.0, scale]),
+        correction=OperatorFamily.constant(np.diag([0.0, 400.0])),
+        substeps=700,
+    )
+    if finite:
+        _assert_matches_reference(problem)
+        return
+    with pytest.raises(IntegrationAbort) as ref:
+        reference_rk4_run(problem, problem.initial_state)
+    err = _same_error(problem, IntegrationAbort)
+    assert str(err) == "state became non-finite between t=1.0 and t=2.0"
+    assert err.last_good_t == ref.value.last_good_t == 1.0
+
+
 def _cayley(A, t):
     """Orthogonal (I - tA/2)^-1 (I + tA/2) for antisymmetric A."""
     eye = np.eye(A.shape[0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,18 @@ def test_eigenpairs_stack_raises_for_the_first_failing_matrix(monkeypatch, rng, 
     assert str(stacked.value) == str(one_point.value)
     for k in range(first):
         reference_eigenpairs(X[k])
+
+
+def test_eigenpairs_stack_rejects_an_overflowing_pair():
+    # finite entries near 1e200 overflow the 2x2 quadratic formula: the pairs
+    # come out NaN, and a NaN residual fails the check without a RuntimeWarning
+    H = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    for X, index in ((H[None], 0), (np.stack([np.diag([1.0, 2.0]), H]), 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="^eigenpair residual nan exceeds") as err:
+                eigenpairs_stack(X)
+        assert err.value.index == index
 
 
 def test_eigenpairs_stack_rejects_bad_input():
