@@ -244,9 +244,9 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     values = [y]
     if y.shape == (2,):
         advance = functools.partial(_rk4_step_pair, np.empty(2, dtype=complex))
-        finite, y = (lambda y: cmath.isfinite(y[0]) and cmath.isfinite(y[1])), y.tolist()
+        finite, y = (lambda u: cmath.isfinite(u[0]) and cmath.isfinite(u[1])), y.tolist()
     else:
-        advance, finite = _rk4_step, (lambda y: np.all(np.isfinite(y)))
+        advance, finite = _rk4_step, (lambda u: np.all(np.isfinite(u)))
     evaluations = one_sided = 0
 
     def generators(times: np.ndarray) -> np.ndarray:
