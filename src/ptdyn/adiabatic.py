@@ -240,7 +240,7 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,
         lams, vecs, norms = linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
     imag = np.abs(lams.imag)
     scale = np.maximum(1.0, norms)  # ||H||, as the eigensolve's residual check took it
-    broken = np.nonzero(~(imag.max(axis=1) <= realness_tol * scale))[0]  # NaN is broken
+    broken = np.nonzero(~(imag.max(axis=1) <= realness_tol * scale))[0]  # a NaN |Im| fails
     if broken.size:
         n = int(broken[0])
         failure = BrokenSymmetryError(
