@@ -128,7 +128,7 @@ def build_eigenframe(
     for lo in range(0, n_t, step):
         # Each check runs on the points before the earliest failure found so
         # far; that failure is raised once the earlier points have passed.
-        lams, vecs, failure = _real_spectra(hamiltonian, grid[lo:lo + step], dim, realness_tol)
+        lams, vecs, failure = _real_spectra(hamiltonian, grid[lo:lo + step], lo, dim, realness_tol)
         n = lams.shape[0]
         metrics = fg.metric[lo:lo + n]
         # unit frame norm (the metric is positive definite, so this is always defined)
@@ -217,13 +217,16 @@ def _lost_levels(chosen: np.ndarray, perm: np.ndarray) -> str:
     return "; ".join(reasons)
 
 
-def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,
+def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, start: int, dim: int,
                   realness_tol: float) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
     """Sorted eigenpairs of H(t) on the grid, up to the first point that fails.
 
     Returns (values, row eigenvectors, failure): the pairs of the points
     before the earliest failure of evaluating H, of the eigensolve or of the
     realness check (in that order at one point), and that failure, or None.
+    An eigensolve's :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
+    ``eigenframe at t=…`` and carries the grid position, ``start`` being that
+    of ``grid[0]``.
     """
     failure = None
     try:
@@ -236,11 +239,15 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, dim: int,
     try:
         lams, vecs, norms = linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
     except linalg.ConvergenceError as exc:
-        failure, H = exc, H[:exc.index]
+        failure = linalg.ConvergenceError(f"eigenframe at t={grid[exc.index]}: {exc}",
+                                          start + exc.index)
+        failure.__cause__, H = exc, H[:exc.index]
         lams, vecs, norms = linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
     imag = np.abs(lams.imag)
-    scale = np.maximum(1.0, norms)  # ||H||, as the eigensolve's residual check took it
-    broken = np.nonzero(~(imag.max(axis=1) <= realness_tol * scale))[0]  # a NaN |Im| fails
+    worst = imag.max(axis=1)
+    # the scale is max(1, ||H||), ||H|| as the eigensolve's residual check took it
+    real = norms.decide(lambda nH: worst <= realness_tol * np.maximum(1.0, nH), 0)
+    broken = np.nonzero(~real)[0]  # a NaN |Im| fails
     if broken.size:
         n = int(broken[0])
         failure = BrokenSymmetryError(

@@ -214,7 +214,9 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
 
     The right-hand side is y' = -(i/hbar) * generator(t) y. The generators
     at the interval starts come first, in stacks of ``linalg.STACK_ENTRIES``
-    entries; their norms give the substep counts. The substeps are then
+    entries; their norms give the substep counts, decided from the norms'
+    bounds where those give the count (an SVD runs for the rest and for the
+    norm a coarse-step warning prints). The substeps are then
     taken in blocks (three (d, d) matrices each, within that bound) that
     cross interval ends. A substep's nodes are t = t0 + j*h, t + 0.5*h and
     t + h, the one-point scheme's float expressions; a block evaluates the
@@ -268,21 +270,24 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
                 starts, failure = starts[:lo], exc
             step = 1
     G0 = np.concatenate(parts)
-    norms = linalg.operator_norms(G0)
+    # Each count and warning rises with the norm, so its bounds settle it where they agree.
+    norms = linalg._Norms((G0,), (False,))
     dt = np.diff(grid)[:starts.size]
     if problem.substeps is not None:
         nsub = np.full(starts.size, problem.substeps)
     else:
-        nsub = np.maximum(1, np.ceil(SUBSTEP_DENSITY * norms * dt)).astype(int)
+        counts = norms.decide(lambda n: np.ceil(SUBSTEP_DENSITY * n * dt), 0)
+        nsub = np.maximum(1, counts).astype(int)
     h = dt / nsub
     first = np.concatenate(([0], np.cumsum(nsub)))  # first[k]: the first substep of interval k
-    first_list, coarse = first.tolist(), (norms * h > STEP_NORM_WARN).tolist()
+    coarse = norms.decide(lambda n: n * h > STEP_NORM_WARN, 0)
+    first_list, step_norms, coarse = first.tolist(), norms.exact(0, coarse), coarse.tolist()
 
     def enter(k: int):
         """Log interval k's coarse-step warning, where the one-point scheme logs it."""
         if k < len(coarse) and coarse[k]:
             logger.warning("coarse step at t=%g: ||generator||*h = %.3g > %.2g",
-                           grid[k], norms[k] * h[k], STEP_NORM_WARN)
+                           grid[k], step_norms[k] * h[k], STEP_NORM_WARN)
 
     block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
     lo, stop, k = 0, first_list[-1], 0  # the next substep, where the walk ends, its interval

@@ -98,31 +98,44 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: tuple, tol: float
     by axiom, the metric stack PC and its ascending eigenvalues. The first
     failing point raises :class:`FrameAxiomError` naming the first axiom it
     fails, in :func:`validate_frames` order, and ``times[k]`` when given. The
-    norms (C, PC and three residuals a point) come from one SVD, whose failure
-    at point k raises :class:`ConvergenceError` naming point ``start + k``.
+    residuals are exact SVD norms, in one SVD with the norms of every non-finite
+    C or PC; its failure at point k raises :class:`ConvergenceError` naming
+    point ``start + k``. The scales ||C|| and ||PC|| are decided from their
+    bounds (see ``linalg._Norms``), and taken exactly where those leave a check
+    open or a failure prints them.
     """
     eye = np.eye(P.shape[0])
     _, nP, nK = pt
+    n = C.shape[0]
     metric = P @ C
     metric_h = metric.conj().swapaxes(-1, -2)
-    norms = linalg._joint_norms(
-        C, metric, C @ C - eye, C @ P @ K - K @ np.conj(P) @ np.conj(C), metric - metric_h,
-        start=start).reshape(5, C.shape[0])
-    nC, nM, resids = norms[0], norms[1], norms[2:]
+    norms = linalg._Norms(
+        (C, metric, C @ C - eye, C @ P @ K - K @ np.conj(P) @ np.conj(C), metric - metric_h),
+        (False, False, True, True, True), start)
+    resids = norms.lo[2 * n:].reshape(3, n)  # exact
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
-    scales = np.array((nC * nC, nC * nP * nK, nM))  # in _C_AXIOMS order
-    # written so that a NaN residual or eigenvalue fails
-    failed = ~np.concatenate((resids <= tol * np.maximum(scales, 1.0), [eigs[:, 0] > tol * nM]))
-    bad = failed.any(axis=0)
+
+    def scales(nC, nM):  # in _C_AXIOMS order
+        return np.array((nC * nC, nC * nP * nK, nM))
+
+    def failures(nC, nM):  # points first; written so that a NaN residual or eigenvalue fails
+        return ~np.concatenate((resids <= tol * np.maximum(scales(nC, nM), 1.0),
+                                [eigs[:, 0] > tol * nM])).T
+
+    failed = norms.decide(failures, 0, 1)
+    bad = failed.any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        i = int(np.argmax(failed[:, k]))
+        i = int(np.argmax(failed[k]))
+        at = np.arange(n) == k
+        nC, nM = norms.exact(0, at)[k], norms.exact(1, at)[k]
         if i == len(_C_AXIOMS):
             axiom = "metric positive definite"
-            detail = f"minimum eigenvalue of PC is {eigs[k, 0]:.3e} (metric norm {nM[k]:.3g})"
+            detail = f"minimum eigenvalue of PC is {eigs[k, 0]:.3e} (metric norm {nM:.3g})"
         else:
             axiom = _C_AXIOMS[i]
-            detail = f"residual {resids[i, k]:.3e} (tolerance {tol:.1e}, scale {scales[i, k]:.3g})"
+            scale = scales(nC, nM)[i]
+            detail = f"residual {resids[i, k]:.3e} (tolerance {tol:.1e}, scale {scale:.3g})"
         raise FrameAxiomError(axiom, detail if times is None else f"{detail} at t={times[k]}")
     return dict(zip(_C_AXIOMS, resids)), metric, eigs
 
@@ -231,27 +244,33 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
         pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
         cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
-    norms = linalg._joint_norms(hams, pt_residual, cpt_residual, metrics, pt_map[None])
-    nH, pt_residual, cpt_residual, nM = norms[:-1].reshape(4, len(hams))
-    cpt_scale = nH * nM
-    map_scale = max(1.0, float(norms[-1]))
-    lams, vecs, _ = linalg._eigenpairs(hams, max(tol, linalg.DEFAULT_EIGEN_TOL), nH)
+    n = len(hams)
+    norms = linalg._Norms((hams, pt_residual, cpt_residual, metrics, pt_map[None]),
+                          (False, True, True, False, False))
+    pt_residual, cpt_residual = norms.lo[n:3 * n].reshape(2, n)  # exact
+    lams, vecs, _ = linalg._eigenpairs(hams, max(tol, linalg.DEFAULT_EIGEN_TOL), norms)
     realness = np.abs(lams.imag).max(axis=1)
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
-    # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
-    joined = np.abs(lams[:, 1:] - lams[:, :-1]) <= tol * np.maximum(nH, 1.0)[:, None]
+    gaps = np.abs(lams[:, 1:] - lams[:, :-1])
+    joined = norms.decide(lambda nH: gaps <= tol * np.maximum(nH, 1.0)[:, None], 0)
     clustered = np.zeros(lams.shape, dtype=bool)
     clustered[:, 1:] = joined
     clustered[:, :-1] |= joined
+    # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
     images = np.conj(vecs) @ pt_map.T  # images[k, i] = PT map of eigenvector i at point k
     mu = np.vecdot(vecs, images)
-    fails = ~clustered & ((linalg._vector_norms(images - mu[..., None] * vecs) > tol * map_scale)
-                          | (np.abs(np.abs(mu) - 1.0) > tol * 10))
-    pt_symmetric = pt_residual <= tol * np.maximum(nH, 1e-300)
+    off = linalg._vector_norms(images - mu[..., None] * vecs)
+    strays = norms.decide(lambda nT: off > tol * np.fmax(1.0, nT), 4)  # fmax: max(1.0, NaN) is 1.0
+    fails = ~clustered & (strays | (np.abs(np.abs(mu) - 1.0) > tol * 10))
+    pt_symmetric = norms.decide(lambda nH: pt_residual <= tol * np.maximum(nH, 1e-300), 0)
     unbroken = pt_symmetric & ~fails.any(axis=1)
-    for k in np.flatnonzero(unbroken & joined.any(axis=1)):
-        unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, tol * map_scale)
-    cpt_hermitian = cpt_residual <= tol * np.maximum(cpt_scale, 1e-300)
+    clusters = np.flatnonzero(unbroken & joined.any(axis=1))
+    if clusters.size:
+        vec_tol = tol * max(1.0, float(norms.exact(4)[0]))
+        for k in clusters:
+            unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, vec_tol)
+    cpt_hermitian = norms.decide(
+        lambda nH, nM: cpt_residual <= tol * np.maximum(nH * nM, 1e-300), 0, 3)
     return [SymmetryReport(pt_symmetric=s, cpt_hermitian=h, unbroken=u, eigen_realness=r,
                            pt_residual=p, cpt_residual=c)
             for s, h, u, r, p, c in zip(pt_symmetric.tolist(), cpt_hermitian.tolist(),

@@ -30,6 +30,9 @@ __all__ = [
 DEFAULT_EIGEN_TOL = 1e-12
 # Matrix entries per chunk (axiom check, eigenframe, RK4 block): each temporary stays <= 128 KiB.
 STACK_ENTRIES = 2**13
+# Relative margin of the bracket max|a_ij| <= ||A||_2 <= d*max|a_ij| (see _Norms), far
+# above the rounding of LAPACK's largest singular value, seen up to 1 ulp below max|a_ij|.
+NORM_MARGIN = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -209,31 +212,123 @@ def operator_norm(M) -> float:
 def operator_norms(X) -> np.ndarray:
     """Largest singular value of each matrix in a stack (the norm of :func:`operator_norm`).
 
-    An SVD that does not converge raises :class:`ConvergenceError` with the
-    position of the first failing matrix in ``index``, found by taking the
-    matrices one at a time once the stacked SVD has failed.
+    An all-zero matrix gives +0.0 without an SVD. An SVD that does not
+    converge raises :class:`ConvergenceError` with the position of the first
+    failing matrix in ``index``, found by taking the matrices one at a time
+    once the stacked SVD has failed.
     """
-    try:
-        return np.linalg.svd(X, compute_uv=False).max(axis=-1)  # what np.linalg.norm(A, 2) takes
-    except np.linalg.LinAlgError:
-        X = np.asarray(X)
-        for k, A in enumerate(X.reshape(-1, *X.shape[-2:])):
-            try:
-                np.linalg.svd(A, compute_uv=False)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"SVD did not converge for stack matrix {k}", index=k) from exc
-        raise
+    X = np.asarray(X)
+    return _joint_norms(X.reshape(-1, *X.shape[-2:])).reshape(X.shape[:-2])
 
 
 def _joint_norms(*stacks, start: int = 0) -> np.ndarray:
     """:func:`operator_norms` of stacks, concatenated, in one SVD. Each stack holds one matrix
     per point start, ..., start + n - 1 (a last one may hold fewer). The first failing matrix j
     of the concatenation raises :class:`ConvergenceError` naming point start + j mod n."""
-    try:
-        return operator_norms(np.concatenate(stacks))
-    except ConvergenceError as exc:
-        k = start + exc.index % len(stacks[0])
-        raise ConvergenceError(f"SVD did not converge for stack matrix {k}", index=k) from exc.__cause__
+    return _Norms(stacks, (True,) * len(stacks), start).lo
+
+
+class _Norms:
+    """Operator norms ||A||_2 of the matrices of stacks, as bounds ``lo <= ||A||_2 <= hi``
+    that an SVD makes exact (``lo = hi``, the value :func:`operator_norms` gives).
+
+    The bounds are max|a_ij| <= ||A||_2 <= d*max|a_ij|, widened by ``NORM_MARGIN``. Each
+    |a_ij| is a hypotenuse, so no square underflows or overflows. ``exact[i]`` asks for the
+    exact norms of ``stacks[i]``. Those, and the norm of every matrix whose entries are not
+    all finite, come from one SVD in the order of the stacks' concatenation; an all-zero
+    matrix is +0.0 without one. :meth:`decide` takes further SVDs only where the bounds
+    leave a check open. Each stack holds one matrix per point start, ..., start + n - 1 (a
+    last one may hold fewer), and an SVD that fails at matrix j of the concatenation raises
+    :class:`ConvergenceError` naming point start + j mod n.
+
+    A single point with norms not asked exact takes them all from one SVD: that SVD
+    runs anyway, and at 8x8 a matrix adds less to it than bounding and deciding cost
+    in numpy calls.
+    """
+
+    def __init__(self, stacks, exact, start: int = 0):
+        self._stacks, self._start, self._n, self._parts = stacks, start, len(stacks[0]), []
+        end = 0
+        for stack in stacks:
+            self._parts.append(slice(end, end + len(stack)))
+            end += len(stack)
+        self._bounded = self._n > 1 or all(exact)
+        if not self._bounded:
+            self.lo = self.hi = self._svd(None)
+            return
+        amax = np.concatenate([np.abs(stack).max(axis=(-2, -1)) for stack in stacks])
+        with np.errstate(over="ignore"):
+            bounds = np.multiply.outer(amax, (1.0 - NORM_MARGIN,
+                                              stacks[0].shape[-1] * (1.0 + NORM_MARGIN)))
+        self.lo, self.hi = bounds[:, 0], bounds[:, 1]
+        # an SVD where max|a_ij| is above 0 in a stack asked exact, elsewhere above the
+        # largest float, and where it is NaN
+        above = np.full(amax.shape, np.finfo(float).max)
+        for part, wanted in zip(self._parts, exact):
+            if wanted:
+                above[part] = 0.0
+        self._make_exact(~(amax <= above))
+        # the stacks asked exact take no further SVD: let them go
+        self._stacks = [None if wanted else stack for stack, wanted in zip(stacks, exact)]
+
+    def _svd(self, todo: Optional[np.ndarray]) -> np.ndarray:
+        """Largest singular values of the matrices in the mask ``todo`` (all if None), in
+        the order of the stacks' concatenation, by one LAPACK SVD. When it fails, the first
+        matrix whose SVD fails on its own names its point."""
+        if todo is None:
+            X = np.concatenate(self._stacks)
+        else:  # only the matrices asked for are copied
+            X = np.concatenate([stack[todo[part]] for stack, part in zip(self._stacks, self._parts)
+                                if stack is not None])
+        try:  # the routine np.linalg.norm(A, 2) takes
+            return np.linalg.svd(X, compute_uv=False).max(axis=-1)
+        except np.linalg.LinAlgError:
+            for j, A in enumerate(X):
+                try:
+                    np.linalg.svd(A, compute_uv=False)
+                except np.linalg.LinAlgError as exc:
+                    j = j if todo is None else int(np.flatnonzero(todo)[j])
+                    k = self._start + j % self._n
+                    raise ConvergenceError(f"SVD did not converge for stack matrix {k}",
+                                           index=k) from exc
+            raise
+
+    def _make_exact(self, todo: np.ndarray):
+        """Make the norms of the matrices in the mask ``todo`` exact."""
+        if todo.any():
+            self.lo[todo] = self.hi[todo] = self._svd(todo)
+
+    def _settle(self, points: np.ndarray, *parts: int):
+        """Make the norms of stacks ``parts`` exact at the points of the mask ``points``
+        (a one-matrix stack at every point)."""
+        todo = np.zeros(self.lo.shape, dtype=bool)
+        for i in parts:
+            part = self._parts[i]
+            todo[part] = points if part.stop - part.start == points.size else points.any()
+        self._make_exact(todo & (self.lo < self.hi))  # lo = hi once exact
+
+    def exact(self, i: int, points: Optional[np.ndarray] = None) -> np.ndarray:
+        """The norms of stack ``i``, exact at the points of the mask ``points`` (all if None)."""
+        part = self._parts[i]
+        self._settle(np.ones(part.stop - part.start, dtype=bool) if points is None else points, i)
+        return self.lo[part]
+
+    def decide(self, check: Callable[..., np.ndarray], *parts: int) -> np.ndarray:
+        """``check`` of the exact norms of stacks ``parts``, taken from the bounds wherever they
+        settle it. ``check`` maps arrays of the stacks' norms to an array whose first axis runs
+        over the points (a one-matrix stack gives an array of one), and each of its values must
+        rise with every norm or fall with every norm: so where its values at the lower and the
+        upper bounds agree, so does its value at the norms. Elsewhere those points' norms are
+        made exact first."""
+        if not self._bounded:
+            return check(*(self.lo[self._parts[i]] for i in parts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = check(*(self.lo[self._parts[i]] for i in parts))
+            open_ = value != check(*(self.hi[self._parts[i]] for i in parts))
+            if open_.any():
+                self._settle(open_.reshape(len(open_), -1).any(axis=1), *parts)
+                value = check(*(self.lo[self._parts[i]] for i in parts))
+        return value
 
 
 def _vector_norms(X: np.ndarray) -> np.ndarray:
@@ -325,9 +420,10 @@ def eigenpairs_stack(X, tol: float = DEFAULT_EIGEN_TOL) -> tuple[np.ndarray, np.
     return _eigenpairs(X, tol)[:2]
 
 
-def _eigenpairs(X, tol: float, norms: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
-    """:func:`eigenpairs_stack`, plus the norms ||M|| of its residual check; ``norms``, when
-    given, must be ``operator_norms(X)``, which the check then takes instead of computing."""
+def _eigenpairs(X, tol: float, norms: Optional[_Norms] = None) -> tuple:
+    """:func:`eigenpairs_stack`, plus the :class:`_Norms` of its residual check, whose stack 0
+    holds ||M||; ``norms``, when given, must be such a one for ``X``, which the check then
+    takes instead of bounding the norms anew."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] < 1:
         raise ValueError(f"matrix stack must have shape (n, d, d) with d >= 1, got {X.shape}")
@@ -342,8 +438,9 @@ def _eigenpairs(X, tol: float, norms: Optional[np.ndarray] = None) -> tuple[np.n
         lams, vecs = lams[rows, order], vecs[rows, order]
         vecs = _phase_gauge(vecs / _vector_norms(vecs)[..., None])
         resid = _vector_norms(np.matmul(X[:, None], vecs[..., None])[..., 0] - lams[..., None] * vecs)
-    norms = operator_norms(X) if norms is None else norms
-    bad = ~(resid <= tol * np.maximum(norms, 1e-300)[:, None])  # a NaN residual fails
+    norms = _Norms((X,), (False,)) if norms is None else norms
+    # a NaN residual fails
+    bad = ~norms.decide(lambda nM: resid <= tol * np.maximum(nM, 1e-300)[:, None], 0)
     if bad.any():
         k = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[k]))

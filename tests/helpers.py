@@ -436,7 +436,10 @@ def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-
     for k, t in enumerate(grid):
         H = hamiltonian(t)
         metric = fg.metric[k]
-        pairs = reference_eigenpairs(H)
+        try:
+            pairs = reference_eigenpairs(H)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"eigenframe at t={t}: {exc}", k) from exc
         scale = max(1.0, linalg.operator_norm(H))
         lams = np.array([lam for lam, _ in pairs])
         if np.max(np.abs(lams.imag)) > realness_tol * scale:

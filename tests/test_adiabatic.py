@@ -159,9 +159,22 @@ def test_eigenframe_broken_symmetry_error():
 def test_eigenframe_overflowing_eigenpairs_error():
     # the eigenpairs of this H are NaN: no realness or tracking verdict on them
     H = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    with pytest.raises(ConvergenceError, match="^eigenpair residual nan exceeds"):
+    with pytest.raises(ConvergenceError,
+                       match=r"^eigenframe at t=0\.0: eigenpair residual nan exceeds"):
         build_eigenframe(OperatorFamily.constant(H), identity_frame_family(2),
                          np.linspace(0.0, 1.0, 5))
+
+
+def test_eigenframe_eigensolve_failure_names_the_grid_point(monkeypatch):
+    # two points a stack: point 3 is the second of the second stack
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 2 * 4)
+    grid = np.linspace(0.0, 1.0, 5)
+    bad = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    ham = OperatorFamily(0.0, 1.0, lambda t: bad if t == grid[3] else np.diag([1.0, -1.0]))
+    with pytest.raises(ConvergenceError) as err:
+        build_eigenframe(ham, identity_frame_family(2), grid)
+    assert err.value.index == 3
+    assert str(err.value).startswith(f"eigenframe at t={grid[3]}: eigenpair residual nan exceeds")
 
 
 def test_eigenframe_level_crossing_fails_loudly():

@@ -514,3 +514,35 @@ def test_run_builds_one_frame_grid(monkeypatch, scenario, validations):
     monkeypatch.setattr(frames, "validate_frames", counting_validate)
     run_scenario(cfg)
     assert counts == {"grids": 1, "validations": validations}
+
+
+def test_ramp_run_takes_an_svd_only_where_a_norm_is_reported_or_open(monkeypatch):
+    # 201 points: the frame check's and the symmetry scan's non-zero residuals (the
+    # others are all-zero matrices), the RK4 interval starts whose substep count the
+    # bracket leaves open (all 200 here, at 100 * ||G|| * dt ~ 0.5), and the family's
+    # P/T checks. Norming every matrix took 2216, about 11 a point.
+    cfg = load_config(ROOT / "scenarios" / "two_level_ramp.json")
+    svd, matrices = np.linalg.svd, []
+
+    def counting_svd(X, *args, **kwargs):
+        matrices.append(math.prod(np.shape(X)[:-2]))
+        return svd(X, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_scenario(cfg)
+    assert sum(matrices) == 604
+
+
+def test_frame_tolerance_sweep_pins_the_boundary():
+    # The 3e-16 and 1e-16 rows sit inside the bracket of ||C||^2: only the exact norm
+    # decides them.
+    cfg = load_config(ROOT / "scenarios" / "two_level_ramp.json")
+    rows = sweep(cfg, "tolerances.frame", [1e-10, 5e-16, 3e-16, 1e-16, 1e-17])
+    failure = "model: frame axiom 'C^2 = I' violated: residual {} (tolerance {}, scale {}) at t={}"
+    assert [(r["status"], r["error"]) for r in rows] == [
+        ("ok", ""),
+        ("ok", ""),
+        ("error", failure.format("4.441e-16", "3.0e-16", "1.26", "0.20500000000000002")),
+        ("error", failure.format("3.331e-16", "1.0e-16", "1.22", "0.0")),
+        ("error", failure.format("3.331e-16", "1.0e-17", "1.22", "0.0")),
+    ]

@@ -204,6 +204,106 @@ def test_joint_norms_name_the_point_of_the_first_failing_matrix():
     assert norms.tolist() == [1.0] * 5 + [2.0] * 5 + [1.0]
 
 
+def test_operator_norms_of_zero_matrices_are_positive_zero_without_an_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda X, *a, **kw: calls.append(1) or svd(X, *a, **kw))
+    for X in (np.zeros((2, 2)), np.zeros((3, 4, 4), dtype=complex), -np.zeros((1, 1, 1))):
+        norms = operator_norms(X)
+        assert norms.shape == X.shape[:-2]
+        assert (norms == 0.0).all() and not np.signbit(norms).any()
+    assert calls == []
+    assert operator_norms(np.stack([np.zeros((2, 2)), 3.0 * np.eye(2)])).tolist() == [0.0, 3.0]
+    assert len(calls) == 1
+
+
+def test_operator_norms_name_the_stack_position_after_zero_matrices():
+    # the zero matrices take no SVD; the index still counts them
+    stack = np.stack([np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), np.diag([np.nan, 1.0]),
+                      np.zeros((2, 2)), np.diag([1.0, np.nan])])
+    with pytest.raises(ConvergenceError, match="^SVD did not converge for stack matrix 3$") as err:
+        operator_norms(stack)
+    assert err.value.index == 3
+
+
+def test_bounded_norms_take_non_finite_matrices_in_the_joint_svd_order():
+    # Stack 0 is only bounded, stack 1 taken exact. The NaN matrix of stack 0 at point 3
+    # comes first in the concatenation, ahead of stack 1's at point 1, and names point 3.
+    eye = np.stack([np.eye(2)] * 5)
+    first, second = eye.copy(), eye.copy()
+    first[3] = second[1] = np.diag([np.nan, 1.0])
+    with pytest.raises(ConvergenceError, match="^SVD did not converge for stack matrix 23$") as err:
+        linalg._Norms((first, second), (False, True), start=20)
+    assert err.value.index == 23
+
+
+def _magnitudes(rng, shape, lo_exp, hi_exp):
+    """Complex entries with moduli 10**U(lo_exp, hi_exp) and uniform phases."""
+    return 10.0 ** rng.uniform(lo_exp, hi_exp, shape) * np.exp(2j * np.pi * rng.random(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["dense", "real", "rank-one", "flat", "single", "zero"]),
+       exps=st.tuples(st.integers(-300, 300), st.integers(-300, 300)))
+def test_norm_bounds_contain_the_svd_norm(dim, seed, kind, exps):
+    # entries from 1e-300 to 1e300; the bracket holds np.linalg.norm(A, 2) as computed
+    rng = np.random.default_rng(seed)
+    lo_exp, hi_exp = sorted(exps)
+    if kind == "dense":
+        A = _magnitudes(rng, (dim, dim), lo_exp, hi_exp)
+    elif kind == "real":
+        A = 10.0 ** rng.uniform(lo_exp, hi_exp, (dim, dim)) * rng.choice([-1.0, 1.0], (dim, dim))
+    elif kind == "rank-one":  # each factor's moduli in 10**[e/2, f/2]: the products stay in range
+        u, v = (_magnitudes(rng, dim, lo_exp / 2, hi_exp / 2) for _ in range(2))
+        A = np.outer(u, v)
+    elif kind == "flat":  # every modulus equal and rank one: ||A|| = d * max|a_ij|, the upper bound
+        A = 10.0 ** lo_exp * np.outer(_magnitudes(rng, dim, 0, 0), _magnitudes(rng, dim, 0, 0))
+    else:
+        A = np.zeros((dim, dim), dtype=complex)
+        if kind == "single":
+            A[rng.integers(dim), rng.integers(dim)] = _magnitudes(rng, (), lo_exp, hi_exp)
+    norms = linalg._Norms((np.stack([A, 2.0 * np.eye(dim)]),), (False,))
+    sigma = np.linalg.norm(A, 2)
+    assert norms.lo[0] <= sigma <= norms.hi[0]
+    assert norms.lo[0] < norms.hi[0] or sigma == norms.lo[0] == 0.0
+
+
+def _around(rng, t: np.ndarray, dim: int) -> np.ndarray:
+    """One value per point at, next to, inside the bracket around, or far from the threshold
+    ``t``, or NaN or zero."""
+    kinds = rng.integers(0, 8, t.shape)
+    spread = 10.0 ** rng.uniform(-9, np.log10(dim + 1), t.shape)  # within the bracket or past it
+    return np.select(
+        [kinds == 0, kinds == 1, kinds == 2, kinds == 3, kinds == 4, kinds == 5, kinds == 6],
+        [t, np.nextafter(t, 0.0), np.nextafter(t, np.inf), t * (1.0 + spread), t / (1.0 + spread),
+         np.full(t.shape, np.nan), np.zeros(t.shape)],
+        t * 10.0 ** rng.uniform(-3, 3, t.shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 8), n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([3e-16, 1e-10, 0.5]), floor=st.sampled_from([0.0, 1e-300, 1.0]),
+       scale=st.sampled_from([1e-6, 0.3, 1.0, 1e6]))
+def test_norm_decisions_equal_the_exact_comparison(dim, n, seed, tol, floor, scale):
+    # x <= tol*max(||A||, floor), x <= tol*max(||A||*||B||, floor) and x > tol*||A||,
+    # decided from the bracket, against the exact SVD norms: ties, neighbours and NaN included
+    rng = np.random.default_rng(seed)
+    A = scale * _magnitudes(rng, (n, dim, dim), -1, 0.5)
+    B = _magnitudes(rng, (n, dim, dim), -1, 0.5)
+    A[rng.random(n) < 0.2] = 0.0
+    nA, nB = operator_norms(A), operator_norms(B)
+    checks = [
+        (lambda x, a, b: x <= tol * np.maximum(a, floor), tol * np.maximum(nA, floor)),
+        (lambda x, a, b: x <= tol * np.maximum(a * b, floor), tol * np.maximum(nA * nB, floor)),
+        (lambda x, a, b: x > tol * a, tol * nA),
+    ]
+    for check, t in checks:
+        x = _around(rng, t, dim)
+        norms = linalg._Norms((A, B), (False, False))
+        assert np.array_equal(norms.decide(lambda a, b: check(x, a, b), 0, 1), check(x, nA, nB))
+
+
 # ---------------------------------------------------------- family_derivative
 
 def _derivative(F, t, h=None):
