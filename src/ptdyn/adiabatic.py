@@ -65,9 +65,11 @@ class EigenFrame:
     """Tracked spectral data of an operator family on a time grid.
 
     ``states[k, n]`` is the n-th eigenvector at ``times[k]``, unit-normalized
-    and orthogonal in the frame inner product at that time, with phases
-    continuous along the grid. ``metrics`` is the frame grid's read-only
-    PC(t_k) stack, shared, not copied.
+    and orthogonal in the frame inner product at that time. It is the raw
+    eigenvector times e^{i theta}, theta the running sum of the arguments of
+    the level's raw overlaps with its previous point, so its overlap with
+    ``states[k - 1, n]`` is real positive. ``metrics`` is the frame grid's
+    read-only PC(t_k) stack, shared, not copied.
     """
 
     times: np.ndarray     # (n_t,)
@@ -96,24 +98,24 @@ def build_eigenframe(
 
     At each point the eigenpairs are computed, checked for real eigenvalues
     (a complex one beyond ``realness_tol`` means broken PT symmetry at that
-    time), rescaled to unit frame norm, matched to the previous point's
-    labels, and rephased so the overlap with the predecessor is real
-    positive. Each label takes the new eigenvector of largest overlap; a
+    time), rescaled to unit frame norm and matched to the previous point's
+    labels by the overlaps r = (v_i(t_k)|v_j(t_{k-1})) of these raw
+    eigenvectors. Each label takes the new eigenvector of largest |r|; a
     label whose best overlap is below ``OVERLAP_THRESHOLD`` or that shares
     its pick with another label aborts the run, naming the lost levels
     (level crossings are out of scope and must fail loudly). A successful
     match takes each column's largest overlap, so it is the maximum-overlap
-    assignment.
-    Orthonormality of the resulting basis in the frame inner product is
-    verified to ``DEFAULT_ORTHO_TOL`` at every point.
+    assignment. Each label's state is its raw eigenvector times e^{i theta},
+    with theta = 0 at the first point and theta_k = theta_{k-1} + arg r_k
+    for the label's matched overlap r_k, so its overlap with the previous
+    state is real positive. Orthonormality of the resulting basis in the
+    frame inner product is verified to ``DEFAULT_ORTHO_TOL`` at every point.
 
     All of it runs on stacks of grid points (``linalg.STACK_ENTRIES`` matrix
-    entries at a time) but the rephasing, which steps from point to point.
-    The raw eigenvectors' overlap moduli, blind to phases, propose every
-    match; the rephased states' overlaps decide each one, and a pass
-    restarts where they differ (a tie within rounding). A failure raises
-    the error of the earliest failing point and, at that point, of the
-    first failing step in the order above (evaluating H comes first).
+    entries at a time); the label map, the last raw point and the phases
+    carry across stacks. A failure raises the error of the earliest failing
+    point and, at that point, of the first failing step in the order above
+    (evaluating H comes first).
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
@@ -122,8 +124,8 @@ def build_eigenframe(
     energies = np.empty((n_t, dim))
     states = np.empty((n_t, dim, dim), dtype=complex)
     min_overlap = 1.0
-    # the label -> raw pair index map, and the raw pairs, at the last point matched
-    labels, last = np.arange(dim), None
+    # at the last point matched: the label -> raw pair index map, the raw pairs, the phases
+    labels, last, theta = np.arange(dim), None, np.zeros((1, dim))
     step = max(1, linalg.STACK_ENTRIES // (dim * dim))
     for lo in range(0, n_t, step):
         # Each check runs on the points before the earliest failure found so
@@ -134,50 +136,38 @@ def build_eigenframe(
         # unit frame norm (the metric is positive definite, so this is always defined)
         nrm2 = np.vecdot(vecs, np.matmul(metrics[:, None], vecs[..., None])[..., 0]).real
         vecs /= np.sqrt(nrm2)[..., None]
-        bra = vecs.conj() @ metrics
         k = 1 if lo == 0 and n else 0  # the first point matched; point 0 has no predecessor
         if k:
             energies[0], states[0] = lams[0].real, vecs[0]
-        picks = _proposed_picks(bra, np.concatenate((last if lo else vecs[:1], vecs[:-1])))
-        maps = np.empty((n + 1, dim), dtype=int)  # maps[j + 1]: label -> pair index at point j
-        maps[k] = labels
-        while k < n:
-            maps[k + 1:] = maps[k]  # a label map changes only where a point's picks do
-            for j in k + np.flatnonzero((picks[k:] != np.arange(dim)).any(axis=1)):
-                maps[j + 1:] = picks[j, maps[j]]
-            rows = np.arange(k, n)[:, None]
-            energies[lo + k:lo + n] = lams.real[rows, maps[k + 1:]]
-            for j, new, metric in zip(range(lo + k, lo + n), vecs[rows, maps[k + 1:]], metrics[k:]):
-                mv = np.matmul(metric, states[j - 1][..., None])[..., 0]
-                g = np.vecdot(new, mv).tolist()
-                units = [c / abs(c) for c in g if abs(c) > 0]
-                if len(units) == dim:
-                    states[j] = new * np.array(units)[:, None]
-                else:  # a vector whose overlap is 0 or NaN keeps its phase
-                    states[j] = [v * (c / abs(c)) if abs(c) > 0 else v for v, c in zip(new, g)]
-            # The rephased overlaps decide. The pass fails at the first point where
-            # they lose a level, and restarts where they only pick otherwise.
-            overlap = np.abs(bra[k:] @ states[lo + k - 1:lo + n - 1].swapaxes(1, 2))
-            perm = overlap.argmax(axis=1)  # perm[j, label] = index into new pairs
-            chosen = np.take_along_axis(overlap, perm[:, None], axis=1)[:, 0]
-            lost = (chosen < OVERLAP_THRESHOLD).any(axis=1)
-            lost |= (np.sort(perm, axis=1) != np.arange(dim)).any(axis=1)  # a shared pick
-            disagree = lost | (perm != maps[k + 1:]).any(axis=1)
-            r = k + int(np.argmax(np.append(disagree, True)))  # the first point that disagrees, or n
-            min_overlap = float(np.fmin.reduce(chosen[:r - k].min(axis=1), initial=min_overlap))
-            if r < n and lost[r - k]:
-                failure = LevelTrackingError(
-                    f"level continuity lost between t={grid[lo + r - 1]} and t={grid[lo + r]}: "
-                    + _lost_levels(chosen[r - k], perm[r - k]))
-                n = r
-            elif r < n:
-                picks[r, maps[r]] = perm[r - k]
-            k = r
-        labels, last = maps[n], vecs[n - 1:n]
+        # overlap[j, i, p]: (raw pair i at point j | raw pair p at the point before)
+        prev = np.concatenate((last if lo else vecs[:1], vecs[:-1]))[k:]
+        kets = np.matmul(metrics[k:, None], prev[..., None])[..., 0]  # PC(t_j) v_p(t_{j-1})
+        overlap = np.vecdot(vecs[k:, :, None], kets[:, None])
+        moduli = np.abs(overlap)
+        picks = moduli.argmax(axis=1)  # picks[j, p]: the new pair of largest overlap with pair p
+        best = np.take_along_axis(moduli, picks[:, None], axis=1)[:, 0]
+        lost = (best < OVERLAP_THRESHOLD).any(axis=1)
+        lost |= (np.sort(picks, axis=1) != np.arange(dim)).any(axis=1)  # a shared pick
+        m = int(np.argmax(np.append(lost, True)))  # points matched before the first lost one
+        min_overlap = float(np.fmin.reduce(best[:m].min(axis=1), initial=min_overlap))
+        maps = np.empty((m + 1, dim), dtype=int)  # maps[j + 1]: label -> pair index at point k + j
+        maps[:] = labels  # a label map changes only where a point's picks do
+        for j in np.flatnonzero((picks[:m] != np.arange(dim)).any(axis=1)):
+            maps[j + 1:] = picks[j, maps[j]]
+        rows = np.arange(m)[:, None]
+        energies[lo + k:lo + k + m] = lams.real[k + rows, maps[1:]]
+        turns = np.angle(overlap[rows, maps[1:], maps[:-1]])  # arg r of each label's match
+        theta = np.cumsum(np.concatenate((theta[-1:], turns)), axis=0)
+        states[lo + k:lo + k + m] = vecs[k + rows, maps[1:]] * np.exp(1j * theta[1:])[..., None]
+        if k + m < n:
+            failure = LevelTrackingError(
+                f"level continuity lost between t={grid[lo + k + m - 1]} and t={grid[lo + k + m]}: "
+                + _lost_levels(best[m, maps[m]], picks[m, maps[m]]))
+            n = k + m
+        labels, last = maps[m], vecs[n - 1:n]
 
-        gram = states[lo:lo + n].conj() @ metrics[:n]
-        gram = gram @ states[lo:lo + n].swapaxes(1, 2)
-        gram -= np.eye(dim)
+        kets = np.matmul(metrics[:n, None], states[lo:lo + n, ..., None])[..., 0]
+        gram = np.vecdot(states[lo:lo + n, :, None], kets[:, None]) - np.eye(dim)
         ortho_resid = np.abs(gram).max(axis=(1, 2))
         skewed = np.nonzero(ortho_resid > DEFAULT_ORTHO_TOL)[0]
         if skewed.size:
@@ -195,12 +185,6 @@ def build_eigenframe(
         metrics=fg.metric,
         diagnostics={"min_overlap": min_overlap},
     )
-
-
-def _proposed_picks(bra: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """picks[k, i]: the new eigenpair of largest overlap modulus with raw pair i of the
-    previous point. Raw moduli do not depend on the phases; only the rephased ones decide."""
-    return np.abs(bra @ prev.swapaxes(1, 2)).argmax(axis=1)
 
 
 def _lost_levels(chosen: np.ndarray, perm: np.ndarray) -> str:

@@ -333,7 +333,7 @@ def reference_eigenpairs(M, tol=linalg.DEFAULT_EIGEN_TOL):
         v = vecs[:, idx]
         v = _reference_phase_gauge(v / np.linalg.norm(v))
         resid = float(np.linalg.norm(A @ v - lam * v))
-        if resid > tol * max(scale, 1e-300):
+        if not resid <= tol * max(scale, 1e-300):  # a NaN residual fails
             raise ConvergenceError(
                 f"eigenpair residual {resid:.3e} exceeds {tol:.1e}*||M|| for matrix:\n{A}"
             )
@@ -423,8 +423,9 @@ def assignment_match(overlap, threshold):
 
 def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-10,
                                ortho_tol=1e-10, overlap_threshold=0.9, match=best_overlap_match):
-    """The one-point eigenframe loop, a verbatim copy of the code the stacked pass replaced,
-    with the label matching rule ``match`` (``assignment_match`` gives the old rule)."""
+    """The eigenframe one grid point at a time, with the label matching rule ``match``
+    (``assignment_match`` gives the old rule): labels matched on the raw eigenvectors'
+    overlap moduli, and each label's phase the running sum of its raw overlaps' arguments."""
     fg = frame_family.on_grid(grid)
     grid = fg.times
     n_t = grid.size
@@ -456,10 +457,10 @@ def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-
         if k == 0:
             energies[0] = lams.real
             states[0] = vecs
+            perm, theta = np.arange(dim), np.zeros(dim)
         else:
-            prev = states[k - 1]
-            # overlap[i, j] = (new_i | prev_j) at the current time
-            overlap = vecs.conj() @ metric @ prev.T
+            # overlap[i, j] = (new_i | raw vector of label j at t_{k-1}) at the current time
+            overlap = np.array([[np.vdot(v, metric @ p) for p in prev] for v in vecs])
             perm, lost = match(np.abs(overlap), overlap_threshold)  # perm[label] = new index
             chosen = np.abs(overlap[perm, np.arange(dim)])
             min_overlap = min(min_overlap, float(chosen.min()))
@@ -474,15 +475,13 @@ def reference_build_eigenframe(hamiltonian, frame_family, grid, realness_tol=1e-
                 raise LevelTrackingError(
                     f"level continuity lost between t={grid[k-1]} and t={t}: " + "; ".join(reasons)
                 )
-            for label in range(dim):
-                v = vecs[perm[label]]
-                g = complex(np.vdot(v, metric @ prev[label]))
-                if abs(g) > 0:
-                    v = v * (g / abs(g))
-                states[k, label] = v
-                energies[k, label] = lams.real[perm[label]]
+            # each label's phase turns by the argument of its raw overlap
+            theta = theta + np.angle(overlap[perm, np.arange(dim)])
+            states[k] = vecs[perm] * np.exp(1j * theta)[:, None]
+            energies[k] = lams.real[perm]
+        prev = vecs[perm]
 
-        gram = states[k].conj() @ metric @ states[k].T
+        gram = np.array([[np.vdot(u, metric @ v) for v in states[k]] for u in states[k]])
         ortho_resid = float(np.max(np.abs(gram - np.eye(dim))))
         if ortho_resid > ortho_tol:
             raise LevelTrackingError(

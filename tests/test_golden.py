@@ -5,7 +5,11 @@
 batched over the grid; ``two_level_samples`` was written later, before dC/dt
 was evaluated as a stack. It is the ramp scenario with a sampled angle: its
 C(t) has no analytic derivative, so it pins the finite-difference path,
-one-sided at both grid ends. Every number must agree to GOLDEN_RTOL relative.
+one-sided at both grid ends. Every ``adiabatic.csv`` and ``summary.json``,
+and the sweep below, were written again when the eigenframe's phases became
+the running sum of the raw overlaps' arguments; that moved no value by more
+than 2.4e-14 (``constant_metric``'s bound, which is roundoff only). Every
+number must agree to GOLDEN_RTOL relative.
 Values that vanish by construction, so that only roundoff is left (the
 compensated or static drift rate, the cross-level coupling residual of
 these exactly solvable models, and the frame-axiom residuals), are compared
