@@ -328,6 +328,48 @@ def test_sweep_records_a_level_collision_as_an_error_row(tmp_path):
     assert last.endswith(",error," + LEVEL_TRACKING_ABORT)
 
 
+def lost_level_raw(alpha_start, s_stop=-1.0):
+    """The two-level model on the grid 0, 0.5, 1 with s ramping 1 -> s_stop and alpha
+    ramping alpha_start -> 0 over [0, 0.5]. At s_stop = -1, H(0.5) = 0: the eigensolve
+    returns the unit vectors there, and neither is close to a t = 0 eigenvector."""
+    return {
+        "model": {
+            "kind": "two_level",
+            "s": {"kind": "ramp", "start": 1.0, "stop": s_stop},
+            "alpha": {"kind": "ramp", "start": alpha_start, "stop": 0.0, "t_end": 0.5},
+        },
+        "equation": "compensated",
+        "grid": {"t_start": 0.0, "t_end": 1.0, "points": 3},
+        "level": 0,
+        "epsilon": 0.5,
+    }
+
+
+LOST_LEVELS = {  # alpha_start: the message of the LevelTrackingError
+    -0.5: "level continuity lost between t=0.0 and t=0.5: "
+          "levels [0, 1] have overlap [0.75481585 0.75481585] < 0.9",
+    -1.0: "level continuity lost between t=0.0 and t=0.5: "
+          "levels [0, 1] share an eigenvector with another level",
+}
+
+
+@pytest.mark.parametrize("alpha_start", LOST_LEVELS, ids=["low-overlap", "shared-pick"])
+def test_cli_lost_level_is_a_numerical_abort(tmp_path, capsys, alpha_start):
+    path = write_config(tmp_path, lost_level_raw(alpha_start))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical abort: {LOST_LEVELS[alpha_start]}\n"
+
+
+@pytest.mark.parametrize("alpha_start", LOST_LEVELS, ids=["low-overlap", "shared-pick"])
+def test_sweep_records_a_lost_level_as_an_error_row(tmp_path, alpha_start):
+    cfg = from_dict(lost_level_raw(alpha_start, s_stop=1.0))
+    rows = sweep(cfg, "model.s.stop", [1.0, -1.0], out_dir=tmp_path)
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert rows[1]["error"] == LOST_LEVELS[alpha_start]
+    last = (tmp_path / "sweep.csv").read_text().splitlines()[-1]
+    assert last.endswith(",error," + LOST_LEVELS[alpha_start].replace(",", ";"))  # a csv cell
+
+
 @pytest.mark.xfail(strict=True, raises=ValueError,
                    reason="the last RK4 node of the last interval rounds one ulp past the "
                           "grid's end, outside the model's family domain")
