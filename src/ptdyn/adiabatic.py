@@ -93,6 +93,7 @@ def build_eigenframe(
     frame_family: FrameFamily,
     grid,
     realness_tol: float = DEFAULT_REALNESS_TOL,
+    *, _scan=None,
 ) -> EigenFrame:
     """Track the instantaneous eigenframe of H(t) along the grid.
 
@@ -116,6 +117,10 @@ def build_eigenframe(
     carry across stacks. A failure raises the error of the earliest failing
     point and, at that point, of the first failing step in the order above
     (evaluating H comes first).
+
+    ``_scan``, the frame grid's symmetry scan of H (``FrameGrid._scan``),
+    hands over its H stack, eigenpairs and norms, which are checked as the
+    ones solved here are: no H is evaluated and no eigenproblem solved again.
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
@@ -126,16 +131,22 @@ def build_eigenframe(
     min_overlap = 1.0
     # at the last point matched: the label -> raw pair index map, the raw pairs, the phases
     labels, last, theta = np.arange(dim), None, np.zeros((1, dim))
-    step = max(1, linalg.STACK_ENTRIES // (dim * dim))
-    for lo in range(0, n_t, step):
+    starts = range(0, n_t, max(1, linalg.STACK_ENTRIES // (dim * dim)))
+    if _scan is None:  # each stack solved as the loop reaches it
+        spectra = (_real_spectra(hamiltonian, grid[lo:lo + starts.step], lo, dim, realness_tol)
+                   for lo in starts)
+    else:  # the scan's pairs, checked at once, then cut into stacks
+        lams, vecs, failure = _real_spectra(hamiltonian, grid, 0, dim, realness_tol, _scan[:5])
+        spectra = [(lams[lo:lo + starts.step], vecs[lo:lo + starts.step],
+                    failure if lo + starts.step > len(lams) else None) for lo in starts]
+    for lo, (lams, vecs, failure) in zip(starts, spectra):
         # Each check runs on the points before the earliest failure found so
         # far; that failure is raised once the earlier points have passed.
-        lams, vecs, failure = _real_spectra(hamiltonian, grid[lo:lo + step], lo, dim, realness_tol)
         n = lams.shape[0]
         metrics = fg.metric[lo:lo + n]
         # unit frame norm (the metric is positive definite, so this is always defined)
         nrm2 = np.vecdot(vecs, np.matmul(metrics[:, None], vecs[..., None])[..., 0]).real
-        vecs /= np.sqrt(nrm2)[..., None]
+        vecs = vecs / np.sqrt(nrm2)[..., None]
         k = 1 if lo == 0 and n else 0  # the first point matched; point 0 has no predecessor
         if k:
             energies[0], states[0] = lams[0].real, vecs[0]
@@ -202,44 +213,55 @@ def _lost_levels(chosen: np.ndarray, perm: np.ndarray) -> str:
 
 
 def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, start: int, dim: int,
-                  realness_tol: float) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
+                  realness_tol: float, solved: Optional[tuple] = None
+                  ) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
     """Sorted eigenpairs of H(t) on the grid, up to the first point that fails.
 
     Returns (values, row eigenvectors, failure): the pairs of the points
-    before the earliest failure of evaluating H, of the eigensolve or of the
-    realness check (in that order at one point), and that failure, or None.
-    An eigensolve's :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
+    before the earliest failure of evaluating H, of the eigensolve and its
+    residual check at ``linalg.DEFAULT_EIGEN_TOL``, or of the realness check
+    (in that order at one point), and that failure, or None. ``solved``, when
+    given, holds H on the grid and what ``linalg._eigenpairs`` gives for it,
+    taken instead of evaluating and solving. An eigensolve's
+    :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
     ``eigenframe at t=…`` and carries the grid position, ``start`` being that
     of ``grid[0]``.
     """
-    failure = None
+    failure = unsolved = None
+    if solved is None:
+        try:
+            H = hamiltonian.stack(grid)
+        except ValueError:
+            n, failure = linalg._first_error(hamiltonian, grid)
+            if failure is None:
+                raise
+            H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
+        try:
+            solved = H, *linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
+        except linalg.ConvergenceError as exc:
+            unsolved, H = exc, H[:exc.index]
+            solved = H, *linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
+    H, lams, vecs, resid, norms = solved
     try:
-        H = hamiltonian.stack(grid)
-    except ValueError:
-        n, failure = linalg._first_error(hamiltonian, grid)
-        if failure is None:
-            raise
-        H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
-    try:
-        lams, vecs, norms = linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
+        linalg._check_pairs(H, resid, linalg.DEFAULT_EIGEN_TOL, norms)
     except linalg.ConvergenceError as exc:
-        failure = linalg.ConvergenceError(f"eigenframe at t={grid[exc.index]}: {exc}",
-                                          start + exc.index)
-        failure.__cause__, H = exc, H[:exc.index]
-        lams, vecs, norms = linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
+        unsolved = exc
+    n = len(lams) if unsolved is None else unsolved.index
+    if unsolved is not None:
+        failure = linalg.ConvergenceError(f"eigenframe at t={grid[n]}: {unsolved}", start + n)
+        failure.__cause__ = unsolved
     imag = np.abs(lams.imag)
     worst = imag.max(axis=1)
     # the scale is max(1, ||H||), ||H|| as the eigensolve's residual check took it
     real = norms.decide(lambda nH: worst <= realness_tol * np.maximum(1.0, nH), 0)
-    broken = np.nonzero(~real)[0]  # a NaN |Im| fails
+    broken = np.flatnonzero(~real[:n])  # a NaN |Im| fails
     if broken.size:
         n = int(broken[0])
         failure = BrokenSymmetryError(
             f"broken PT symmetry at t={grid[n]}: eigenvalue {lams[n, np.argmax(imag[n])]} "
             f"has |Im| > {realness_tol:.1e}*scale"
         )
-        lams, vecs = lams[:n], vecs[:n]
-    return lams, vecs, failure
+    return lams[:n], vecs[:n], failure
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -91,24 +91,18 @@ def _correction_family(cfg: ScenarioConfig, dim: int) -> Optional[OperatorFamily
     return OperatorFamily.constant(G)
 
 
-def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, bool]:
-    """Frame residuals and symmetry classification over the grid.
+def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, bool, "frm._Scan"]:
+    """Frame residuals and symmetry classification over the grid, and the scan they come from.
 
     Building the frame grid raises on any axiom failure, so a caller that
     gets here has frames that pass.
     """
     fg = model.frame_family.on_grid(grid)
-    ham = model.hamiltonian
-    reports = fg.symmetry_reports(ham.stack(fg.times), tol=cfg.tolerances["symmetry"])
-    symmetry = {
-        key: all(getattr(rep, key) for rep in reports)
-        for key in ("pt_symmetric", "cpt_hermitian", "unbroken")
-    }
-    symmetry["max_eigen_imag"] = max(0.0, *(rep.eigen_realness for rep in reports))
-    symmetry_ok = bool(
-        symmetry["pt_symmetric"] and symmetry["cpt_hermitian"] and symmetry["unbroken"]
-    )
-    return dict(fg.residuals), symmetry, symmetry_ok
+    scan = fg._scan(model.hamiltonian.stack(fg.times), cfg.tolerances["symmetry"])
+    keys = ("pt_symmetric", "cpt_hermitian", "unbroken")
+    symmetry = {key: bool(getattr(scan, key).all()) for key in keys}
+    symmetry["max_eigen_imag"] = max(0.0, *scan.realness.tolist())
+    return dict(fg.residuals), symmetry, all(symmetry[key] for key in keys), scan
 
 
 def _norm_check_enabled(cfg: ScenarioConfig) -> bool:
@@ -132,11 +126,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
     if cfg.level >= family.dim:
         raise ConfigError("level", f"level {cfg.level} out of range for dimension {family.dim}")
 
-    residuals, symmetry, symmetry_ok = _frame_and_symmetry(model, cfg, grid)
+    residuals, symmetry, symmetry_ok, scan = _frame_and_symmetry(model, cfg, grid)
 
     eframe = adb.build_eigenframe(
         model.hamiltonian, family, grid,
-        realness_tol=cfg.tolerances["realness"],
+        realness_tol=cfg.tolerances["realness"], _scan=scan,
     )
     problem = model.problem(
         grid, cfg.equation, eframe.states[0, cfg.level],
@@ -176,8 +170,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_trajectory_csv(out_dir / "trajectory.csv", trajectory)
-        _write_adiabatic_csv(out_dir / "adiabatic.csv", eframe.times, report)
+        t = _write_trajectory_csv(out_dir / "trajectory.csv", trajectory)
+        _write_adiabatic_csv(out_dir / "adiabatic.csv", t, report)
         _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     return summary
 
@@ -186,7 +180,7 @@ def validate_scenario(cfg: ScenarioConfig) -> dict:
     """Frame and symmetry checks only; no integration."""
     grid = cfg.grid.times()
     model = build_model(cfg)
-    residuals, symmetry, symmetry_ok = _frame_and_symmetry(model, cfg, grid)
+    residuals, symmetry, symmetry_ok, _ = _frame_and_symmetry(model, cfg, grid)
     return {
         "frame_residuals": residuals,
         "symmetry": symmetry,
@@ -259,35 +253,31 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_trajectory_csv(path: Path, trajectory: dyn.Trajectory) -> None:
-    dim = trajectory.states.shape[1]
-    header = ["t"]
-    for i in range(dim):
-        header += [f"re{i}", f"im{i}"]
-    header += ["cpt_norm", "drift_rate"]
-    lines = [",".join(header)]
-    for k, t in enumerate(trajectory.times):
-        row = [_fmt(t)]
-        for i in range(dim):
-            z = trajectory.states[k, i]
-            row += [_fmt(z.real), _fmt(z.imag)]
-        row += [_fmt(trajectory.cpt_norms[k]), _fmt(trajectory.drift_rates[k])]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _rows(t: list[str], *columns) -> list[str]:
+    """CSV rows: each of the cells ``t``, then the row's floats of ``columns`` (arrays of one
+    column or more) at 17 significant digits, as :func:`_fmt` writes them."""
+    values = np.column_stack(columns)
+    row = ",".join(["%s"] + ["%.17g"] * values.shape[1])
+    return [row % (cell, *floats) for cell, floats in zip(t, values.tolist())]
 
 
-def _write_adiabatic_csv(path: Path, times: np.ndarray, report: adb.AdiabaticReport) -> None:
-    lines = ["t,theta,fidelity_loss,coupling_residual,bound_running"]
-    for k, t in enumerate(times):
-        lines.append(",".join([
-            _fmt(t), _fmt(report.theta[k]), _fmt(report.fidelity[k]),
-            _fmt(report.coupling_residual[k]), _fmt(report.bound_profile[k]),
-        ]))
-    lines.append(
+def _write_trajectory_csv(path: Path, trajectory: dyn.Trajectory) -> list[str]:
+    """Write trajectory.csv; returns its time column's cells, which adiabatic.csv shares."""
+    states, t = trajectory.states, list(map("{:.17g}".format, trajectory.times.tolist()))
+    parts = np.stack((states.real, states.imag), axis=-1).reshape(len(states), -1)  # re0, im0, ...
+    _atomic_write(path, "\n".join([
+        "t," + "".join(f"re{i},im{i}," for i in range(states.shape[1])) + "cpt_norm,drift_rate",
+        *_rows(t, parts, trajectory.cpt_norms, trajectory.drift_rates)]) + "\n")
+    return t
+
+
+def _write_adiabatic_csv(path: Path, t: list[str], report: adb.AdiabaticReport) -> None:
+    """Write adiabatic.csv on the time column's cells ``t``, as trajectory.csv wrote them."""
+    _atomic_write(path, "\n".join([
+        "t,theta,fidelity_loss,coupling_residual,bound_running",
+        *_rows(t, report.theta, report.fidelity, report.coupling_residual, report.bound_profile),
         f"# bound={_fmt(report.bound)} max_loss={_fmt(report.max_fidelity_loss)} "
-        f"epsilon={_fmt(report.epsilon)} bound_satisfied={report.bound_satisfied}"
-    )
-    _atomic_write(path, "\n".join(lines) + "\n")
+        f"epsilon={_fmt(report.epsilon)} bound_satisfied={report.bound_satisfied}"]) + "\n")
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]) -> None:

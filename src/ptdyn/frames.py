@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -233,22 +234,30 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     H = as_operator(H, "H")
     if H.shape[0] != frame.dim:
         raise ValueError(f"operator dim {H.shape[0]} does not match frame dim {frame.dim}")
-    return _classify(frame.p @ frame.t.conj_matrix, frame.metric[None], H[None], tol)[0]
+    return _reports(_classify(frame.p @ frame.t.conj_matrix, frame.metric[None], H[None], tol))[0]
 
 
-def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
-              tol: float) -> list[SymmetryReport]:
-    """Symmetry reports of a stack of H against a stack of metrics PC."""
+# A stack's symmetry scan (see _classify): H and what linalg._eigenpairs gives for it, its norms
+# those of H, the PT and CPT residuals (exact only where needed), metrics and PT map; verdicts.
+_Scan = namedtuple("_Scan", "hams lams vecs resid norms pt_symmetric cpt_hermitian unbroken realness")
+
+
+def _reports(scan: _Scan) -> list[SymmetryReport]:
+    """The scan's reports, one a point, with the exact residual norms."""
+    return [SymmetryReport(*row) for row in zip(
+        scan.pt_symmetric.tolist(), scan.cpt_hermitian.tolist(), scan.unbroken.tolist(),
+        scan.realness.tolist(), scan.norms.exact(1).tolist(), scan.norms.exact(2).tolist())]
+
+
+def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray, tol: float) -> _Scan:
+    """The symmetry scan of a stack of H against a stack of metrics PC."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
         pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
         cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
-    n = len(hams)
-    norms = linalg._Norms((hams, pt_residual, cpt_residual, metrics, pt_map[None]),
-                          (False, True, True, False, False))
-    pt_residual, cpt_residual = norms.lo[n:3 * n].reshape(2, n)  # exact
-    lams, vecs, _ = linalg._eigenpairs(hams, max(tol, linalg.DEFAULT_EIGEN_TOL), norms)
+    norms = linalg._Norms((hams, pt_residual, cpt_residual, metrics, pt_map[None]), (False,) * 5)
+    lams, vecs, resid, _ = linalg._eigenpairs(hams, max(tol, linalg.DEFAULT_EIGEN_TOL), norms)
     realness = np.abs(lams.imag).max(axis=1)
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
     gaps = np.abs(lams[:, 1:] - lams[:, :-1])
@@ -262,20 +271,17 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray,
     off = linalg._vector_norms(images - mu[..., None] * vecs)
     strays = norms.decide(lambda nT: off > tol * np.fmax(1.0, nT), 4)  # fmax: max(1.0, NaN) is 1.0
     fails = ~clustered & (strays | (np.abs(np.abs(mu) - 1.0) > tol * 10))
-    pt_symmetric = norms.decide(lambda nH: pt_residual <= tol * np.maximum(nH, 1e-300), 0)
+    pt_symmetric = norms.decide(lambda nH, nR: nR <= tol * np.maximum(nH, 1e-300), 0, 1,
+                                falling=(1,))
     unbroken = pt_symmetric & ~fails.any(axis=1)
     clusters = np.flatnonzero(unbroken & joined.any(axis=1))
     if clusters.size:
         vec_tol = tol * max(1.0, float(norms.exact(4)[0]))
         for k in clusters:
             unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, vec_tol)
-    cpt_hermitian = norms.decide(
-        lambda nH, nM: cpt_residual <= tol * np.maximum(nH * nM, 1e-300), 0, 3)
-    return [SymmetryReport(pt_symmetric=s, cpt_hermitian=h, unbroken=u, eigen_realness=r,
-                           pt_residual=p, cpt_residual=c)
-            for s, h, u, r, p, c in zip(pt_symmetric.tolist(), cpt_hermitian.tolist(),
-                                        unbroken.tolist(), realness.tolist(),
-                                        pt_residual.tolist(), cpt_residual.tolist())]
+    cpt_hermitian = norms.decide(lambda nH, nM, nR: nR <= tol * np.maximum(nH * nM, 1e-300),
+                                 0, 3, 2, falling=(2,))
+    return _Scan(hams, lams, vecs, resid, norms, pt_symmetric, cpt_hermitian, unbroken, realness)
 
 
 def _clusters_invariant(lams, vecs, joined, pt_map, vec_tol: float) -> bool:
@@ -425,11 +431,15 @@ class FrameGrid:
         A norm or eigensolve that fails raises :class:`ConvergenceError`
         naming the grid time of the failing matrix.
         """
+        return self._scan(hams, tol, _reports)
+
+    def _scan(self, hams, tol: float, then: Callable = lambda scan: scan):
+        """``then`` of the :class:`_Scan` of hams[k] = H(t_k), raising as symmetry_reports."""
         hams = np.asarray(hams, dtype=complex)
         if hams.shape != self.metric.shape:
             raise ValueError(f"operator stack {hams.shape} does not match the grid {self.metric.shape}")
         try:
-            return _classify(self.p @ self.t.conj_matrix, self.metric, hams, tol)
+            return then(_classify(self.p @ self.t.conj_matrix, self.metric, hams, tol))
         except ConvergenceError as exc:
             raise ConvergenceError(f"symmetry scan at t={self.times[exc.index]}: {exc}",
                                    exc.index) from exc

@@ -310,21 +310,23 @@ class _Norms:
     def exact(self, i: int, points: Optional[np.ndarray] = None) -> np.ndarray:
         """The norms of stack ``i``, exact at the points of the mask ``points`` (all if None)."""
         part = self._parts[i]
-        self._settle(np.ones(part.stop - part.start, dtype=bool) if points is None else points, i)
+        if self._bounded:  # else every norm is exact
+            self._settle(np.ones(part.stop - part.start, bool) if points is None else points, i)
         return self.lo[part]
 
-    def decide(self, check: Callable[..., np.ndarray], *parts: int) -> np.ndarray:
+    def decide(self, check: Callable[..., np.ndarray], *parts: int, falling=()) -> np.ndarray:
         """``check`` of the exact norms of stacks ``parts``, taken from the bounds wherever they
         settle it. ``check`` maps arrays of the stacks' norms to an array whose first axis runs
         over the points (a one-matrix stack gives an array of one), and each of its values must
-        rise with every norm or fall with every norm: so where its values at the lower and the
-        upper bounds agree, so does its value at the norms. Elsewhere those points' norms are
-        made exact first."""
+        fall with the norms of the stacks in ``falling`` and rise with the others, or the reverse:
+        so where its values at the two opposite corners of the bounds agree, so does its value at
+        the norms. Elsewhere those points' norms are made exact first."""
         if not self._bounded:
             return check(*(self.lo[self._parts[i]] for i in parts))
         with np.errstate(over="ignore", invalid="ignore"):
-            value = check(*(self.lo[self._parts[i]] for i in parts))
-            open_ = value != check(*(self.hi[self._parts[i]] for i in parts))
+            value = check(*((self.hi if i in falling else self.lo)[self._parts[i]] for i in parts))
+            open_ = value != check(*((self.lo if i in falling else self.hi)[self._parts[i]]
+                                     for i in parts))
             if open_.any():
                 self._settle(open_.reshape(len(open_), -1).any(axis=1), *parts)
                 value = check(*(self.lo[self._parts[i]] for i in parts))
@@ -421,9 +423,9 @@ def eigenpairs_stack(X, tol: float = DEFAULT_EIGEN_TOL) -> tuple[np.ndarray, np.
 
 
 def _eigenpairs(X, tol: float, norms: Optional[_Norms] = None) -> tuple:
-    """:func:`eigenpairs_stack`, plus the :class:`_Norms` of its residual check, whose stack 0
-    holds ||M||; ``norms``, when given, must be such a one for ``X``, which the check then
-    takes instead of bounding the norms anew."""
+    """:func:`eigenpairs_stack`, plus the pairs' residuals ||M v - lam v|| and the
+    :class:`_Norms` of their check, whose stack 0 holds ||M||; ``norms``, when given, must be
+    such a one for ``X``, which the check then takes instead of bounding the norms anew."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] < 1:
         raise ValueError(f"matrix stack must have shape (n, d, d) with d >= 1, got {X.shape}")
@@ -439,6 +441,12 @@ def _eigenpairs(X, tol: float, norms: Optional[_Norms] = None) -> tuple:
         vecs = _phase_gauge(vecs / _vector_norms(vecs)[..., None])
         resid = _vector_norms(np.matmul(X[:, None], vecs[..., None])[..., 0] - lams[..., None] * vecs)
     norms = _Norms((X,), (False,)) if norms is None else norms
+    _check_pairs(X, resid, tol, norms)
+    return lams, vecs, resid, norms
+
+
+def _check_pairs(X: np.ndarray, resid: np.ndarray, tol: float, norms: _Norms):
+    """Raise :class:`ConvergenceError` at the first X[k] with a residual resid[k, i] > tol*||X[k]||."""
     # a NaN residual fails
     bad = ~norms.decide(lambda nM: resid <= tol * np.maximum(nM, 1e-300)[:, None], 0)
     if bad.any():
@@ -448,7 +456,6 @@ def _eigenpairs(X, tol: float, norms: Optional[_Norms] = None) -> tuple:
             f"eigenpair residual {resid[k, i]:.3e} exceeds {tol:.1e}*||M|| for matrix:\n{X[k]}",
             index=k,
         )
-    return lams, vecs, norms
 
 
 def family_derivatives(F: OperatorFamily, times, h: Optional[float] = None

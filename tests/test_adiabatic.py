@@ -45,7 +45,7 @@ from ptdyn import linalg, models
 from ptdyn.cli import build_model
 from ptdyn.config import from_dict
 from ptdyn.dynamics import Equation, EvolutionProblem, evolve_state
-from ptdyn.frames import FrameFamily, validate_frames
+from ptdyn.frames import DEFAULT_FRAME_TOL, FrameFamily, validate_frames
 from ptdyn.linalg import (
     AntilinearOperator,
     ConvergenceError,
@@ -206,9 +206,31 @@ def _outcome(build, *args):
         return type(exc), str(exc)
 
 
+def _scanned_outcome(ham, family, grid):
+    """The outcome of :func:`build_eigenframe` on the stacks of the grid's symmetry scan, as
+    a run hands them over, or None when the scan itself raises."""
+    fg = family.on_grid(grid)
+    try:
+        scan = fg._scan(ham.stack(fg.times), DEFAULT_FRAME_TOL)
+    except (ValueError, RuntimeError):
+        return None
+    return _outcome(partial(build_eigenframe, _scan=scan), ham, family, grid)
+
+
 def _assert_same_outcome(ham, family, grid):
-    """The stacked eigenframe pass gives what the one-point loop gives, bit for bit."""
+    """The stacked eigenframe pass gives what the one-point loop gives, bit for bit, and so
+    does the pass on the symmetry scan's stacks wherever the scan passes."""
     stacked = _outcome(build_eigenframe, ham, family, grid)
+    scanned = _scanned_outcome(ham, family, grid)
+    if scanned is not None:
+        assert type(scanned) is type(stacked)
+        if isinstance(stacked, tuple):
+            assert scanned == stacked
+        else:
+            for key in ("times", "energies", "states"):
+                assert same_bits(getattr(scanned, key), getattr(stacked, key))
+            assert scanned.metrics is stacked.metrics
+            assert scanned.diagnostics == stacked.diagnostics
     one_point = _outcome(reference_build_eigenframe, ham, family, grid)
     if isinstance(one_point, tuple):
         assert stacked == one_point

@@ -12,10 +12,14 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import two_level_matrices
-from ptdyn import frames
-from ptdyn.cli import main, run_scenario, sweep
+from ptdyn import frames, linalg
+from ptdyn.adiabatic import AdiabaticReport
+from ptdyn.cli import (_write_adiabatic_csv, _write_trajectory_csv, build_model, main,
+                       run_scenario, sweep)
 from ptdyn.config import ConfigError, from_dict, load_config, matrix_to_pairs
+from ptdyn.dynamics import Trajectory
 from ptdyn.frames import FrameGrid
+from ptdyn.linalg import ConvergenceError
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,6 +82,38 @@ def test_run_two_level_scenario(tmp_path):
     assert header == "t,re0,im0,re1,im1,cpt_norm,drift_rate"
     saved = json.loads((out / "summary.json").read_text())
     assert saved["checks"]["frames"] is True
+
+
+# Every column sees each kind of value: -0.0, the smallest subnormal, huge, infinite,
+# NaN and ordinary floats.
+SPECIAL = np.array([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, -2.5e-17])
+
+
+def test_csv_writers_print_every_float_at_17_significant_digits(tmp_path):
+    def col(j):
+        return np.roll(SPECIAL, j)
+
+    states = np.empty((SPECIAL.size, 2), dtype=complex)
+    states.real = np.column_stack((col(1), col(3)))
+    states.imag = np.column_stack((col(2), col(4)))
+    trajectory = Trajectory(times=col(0), states=states, cpt_norms=col(5), drift_rates=col(6))
+    report = AdiabaticReport(bound=0.1, epsilon=0.5, max_fidelity_loss=5e-324,
+                             bound_satisfied=True, theta=col(7), fidelity=col(8),
+                             coupling_residual=col(3), bound_profile=col(5))
+    t = _write_trajectory_csv(tmp_path / "trajectory.csv", trajectory)
+    _write_adiabatic_csv(tmp_path / "adiabatic.csv", t, report)
+
+    def cells(*columns):
+        return [",".join(format(float(x), ".17g") for x in row) for row in zip(*columns)]
+
+    assert (tmp_path / "trajectory.csv").read_text() == "\n".join([
+        "t,re0,im0,re1,im1,cpt_norm,drift_rate",
+        *cells(*map(col, range(7)))]) + "\n"
+    assert (tmp_path / "adiabatic.csv").read_text() == "\n".join([
+        "t,theta,fidelity_loss,coupling_residual,bound_running",
+        *cells(col(0), col(7), col(8), col(3), col(5)),
+        "# bound=0.10000000000000001 max_loss=4.9406564584124654e-324 epsilon=0.5 "
+        "bound_satisfied=True"]) + "\n"
 
 
 def test_run_is_deterministic(tmp_path):
@@ -559,10 +595,11 @@ def test_run_builds_one_frame_grid(monkeypatch, scenario, validations):
 
 
 def test_ramp_run_takes_an_svd_only_where_a_norm_is_reported_or_open(monkeypatch):
-    # 201 points: the frame check's and the symmetry scan's non-zero residuals (the
-    # others are all-zero matrices), the RK4 interval starts whose substep count the
-    # bracket leaves open (all 200 here, at 100 * ||G|| * dt ~ 0.5), and the family's
-    # P/T checks. Norming every matrix took 2216, about 11 a point.
+    # 201 points: the frame check's non-zero residuals (the others are all-zero
+    # matrices), the RK4 interval starts whose substep count the bracket leaves open
+    # (all 200 here, at 100 * ||G|| * dt ~ 0.5), and the family's P/T checks. The
+    # symmetry scan's residuals, which no run reports, are decided from their bracket:
+    # taking them exactly made 604. Norming every matrix took 2216, about 11 a point.
     cfg = load_config(ROOT / "scenarios" / "two_level_ramp.json")
     svd, matrices = np.linalg.svd, []
 
@@ -572,7 +609,28 @@ def test_ramp_run_takes_an_svd_only_where_a_norm_is_reported_or_open(monkeypatch
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_scenario(cfg)
-    assert sum(matrices) == 604
+    assert sum(matrices) == 403
+
+
+def test_run_checks_the_scans_eigenpairs_at_the_eigenframe_tolerance(monkeypatch):
+    # The symmetry scan checks its eigenpair residuals at its tolerance, 1e-10 * ||H||;
+    # the eigenframe at 1e-12 * ||H||. An eigenvalue moved by 1e-11 at t = 0.035 leaves
+    # a residual between the two: the scan passes it, and the eigenframe aborts the run.
+    cfg = load_config(ROOT / "scenarios" / "two_level_ramp.json")
+    model = build_model(cfg)
+    marked = model.hamiltonian.stack(np.array([0.035]))[0]
+    solve = linalg._eigenpairs_2x2
+
+    def shifted(M):
+        lams, vecs = solve(M)
+        return lams + 1e-11 * np.all(M == marked, axis=(1, 2))[:, None], vecs
+
+    monkeypatch.setattr(linalg, "_eigenpairs_2x2", shifted)
+    with pytest.raises(ConvergenceError,
+                       match=r"^eigenframe at t=0\.035: eigenpair residual 1\.0\d\de-11 exceeds "
+                             r"1\.0e-12\*\|\|M\|\| for matrix:\n") as err:
+        run_scenario(cfg)
+    assert err.value.index == 7
 
 
 def test_frame_tolerance_sweep_pins_the_boundary():

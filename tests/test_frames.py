@@ -1,5 +1,6 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from scipy.linalg import expm
 from helpers import (random_frame_matrices, reference_frame_residuals, reference_symmetry_report,
                      rotating_frame_model, two_level_matrices, unbroken_model_matrices)
 from ptdyn import frames
+from ptdyn.cli import build_model
+from ptdyn.config import load_config
 from ptdyn.frames import (
     FrameAxiomError,
     FrameFamily,
@@ -445,6 +448,21 @@ def test_one_point_kernels_match_the_one_norm_per_matrix_reference(seed, dim, om
             one_point.append(symmetry_report(frame, X, tol))
             assert repr(one_point[-1]) == repr(reference_symmetry_report(frame, X, tol))
         assert repr(fg.symmetry_reports(hams, tol)) == repr(one_point)
+
+
+def test_grid_reports_take_exact_residuals_on_the_bundled_ramp():
+    # A run decides its verdicts from the residual norms' bracket; a report built from
+    # the same scan still carries the exact SVD norms, as symmetry_report gives them.
+    cfg = load_config(Path(__file__).resolve().parents[1] / "scenarios" / "two_level_ramp.json")
+    model = build_model(cfg)
+    tol = cfg.tolerances["symmetry"]
+    fg = model.frame_family.on_grid(cfg.grid.times())
+    hams = model.hamiltonian.stack(fg.times)
+    reports = fg.symmetry_reports(hams, tol)
+    assert len(reports) == 201
+    for t, H, report in zip(fg.times, hams, reports):
+        assert repr(report) == repr(symmetry_report(model.frame_family.frame_at(t), H, tol))
+    assert sum(report.pt_residual > 0.0 or report.cpt_residual > 0.0 for report in reports) > 100
 
 
 def test_batched_norm_failure_names_the_point_within_the_stack():

@@ -304,6 +304,34 @@ def test_norm_decisions_equal_the_exact_comparison(dim, n, seed, tol, floor, sca
         assert np.array_equal(norms.decide(lambda a, b: check(x, a, b), 0, 1), check(x, nA, nB))
 
 
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 8), n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([3e-16, 1e-10, 0.5]), floor=st.sampled_from([0.0, 1e-300, 1.0]),
+       scale=st.sampled_from([1e-6, 0.3, 1.0, 1e6]))
+def test_norm_decisions_falling_with_a_norm_equal_the_exact_comparison(dim, n, seed, tol, floor,
+                                                                       scale):
+    # ||R|| <= tol*max(||A||, floor) and ||R|| > tol*max(||A||*||B||, floor), decided from the
+    # brackets: each falls with one norm and rises with the others, or the reverse. R is
+    # scaled so that its norm lands at, next to or inside the bracket around the threshold.
+    rng = np.random.default_rng(seed)
+    A = scale * _magnitudes(rng, (n, dim, dim), -1, 0.5)
+    B = _magnitudes(rng, (n, dim, dim), -1, 0.5)
+    A[rng.random(n) < 0.2] = 0.0
+    R = _magnitudes(rng, (n, dim, dim), -1, 0.5)
+    nA, nB, unit = operator_norms(A), operator_norms(B), operator_norms(R)
+    checks = [
+        (lambda a, b, r: r <= tol * np.maximum(a, floor), (2,), tol * np.maximum(nA, floor)),
+        (lambda a, b, r: r > tol * np.maximum(a * b, floor), (0, 1),
+         tol * np.maximum(nA * nB, floor)),
+    ]
+    for check, falling, t in checks:
+        with np.errstate(invalid="ignore", over="ignore"):  # a NaN or infinite target
+            target = R * (np.nan_to_num(_around(rng, t, dim), posinf=0.0) / unit)[:, None, None]
+        nR = operator_norms(target)
+        norms = linalg._Norms((A, B, target), (False, False, False))
+        assert np.array_equal(norms.decide(check, 0, 1, 2, falling=falling), check(nA, nB, nR))
+
+
 # ---------------------------------------------------------- family_derivative
 
 def _derivative(F, t, h=None):
