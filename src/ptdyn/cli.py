@@ -263,7 +263,8 @@ def _rows(t: list[str], *columns) -> list[str]:
 
 def _write_trajectory_csv(path: Path, trajectory: dyn.Trajectory) -> list[str]:
     """Write trajectory.csv; returns its time column's cells, which adiabatic.csv shares."""
-    states, t = trajectory.states, list(map("{:.17g}".format, trajectory.times.tolist()))
+    t = list(map("{:.17g}".format, trajectory.times.tolist()))
+    states = trajectory.states
     parts = np.stack((states.real, states.imag), axis=-1).reshape(len(states), -1)  # re0, im0, ...
     _atomic_write(path, "\n".join([
         "t," + "".join(f"re{i},im{i}," for i in range(states.shape[1])) + "cpt_norm,drift_rate",
