@@ -112,15 +112,16 @@ def build_eigenframe(
     state is real positive. Orthonormality of the resulting basis in the
     frame inner product is verified to ``DEFAULT_ORTHO_TOL`` at every point.
 
-    All of it runs on stacks of grid points (``linalg.STACK_ENTRIES`` matrix
-    entries at a time); the label map, the last raw point and the phases
-    carry across stacks. A failure raises the error of the earliest failing
-    point and, at that point, of the first failing step in the order above
-    (evaluating H comes first).
+    All of it runs in one walk over stacks of grid points
+    (``linalg.STACK_ENTRIES`` matrix entries at a time); the label map, the
+    last raw point and the phases carry across stacks. A failure raises the
+    error of the earliest failing point and, at that point, of the first
+    failing step in the order above (evaluating H comes first).
 
     ``_scan``, the frame grid's symmetry scan of H (``FrameGrid._scan``),
-    hands over its H stack, eigenpairs and norms, which are checked as the
-    ones solved here are: no H is evaluated and no eigenproblem solved again.
+    hands over its H stack and eigenpairs, cut to each stack: their residuals
+    are checked at the eigenframe's tolerance, and no H is evaluated and no
+    eigenproblem solved again.
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
@@ -131,15 +132,12 @@ def build_eigenframe(
     min_overlap = 1.0
     # at the last point matched: the label -> raw pair index map, the raw pairs, the phases
     labels, last, theta = np.arange(dim), None, np.zeros((1, dim))
-    starts = range(0, n_t, max(1, linalg.STACK_ENTRIES // (dim * dim)))
-    if _scan is None:  # each stack solved as the loop reaches it
-        spectra = (_real_spectra(hamiltonian, grid[lo:lo + starts.step], lo, dim, realness_tol)
-                   for lo in starts)
-    else:  # the scan's pairs, checked at once, then cut into stacks
-        lams, vecs, failure = _real_spectra(hamiltonian, grid, 0, dim, realness_tol, _scan[:5])
-        spectra = [(lams[lo:lo + starts.step], vecs[lo:lo + starts.step],
-                    failure if lo + starts.step > len(lams) else None) for lo in starts]
-    for lo, (lams, vecs, failure) in zip(starts, spectra):
+    step = max(1, linalg.STACK_ENTRIES // (dim * dim))
+    for lo in range(0, n_t, step):
+        part = slice(lo, lo + step)
+        solved = None if _scan is None else (
+            _scan.hams[part], _scan.lams[part], _scan.vecs[part], _scan.resid[part])
+        lams, vecs, failure = _real_spectra(hamiltonian, grid[part], lo, dim, realness_tol, solved)
         # Each check runs on the points before the earliest failure found so
         # far; that failure is raised once the earlier points have passed.
         n = lams.shape[0]
@@ -221,13 +219,15 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, start: int, dim
     before the earliest failure of evaluating H, of the eigensolve and its
     residual check at ``linalg.DEFAULT_EIGEN_TOL``, or of the realness check
     (in that order at one point), and that failure, or None. ``solved``, when
-    given, holds H on the grid and what ``linalg._eigenpairs`` gives for it,
-    taken instead of evaluating and solving. An eigensolve's
-    :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
+    given, holds H on the grid and the values, vectors and residuals
+    ``linalg._eigenpairs`` gives for it, taken instead of evaluating and
+    solving; their residuals are checked here, against the norms of this H.
+    An eigensolve's :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
     ``eigenframe at t=…`` and carries the grid position, ``start`` being that
     of ``grid[0]``.
     """
     failure = unsolved = None
+    tol = linalg.DEFAULT_EIGEN_TOL
     if solved is None:
         try:
             H = hamiltonian.stack(grid)
@@ -237,15 +237,17 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, start: int, dim
                 raise
             H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
         try:
-            solved = H, *linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
+            lams, vecs, _, norms = linalg._eigenpairs(H, tol)
         except linalg.ConvergenceError as exc:
-            unsolved, H = exc, H[:exc.index]
-            solved = H, *linalg._eigenpairs(H, linalg.DEFAULT_EIGEN_TOL)
-    H, lams, vecs, resid, norms = solved
-    try:
-        linalg._check_pairs(H, resid, linalg.DEFAULT_EIGEN_TOL, norms)
-    except linalg.ConvergenceError as exc:
-        unsolved = exc
+            unsolved = exc
+            lams, vecs, _, norms = linalg._eigenpairs(H[:exc.index], tol)
+    else:
+        H, lams, vecs, resid = solved
+        norms = linalg._Norms((H,), (False,))
+        try:
+            linalg._check_pairs(H, resid, tol, norms)
+        except linalg.ConvergenceError as exc:
+            unsolved = exc
     n = len(lams) if unsolved is None else unsolved.index
     if unsolved is not None:
         failure = linalg.ConvergenceError(f"eigenframe at t={grid[n]}: {unsolved}", start + n)

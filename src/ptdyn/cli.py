@@ -17,6 +17,8 @@ of a non-finite model value or of an SVD that did not converge).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import os
@@ -282,22 +284,22 @@ def _write_adiabatic_csv(path: Path, t: list[str], report: adb.AdiabaticReport) 
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
-    lines = ["value,bound,max_fidelity_loss,bound_satisfied,norm_drift,status,error"]
-    for row in rows:
-        def cell(key):
-            v = row[key]
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return str(v).lower()
-            if isinstance(v, float):
-                return _fmt(v)
-            return str(v).replace(",", ";").replace("\n", " ")
-        lines.append(",".join(cell(k) for k in (
-            "value", "bound", "max_fidelity_loss", "bound_satisfied",
-            "norm_drift", "status", "error",
-        )))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    keys = ("value", "bound", "max_fidelity_loss", "bound_satisfied", "norm_drift", "status", "error")
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return str(v).lower()
+        if isinstance(v, float):
+            return _fmt(v)
+        return str(v)
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows([cell(row[key]) for key in keys] for row in rows)
+    _atomic_write(path, text.getvalue())
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:

@@ -84,18 +84,15 @@ def as_grid(values, name: str = "grid") -> np.ndarray:
 class AntilinearOperator:
     """Antilinear map x -> K conj(x).
 
-    Composing with itself gives the linear map K conj(K), which the frame
-    validation compares against the identity.
+    Composing with itself gives the linear map K conj(K) (:meth:`squared`).
+    The frame check (``frames._pt_axioms``) forms K conj(K) from
+    ``conj_matrix`` itself and compares it against the identity.
     """
 
     conj_matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "conj_matrix", as_operator(self.conj_matrix, "conj_matrix"))
-
-    @property
-    def dim(self) -> int:
-        return self.conj_matrix.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.conj_matrix @ np.conj(as_state(x))
@@ -218,14 +215,7 @@ def operator_norms(X) -> np.ndarray:
     once the stacked SVD has failed.
     """
     X = np.asarray(X)
-    return _joint_norms(X.reshape(-1, *X.shape[-2:])).reshape(X.shape[:-2])
-
-
-def _joint_norms(*stacks, start: int = 0) -> np.ndarray:
-    """:func:`operator_norms` of stacks, concatenated, in one SVD. Each stack holds one matrix
-    per point start, ..., start + n - 1 (a last one may hold fewer). The first failing matrix j
-    of the concatenation raises :class:`ConvergenceError` naming point start + j mod n."""
-    return _Norms(stacks, (True,) * len(stacks), start).lo
+    return _Norms((X.reshape(-1, *X.shape[-2:]),), (True,)).lo.reshape(X.shape[:-2])
 
 
 class _Norms:

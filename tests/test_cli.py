@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -14,8 +15,8 @@ from scipy.linalg import expm
 from helpers import two_level_matrices
 from ptdyn import frames, linalg
 from ptdyn.adiabatic import AdiabaticReport
-from ptdyn.cli import (_write_adiabatic_csv, _write_trajectory_csv, build_model, main,
-                       run_scenario, sweep)
+from ptdyn.cli import (_write_adiabatic_csv, _write_sweep_csv, _write_trajectory_csv,
+                       build_model, main, run_scenario, sweep)
 from ptdyn.config import ConfigError, from_dict, load_config, matrix_to_pairs
 from ptdyn.dynamics import Trajectory
 from ptdyn.frames import FrameGrid
@@ -402,8 +403,81 @@ def test_sweep_records_a_lost_level_as_an_error_row(tmp_path, alpha_start):
     rows = sweep(cfg, "model.s.stop", [1.0, -1.0], out_dir=tmp_path)
     assert [r["status"] for r in rows] == ["ok", "error"]
     assert rows[1]["error"] == LOST_LEVELS[alpha_start]
-    last = (tmp_path / "sweep.csv").read_text().splitlines()[-1]
-    assert last.endswith(",error," + LOST_LEVELS[alpha_start].replace(",", ";"))  # a csv cell
+    with open(tmp_path / "sweep.csv", newline="") as f:
+        last = list(csv.reader(f))[-1]
+    assert last[-2:] == ["error", LOST_LEVELS[alpha_start]]
+
+
+def test_sweep_csv_error_cell_round_trips(tmp_path):
+    error = 'frame check failed (tolerance 3.0e-16, scale 1.26): "P" drifts\nat t=0.5'
+    rows = [{"value": 1.0, "bound": 0.25, "max_fidelity_loss": 1e-3, "bound_satisfied": True,
+             "norm_drift": None, "status": "ok", "error": None},
+            {"value": "3e-16", "bound": None, "max_fidelity_loss": None, "bound_satisfied": None,
+             "norm_drift": None, "status": "error", "error": error}]
+    _write_sweep_csv(tmp_path / "sweep.csv", rows)
+    with open(tmp_path / "sweep.csv", newline="") as f:
+        read = list(csv.DictReader(f))
+    assert read[0] == {"value": "1", "bound": "0.25", "max_fidelity_loss": "0.001",
+                       "bound_satisfied": "true", "norm_drift": "", "status": "ok", "error": ""}
+    assert read[1]["error"] == error
+    assert read[1]["status"] == "error" and read[1]["bound"] == ""
+
+
+def _last_alpha_with_cos_at_least_half():
+    """The largest float alpha near pi/3 with cos(alpha) >= 1/2, as the two-level model rounds it."""
+    near = [math.acos(0.5)]
+    for direction in (-math.inf, math.inf):
+        a = near[0]
+        for _ in range(4):
+            a = float(np.nextafter(a, direction))
+            near.append(a)
+    last = max(a for a in near if np.cos(a) >= 0.5)
+    assert np.cos(np.nextafter(last, math.inf)) < 0.5
+    return last
+
+
+def test_run_at_the_last_alpha_stop_with_cos_alpha_at_least_half(tmp_path):
+    raw = json.loads((ROOT / "scenarios" / "two_level_ramp.json").read_text())
+    raw["model"]["alpha"]["stop"] = _last_alpha_with_cos_at_least_half()
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, raw)), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    numbers = [summary["norm_drift"], *summary["frame_residuals"].values(),
+               summary["symmetry"]["max_eigen_imag"], summary["adiabatic"]["bound"],
+               summary["adiabatic"]["max_fidelity_loss"]]
+    assert all(math.isfinite(x) for x in numbers)
+
+
+def test_run_one_float_past_cos_alpha_of_one_half_is_a_config_error(tmp_path, capsys):
+    raw = json.loads((ROOT / "scenarios" / "two_level_ramp.json").read_text())
+    raw["model"]["alpha"]["stop"] = float(np.nextafter(_last_alpha_with_cos_at_least_half(),
+                                                       math.inf))
+    assert main(["run", str(write_config(tmp_path, raw)), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"cos\(alpha\) = 0\.5000 < 0\.5 at t=1\.0; ", err), err
+
+
+def test_run_near_an_exceptional_point_keeps_the_exact_propagator(tmp_path):
+    # C(alpha) with cos(alpha) = 1e-3: ||C|| ~ 2e3 and PC has eigenvalues ~ 2e3 and 5e-4.
+    # The Schrodinger run must stay on e^{-iHt} psi_0 within the run's norm-drift
+    # tolerance in the frame norm, or fail.
+    cos_a = 1e-3
+    sin_a = math.sqrt(1.0 - cos_a * cos_a)
+    C = np.array([[1j * sin_a, 1.0], [1.0, -1j * sin_a]]) / cos_a
+    P = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    H = 0.5 * np.eye(2) + C
+    raw = {"model": {"kind": "inline", "H": matrix_to_pairs(H), "C": matrix_to_pairs(C),
+                     "P": matrix_to_pairs(P), "K": matrix_to_pairs(np.eye(2))},
+           "equation": "schrodinger", "grid": {"t_start": 0.0, "t_end": 2.0, "points": 101},
+           "level": 0, "epsilon": 0.5}
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, raw)), "--out-dir", str(out)]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    times, states = rows[:, 0], rows[:, 1:5:2] + 1j * rows[:, 2:5:2]
+    exact = np.array([expm(-1j * t * H) @ states[0] for t in times])
+    err = exact - states
+    frame_err = np.sqrt(np.einsum("ki,ij,kj->k", err.conj(), P @ C, err).real)
+    assert frame_err.max() <= 1e-6
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,

@@ -191,16 +191,19 @@ def test_operator_norms_names_the_matrix_whose_svd_fails():
 def test_joint_norms_name_the_point_of_the_first_failing_matrix():
     # Three 5-point stacks in one SVD: the second fails at point 3, the third at point 1.
     # The first failing matrix of the concatenation is the second stack's, at point 3.
+    def joint_norms(*stacks, start=0):  # operator norms of the stacks, concatenated, in one SVD
+        return linalg._Norms(stacks, (True,) * len(stacks), start).lo
+
     eye = np.stack([np.eye(2)] * 5)
     second, third = eye.copy(), eye.copy()
     second[3] = third[1] = np.diag([np.nan, 1.0])
     with pytest.raises(ConvergenceError, match="^SVD did not converge for stack matrix 3$") as err:
-        linalg._joint_norms(eye, second, third)
+        joint_norms(eye, second, third)
     assert err.value.index == 3
     with pytest.raises(ConvergenceError, match="^SVD did not converge for stack matrix 43$") as err:
-        linalg._joint_norms(eye, second, third, start=40)
+        joint_norms(eye, second, third, start=40)
     assert err.value.index == 43
-    norms = linalg._joint_norms(eye, 2.0 * eye, np.eye(2)[None])
+    norms = joint_norms(eye, 2.0 * eye, np.eye(2)[None])
     assert norms.tolist() == [1.0] * 5 + [2.0] * 5 + [1.0]
 
 
