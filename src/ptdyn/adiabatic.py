@@ -118,15 +118,23 @@ def build_eigenframe(
     error of the earliest failing point and, at that point, of the first
     failing step in the order above (evaluating H comes first).
 
-    ``_scan``, the frame grid's symmetry scan of H (``FrameGrid._scan``),
-    hands over its H stack and eigenpairs, cut to each stack: their residuals
-    are checked at the eigenframe's tolerance, and no H is evaluated and no
-    eigenproblem solved again.
+    H is the family's kept grid stack (:meth:`OperatorFamily.on_grid`), cut
+    to each stack; if that raises, each stack evaluates its own H. ``_scan``,
+    the frame grid's symmetry scan of H (``FrameGrid._scan``), hands over
+    its H stack and eigenpairs instead: their residuals are checked at the
+    eigenframe's tolerance, and no eigenproblem is solved again.
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
     n_t = grid.size
     dim = frame_family.dim
+    if _scan is not None:
+        hams = _scan.hams
+    else:
+        try:
+            hams = hamiltonian.on_grid(grid)
+        except Exception:  # whatever it raises: each stack evaluates its own H, in the walk's order
+            hams = None
     energies = np.empty((n_t, dim))
     states = np.empty((n_t, dim, dim), dtype=complex)
     min_overlap = 1.0
@@ -135,9 +143,9 @@ def build_eigenframe(
     step = max(1, linalg.STACK_ENTRIES // (dim * dim))
     for lo in range(0, n_t, step):
         part = slice(lo, lo + step)
-        solved = None if _scan is None else (
-            _scan.hams[part], _scan.lams[part], _scan.vecs[part], _scan.resid[part])
-        lams, vecs, failure = _real_spectra(hamiltonian, grid[part], lo, dim, realness_tol, solved)
+        pairs = None if _scan is None else (_scan.lams[part], _scan.vecs[part], _scan.resid[part])
+        lams, vecs, failure = _real_spectra(hamiltonian, grid[part], lo, dim, realness_tol,
+                                            None if hams is None else hams[part], pairs)
         # Each check runs on the points before the earliest failure found so
         # far; that failure is raised once the earlier points have passed.
         n = lams.shape[0]
@@ -211,24 +219,26 @@ def _lost_levels(chosen: np.ndarray, perm: np.ndarray) -> str:
 
 
 def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, start: int, dim: int,
-                  realness_tol: float, solved: Optional[tuple] = None
+                  realness_tol: float, H: Optional[np.ndarray] = None,
+                  pairs: Optional[tuple] = None
                   ) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
     """Sorted eigenpairs of H(t) on the grid, up to the first point that fails.
 
     Returns (values, row eigenvectors, failure): the pairs of the points
     before the earliest failure of evaluating H, of the eigensolve and its
     residual check at ``linalg.DEFAULT_EIGEN_TOL``, or of the realness check
-    (in that order at one point), and that failure, or None. ``solved``, when
-    given, holds H on the grid and the values, vectors and residuals
-    ``linalg._eigenpairs`` gives for it, taken instead of evaluating and
-    solving; their residuals are checked here, against the norms of this H.
-    An eigensolve's :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
+    (in that order at one point), and that failure, or None. ``H``, when
+    given, is H on the grid, taken instead of evaluating it; ``pairs``, when
+    given, the values, vectors and residuals ``linalg._eigenpairs`` gives
+    for it, taken instead of solving, with their residuals checked here
+    against the norms of this H. An eigensolve's
+    :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
     ``eigenframe at t=…`` and carries the grid position, ``start`` being that
     of ``grid[0]``.
     """
     failure = unsolved = None
     tol = linalg.DEFAULT_EIGEN_TOL
-    if solved is None:
+    if H is None:
         try:
             H = hamiltonian.stack(grid)
         except ValueError:
@@ -236,13 +246,14 @@ def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, start: int, dim
             if failure is None:
                 raise
             H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
+    if pairs is None:
         try:
             lams, vecs, _, norms = linalg._eigenpairs(H, tol)
         except linalg.ConvergenceError as exc:
             unsolved = exc
             lams, vecs, _, norms = linalg._eigenpairs(H[:exc.index], tol)
     else:
-        H, lams, vecs, resid = solved
+        lams, vecs, resid = pairs
         norms = linalg._Norms((H,), (False,))
         try:
             linalg._check_pairs(H, resid, tol, norms)
@@ -324,7 +335,7 @@ def operator_phase(
     when the commutator vanishes.
     """
     fg = frame_family.on_grid(eframe.times)
-    H = hamiltonian.stack(fg.times)
+    H = hamiltonian.on_grid(fg.times)
     E = eframe.energies[:, level, None, None] * np.eye(eframe.dim)
     integrand = (H - E) / hbar + 0.5j * (fg.c @ fg.cdot)
     A = _cumulative_trapezoid(integrand, eframe.times)

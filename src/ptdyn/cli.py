@@ -100,7 +100,7 @@ def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, b
     gets here has frames that pass.
     """
     fg = model.frame_family.on_grid(grid)
-    scan = fg._scan(model.hamiltonian.stack(fg.times), cfg.tolerances["symmetry"])
+    scan = fg._scan(model.hamiltonian.on_grid(fg.times), cfg.tolerances["symmetry"])
     keys = ("pt_symmetric", "cpt_hermitian", "unbroken")
     symmetry = {key: bool(getattr(scan, key).all()) for key in keys}
     symmetry["max_eigen_imag"] = max(0.0, *scan.realness.tolist())

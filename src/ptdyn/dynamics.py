@@ -101,8 +101,9 @@ class Trajectory:
     """Per-grid-point record of an integrated state evolution.
 
     ``diagnostics`` holds ``substeps`` (the RK4 substep count of each grid
-    interval) and ``generator_evaluations`` (how many times the generator
-    was evaluated); both are deterministic.
+    interval) and ``generator_evaluations`` (how many generators were
+    formed: one a grid point and one a distinct RK4 node off the grid); both
+    are deterministic.
     """
 
     times: np.ndarray
@@ -128,22 +129,32 @@ def effective_generator(problem: EvolutionProblem, t: float) -> np.ndarray:
     return gens[0]
 
 
-def _generators(problem: EvolutionProblem, times: np.ndarray) -> tuple[np.ndarray, int]:
+def _generators(problem: EvolutionProblem, times: np.ndarray, from_grid: bool = False
+                ) -> tuple[np.ndarray, int]:
     """The generator at each of ``times`` as an (n, d, d) stack.
 
     Also returns how many dC/dt values fell back to a one-sided difference.
     Each input family is evaluated once per time (see
     :meth:`OperatorFamily.stack`); an input that fails at some time raises
-    the error its one-point evaluation raises there.
+    the error its one-point evaluation raises there. With ``from_grid``,
+    ``times`` is the problem's grid and the inputs are the families' kept
+    grid stacks (:meth:`OperatorFamily.on_grid`, :meth:`FrameFamily.on_grid`).
     """
-    H = problem.hamiltonian.stack(times)
+    def at(family: OperatorFamily) -> np.ndarray:
+        return family.on_grid(times) if from_grid else family.stack(times)
+
+    H = at(problem.hamiltonian)
     if problem.equation is Equation.SCHRODINGER:
         return H, 0
     if problem.equation is Equation.AUGMENTED:
-        return H + 1j * problem.correction.stack(times), 0
-    c_family = problem.frame_family.c_family
-    C = c_family.stack(times)
-    Cdot, one_sided = linalg.family_derivatives(c_family, times)
+        return H + 1j * at(problem.correction), 0
+    if from_grid:
+        fg = problem.frame_family.on_grid(times)
+        C, Cdot, one_sided = fg.c, fg.cdot, fg.one_sided
+    else:
+        c_family = problem.frame_family.c_family
+        C = c_family.stack(times)
+        Cdot, one_sided = linalg.family_derivatives(c_family, times)
     return H - 0.5j * problem.hbar * (C @ Cdot), one_sided
 
 
@@ -160,7 +171,7 @@ def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> n
     cdot_phi = np.einsum("kij,kj->ki", cdot, states)
     op_phi = np.einsum("ij,kj->ki", problem.frame_family.p, cdot_phi)
     if problem.equation is Equation.AUGMENTED:
-        g = problem.correction.stack(times)
+        g = problem.correction.on_grid(times)
         op_phi = op_phi + (2.0 / problem.hbar) * np.einsum(
             "kij,kj->ki", metric, np.einsum("kij,kj->ki", g, states))
     elif problem.equation is Equation.COMPENSATED:
@@ -213,15 +224,19 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     """Fixed-step RK4 over the grid; returns (values at grid points, diagnostics).
 
     The right-hand side is y' = -(i/hbar) * generator(t) y. The generators
-    at the interval starts come first, in stacks of ``linalg.STACK_ENTRIES``
-    entries; their norms give the substep counts, decided from the norms'
-    bounds where those give the count (an SVD runs for the rest and for the
-    norm a coarse-step warning prints). The substeps are then
+    at the grid points come first, formed from the families' kept grid
+    stacks (``_generators(..., from_grid=True)``), so a run that has scanned,
+    validated or tracked its grid evaluates no family there again. Where a
+    grid stack raises, the generators at the interval starts are evaluated
+    instead, in stacks of ``linalg.STACK_ENTRIES`` entries. The starts'
+    norms give the substep counts, decided from the norms' bounds where
+    those give the count (an SVD runs for the rest and for the norm a
+    coarse-step warning prints). The substeps are then
     taken in blocks (three (d, d) matrices each, within that bound) that
     cross interval ends. A substep's nodes are t = t0 + j*h, t + 0.5*h and
     t + h, the one-point scheme's float expressions; a block evaluates the
-    generator once per distinct node that is neither an interval start nor
-    the last block's last node, as one ascending stack. The state arithmetic
+    generator once per distinct node that is neither one of those points
+    nor the previous block's last node, as one ascending stack. The state arithmetic
     is the one-point RK4's: :func:`_rk4_step_pair` for a state vector of
     dimension 2, the array step :func:`_rk4_step` for larger states and for
     propagator matrices. So the values are bit-identical to evaluating the
@@ -251,27 +266,34 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         advance, finite = _rk4_step, (lambda u: np.all(np.isfinite(u)))
     evaluations = one_sided = 0
 
-    def generators(times: np.ndarray) -> np.ndarray:
+    def generators(times: np.ndarray, from_grid: bool = False) -> np.ndarray:
         nonlocal evaluations, one_sided
-        gens, edges = _generators(problem, times)
+        gens, edges = _generators(problem, times, from_grid)
         evaluations += times.size
         one_sided += edges
         return gens
 
-    # the interval starts, a stack at a time; from a failing stack on, one at a time
-    starts, parts, failure = grid[:-1], [np.empty((0, dim, dim), dtype=complex)], None
-    lo, step = 0, max(1, linalg.STACK_ENTRIES // dim ** 2)
-    while lo < starts.size:
-        try:
-            parts.append(generators(starts[lo:lo + step]))
-            lo += step
-        except ValueError as exc:
-            if step == 1:
-                starts, failure = starts[:lo], exc
-            step = 1
-    G0 = np.concatenate(parts)
+    # The grid points from the kept grid stacks. If one raises, whatever it raises, the interval
+    # starts a stack at a time, and from a failing stack on one at a time: that order raises the
+    # error, and at the time, the one-point scheme meets first.
+    starts, failure = grid[:-1], None
+    try:
+        G0 = generators(grid, from_grid=True)
+    except Exception:
+        parts = [np.empty((0, dim, dim), dtype=complex)]
+        lo, step = 0, max(1, linalg.STACK_ENTRIES // dim ** 2)
+        while lo < starts.size:
+            try:
+                parts.append(generators(starts[lo:lo + step]))
+                lo += step
+            except ValueError as exc:
+                if step == 1:
+                    starts, failure = starts[:lo], exc
+                step = 1
+        G0 = np.concatenate(parts)
+    g0_times = grid[:len(G0)]  # every grid point, or the interval starts evaluated
     # Each count and warning rises with the norm, so its bounds settle it where they agree.
-    norms = linalg._Norms((G0,), (False,))
+    norms = linalg._Norms((G0[:starts.size],), (False,))
     dt = np.diff(grid)[:starts.size]
     if problem.substeps is not None:
         nsub = np.full(starts.size, problem.substeps)
@@ -299,10 +321,10 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         t_a = grid[ks] + (sub - first[ks]) * h[ks]
         t_b, t_c = t_a + 0.5 * h[ks], t_a + h[ks]
         nodes = np.unique(np.concatenate((t_a, t_b, t_c)))
-        known = np.isin(nodes, starts)
+        known = np.isin(nodes, g0_times)
         fresh = ~known & (nodes != kept_t)
         gens = np.empty((nodes.size, dim, dim), dtype=complex)
-        gens[known] = G0[np.searchsorted(starts, nodes[known])]
+        gens[known] = G0[np.searchsorted(g0_times, nodes[known])]
         gens[~known & ~fresh] = kept
         if fresh.any():
             try:

@@ -116,6 +116,8 @@ class OperatorFamily:
     stack in one call, else stacks call them once per time. ``derivative``,
     when given, must be the analytic d/dt of ``evaluate``; otherwise
     derivatives fall back to central differences (see :func:`family_derivatives`).
+    :meth:`on_grid` keeps the last grid stack it built, so every stage of a
+    run that asks for the same grid shares one evaluation a point.
     """
 
     t_start: float
@@ -123,6 +125,7 @@ class OperatorFamily:
     evaluate: Callable[[float], np.ndarray]
     derivative: Optional[Callable[[float], np.ndarray]] = None
     vectorized: bool = field(default=False, kw_only=True)
+    _grid: tuple = field(default=(), init=False, repr=False, compare=False)  # (times, stack)
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
@@ -143,6 +146,20 @@ class OperatorFamily:
         if n < times.size:
             raise ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]")
         return out
+
+    def on_grid(self, grid) -> np.ndarray:
+        """M(t) at every grid time as one read-only (n_t, d, d) :meth:`stack`.
+
+        Returns the kept stack when ``grid`` equals its times, else builds
+        and keeps a new one; a stack that raises keeps nothing.
+        """
+        grid = as_grid(grid)
+        if not (self._grid and np.array_equal(self._grid[0], grid)):
+            times = grid.copy()
+            values = self.stack(times)
+            times.flags.writeable = values.flags.writeable = False
+            object.__setattr__(self, "_grid", (times, values))
+        return self._grid[1]
 
     @classmethod
     def constant(cls, M) -> "OperatorFamily":

@@ -156,7 +156,8 @@ class Model:
     ``energies(t)`` and ``eigenvector(level, t, normalization=...)`` are
     closed-form oracles for the numeric paths, present where the model
     kind has them. Every stage of a run reads the same two families, so
-    the frame family's last :class:`FrameGrid` is shared by all of them.
+    the frame family's last :class:`FrameGrid` and the Hamiltonian's last
+    grid stack (:meth:`OperatorFamily.on_grid`) are shared by all of them.
     """
 
     hamiltonian: OperatorFamily
@@ -260,7 +261,7 @@ def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
     if np.any(cos_alpha < MIN_COS_ALPHA):
         k = int(np.argmax(cos_alpha < MIN_COS_ALPHA))
         raise ValueError(
-            f"cos(alpha) = {cos_alpha[k]:.4f} < {MIN_COS_ALPHA} at t={grid[k]}; "
+            f"cos(alpha) = {float(cos_alpha[k])!r} < {MIN_COS_ALPHA} at t={grid[k]}; "
             "the angle must keep cos(alpha) >= 1/2"
         )
     model = two_level(s, alpha, float(grid[0]), float(grid[-1]), frame_tol=frame_tol)

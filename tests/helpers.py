@@ -122,13 +122,14 @@ def jumping_block_model(seed: int, dim: int):
     return OperatorFamily(0.0, 1.0, lambda t: c_of_t(t) @ PS), family
 
 
-def rotating_frame_model(seed: int, dim: int, omega: float = 1.0):
+def rotating_frame_model(seed: int, dim: int, omega: float = 1.0, analytic: bool = False):
     """(H family, frame family) on [0, 1] of a random frame turned by a rotation commuting with P.
 
     C(t) = R C0 R^T and H(t) = R C0 P S0 R^T with R = exp(omega t A), A real
     antisymmetric and AP = PA, and S0 random Hermitian. Every C(t) is a
     valid frame, and H(t) is metric-Hermitian with the fixed real spectrum
-    of C0 P S0 and eigenvectors that turn with R.
+    of C0 P S0 and eigenvectors that turn with R. With ``analytic`` the C
+    family has its derivative omega (A C - C A); else dC/dt is differenced.
     """
     from scipy.linalg import expm
 
@@ -146,7 +147,9 @@ def rotating_frame_model(seed: int, dim: int, omega: float = 1.0):
             return R @ M @ R.T
         return evaluate
 
-    family = FrameFamily(OperatorFamily(0.0, 1.0, turned(C0)), P, AntilinearOperator(K))
+    c_of_t = turned(C0)
+    c_dot = (lambda t: omega * (A @ c_of_t(t) - c_of_t(t) @ A)) if analytic else None
+    family = FrameFamily(OperatorFamily(0.0, 1.0, c_of_t, c_dot), P, AntilinearOperator(K))
     return OperatorFamily(0.0, 1.0, turned(H0)), family
 
 

@@ -450,11 +450,14 @@ def test_run_at_the_last_alpha_stop_with_cos_alpha_at_least_half(tmp_path):
 
 def test_run_one_float_past_cos_alpha_of_one_half_is_a_config_error(tmp_path, capsys):
     raw = json.loads((ROOT / "scenarios" / "two_level_ramp.json").read_text())
-    raw["model"]["alpha"]["stop"] = float(np.nextafter(_last_alpha_with_cos_at_least_half(),
-                                                       math.inf))
+    stop = float(np.nextafter(_last_alpha_with_cos_at_least_half(), math.inf))
+    raw["model"]["alpha"]["stop"] = stop
     assert main(["run", str(write_config(tmp_path, raw)), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"cos\(alpha\) = 0\.5000 < 0\.5 at t=1\.0; ", err), err
+    # the message prints the rejected cosine itself, which reads back below 1/2
+    printed = re.search(r"cos\(alpha\) = (\S+) < 0\.5 at t=1\.0; ", err)
+    assert printed, err
+    assert float(printed[1]) == float(np.cos(stop)) < 0.5
 
 
 def test_run_near_an_exceptional_point_keeps_the_exact_propagator(tmp_path):

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from helpers import (random_frame_matrices, reference_rk4_run, rotating_frame_model,
                      two_level_matrices)
 from ptdyn import dynamics
+from ptdyn.adiabatic import build_eigenframe, build_report, operator_phase
 from ptdyn.dynamics import (
     Equation,
     EvolutionProblem,
@@ -19,7 +20,7 @@ from ptdyn.dynamics import (
     evolve_propagator,
     evolve_state,
 )
-from ptdyn.frames import FrameFamily, cpt_norm, validate_frames
+from ptdyn.frames import FrameAxiomError, FrameFamily, cpt_norm, validate_frames
 from ptdyn.linalg import (AntilinearOperator, OperatorFamily, family_derivatives, operator_norm,
                           operator_norms)
 from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level, two_level
@@ -654,20 +655,55 @@ def test_rk4_one_sided_derivatives_logged_once_per_run(caplog):
     assert not [r for r in caplog.records if r.name == "ptdyn.linalg"]
 
 
-def test_rk4_plans_the_ramp_in_a_few_stacks(monkeypatch):
-    # 2000 interval starts as one stack, then 2000 midpoints and the last end
-    # point in three blocks that cross interval ends
+def _recorded(family, calls, *names):
+    """``family`` with each of its callables ``names`` appending its argument to ``calls[name]``."""
+    def recording(name):
+        fn = getattr(family, name)
+        return lambda t: calls.setdefault(name, []).append(t) or fn(t)
+    return dataclasses.replace(family, **{name: recording(name) for name in names})
+
+
+def test_rk4_plans_the_ramp_in_a_few_stacks():
+    # each family once on the 2001-point grid, whose stacks give the interval
+    # starts and the last end point, then at the 2000 midpoints in three blocks
+    # that cross interval ends
     grid = np.linspace(0.0, 1.0, 2001)
     model = build_two_level(ScalarFunction.constant(1.1), ScalarFunction.ramp(0.1, 0.3, 0.0, 1.0),
                             grid)
-    sizes = []
-    stacked = dynamics._generators
-    monkeypatch.setattr(dynamics, "_generators",
-                        lambda problem, times: sizes.append(times.size) or stacked(problem, times))
-    traj = evolve_state(model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.3j])))
-    assert len(sizes) <= 6
-    assert traj.diagnostics["generator_evaluations"] == sum(sizes) == 4001
+    h_calls, c_calls = {}, {}
+    family = dataclasses.replace(
+        model.frame_family, c_family=_recorded(model.frame_family.c_family, c_calls,
+                                               "evaluate", "derivative"))
+    problem = EvolutionProblem(_recorded(model.hamiltonian, h_calls, "evaluate"), family, grid,
+                               Equation.COMPENSATED, np.array([1.0, 0.3j]))
+    traj = evolve_state(problem)
+    for calls in (h_calls["evaluate"], c_calls["evaluate"], c_calls["derivative"]):
+        sizes = [np.size(t) for t in calls]
+        assert sizes[0] == 2001 and sum(sizes[1:]) == 2000 and len(sizes) <= 4
+    assert traj.diagnostics["generator_evaluations"] == 4001
     assert traj.diagnostics["substeps"] == [1] * 2000
+
+
+def test_library_run_evaluates_each_family_once_a_node():
+    # build_eigenframe, evolve_state, build_report and operator_phase on one
+    # per-point d = 4 model: H, C and dC/dt are each evaluated once at every
+    # grid point and once at every RK4 node off the grid, and nowhere else
+    grid = np.linspace(0.0, 1.0, 11)
+    ham, family = rotating_frame_model(5, 4, analytic=True)
+    h_calls, c_calls = {}, {}
+    ham = _recorded(ham, h_calls, "evaluate")
+    family = dataclasses.replace(
+        family, c_family=_recorded(family.c_family, c_calls, "evaluate", "derivative"))
+    eframe = build_eigenframe(ham, family, grid)
+    problem = EvolutionProblem(ham, family, grid, Equation.COMPENSATED, eframe.states[0, 1],
+                               substeps=3)
+    build_report(eframe, family, evolve_state(problem), 1, 0.5)
+    operator_phase(ham, family, eframe, 1)
+    nodes = set(grid).union(*(_nodes(t0, t1, 3) for t0, t1 in zip(grid[:-1], grid[1:])))
+    # 5 nodes an interval besides its start, and 2 ends that round off the grid point
+    assert len(nodes) == grid.size + 5 * (grid.size - 1) + 2
+    for calls in (h_calls["evaluate"], c_calls["evaluate"], c_calls["derivative"]):
+        assert len(calls) == len(set(calls)) and set(calls) == nodes
 
 
 def _blowing_up(hamiltonian):
@@ -693,6 +729,49 @@ def test_rk4_abort_before_a_failing_node_still_wins(bad):
     problem = _blowing_up(OperatorFamily(-1.0, 11.0, lambda t: zero * (math.nan if t == bad else 1.0)))
     err = _same_error(problem, IntegrationAbort)
     assert err.last_good_t < 9.0
+
+
+def _late_broken_frame():
+    """The identity-metric frame family, but with C = 1.5 SWAP at t = 9.5, failing C^2 = I there."""
+    return FrameFamily(OperatorFamily(-1.0, 11.0, lambda t: SWAP * (1.5 if t == 9.5 else 1.0)),
+                       SWAP, AntilinearOperator.conjugation(2))
+
+
+def test_rk4_abort_before_a_late_frame_failure_still_wins():
+    # the frame grid fails at grid point 9.5, the state overflows near t = 8:
+    # evolve_state and evolve_propagator abort there, as the one-point loop does
+    augmented = dataclasses.replace(_blowing_up(OperatorFamily.constant(np.zeros((2, 2)))),
+                                    frame_family=_late_broken_frame())
+    compensated = dataclasses.replace(augmented, equation=Equation.COMPENSATED, correction=None,
+                                      hamiltonian=OperatorFamily.constant(200j * np.eye(2)))
+    for problem in (augmented, compensated):
+        err = _same_error(problem, IntegrationAbort)
+        assert str(err).startswith(f"state became non-finite between t={err.last_good_t} and")
+        assert err.last_good_t < 9.0
+    with pytest.raises(IntegrationAbort) as ref:
+        reference_rk4_run(compensated, np.eye(2, dtype=complex))
+    with pytest.raises(IntegrationAbort) as got:
+        evolve_propagator(compensated)
+    assert str(got.value) == str(ref.value)
+    assert got.value.last_good_t == ref.value.last_good_t
+
+
+def test_rk4_integrates_past_a_late_frame_failure_as_the_one_point_loop():
+    # the propagator reads no frame grid: with C failing at t = 9.5 it is the
+    # one-point loop's, bit for bit; evolve_state then raises the frame's error
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily.constant(np.diag([1.0, -1.0])),
+        frame_family=_late_broken_frame(),
+        grid=np.linspace(0.0, 10.0, 21),
+        equation=Equation.COMPENSATED,
+        initial_state=np.array([1.0, 0.0]),
+        substeps=5,
+    )
+    ref, _ = reference_rk4_run(problem, np.eye(2, dtype=complex))
+    got = evolve_propagator(problem)
+    assert len(got) == len(ref) and all(np.array_equal(u, v) for (_, u), v in zip(got, ref))
+    with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=9\.5$"):
+        evolve_state(problem)
 
 
 def test_rk4_failing_node_after_coarse_steps_logs_as_the_one_point_loop(caplog):

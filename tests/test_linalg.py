@@ -342,6 +342,28 @@ def _derivative(F, t, h=None):
     return family_derivatives(F, [t], h)[0][0]
 
 
+def test_family_grid_stack_is_kept_read_only_and_not_kept_when_it_raises():
+    seen = []
+    M = np.array([[1.0, 2.0j], [0.5, -1.0]])
+
+    def evaluate(t):
+        seen.append(t)
+        return M * (math.nan if t == 2.0 else t)
+
+    fam = OperatorFamily(0.0, 3.0, evaluate)
+    grid = np.linspace(0.0, 1.0, 5)
+    stack = fam.on_grid(grid)
+    assert np.array_equal(stack, fam.stack(grid)) and not stack.flags.writeable
+    assert fam.on_grid(list(grid)) is stack and seen == [*grid, *grid]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fam.on_grid([0.0, 0.0])
+    with pytest.raises(ValueError) as err:
+        fam.on_grid([1.0, 2.0, 3.0])
+    assert str(err.value) == "family value at t=2.0 contains non-finite entries"
+    assert fam.on_grid(grid) is stack  # the failed grid kept nothing
+    assert fam.on_grid(grid[:3]) is not stack and fam.on_grid(grid) is not stack
+
+
 def test_family_derivative_constant_and_linear():
     M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     const = OperatorFamily(0.0, 10.0, lambda t: M)
