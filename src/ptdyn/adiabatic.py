@@ -394,7 +394,7 @@ def gauge_fix(eframe: EigenFrame, frame_family: FrameFamily) -> EigenFrame:
     """
     c = frame_family.on_grid(eframe.times).c
     c_scale = max(1.0, linalg.operator_norm(c[0]))
-    if np.any(np.linalg.norm(c[1:] - c[0], 2, axis=(-2, -1)) > 1e-12 * c_scale):
+    if np.any(linalg.operator_norms(c[1:] - c[0]) > 1e-12 * c_scale):
         raise ValueError("gauge fixing requires a constant C over the grid")
     states = eframe.states.copy()
     for n in range(eframe.dim):

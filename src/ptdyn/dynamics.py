@@ -139,15 +139,26 @@ def _generators(problem: EvolutionProblem, times: np.ndarray, from_grid: bool = 
     the error its one-point evaluation raises there. With ``from_grid``,
     ``times`` is the problem's grid and the inputs are the families' kept
     grid stacks (:meth:`OperatorFamily.on_grid`, :meth:`FrameFamily.on_grid`).
+    The generators are formed in chunks of ``linalg.STACK_ENTRIES`` entries,
+    so no whole-stack temporary is made beside the result.
     """
     def at(family: OperatorFamily) -> np.ndarray:
         return family.on_grid(times) if from_grid else family.stack(times)
+
+    def filled(term) -> np.ndarray:  # term(part), in chunks of at most STACK_ENTRIES entries
+        out = np.empty(H.shape, dtype=complex)
+        step = max(1, linalg.STACK_ENTRIES // max(H.shape[-1], 1) ** 2)
+        for lo in range(0, len(H), step):
+            part = slice(lo, lo + step)
+            out[part] = term(part)
+        return out
 
     H = at(problem.hamiltonian)
     if problem.equation is Equation.SCHRODINGER:
         return H, 0
     if problem.equation is Equation.AUGMENTED:
-        return H + 1j * at(problem.correction), 0
+        G = at(problem.correction)
+        return filled(lambda part: H[part] + 1j * G[part]), 0
     if from_grid:
         fg = problem.frame_family.on_grid(times)
         C, Cdot, one_sided = fg.c, fg.cdot, fg.one_sided
@@ -155,7 +166,7 @@ def _generators(problem: EvolutionProblem, times: np.ndarray, from_grid: bool = 
         c_family = problem.frame_family.c_family
         C = c_family.stack(times)
         Cdot, one_sided = linalg.family_derivatives(c_family, times)
-    return H - 0.5j * problem.hbar * (C @ Cdot), one_sided
+    return filled(lambda part: H[part] - 0.5j * problem.hbar * (C[part] @ Cdot[part])), one_sided
 
 
 def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> np.ndarray:
@@ -279,7 +290,8 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     starts, failure = grid[:-1], None
     try:
         G0 = generators(grid, from_grid=True)
-    except Exception:
+    except Exception as exc:
+        exc.__traceback__ = None  # FrameFamily.on_grid keeps the error, not the frames of this run
         parts = [np.empty((0, dim, dim), dtype=complex)]
         lo, step = 0, max(1, linalg.STACK_ENTRIES // dim ** 2)
         while lo < starts.size:

@@ -65,6 +65,10 @@ class CPTFrame:
     metric_eigenvalues: np.ndarray
     residuals: dict = field(repr=False)
     tol: float = DEFAULT_FRAME_TOL
+    # Set by the frame check for symmetry_report: the exact ||PC|| and the P/T part of the
+    # check (_PT). A frame built otherwise, or by dataclasses.replace, has neither.
+    _metric_norm: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _pt: Optional[_PT] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -77,21 +81,27 @@ def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
         raise FrameAxiomError(axiom, f"residual {resid:.3e} (tolerance {tol:.1e}, scale {scale:.3g})")
 
 
-def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> tuple[dict, float, float]:
-    """Check the axioms without C (P^2 = I, T^2 = I, PT = TP): (residuals, ||P||, ||K||)."""
+# The P/T part of a frame check (see _pt_axioms): its residuals, ||P|| and ||K||, and what the
+# C-dependent checks and symmetry_report take from it: I, K conj(P), the PT map PK and max|(PK)_ij|.
+_PT = namedtuple("_PT", "residuals p_norm k_norm eye k_conj_p pt_map pt_max")
+
+
+def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> _PT:
+    """Check the axioms without C (P^2 = I, T^2 = I, PT = TP)."""
     eye = np.eye(P.shape[0])
     nP, nK = float(operator_norms(P)), float(operator_norms(K))
+    pt_map, k_conj_p = P @ K, K @ np.conj(P)
     residuals: dict = {}
     _check(residuals, "P^2 = I", float(operator_norms(P @ P - eye)), nP * nP, tol)
     _check(residuals, "T^2 = I", float(operator_norms(K @ np.conj(K) - eye)), nK * nK, tol)
-    _check(residuals, "PT = TP", float(operator_norms(P @ K - K @ np.conj(P))), nP * nK, tol)
-    return residuals, nP, nK
+    _check(residuals, "PT = TP", float(operator_norms(pt_map - k_conj_p)), nP * nK, tol)
+    return _PT(residuals, nP, nK, eye, k_conj_p, pt_map, float(np.abs(pt_map).max()))
 
 
 _C_AXIOMS = ("C^2 = I", "CPT = TPC", "metric Hermitian")
 
 
-def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: tuple, tol: float, times=None,
+def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: _PT, tol: float, times=None,
               start: int = 0):
     """Check the C-dependent axioms on a stack C of shape (n, d, d), given ``pt = _pt_axioms(P, K)``.
 
@@ -105,13 +115,12 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: tuple, tol: float
     bounds (see ``linalg._Norms``), and taken exactly where those leave a check
     open or a failure prints them.
     """
-    eye = np.eye(P.shape[0])
-    _, nP, nK = pt
+    nP, nK = pt.p_norm, pt.k_norm
     n = C.shape[0]
     metric = P @ C
     metric_h = metric.conj().swapaxes(-1, -2)
     norms = linalg._Norms(
-        (C, metric, C @ C - eye, C @ P @ K - K @ np.conj(P) @ np.conj(C), metric - metric_h),
+        (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h),
         (False, False, True, True, True), start)
     resids = norms.lo[2 * n:].reshape(3, n)  # exact
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
@@ -152,8 +161,12 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
     return _validated(C, P, T, tol)
 
 
-def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[tuple] = None) -> CPTFrame:
-    """:func:`validate_frames`, with the P/T axioms taken from ``pt`` when given (see :func:`_pt_axioms`)."""
+def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None) -> CPTFrame:
+    """:func:`validate_frames`, with the P/T axioms taken from ``pt`` when given (see :func:`_pt_axioms`).
+
+    The one-point case of :func:`_c_axioms`, on Python floats: one SVD (of C, PC and the
+    three residuals, exact) and one ``eigvalsh``, then the same checks in the same order.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     C = as_operator(C, "C")
@@ -163,18 +176,25 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[tuple] = No
     if C.shape[0] != n or K.shape[0] != n:
         raise ValueError(f"dimension mismatch: C {C.shape}, P {P.shape}, T {K.shape}")
     pt = pt or _pt_axioms(P, K, tol)
-    c_residuals, metrics, eigs = _c_axioms(C[None], P, K, pt, tol)
-    residuals = dict(pt[0])
-    residuals.update((axiom, float(resid[0])) for axiom, resid in c_residuals.items())
-    metric, eigs = metrics[0], eigs[0]
-    residuals["metric min eigenvalue"] = float(eigs[0])
-    return CPTFrame(
-        c=C, p=P, t=T,
-        metric=metric,
-        metric_eigenvalues=eigs,
-        residuals=residuals,
-        tol=tol,
-    )
+    metric = P @ C
+    metric_h = metric.conj().T
+    nC, nM, *resids = linalg._svd_norms(np.stack(
+        (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h))
+    ).tolist()
+    eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
+    residuals = dict(pt.residuals)
+    for axiom, resid, scale in zip(_C_AXIOMS, resids, (nC * nC, nC * pt.p_norm * pt.k_norm, nM)):
+        _check(residuals, axiom, resid, scale, tol)
+    min_eig = float(eigs[0])
+    if not min_eig > tol * nM:  # a NaN eigenvalue or norm fails
+        raise FrameAxiomError("metric positive definite",
+                              f"minimum eigenvalue of PC is {min_eig:.3e} (metric norm {nM:.3g})")
+    residuals["metric min eigenvalue"] = min_eig
+    frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, residuals=residuals,
+                     tol=tol)
+    object.__setattr__(frame, "_metric_norm", nM)
+    object.__setattr__(frame, "_pt", pt)
+    return frame
 
 
 def cpt_inner(frame: CPTFrame, x, y) -> complex:
@@ -234,7 +254,67 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     H = as_operator(H, "H")
     if H.shape[0] != frame.dim:
         raise ValueError(f"operator dim {H.shape[0]} does not match frame dim {frame.dim}")
-    return _reports(_classify(frame.p @ frame.t.conj_matrix, frame.metric[None], H[None], tol))[0]
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    # The one-point case of _classify, on Python floats. ||PC|| and the PT map PK come from
+    # the frame check; ||PK|| is bracketed by max|(PK)_ij| <= ||PK|| <= ||P|| ||K|| and joins
+    # the SVD only where that leaves a check open. A frame the check did not build (or
+    # dataclasses.replace rebuilt) carries neither, and norms PC and PK in the SVD.
+    pt, metric = frame._pt, frame.metric
+    carried = pt is not None
+    pt_map = pt.pt_map if carried else frame.p @ frame.t.conj_matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
+        pt_residual = H @ pt_map - pt_map @ np.conj(H)
+        cpt_residual = H.conj().T @ metric - metric @ H
+    eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
+    # The eigensolve runs before the SVD, to tell whether the PT map's norm must enter it;
+    # its failure is raised after the SVD's, as the scan raises them.
+    try:
+        lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
+    except ConvergenceError as exc:
+        unsolved = exc
+    else:
+        unsolved = None
+        gaps = np.abs(lams[1:] - lams[:-1])
+        images = np.conj(vecs) @ pt_map.T  # images[i] = PT map of eigenvector i
+        mu = np.vecdot(vecs, images)
+        off = linalg._vector_norms(images - mu[..., None] * vecs)
+    matrices = [H, pt_residual, cpt_residual]
+    if not carried:
+        matrices += [metric, pt_map]
+    elif unsolved is None:
+        lo = pt.pt_max * (1.0 - linalg.NORM_MARGIN)
+        hi = pt.p_norm * pt.k_norm * (1.0 + linalg.NORM_MARGIN)
+        h_hi = H.shape[0] * float(np.abs(H).max()) * (1.0 + linalg.NORM_MARGIN)  # >= ||H||
+        strays = off > tol * max(1.0, lo)  # max(1.0, NaN) is 1.0, as np.fmax
+        if (strays != (off > tol * max(1.0, hi))).any() or (gaps <= tol * max(h_hi, 1.0)).any():
+            matrices.append(pt_map)  # a stray is left open, or eigenvalues may cluster
+    nH, pt_norm, cpt_norm, *rest = linalg._svd_norms(np.stack(matrices)).tolist()
+    if unsolved is not None:
+        raise unsolved
+    nM = frame._metric_norm if carried else rest.pop(0)
+    norm_pt = rest[0] if rest else None  # None: its bracket settled every check that takes it
+    if norm_pt is not None:
+        strays = off > tol * max(1.0, norm_pt)
+    linalg._check_pairs(H[None], resid[None], eig_tol, np.array([nH]))
+    joined = gaps <= tol * max(nH, 1.0)  # eigenvalue i + 1 is within tol of eigenvalue i
+    # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
+    fails = strays | (np.abs(np.abs(mu) - 1.0) > tol * 10)
+    if joined.any():
+        fails[1:] &= ~joined
+        fails[:-1] &= ~joined
+    pt_symmetric = pt_norm <= tol * max(nH, 1e-300)
+    unbroken = pt_symmetric and not fails.any()
+    if unbroken and joined.any():
+        unbroken = _clusters_invariant(lams, vecs, joined, pt_map, tol * max(1.0, norm_pt))
+    return SymmetryReport(
+        pt_symmetric=pt_symmetric,
+        cpt_hermitian=cpt_norm <= tol * max(nH * nM, 1e-300),
+        unbroken=unbroken,
+        eigen_realness=float(np.abs(lams.imag).max()),
+        pt_residual=pt_norm,
+        cpt_residual=cpt_norm,
+    )
 
 
 # A stack's symmetry scan (see _classify): H and what linalg._eigenpairs gives for it, its norms
@@ -317,16 +397,18 @@ class FrameFamily:
     """Frame-valued function of time: fixed P and T, time-varying C(t).
 
     P^2 = I, T^2 = I and PT = TP are checked once, at construction.
-    :meth:`on_grid` keeps the last :class:`FrameGrid` it built, so every
-    stage of a run that asks for the same grid shares one validated pass.
+    :meth:`on_grid` keeps the last :class:`FrameGrid` it built, and the
+    error of the last build that raised, so every stage of a run that asks
+    for the same grid shares one validated pass.
     """
 
     c_family: OperatorFamily
     p: np.ndarray
     t: AntilinearOperator
     tol: float = DEFAULT_FRAME_TOL
-    _pt: tuple = field(default=(), init=False, repr=False, compare=False)
+    _pt: Optional[_PT] = field(default=None, init=False, repr=False, compare=False)
     _grid: Optional["FrameGrid"] = field(default=None, init=False, repr=False, compare=False)
+    _failed: tuple = field(default=(), init=False, repr=False, compare=False)  # (times, error)
 
     def __post_init__(self):
         P, K = as_operator(self.p, "P"), self.t.conj_matrix
@@ -347,12 +429,20 @@ class FrameFamily:
         """The family evaluated and validated at every grid time (see :class:`FrameGrid`).
 
         Returns the kept grid when ``grid`` equals its times, else builds
-        and keeps a new one.
+        and keeps a new one. A build that raises keeps its error for its
+        grid instead, and the same grid raises that error again, with a new
+        traceback: the family is not evaluated, nor its warnings logged, twice.
         """
         grid = as_grid(grid)
+        if self._failed and np.array_equal(self._failed[0], grid):
+            raise self._failed[1].with_traceback(None)
         kept = self._grid
-        if kept is None or kept.times.shape != grid.shape or not np.array_equal(kept.times, grid):
-            kept = FrameGrid.build(self, grid)
+        if kept is None or not np.array_equal(kept.times, grid):
+            try:
+                kept = FrameGrid.build(self, grid)
+            except Exception as exc:
+                object.__setattr__(self, "_failed", (grid.copy(), exc))
+                raise
             object.__setattr__(self, "_grid", kept)
         return kept
 
@@ -405,7 +495,7 @@ class FrameGrid:
         if one_sided:
             logger.warning("one-sided derivative at %d of %d grid points in [%g, %g]",
                            one_sided, n, grid[0], grid[-1])
-        residuals = dict(family._pt[0])
+        residuals = dict(family._pt.residuals)
         metric = np.empty_like(c)
         eigs = np.empty((n, dim))
         step = max(1, linalg.STACK_ENTRIES // (5 * dim ** 2))

@@ -218,13 +218,12 @@ def _first_error(fn: Callable, times) -> tuple[int, Optional[ValueError]]:
 
 
 def operator_norm(M) -> float:
-    """Largest singular value."""
-    A = as_operator(M)
-    return float(np.linalg.norm(A, 2))
+    """Largest singular value (:func:`operator_norms` of one matrix)."""
+    return float(operator_norms(as_operator(M)))
 
 
 def operator_norms(X) -> np.ndarray:
-    """Largest singular value of each matrix in a stack (the norm of :func:`operator_norm`).
+    """Largest singular value of each matrix in a stack, by LAPACK's SVD (``np.linalg.norm(A, 2)``).
 
     An all-zero matrix gives +0.0 without an SVD. An SVD that does not
     converge raises :class:`ConvergenceError` with the position of the first
@@ -233,6 +232,23 @@ def operator_norms(X) -> np.ndarray:
     """
     X = np.asarray(X)
     return _Norms((X.reshape(-1, *X.shape[-2:]),), (True,)).lo.reshape(X.shape[:-2])
+
+
+def _svd_norms(X: np.ndarray, point: Callable[[int], int] = lambda j: 0) -> np.ndarray:
+    """Largest singular value of each matrix of the stack X, by one LAPACK SVD (the routine
+    ``np.linalg.norm(A, 2)`` takes). When it fails, the first matrix j whose SVD fails on its
+    own raises :class:`ConvergenceError` naming point ``point(j)`` (point 0 by default)."""
+    try:
+        return np.linalg.svd(X, compute_uv=False).max(axis=-1)
+    except np.linalg.LinAlgError:
+        for j, A in enumerate(X):
+            try:
+                np.linalg.svd(A, compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                k = point(j)
+                raise ConvergenceError(f"SVD did not converge for stack matrix {k}",
+                                       index=k) from exc
+        raise
 
 
 class _Norms:
@@ -247,10 +263,6 @@ class _Norms:
     leave a check open. Each stack holds one matrix per point start, ..., start + n - 1 (a
     last one may hold fewer), and an SVD that fails at matrix j of the concatenation raises
     :class:`ConvergenceError` naming point start + j mod n.
-
-    A single point with norms not asked exact takes them all from one SVD: that SVD
-    runs anyway, and at 8x8 a matrix adds less to it than bounding and deciding cost
-    in numpy calls.
     """
 
     def __init__(self, stacks, exact, start: int = 0):
@@ -259,10 +271,6 @@ class _Norms:
         for stack in stacks:
             self._parts.append(slice(end, end + len(stack)))
             end += len(stack)
-        self._bounded = self._n > 1 or all(exact)
-        if not self._bounded:
-            self.lo = self.hi = self._svd(None)
-            return
         amax = np.concatenate([np.abs(stack).max(axis=(-2, -1)) for stack in stacks])
         with np.errstate(over="ignore"):
             bounds = np.multiply.outer(amax, (1.0 - NORM_MARGIN,
@@ -278,27 +286,12 @@ class _Norms:
         # the stacks asked exact take no further SVD: let them go
         self._stacks = [None if wanted else stack for stack, wanted in zip(stacks, exact)]
 
-    def _svd(self, todo: Optional[np.ndarray]) -> np.ndarray:
-        """Largest singular values of the matrices in the mask ``todo`` (all if None), in
-        the order of the stacks' concatenation, by one LAPACK SVD. When it fails, the first
-        matrix whose SVD fails on its own names its point."""
-        if todo is None:
-            X = np.concatenate(self._stacks)
-        else:  # only the matrices asked for are copied
-            X = np.concatenate([stack[todo[part]] for stack, part in zip(self._stacks, self._parts)
-                                if stack is not None])
-        try:  # the routine np.linalg.norm(A, 2) takes
-            return np.linalg.svd(X, compute_uv=False).max(axis=-1)
-        except np.linalg.LinAlgError:
-            for j, A in enumerate(X):
-                try:
-                    np.linalg.svd(A, compute_uv=False)
-                except np.linalg.LinAlgError as exc:
-                    j = j if todo is None else int(np.flatnonzero(todo)[j])
-                    k = self._start + j % self._n
-                    raise ConvergenceError(f"SVD did not converge for stack matrix {k}",
-                                           index=k) from exc
-            raise
+    def _svd(self, todo: np.ndarray) -> np.ndarray:
+        """Largest singular values of the matrices in the mask ``todo``, in the order of the
+        stacks' concatenation, by one :func:`_svd_norms`."""
+        X = np.concatenate([stack[todo[part]] for stack, part in zip(self._stacks, self._parts)
+                            if stack is not None])  # only the matrices asked for are copied
+        return _svd_norms(X, lambda j: self._start + int(np.flatnonzero(todo)[j]) % self._n)
 
     def _make_exact(self, todo: np.ndarray):
         """Make the norms of the matrices in the mask ``todo`` exact."""
@@ -317,8 +310,7 @@ class _Norms:
     def exact(self, i: int, points: Optional[np.ndarray] = None) -> np.ndarray:
         """The norms of stack ``i``, exact at the points of the mask ``points`` (all if None)."""
         part = self._parts[i]
-        if self._bounded:  # else every norm is exact
-            self._settle(np.ones(part.stop - part.start, bool) if points is None else points, i)
+        self._settle(np.ones(part.stop - part.start, bool) if points is None else points, i)
         return self.lo[part]
 
     def decide(self, check: Callable[..., np.ndarray], *parts: int, falling=()) -> np.ndarray:
@@ -328,8 +320,6 @@ class _Norms:
         fall with the norms of the stacks in ``falling`` and rise with the others, or the reverse:
         so where its values at the two opposite corners of the bounds agree, so does its value at
         the norms. Elsewhere those points' norms are made exact first."""
-        if not self._bounded:
-            return check(*(self.lo[self._parts[i]] for i in parts))
         with np.errstate(over="ignore", invalid="ignore"):
             value = check(*((self.hi if i in falling else self.lo)[self._parts[i]] for i in parts))
             open_ = value != check(*((self.lo if i in falling else self.hi)[self._parts[i]]
@@ -434,6 +424,15 @@ def _eigenpairs(X, tol: float, norms: Optional[_Norms] = None) -> tuple:
     :class:`_Norms` of their check, whose stack 0 holds ||M||; ``norms``, when given, must be
     such a one for ``X``, which the check then takes instead of bounding the norms anew."""
     X = np.asarray(X, dtype=complex)
+    lams, vecs, resid = _solved_pairs(X, tol)
+    norms = _Norms((X,), (False,)) if norms is None else norms
+    _check_pairs(X, resid, tol, norms)
+    return lams, vecs, resid, norms
+
+
+def _solved_pairs(X: np.ndarray, tol: float) -> tuple:
+    """The sorted, unit, phase-gauged eigenpairs of :func:`eigenpairs_stack` and their
+    residuals ||M v - lam v||, before the residual check (:func:`_check_pairs`)."""
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] < 1:
         raise ValueError(f"matrix stack must have shape (n, d, d) with d >= 1, got {X.shape}")
     if not np.isfinite(X).all():
@@ -447,15 +446,18 @@ def _eigenpairs(X, tol: float, norms: Optional[_Norms] = None) -> tuple:
         lams, vecs = lams[rows, order], vecs[rows, order]
         vecs = _phase_gauge(vecs / _vector_norms(vecs)[..., None])
         resid = _vector_norms(np.matmul(X[:, None], vecs[..., None])[..., 0] - lams[..., None] * vecs)
-    norms = _Norms((X,), (False,)) if norms is None else norms
-    _check_pairs(X, resid, tol, norms)
-    return lams, vecs, resid, norms
+    return lams, vecs, resid
 
 
-def _check_pairs(X: np.ndarray, resid: np.ndarray, tol: float, norms: _Norms):
-    """Raise :class:`ConvergenceError` at the first X[k] with a residual resid[k, i] > tol*||X[k]||."""
-    # a NaN residual fails
-    bad = ~norms.decide(lambda nM: resid <= tol * np.maximum(nM, 1e-300)[:, None], 0)
+def _check_pairs(X: np.ndarray, resid: np.ndarray, tol: float, norms):
+    """Raise :class:`ConvergenceError` at the first X[k] with a residual resid[k, i] > tol*||X[k]||.
+
+    ``norms`` is the :class:`_Norms` of the check, whose stack 0 holds ||X[k]||, or those
+    norms exactly, as an array."""
+    def fits(nM):  # a NaN residual fails
+        return resid <= tol * np.maximum(nM, 1e-300)[:, None]
+
+    bad = ~(norms.decide(fits, 0) if isinstance(norms, _Norms) else fits(norms))
     if bad.any():
         k = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[k]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import (random_frame_matrices, reference_rk4_run, rotating_frame_model,
+from helpers import (random_frame_matrices, reference_rk4_run, rotating_frame_model, same_bits,
                      two_level_matrices)
 from ptdyn import dynamics
 from ptdyn.adiabatic import build_eigenframe, build_report, operator_phase
@@ -547,6 +547,25 @@ def test_rk4_evaluates_each_distinct_node_once(k, nsub):
     assert traj.diagnostics["generator_evaluations"] == len(seen) <= 3 * nsub + 1
 
 
+def test_grid_generators_in_chunks_equal_the_whole_stack_expression():
+    # d = 6 takes 227 points a chunk: a 500-point grid is filled in three chunks
+    ham, family = rotating_frame_model(5, 6, analytic=True)
+    grid = np.linspace(0.0, 1.0, 500)
+    G = OperatorFamily(0.0, 1.0, lambda t: 0.1 * t * family.c_family(t))
+    x = np.random.default_rng(5).normal(size=6)
+    for equation, correction in ((Equation.COMPENSATED, None), (Equation.AUGMENTED, G)):
+        problem = EvolutionProblem(hamiltonian=ham, frame_family=family, grid=grid,
+                                   equation=equation, initial_state=x, correction=correction,
+                                   hbar=0.7)
+        fg = family.on_grid(grid)
+        H = ham.on_grid(grid)
+        whole = (H + 1j * G.on_grid(grid) if correction else
+                 H - 0.5j * problem.hbar * (fg.c @ fg.cdot))
+        for from_grid in (True, False):
+            gens, _ = dynamics._generators(problem, grid, from_grid)
+            assert same_bits(gens, whole)
+
+
 def test_rk4_evaluation_count_over_a_grid():
     grid = np.linspace(0.0, 10.0, 51)
     problem, seen = _counting_problem(grid, 100)
@@ -772,6 +791,28 @@ def test_rk4_integrates_past_a_late_frame_failure_as_the_one_point_loop():
     assert len(got) == len(ref) and all(np.array_equal(u, v) for (_, u), v in zip(got, ref))
     with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=9\.5$"):
         evolve_state(problem)
+
+
+def test_failed_frame_grid_logs_its_one_sided_derivatives_once(caplog):
+    # C is differenced on [0, 1] (one-sided at both ends) and fails C^2 = I at the grid point
+    # t = 0.5. The RK4 integrates past the failed frame grid, and evolve_state then raises
+    # its error: the grid's warning is logged once, not again for the second request.
+    _, C, P = two_level_matrices(1.0, 0.3)
+    c_family = OperatorFamily(0.0, 1.0, lambda t: 1.5 * SWAP if t == 0.5 else C)
+
+    def problem():
+        return EvolutionProblem(
+            hamiltonian=OperatorFamily.constant(np.diag([1.0, -1.0])),
+            frame_family=FrameFamily(c_family, P, AntilinearOperator.conjugation(2)),
+            grid=np.linspace(0.0, 1.0, 5), equation=Equation.COMPENSATED,
+            initial_state=np.array([1.0, 0.0]), substeps=2)
+
+    with caplog.at_level(logging.WARNING, logger="ptdyn.frames"):
+        with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=0\.5$"):
+            evolve_state(problem())
+    assert [r.message for r in caplog.records if r.name == "ptdyn.frames"] == [
+        "one-sided derivative at 2 of 5 grid points in [0, 1]"]
+    assert len(evolve_propagator(problem())) == 5
 
 
 def test_rk4_failing_node_after_coarse_steps_logs_as_the_one_point_loop(caplog):

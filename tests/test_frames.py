@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 from pathlib import Path
@@ -448,6 +449,49 @@ def test_one_point_kernels_match_the_one_norm_per_matrix_reference(seed, dim, om
             one_point.append(symmetry_report(frame, X, tol))
             assert repr(one_point[-1]) == repr(reference_symmetry_report(frame, X, tol))
         assert repr(fg.symmetry_reports(hams, tol)) == repr(one_point)
+
+
+def test_one_point_report_raises_the_svd_failure_first():
+    # H is finite; its metric residual holds a NaN (inf - inf) beside finite entries
+    H, C, P = two_level_matrices(1.0, 1.2)
+    frame = validate_frames(C, P, conjugation())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as err:
+        symmetry_report(frame, np.diag([1e308 * (1 + 1j), 1.0]))
+    assert str(err.value) == "SVD did not converge for stack matrix 0"
+    assert err.value.index == 0
+
+
+def test_one_point_report_rejects_an_overflowing_eigenpair():
+    H, C, P = two_level_matrices(1.0, 1.2)
+    frame = validate_frames(C, P, conjugation())
+    message = r"^eigenpair residual nan exceeds 1\.0e-10\*\|\|M\|\| for matrix:\n"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match=message):
+        symmetry_report(frame, 1e200 * H)
+
+
+def test_one_point_frame_check_rejects_an_overflowing_c():
+    # C^2 overflows to inf and NaN: the residual is NaN, and so is no pass
+    _, C, P = two_level_matrices(1.0, 1.2)
+    message = r"'C\^2 = I' violated: residual nan \(tolerance 1\.0e-10, scale inf\)$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FrameAxiomError, match=message):
+        validate_frames(1e200 * C, P, conjugation())
+
+
+def test_replaced_frame_is_classified_with_its_own_metric():
+    # H's metric residual R is half the threshold tol*||H||*||PC||. A frame whose metric is
+    # replaced by 4 PC has residual 4R and threshold 4 tol*||H||*||PC||: still metric-Hermitian,
+    # which a report taking the norm of the old metric would deny.
+    H, C, P = two_level_matrices(1.0, 1.2)
+    frame = validate_frames(C, P, conjugation())
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) + np.diag([1.0, -1.0])
+    tol = 1e-10
+    residual = operator_norm(X.conj().T @ frame.metric - frame.metric @ X)
+    H = H + 0.5 * tol * operator_norm(H) * operator_norm(frame.metric) / residual * X
+    assert symmetry_report(frame, H, tol).cpt_hermitian
+    replaced = dataclasses.replace(frame, metric=4.0 * frame.metric)
+    report = symmetry_report(replaced, H, tol)
+    assert repr(report) == repr(reference_symmetry_report(replaced, H, tol))
+    assert report.cpt_hermitian
 
 
 def test_grid_reports_take_exact_residuals_on_the_bundled_ramp():
