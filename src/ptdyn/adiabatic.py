@@ -119,22 +119,26 @@ def build_eigenframe(
     failing step in the order above (evaluating H comes first).
 
     H is the family's kept grid stack (:meth:`OperatorFamily.on_grid`), cut
-    to each stack; if that raises, each stack evaluates its own H. ``_scan``,
-    the frame grid's symmetry scan of H (``FrameGrid._scan``), hands over
-    its H stack and eigenpairs instead: their residuals are checked at the
-    eigenframe's tolerance, and no eigenproblem is solved again.
+    to each stack. If that stack raises a ValueError, the one-point
+    evaluation (``linalg._first_error``) finds the earliest failing time,
+    whose error the walk raises when it reaches that point; any other
+    exception propagates at once. ``_scan``, the frame grid's symmetry scan
+    of that H stack (``FrameGrid._scan``), hands over its eigenpairs: their
+    residuals are checked at the eigenframe's tolerance, and no eigenproblem
+    is solved again.
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
     n_t = grid.size
     dim = frame_family.dim
-    if _scan is not None:
-        hams = _scan.hams
-    else:
-        try:
-            hams = hamiltonian.on_grid(grid)
-        except Exception:  # whatever it raises: each stack evaluates its own H, in the walk's order
-            hams = None
+    unevaluated = None  # the error of H at grid[len(hams)], when H stops short of the grid
+    try:
+        hams = hamiltonian.on_grid(grid)
+    except ValueError:
+        n, unevaluated = linalg._first_error(hamiltonian, grid)
+        if unevaluated is None:
+            raise
+        hams = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
     energies = np.empty((n_t, dim))
     states = np.empty((n_t, dim, dim), dtype=complex)
     min_overlap = 1.0
@@ -144,8 +148,9 @@ def build_eigenframe(
     for lo in range(0, n_t, step):
         part = slice(lo, lo + step)
         pairs = None if _scan is None else (_scan.lams[part], _scan.vecs[part], _scan.resid[part])
-        lams, vecs, failure = _real_spectra(hamiltonian, grid[part], lo, dim, realness_tol,
-                                            None if hams is None else hams[part], pairs)
+        lams, vecs, failure = _real_spectra(hams[part], grid[part], lo, realness_tol, pairs)
+        if failure is None and len(lams) < len(grid[part]):  # H stops short in this stack
+            failure = unevaluated
         # Each check runs on the points before the earliest failure found so
         # far; that failure is raised once the earlier points have passed.
         n = lams.shape[0]
@@ -218,34 +223,23 @@ def _lost_levels(chosen: np.ndarray, perm: np.ndarray) -> str:
     return "; ".join(reasons)
 
 
-def _real_spectra(hamiltonian: OperatorFamily, grid: np.ndarray, start: int, dim: int,
-                  realness_tol: float, H: Optional[np.ndarray] = None,
+def _real_spectra(H: np.ndarray, grid: np.ndarray, start: int, realness_tol: float,
                   pairs: Optional[tuple] = None
                   ) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
-    """Sorted eigenpairs of H(t) on the grid, up to the first point that fails.
+    """Sorted eigenpairs of H(t) on the first len(H) grid times, up to the first point that fails.
 
     Returns (values, row eigenvectors, failure): the pairs of the points
-    before the earliest failure of evaluating H, of the eigensolve and its
-    residual check at ``linalg.DEFAULT_EIGEN_TOL``, or of the realness check
-    (in that order at one point), and that failure, or None. ``H``, when
-    given, is H on the grid, taken instead of evaluating it; ``pairs``, when
-    given, the values, vectors and residuals ``linalg._eigenpairs`` gives
-    for it, taken instead of solving, with their residuals checked here
-    against the norms of this H. An eigensolve's
-    :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
-    ``eigenframe at t=…`` and carries the grid position, ``start`` being that
-    of ``grid[0]``.
+    before the earliest failure of the eigensolve and its residual check at
+    ``linalg.DEFAULT_EIGEN_TOL``, or of the realness check (in that order at
+    one point), and that failure, or None. ``pairs``, when given, are
+    the values, vectors and residuals ``linalg._eigenpairs`` gives for H,
+    taken instead of solving, with their residuals checked here against the
+    norms of H. An eigensolve's :class:`~ptdyn.linalg.ConvergenceError` is
+    prefixed with ``eigenframe at t=…`` and carries the grid position,
+    ``start`` being that of ``grid[0]``.
     """
     failure = unsolved = None
     tol = linalg.DEFAULT_EIGEN_TOL
-    if H is None:
-        try:
-            H = hamiltonian.stack(grid)
-        except ValueError:
-            n, failure = linalg._first_error(hamiltonian, grid)
-            if failure is None:
-                raise
-            H = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
     if pairs is None:
         try:
             lams, vecs, _, norms = linalg._eigenpairs(H, tol)

@@ -42,9 +42,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Default substep count per grid interval: ceil(100 * ||generator|| * dt).
+# Default substep count per grid interval: ceil(100 * ||generator|| * dt / hbar).
 SUBSTEP_DENSITY = 100.0
-# Warn when a single Runge-Kutta substep is coarser than this.
+# A default count above this, or one that is not finite, aborts the run before its interval.
+MAX_SUBSTEPS = 10**7
+# Warn when a single Runge-Kutta substep is coarser than this: ||generator|| * h / hbar.
 STEP_NORM_WARN = 0.5
 
 
@@ -237,13 +239,14 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     The right-hand side is y' = -(i/hbar) * generator(t) y. The generators
     at the grid points come first, formed from the families' kept grid
     stacks (``_generators(..., from_grid=True)``), so a run that has scanned,
-    validated or tracked its grid evaluates no family there again. Where a
-    grid stack raises, the generators at the interval starts are evaluated
-    instead, in stacks of ``linalg.STACK_ENTRIES`` entries. The starts'
-    norms give the substep counts, decided from the norms' bounds where
-    those give the count (an SVD runs for the rest and for the norm a
-    coarse-step warning prints). The substeps are then
-    taken in blocks (three (d, d) matrices each, within that bound) that
+    validated or tracked its grid evaluates no family there again. The
+    starts' norms give the substep counts, ceil(``SUBSTEP_DENSITY`` *
+    ||generator|| * dt / hbar) unless ``substeps`` fixes them, and the
+    coarse-step warnings, where ||generator|| * h / hbar exceeds
+    ``STEP_NORM_WARN``; each is decided from the norms' bounds where those
+    settle it (an SVD runs for the rest and for the norm a warning prints).
+    The substeps are then
+    taken in blocks (three (d, d) matrices each, within ``linalg.STACK_ENTRIES`` entries) that
     cross interval ends. A substep's nodes are t = t0 + j*h, t + 0.5*h and
     t + h, the one-point scheme's float expressions; a block evaluates the
     generator once per distinct node that is neither one of those points
@@ -254,10 +257,16 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     generator at every stage. At each interval end the state must be finite:
     a 2-vector stays two Python complex numbers, checked with
     ``cmath.isfinite`` (the verdict of ``np.isfinite``) and kept as a tuple;
-    an array is checked with ``np.isfinite``. If a stack fails, the walk
-    stops before the node that fails first on its own in the one-point
-    scheme's order (an earlier non-finite state still aborts first) and
-    raises its error.
+    an array is checked with ``np.isfinite``.
+
+    A failure is raised where the walk reaches it, so an earlier non-finite
+    state still aborts first. If the grid stacks or a block's stack raise a
+    ValueError, the one-point generator (``linalg._first_error``) finds the
+    first failing interval start, or the first failing node in the
+    one-point scheme's order, and the walk stops before it. An automatic
+    count above ``MAX_SUBSTEPS``, or one that is not finite, stops the walk
+    before its interval with an :class:`IntegrationAbort` naming it. Any
+    other exception propagates at once.
 
     ``diagnostics`` holds the substep count of each interval and the number
     of generator evaluations. The nodes whose dC/dt fell back to a one-sided
@@ -284,25 +293,20 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         one_sided += edges
         return gens
 
-    # The grid points from the kept grid stacks. If one raises, whatever it raises, the interval
-    # starts a stack at a time, and from a failing stack on one at a time: that order raises the
-    # error, and at the time, the one-point scheme meets first.
+    def one_point(t: float):
+        return _generators(problem, np.array([t]))
+
+    # The grid points from the kept grid stacks. Where those raise a ValueError, the intervals the
+    # walk takes end at the first start whose one-point generator raises, with its error; the
+    # starts before it are evaluated as one stack.
     starts, failure = grid[:-1], None
     try:
         G0 = generators(grid, from_grid=True)
-    except Exception as exc:
+    except ValueError as exc:
         exc.__traceback__ = None  # FrameFamily.on_grid keeps the error, not the frames of this run
-        parts = [np.empty((0, dim, dim), dtype=complex)]
-        lo, step = 0, max(1, linalg.STACK_ENTRIES // dim ** 2)
-        while lo < starts.size:
-            try:
-                parts.append(generators(starts[lo:lo + step]))
-                lo += step
-            except ValueError as exc:
-                if step == 1:
-                    starts, failure = starts[:lo], exc
-                step = 1
-        G0 = np.concatenate(parts)
+        n, failure = linalg._first_error(one_point, starts)
+        starts = starts[:n]
+        G0 = generators(starts) if n else np.empty((0, dim, dim), dtype=complex)
     g0_times = grid[:len(G0)]  # every grid point, or the interval starts evaluated
     # Each count and warning rises with the norm, so its bounds settle it where they agree.
     norms = linalg._Norms((G0[:starts.size],), (False,))
@@ -310,21 +314,27 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     if problem.substeps is not None:
         nsub = np.full(starts.size, problem.substeps)
     else:
-        counts = norms.decide(lambda n: np.ceil(SUBSTEP_DENSITY * n * dt), 0)
+        counts = norms.decide(lambda n: np.ceil(SUBSTEP_DENSITY * n * dt / problem.hbar), 0)
+        huge = ~(counts <= MAX_SUBSTEPS)  # a NaN count too
+        if huge.any():  # the walk ends before the first such interval, with its abort
+            k = int(np.argmax(huge))
+            failure = IntegrationAbort(f"substep count {counts[k]:.3g} exceeds {MAX_SUBSTEPS:.0e} "
+                                       f"between t={grid[k]} and t={grid[k + 1]}", last_good_t=grid[k])
+            starts, counts[k:] = starts[:k], 1  # the intervals not taken keep castable counts
         nsub = np.maximum(1, counts).astype(int)
     h = dt / nsub
     first = np.concatenate(([0], np.cumsum(nsub)))  # first[k]: the first substep of interval k
-    coarse = norms.decide(lambda n: n * h > STEP_NORM_WARN, 0)
+    coarse = norms.decide(lambda n: n * h / problem.hbar > STEP_NORM_WARN, 0)
     first_list, step_norms, coarse = first.tolist(), norms.exact(0, coarse), coarse.tolist()
 
     def enter(k: int):
         """Log interval k's coarse-step warning, where the one-point scheme logs it."""
-        if k < len(coarse) and coarse[k]:
-            logger.warning("coarse step at t=%g: ||generator||*h = %.3g > %.2g",
-                           grid[k], step_norms[k] * h[k], STEP_NORM_WARN)
+        if k < starts.size and coarse[k]:
+            logger.warning("coarse step at t=%g: ||generator||*h/hbar = %.3g > %.2g",
+                           grid[k], step_norms[k] * h[k] / problem.hbar, STEP_NORM_WARN)
 
     block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
-    lo, stop, k = 0, first_list[-1], 0  # the next substep, where the walk ends, its interval
+    lo, stop, k = 0, first_list[starts.size], 0  # the next substep, where the walk ends, its interval
     kept_t, kept = math.nan, None  # the last node evaluated and its generator
     enter(0)
     while lo < stop:
@@ -343,8 +353,7 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
                 gens[fresh] = generators(nodes[fresh])
             except ValueError:
                 # the one-point scheme evaluates t_a, t_b, t_c of one substep before the next
-                n, failure = linalg._first_error(lambda t: _generators(problem, np.array([t])),
-                                                 np.stack((t_a, t_b, t_c), 1).ravel())
+                n, failure = linalg._first_error(one_point, np.stack((t_a, t_b, t_c), 1).ravel())
                 if failure is None:
                     raise
                 stop = lo + n // 3

@@ -101,52 +101,48 @@ def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> _PT:
 _C_AXIOMS = ("C^2 = I", "CPT = TPC", "metric Hermitian")
 
 
-def _c_axioms(C: np.ndarray, P: np.ndarray, K: np.ndarray, pt: _PT, tol: float, times=None,
+def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol: float, times,
               start: int = 0):
-    """Check the C-dependent axioms on a stack C of shape (n, d, d), given ``pt = _pt_axioms(P, K)``.
+    """Check the C-dependent axioms on a stack C taken at ``times``, given ``pt = _pt_axioms(P, K)``.
 
     Returns (residuals, metric, eigenvalues): per-point residual arrays keyed
-    by axiom, the metric stack PC and its ascending eigenvalues. The first
-    failing point raises :class:`FrameAxiomError` naming the first axiom it
-    fails, in :func:`validate_frames` order, and ``times[k]`` when given. The
+    by axiom, the metric stack PC and its ascending eigenvalues. The
     residuals are exact SVD norms, in one SVD with the norms of every non-finite
     C or PC; its failure at point k raises :class:`ConvergenceError` naming
     point ``start + k``. The scales ||C|| and ||PC|| are decided from their
     bounds (see ``linalg._Norms``), and taken exactly where those leave a check
-    open or a failure prints them.
+    open. At the first failing point k, the one-point check (:func:`_validated`)
+    of C[k] raises its :class:`FrameAxiomError`, the message followed by
+    `` at t=times[k]``; should that check pass, the stacked check's first
+    failing axiom is raised as a :class:`FrameAxiomError` all the same.
     """
     nP, nK = pt.p_norm, pt.k_norm
     n = C.shape[0]
     metric = P @ C
     metric_h = metric.conj().swapaxes(-1, -2)
     norms = linalg._Norms(
-        (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h),
+        (C, metric, C @ C - pt.eye, C @ P @ T.conj_matrix - pt.k_conj_p @ np.conj(C),
+         metric - metric_h),
         (False, False, True, True, True), start)
     resids = norms.lo[2 * n:].reshape(3, n)  # exact
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
 
-    def scales(nC, nM):  # in _C_AXIOMS order
-        return np.array((nC * nC, nC * nP * nK, nM))
-
     def failures(nC, nM):  # points first; written so that a NaN residual or eigenvalue fails
-        return ~np.concatenate((resids <= tol * np.maximum(scales(nC, nM), 1.0),
+        scales = np.array((nC * nC, nC * nP * nK, nM))  # in _C_AXIOMS order
+        return ~np.concatenate((resids <= tol * np.maximum(scales, 1.0),
                                 [eigs[:, 0] > tol * nM])).T
 
     failed = norms.decide(failures, 0, 1)
     bad = failed.any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        i = int(np.argmax(failed[k]))
-        at = np.arange(n) == k
-        nC, nM = norms.exact(0, at)[k], norms.exact(1, at)[k]
-        if i == len(_C_AXIOMS):
-            axiom = "metric positive definite"
-            detail = f"minimum eigenvalue of PC is {eigs[k, 0]:.3e} (metric norm {nM:.3g})"
-        else:
-            axiom = _C_AXIOMS[i]
-            scale = scales(nC, nM)[i]
-            detail = f"residual {resids[i, k]:.3e} (tolerance {tol:.1e}, scale {scale:.3g})"
-        raise FrameAxiomError(axiom, detail if times is None else f"{detail} at t={times[k]}")
+        try:
+            _validated(C[k], P, T, tol, pt)
+        except FrameAxiomError as exc:
+            exc.args = (f"{exc} at t={times[k]}",)
+            raise
+        axiom = (*_C_AXIOMS, "metric positive definite")[int(np.argmax(failed[k]))]
+        raise FrameAxiomError(axiom, f"failed by the stacked check only, at t={times[k]}")
     return dict(zip(_C_AXIOMS, resids)), metric, eigs
 
 
@@ -317,9 +313,9 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     )
 
 
-# A stack's symmetry scan (see _classify): H and what linalg._eigenpairs gives for it, its norms
-# those of H, the PT and CPT residuals (exact only where needed), metrics and PT map; verdicts.
-_Scan = namedtuple("_Scan", "hams lams vecs resid norms pt_symmetric cpt_hermitian unbroken realness")
+# A stack's symmetry scan (see _classify): what linalg._eigenpairs gives for H, its norms those
+# of H, the PT and CPT residuals (exact only where needed), metrics and PT map; verdicts.
+_Scan = namedtuple("_Scan", "lams vecs resid norms pt_symmetric cpt_hermitian unbroken realness")
 
 
 def _reports(scan: _Scan) -> list[SymmetryReport]:
@@ -361,7 +357,7 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray, tol: fl
             unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, vec_tol)
     cpt_hermitian = norms.decide(lambda nH, nM, nR: nR <= tol * np.maximum(nH * nM, 1e-300),
                                  0, 3, 2, falling=(2,))
-    return _Scan(hams, lams, vecs, resid, norms, pt_symmetric, cpt_hermitian, unbroken, realness)
+    return _Scan(lams, vecs, resid, norms, pt_symmetric, cpt_hermitian, unbroken, realness)
 
 
 def _clusters_invariant(lams, vecs, joined, pt_map, vec_tol: float) -> bool:
@@ -485,7 +481,7 @@ class FrameGrid:
         axiom and time of the first failure, :class:`ConvergenceError` the
         grid time and index of the first point whose SVD fails.
         """
-        P, K = family.p, family.t.conj_matrix
+        P = family.p
         grid = np.array(grid, dtype=float)
         n, dim = grid.size, family.dim
         c = family.c_family.stack(grid)
@@ -503,7 +499,7 @@ class FrameGrid:
             part = slice(lo, lo + step)
             try:
                 chunk_residuals, metric[part], eigs[part] = _c_axioms(
-                    c[part], P, K, family._pt, family.tol, grid[part], lo)
+                    c[part], P, family.t, family._pt, family.tol, grid[part], lo)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"frame check at t={grid[exc.index]}: {exc}",
                                        exc.index) from exc

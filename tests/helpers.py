@@ -11,7 +11,6 @@ bit, except the operator phase, to 1e-12).
 """
 
 import logging
-import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -19,7 +18,8 @@ from scipy.optimize import linear_sum_assignment
 
 from ptdyn import linalg
 from ptdyn.adiabatic import BrokenSymmetryError, EigenFrame, LevelTrackingError
-from ptdyn.dynamics import STEP_NORM_WARN, SUBSTEP_DENSITY, Equation, IntegrationAbort
+from ptdyn.dynamics import (MAX_SUBSTEPS, STEP_NORM_WARN, SUBSTEP_DENSITY, Equation,
+                             IntegrationAbort)
 from ptdyn.frames import FrameFamily, SymmetryReport
 from ptdyn.linalg import AntilinearOperator, ConvergenceError, OperatorFamily, as_operator
 
@@ -243,8 +243,9 @@ def reference_derivative_stencil(F, t, h=None):
 def reference_rk4_run(problem, y0):
     """Fixed-step RK4 with the generator re-evaluated at every stage.
 
-    A verbatim copy of the one-point loop the stacked integrator replaced;
-    returns (values at grid points, substeps per interval).
+    A copy of the one-point loop the stacked integrator replaced, with its
+    automatic count and coarse-step warning scaled by 1/hbar and the count
+    capped at ``MAX_SUBSTEPS``; returns (values at grid points, substeps per interval).
     """
     hbar = problem.hbar
     grid = problem.grid
@@ -262,12 +263,16 @@ def reference_rk4_run(problem, y0):
         if problem.substeps is not None:
             nsub = problem.substeps
         else:
-            nsub = max(1, int(math.ceil(SUBSTEP_DENSITY * gnorm * dt)))
+            count = np.ceil(SUBSTEP_DENSITY * gnorm * dt / hbar)
+            if not count <= MAX_SUBSTEPS:
+                raise IntegrationAbort(f"substep count {count:.3g} exceeds {MAX_SUBSTEPS:.0e} "
+                                       f"between t={t0} and t={t1}", last_good_t=t0)
+            nsub = max(1, int(count))
         h = dt / nsub
-        if gnorm * h > STEP_NORM_WARN:
+        if gnorm * h / hbar > STEP_NORM_WARN:
             reference_logger.warning(
-                "coarse step at t=%g: ||generator||*h = %.3g > %.2g",
-                t0, gnorm * h, STEP_NORM_WARN,
+                "coarse step at t=%g: ||generator||*h/hbar = %.3g > %.2g",
+                t0, gnorm * h / hbar, STEP_NORM_WARN,
             )
         substeps_used.append(nsub)
 

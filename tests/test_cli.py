@@ -290,9 +290,9 @@ def test_sweep_records_an_svd_failure_as_an_error_row(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
 
-# hbar = 1e-300 scales the ramp's rate -i/hbar so far that its 2-vector state
-# overflows within the first grid interval.
-TINY_HBAR_ABORT = "state became non-finite between t=0.0 and t=0.005"
+# hbar = 1e-300 asks the ramp's first grid interval for about 1e300 automatic
+# substeps, above dynamics.MAX_SUBSTEPS: the run aborts before stepping it.
+TINY_HBAR_ABORT = "substep count 1e+300 exceeds 1e+07 between t=0.0 and t=0.005"
 
 
 def test_cli_overflowing_state_is_a_numerical_abort(tmp_path):

@@ -196,6 +196,91 @@ def test_coarse_step_warning(caplog):
     assert any("coarse step" in rec.message for rec in caplog.records)
 
 
+def _constant_metric_problem(hbar, grid=np.linspace(0.0, 1.0, 11)):
+    """H(t) = sin(t) I + C over a frozen frame, plain equation, automatic substeps at hbar."""
+    model = build_constant_metric(ScalarFunction.sinusoid(amplitude=1.0, frequency=1.0),
+                                  ScalarFunction.constant(1.0), frozen_frame(), grid)
+    return model.problem(grid, Equation.SCHRODINGER, np.array([0.8, 0.6 - 0.2j]), hbar=hbar)
+
+
+@pytest.mark.parametrize("hbar", [0.01, 0.1, 1.0, 10.0])
+def test_automatic_substeps_resolve_the_dynamics_at_every_hbar(hbar):
+    # C^2 = I, so psi(t) = e^{-i A/hbar} e^{-i (B/hbar) C} psi0 = e^{-i A/hbar} (cos(B/hbar)
+    # - i sin(B/hbar) C) psi0, with A = int_0^t sin = 1 - cos t and B = int_0^t 1 = t
+    problem = _constant_metric_problem(hbar)
+    traj = evolve_state(problem)
+    t, x0, C = problem.grid[:, None], problem.initial_state, frozen_frame().c
+    angle = t / hbar
+    expected = np.exp(-1j * (1.0 - np.cos(t)) / hbar) * (np.cos(angle) * x0
+                                                          - 1j * np.sin(angle) * (C @ x0))
+    assert traj.max_norm_drift <= 1e-10
+    assert np.abs(traj.states - expected).max() <= 1e-9
+
+
+def test_automatic_substep_count_scales_as_one_over_hbar():
+    grid = np.linspace(0.0, 1.0, 11)
+    norms = operator_norms(_constant_metric_problem(1.0).hamiltonian.stack(grid[:-1]))
+    for hbar in (0.01, 0.1, 1.0, 10.0, 100.0):
+        counts = evolve_state(_constant_metric_problem(hbar)).diagnostics["substeps"]
+        assert counts == np.maximum(1, np.ceil(100.0 * norms * np.diff(grid) / hbar)).tolist()
+
+
+def test_no_coarse_step_warning_where_the_step_is_fine_on_the_scale_of_hbar(caplog):
+    # At hbar = 100 over unit intervals the count is ceil(||G||) = 4 and ||G||*h is about 0.9,
+    # above STEP_NORM_WARN, but the step of the equation, ||G||*h/hbar, is about 0.009.
+    problem = _constant_metric_problem(100.0, np.linspace(0.0, 2.0, 3))
+    with caplog.at_level(logging.WARNING, logger="ptdyn.dynamics"):
+        traj = evolve_state(problem)
+    assert traj.diagnostics["substeps"] == [4, 4]
+    assert not [r for r in caplog.records if "coarse step" in r.message]
+
+
+def test_coarse_step_warning_prints_the_step_on_the_scale_of_hbar(caplog):
+    # ||G|| = 2, h = 5, hbar = 2: the step of the equation is ||G||*h/hbar = 5
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily.constant(np.diag([2.0, -2.0])),
+        frame_family=identity_metric_family(),
+        grid=np.array([0.0, 5.0]),
+        equation=Equation.SCHRODINGER,
+        initial_state=np.array([1.0, 0.0]),
+        hbar=2.0,
+        substeps=1,
+    )
+    with caplog.at_level(logging.WARNING, logger="ptdyn.dynamics"):
+        evolve_state(problem)
+    assert [r.message for r in caplog.records] == ["coarse step at t=0: ||generator||*h/hbar = 5 > 0.5"]
+
+
+def _huge_from(t_huge, **fields):
+    """||H|| jumps from 1 to 1e9 at t_huge, so the automatic count of each interval from there
+    on is above dynamics.MAX_SUBSTEPS; a SCHRODINGER problem on [0, 10] unless ``fields`` say."""
+    M = np.diag([1.0, -1.0]).astype(complex)
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily(-1.0, 11.0, lambda t: M * (1e9 if t >= t_huge else 1.0)),
+        frame_family=identity_metric_family(),
+        grid=np.linspace(0.0, 10.0, 21),
+        equation=Equation.SCHRODINGER,
+        initial_state=np.array([1.0, 0.0]),
+    )
+    return dataclasses.replace(problem, **fields)
+
+
+def test_huge_substep_count_aborts_naming_its_interval():
+    problem = _huge_from(2.0)
+    err = _same_error(problem, IntegrationAbort)
+    assert str(err) == "substep count 5e+10 exceeds 1e+07 between t=2.0 and t=2.5"
+    assert err.last_good_t == 2.0
+
+
+def test_earlier_non_finite_state_aborts_before_a_huge_substep_count():
+    # y' = 200 y from 1e300 overflows within [0.05, 0.1]; the count from t = 0.1 on is huge
+    problem = _huge_from(0.1, grid=np.linspace(0.0, 1.0, 21), equation=Equation.AUGMENTED,
+                         initial_state=np.array([1e300, 0.0]),
+                         correction=OperatorFamily.constant(200.0 * np.eye(2)))
+    err = _same_error(problem, IntegrationAbort)
+    assert str(err) == "state became non-finite between t=0.05 and t=0.1"
+
+
 def test_drift_rate_imaginary_residual_logged_once(caplog):
     # a non-Hermitian G makes <phi|PC G phi> complex at every grid point
     G = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -748,6 +833,31 @@ def test_rk4_abort_before_a_failing_node_still_wins(bad):
     problem = _blowing_up(OperatorFamily(-1.0, 11.0, lambda t: zero * (math.nan if t == bad else 1.0)))
     err = _same_error(problem, IntegrationAbort)
     assert err.last_good_t < 9.0
+
+
+def _raising_at(t_bad, value):
+    """A callback that returns ``value``, and raises ZeroDivisionError at t_bad."""
+    def evaluate(t):
+        if t == t_bad:
+            raise ZeroDivisionError(f"no value at t={t}")
+        return value
+    return evaluate
+
+
+@pytest.mark.parametrize("broken", ["H", "C"])
+def test_an_error_other_than_a_value_error_propagates_as_raised(broken):
+    # The earliest-point rule covers ValueErrors; a ZeroDivisionError from an H or C callback
+    # at one interior grid time leaves build_eigenframe and evolve_state with its type and text.
+    grid = np.linspace(0.0, 1.0, 11)
+    H = np.diag([1.0, -1.0]).astype(complex)
+    ham = OperatorFamily(0.0, 1.0, _raising_at(grid[4], H) if broken == "H" else lambda t: H)
+    c_of_t = _raising_at(grid[4], SWAP) if broken == "C" else lambda t: SWAP
+    family = FrameFamily(OperatorFamily(0.0, 1.0, c_of_t), SWAP, AntilinearOperator.conjugation(2))
+    problem = EvolutionProblem(ham, family, grid, Equation.COMPENSATED, np.array([1.0, 0.0]))
+    for call in (lambda: build_eigenframe(ham, family, grid), lambda: evolve_state(problem)):
+        with pytest.raises(ZeroDivisionError) as err:
+            call()
+        assert str(err.value) == f"no value at t={grid[4]}"
 
 
 def _late_broken_frame():

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from helpers import (random_frame_matrices, reference_frame_residuals, reference_symmetry_report,
                      rotating_frame_model, two_level_matrices, unbroken_model_matrices)
-from ptdyn import frames
+from ptdyn import frames, linalg
 from ptdyn.cli import build_model
 from ptdyn.config import load_config
 from ptdyn.frames import (
@@ -365,6 +365,51 @@ def test_frame_grid_names_the_axiom_and_time_of_a_broken_point(seed, dim, omega,
         fam.on_grid(grid)
     assert batched.value.axiom == pointwise.value.axiom
     assert f"t={grid[bad]}" in str(batched.value)
+
+
+# C matrices that fail one C-dependent check against P = SWAP and plain conjugation, and pass
+# every check before it.
+BROKEN_C = {
+    "C^2 = I": 1.5 * SWAP,
+    "CPT = TPC": np.diag([1.0, -1.0]),
+    "metric Hermitian": np.array([[0.0, 1j], [-1j, 0.0]]),  # PC = i diag(1, -1)
+    "metric positive definite": -SWAP,
+}
+
+
+def _broken_at(t_bad, axiom):
+    """The identity-metric frame family, but with C failing ``axiom`` at t_bad only."""
+    bad = BROKEN_C[axiom].astype(complex)
+    return FrameFamily(OperatorFamily(0.0, 1.0, lambda t: bad if t == t_bad else SWAP),
+                       SWAP, conjugation())
+
+
+@pytest.mark.parametrize("per_check", [None, 2], ids=["one-stack", "two-per-stack"])
+@pytest.mark.parametrize("axiom", list(BROKEN_C))
+def test_frame_grid_raises_the_one_point_error_of_its_first_failing_point(monkeypatch, axiom,
+                                                                          per_check):
+    # C fails at the interior time t_6 only: on_grid raises what validate_frames raises for
+    # C(t_6), followed by " at t=t_6". With two points per stacked check, t_6 is in the fourth.
+    if per_check:
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", per_check * 5 * 4)
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(FrameAxiomError) as one_point:
+        validate_frames(BROKEN_C[axiom], SWAP, conjugation())
+    with pytest.raises(FrameAxiomError) as stacked:
+        _broken_at(grid[6], axiom).on_grid(grid)
+    assert stacked.value.axiom == one_point.value.axiom == axiom
+    assert str(stacked.value) == f"{one_point.value} at t={grid[6]}"
+
+
+def test_frame_grid_fails_a_point_whose_one_point_recheck_passes(monkeypatch):
+    # the stacked check's verdict stands: a point it fails is never let through
+    monkeypatch.setattr(frames, "_validated", lambda *args: None)
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(FrameAxiomError) as err:
+        _broken_at(grid[6], "C^2 = I").on_grid(grid)
+    assert err.value.axiom == "C^2 = I"
+    assert str(err.value) == ("frame axiom 'C^2 = I' violated: "
+                              f"failed by the stacked check only, at t={grid[6]}")
 
 
 def test_frame_grid_names_the_time_c_changes_shape():
