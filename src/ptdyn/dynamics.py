@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .frames import FrameFamily
+from .frames import FrameAxiomError, FrameFamily
 from .linalg import OperatorFamily, as_grid, as_state
 
 __all__ = [
@@ -260,13 +260,16 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     an array is checked with ``np.isfinite``.
 
     A failure is raised where the walk reaches it, so an earlier non-finite
-    state still aborts first. If the grid stacks or a block's stack raise a
-    ValueError, the one-point generator (``linalg._first_error``) finds the
-    first failing interval start, or the first failing node in the
-    one-point scheme's order, and the walk stops before it. An automatic
-    count above ``MAX_SUBSTEPS``, or one that is not finite, stops the walk
-    before its interval with an :class:`IntegrationAbort` naming it. Any
-    other exception propagates at once.
+    state still aborts first. If the frame grid fails an axiom at grid point
+    k (a :class:`~ptdyn.frames.FrameAxiomError` with ``index`` k), the walk
+    stops at t_k and raises it. If the grid stacks raise another ValueError,
+    or a block's stack raises one, the one-point generator
+    (``linalg._first_error``) finds the first failing interval start, or the
+    first failing node in the one-point scheme's order, and the walk stops
+    before it. An automatic count above ``MAX_SUBSTEPS``, or one that is not
+    finite, stops the walk before its interval with an
+    :class:`IntegrationAbort` naming it. Any other exception propagates at
+    once.
 
     ``diagnostics`` holds the substep count of each interval and the number
     of generator evaluations. The nodes whose dC/dt fell back to a one-sided
@@ -296,15 +299,15 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     def one_point(t: float):
         return _generators(problem, np.array([t]))
 
-    # The grid points from the kept grid stacks. Where those raise a ValueError, the intervals the
-    # walk takes end at the first start whose one-point generator raises, with its error; the
-    # starts before it are evaluated as one stack.
+    # The grid points from the kept grid stacks. Where those raise a ValueError, the walk ends at
+    # the frame grid's failing point (a FrameAxiomError's index), or else at the first start whose
+    # one-point generator raises, with that error; the starts before it are evaluated as one stack.
     starts, failure = grid[:-1], None
     try:
         G0 = generators(grid, from_grid=True)
     except ValueError as exc:
-        exc.__traceback__ = None  # FrameFamily.on_grid keeps the error, not the frames of this run
-        n, failure = linalg._first_error(one_point, starts)
+        n, failure = ((exc.index, exc) if isinstance(exc, FrameAxiomError)
+                      else linalg._first_error(one_point, starts))
         starts = starts[:n]
         G0 = generators(starts) if n else np.empty((0, dim, dim), dtype=complex)
     g0_times = grid[:len(G0)]  # every grid point, or the interval starts evaluated
@@ -405,7 +408,9 @@ def evolve_propagator(problem: EvolutionProblem) -> list[tuple[float, np.ndarray
     Only defined for the compensated equation, whose propagator is unitary
     as a map between the initial and instantaneous inner-product spaces
     (U^dag PC(t) U = PC(0)); applying it to any initial state reproduces
-    :func:`evolve_state` for that state.
+    :func:`evolve_state` for that state. Its generator reads the frame
+    grid, so the walk stops at the first grid point whose frame fails an
+    axiom and raises that error, as :func:`evolve_state` does.
     """
     if problem.equation is not Equation.COMPENSATED:
         raise ValueError("propagator evolution is defined for the COMPENSATED equation")

@@ -42,7 +42,13 @@ DEFAULT_FRAME_TOL = 1e-10
 
 
 class FrameAxiomError(ValueError):
-    """A frame axiom failed validation; names the axiom and its residual."""
+    """A frame axiom failed validation; names the axiom and its residual.
+
+    ``index`` is the grid position of the failing point when a frame grid
+    (:meth:`FrameFamily.on_grid`) raised the error, else None.
+    """
+
+    index: Optional[int] = None
 
     def __init__(self, axiom: str, detail: str):
         self.axiom = axiom
@@ -82,20 +88,22 @@ def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
 
 
 # The P/T part of a frame check (see _pt_axioms): its residuals, ||P|| and ||K||, and what the
-# C-dependent checks and symmetry_report take from it: I, K conj(P), the PT map PK and max|(PK)_ij|.
-_PT = namedtuple("_PT", "residuals p_norm k_norm eye k_conj_p pt_map pt_max")
+# C-dependent checks and the symmetry reports take from it: I, K conj(P), the PT map PK and ||PK||.
+_PT = namedtuple("_PT", "residuals p_norm k_norm eye k_conj_p pt_map pt_norm")
 
 
 def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> _PT:
-    """Check the axioms without C (P^2 = I, T^2 = I, PT = TP)."""
+    """Check the axioms without C (P^2 = I, T^2 = I, PT = TP), with ||P||, ||K||, ||PK|| and
+    the three residuals in one :func:`operator_norms`."""
     eye = np.eye(P.shape[0])
-    nP, nK = float(operator_norms(P)), float(operator_norms(K))
     pt_map, k_conj_p = P @ K, K @ np.conj(P)
+    nP, nK, n_pt, *resids = operator_norms(np.stack(
+        (P, K, pt_map, P @ P - eye, K @ np.conj(K) - eye, pt_map - k_conj_p))).tolist()
     residuals: dict = {}
-    _check(residuals, "P^2 = I", float(operator_norms(P @ P - eye)), nP * nP, tol)
-    _check(residuals, "T^2 = I", float(operator_norms(K @ np.conj(K) - eye)), nK * nK, tol)
-    _check(residuals, "PT = TP", float(operator_norms(pt_map - k_conj_p)), nP * nK, tol)
-    return _PT(residuals, nP, nK, eye, k_conj_p, pt_map, float(np.abs(pt_map).max()))
+    for axiom, resid, scale in zip(("P^2 = I", "T^2 = I", "PT = TP"), resids,
+                                   (nP * nP, nK * nK, nP * nK)):
+        _check(residuals, axiom, resid, scale, tol)
+    return _PT(residuals, nP, nK, eye, k_conj_p, pt_map, n_pt)
 
 
 _C_AXIOMS = ("C^2 = I", "CPT = TPC", "metric Hermitian")
@@ -115,6 +123,7 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol:
     of C[k] raises its :class:`FrameAxiomError`, the message followed by
     `` at t=times[k]``; should that check pass, the stacked check's first
     failing axiom is raised as a :class:`FrameAxiomError` all the same.
+    Either error's ``index`` is ``start + k``.
     """
     nP, nK = pt.p_norm, pt.k_norm
     n = C.shape[0]
@@ -140,9 +149,12 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol:
             _validated(C[k], P, T, tol, pt)
         except FrameAxiomError as exc:
             exc.args = (f"{exc} at t={times[k]}",)
-            raise
-        axiom = (*_C_AXIOMS, "metric positive definite")[int(np.argmax(failed[k]))]
-        raise FrameAxiomError(axiom, f"failed by the stacked check only, at t={times[k]}")
+            error = exc
+        else:
+            axiom = (*_C_AXIOMS, "metric positive definite")[int(np.argmax(failed[k]))]
+            error = FrameAxiomError(axiom, f"failed by the stacked check only, at t={times[k]}")
+        error.index = start + k
+        raise error
     return dict(zip(_C_AXIOMS, resids)), metric, eigs
 
 
@@ -252,49 +264,25 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
         raise ValueError(f"operator dim {H.shape[0]} does not match frame dim {frame.dim}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # The one-point case of _classify, on Python floats. ||PC|| and the PT map PK come from
-    # the frame check; ||PK|| is bracketed by max|(PK)_ij| <= ||PK|| <= ||P|| ||K|| and joins
-    # the SVD only where that leaves a check open. A frame the check did not build (or
-    # dataclasses.replace rebuilt) carries neither, and norms PC and PK in the SVD.
+    # The one-point case of _classify, on Python floats: one SVD, the eigensolve, the checks.
+    # ||PC||, the PT map PK and ||PK|| come from the frame check. A frame the check did not
+    # build (or dataclasses.replace rebuilt) carries none of them, and norms PC and PK in the SVD.
     pt, metric = frame._pt, frame.metric
-    carried = pt is not None
-    pt_map = pt.pt_map if carried else frame.p @ frame.t.conj_matrix
+    pt_map = frame.p @ frame.t.conj_matrix if pt is None else pt.pt_map
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
         pt_residual = H @ pt_map - pt_map @ np.conj(H)
         cpt_residual = H.conj().T @ metric - metric @ H
-    eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
-    # The eigensolve runs before the SVD, to tell whether the PT map's norm must enter it;
-    # its failure is raised after the SVD's, as the scan raises them.
-    try:
-        lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
-    except ConvergenceError as exc:
-        unsolved = exc
-    else:
-        unsolved = None
-        gaps = np.abs(lams[1:] - lams[:-1])
-        images = np.conj(vecs) @ pt_map.T  # images[i] = PT map of eigenvector i
-        mu = np.vecdot(vecs, images)
-        off = linalg._vector_norms(images - mu[..., None] * vecs)
-    matrices = [H, pt_residual, cpt_residual]
-    if not carried:
-        matrices += [metric, pt_map]
-    elif unsolved is None:
-        lo = pt.pt_max * (1.0 - linalg.NORM_MARGIN)
-        hi = pt.p_norm * pt.k_norm * (1.0 + linalg.NORM_MARGIN)
-        h_hi = H.shape[0] * float(np.abs(H).max()) * (1.0 + linalg.NORM_MARGIN)  # >= ||H||
-        strays = off > tol * max(1.0, lo)  # max(1.0, NaN) is 1.0, as np.fmax
-        if (strays != (off > tol * max(1.0, hi))).any() or (gaps <= tol * max(h_hi, 1.0)).any():
-            matrices.append(pt_map)  # a stray is left open, or eigenvalues may cluster
+    matrices = [H, pt_residual, cpt_residual] + ([metric, pt_map] if pt is None else [])
     nH, pt_norm, cpt_norm, *rest = linalg._svd_norms(np.stack(matrices)).tolist()
-    if unsolved is not None:
-        raise unsolved
-    nM = frame._metric_norm if carried else rest.pop(0)
-    norm_pt = rest[0] if rest else None  # None: its bracket settled every check that takes it
-    if norm_pt is not None:
-        strays = off > tol * max(1.0, norm_pt)
+    nM, norm_pt = rest if pt is None else (frame._metric_norm, pt.pt_norm)
+    eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
+    lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
     linalg._check_pairs(H[None], resid[None], eig_tol, np.array([nH]))
-    joined = gaps <= tol * max(nH, 1.0)  # eigenvalue i + 1 is within tol of eigenvalue i
+    joined = np.abs(lams[1:] - lams[:-1]) <= tol * max(nH, 1.0)  # eigenvalue i + 1 within tol of i
     # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
+    images = np.conj(vecs) @ pt_map.T  # images[i] = PT map of eigenvector i
+    mu = np.vecdot(vecs, images)
+    strays = linalg._vector_norms(images - mu[..., None] * vecs) > tol * max(1.0, norm_pt)
     fails = strays | (np.abs(np.abs(mu) - 1.0) > tol * 10)
     if joined.any():
         fails[1:] &= ~joined
@@ -325,14 +313,16 @@ def _reports(scan: _Scan) -> list[SymmetryReport]:
         scan.realness.tolist(), scan.norms.exact(1).tolist(), scan.norms.exact(2).tolist())]
 
 
-def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray, tol: float) -> _Scan:
-    """The symmetry scan of a stack of H against a stack of metrics PC."""
+def _classify(pt: _PT, metrics: np.ndarray, hams: np.ndarray, tol: float) -> _Scan:
+    """The symmetry scan of a stack of H against a stack of metrics PC, with the PT map and
+    its norm taken from the family's P/T check ``pt``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    pt_map = pt.pt_map
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
         pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
         cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
-    norms = linalg._Norms((hams, pt_residual, cpt_residual, metrics, pt_map[None]), (False,) * 5)
+    norms = linalg._Norms((hams, pt_residual, cpt_residual, metrics), (False,) * 4)
     lams, vecs, resid, _ = linalg._eigenpairs(hams, max(tol, linalg.DEFAULT_EIGEN_TOL), norms)
     realness = np.abs(lams.imag).max(axis=1)
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
@@ -345,16 +335,14 @@ def _classify(pt_map: np.ndarray, metrics: np.ndarray, hams: np.ndarray, tol: fl
     images = np.conj(vecs) @ pt_map.T  # images[k, i] = PT map of eigenvector i at point k
     mu = np.vecdot(vecs, images)
     off = linalg._vector_norms(images - mu[..., None] * vecs)
-    strays = norms.decide(lambda nT: off > tol * np.fmax(1.0, nT), 4)  # fmax: max(1.0, NaN) is 1.0
-    fails = ~clustered & (strays | (np.abs(np.abs(mu) - 1.0) > tol * 10))
+    vec_tol = tol * max(1.0, pt.pt_norm)
+    fails = ~clustered & ((off > vec_tol) | (np.abs(np.abs(mu) - 1.0) > tol * 10))
     pt_symmetric = norms.decide(lambda nH, nR: nR <= tol * np.maximum(nH, 1e-300), 0, 1,
                                 falling=(1,))
     unbroken = pt_symmetric & ~fails.any(axis=1)
     clusters = np.flatnonzero(unbroken & joined.any(axis=1))
-    if clusters.size:
-        vec_tol = tol * max(1.0, float(norms.exact(4)[0]))
-        for k in clusters:
-            unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, vec_tol)
+    for k in clusters:
+        unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, vec_tol)
     cpt_hermitian = norms.decide(lambda nH, nM, nR: nR <= tol * np.maximum(nH * nM, 1e-300),
                                  0, 3, 2, falling=(2,))
     return _Scan(lams, vecs, resid, norms, pt_symmetric, cpt_hermitian, unbroken, realness)
@@ -392,10 +380,10 @@ def norm_equivalence_bounds(frame: CPTFrame) -> tuple[float, float]:
 class FrameFamily:
     """Frame-valued function of time: fixed P and T, time-varying C(t).
 
-    P^2 = I, T^2 = I and PT = TP are checked once, at construction.
-    :meth:`on_grid` keeps the last :class:`FrameGrid` it built, and the
-    error of the last build that raised, so every stage of a run that asks
-    for the same grid shares one validated pass.
+    P^2 = I, T^2 = I and PT = TP are checked once, at construction, with the
+    norms of P, K and the PT map PK, which the family's frames and grids carry.
+    :meth:`on_grid` keeps the last :class:`FrameGrid` it built, so every stage
+    of a run that asks for the same grid shares one validated pass.
     """
 
     c_family: OperatorFamily
@@ -404,7 +392,6 @@ class FrameFamily:
     tol: float = DEFAULT_FRAME_TOL
     _pt: Optional[_PT] = field(default=None, init=False, repr=False, compare=False)
     _grid: Optional["FrameGrid"] = field(default=None, init=False, repr=False, compare=False)
-    _failed: tuple = field(default=(), init=False, repr=False, compare=False)  # (times, error)
 
     def __post_init__(self):
         P, K = as_operator(self.p, "P"), self.t.conj_matrix
@@ -425,22 +412,13 @@ class FrameFamily:
         """The family evaluated and validated at every grid time (see :class:`FrameGrid`).
 
         Returns the kept grid when ``grid`` equals its times, else builds
-        and keeps a new one. A build that raises keeps its error for its
-        grid instead, and the same grid raises that error again, with a new
-        traceback: the family is not evaluated, nor its warnings logged, twice.
+        and keeps a new one; a build that raises keeps nothing. A
+        :class:`FrameAxiomError` it raises names its grid position in ``index``.
         """
         grid = as_grid(grid)
-        if self._failed and np.array_equal(self._failed[0], grid):
-            raise self._failed[1].with_traceback(None)
-        kept = self._grid
-        if kept is None or not np.array_equal(kept.times, grid):
-            try:
-                kept = FrameGrid.build(self, grid)
-            except Exception as exc:
-                object.__setattr__(self, "_failed", (grid.copy(), exc))
-                raise
-            object.__setattr__(self, "_grid", kept)
-        return kept
+        if self._grid is None or not np.array_equal(self._grid.times, grid):
+            object.__setattr__(self, "_grid", FrameGrid.build(self, grid))
+        return self._grid
 
     @classmethod
     def constant(cls, frame: CPTFrame) -> "FrameFamily":
@@ -457,7 +435,8 @@ class FrameGrid:
     the smallest metric eigenvalue, keyed as in :attr:`CPTFrame.residuals`.
     ``one_sided`` counts the points whose derivative fell back to a
     one-sided difference. The arrays are read-only: consumers share them.
-    Build with :meth:`FrameFamily.on_grid`.
+    The grid carries its family's P/T check, whose PT map and its norm the
+    symmetry scan takes. Build with :meth:`FrameFamily.on_grid`.
     """
 
     times: np.ndarray
@@ -469,6 +448,7 @@ class FrameGrid:
     metric_eigenvalues: np.ndarray
     residuals: dict = field(repr=False)
     one_sided: int = 0
+    _pt: Optional[_PT] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, family: FrameFamily, grid: np.ndarray) -> "FrameGrid":
@@ -509,7 +489,8 @@ class FrameGrid:
         for arr in (grid, c, cdot, metric, eigs):
             arr.flags.writeable = False
         return cls(times=grid, p=P, t=family.t, c=c, cdot=cdot, metric=metric,
-                   metric_eigenvalues=eigs, residuals=residuals, one_sided=one_sided)
+                   metric_eigenvalues=eigs, residuals=residuals, one_sided=one_sided,
+                   _pt=family._pt)
 
     def symmetry_reports(self, hams, tol: float = DEFAULT_FRAME_TOL) -> list[SymmetryReport]:
         """:func:`symmetry_report` at every grid time, for the stack hams[k] = H(t_k).
@@ -525,7 +506,7 @@ class FrameGrid:
         if hams.shape != self.metric.shape:
             raise ValueError(f"operator stack {hams.shape} does not match the grid {self.metric.shape}")
         try:
-            return then(_classify(self.p @ self.t.conj_matrix, self.metric, hams, tol))
+            return then(_classify(self._pt, self.metric, hams, tol))
         except ConvergenceError as exc:
             raise ConvergenceError(f"symmetry scan at t={self.times[exc.index]}: {exc}",
                                    exc.index) from exc

@@ -260,9 +260,9 @@ class _Norms:
     exact norms of ``stacks[i]``. Those, and the norm of every matrix whose entries are not
     all finite, come from one SVD in the order of the stacks' concatenation; an all-zero
     matrix is +0.0 without one. :meth:`decide` takes further SVDs only where the bounds
-    leave a check open. Each stack holds one matrix per point start, ..., start + n - 1 (a
-    last one may hold fewer), and an SVD that fails at matrix j of the concatenation raises
-    :class:`ConvergenceError` naming point start + j mod n.
+    leave a check open. Each stack holds one matrix per point start, ..., start + n - 1, and
+    an SVD that fails at matrix j of the concatenation raises :class:`ConvergenceError`
+    naming point start + j mod n.
     """
 
     def __init__(self, stacks, exact, start: int = 0):
@@ -299,12 +299,10 @@ class _Norms:
             self.lo[todo] = self.hi[todo] = self._svd(todo)
 
     def _settle(self, points: np.ndarray, *parts: int):
-        """Make the norms of stacks ``parts`` exact at the points of the mask ``points``
-        (a one-matrix stack at every point)."""
+        """Make the norms of stacks ``parts`` exact at the points of the mask ``points``."""
         todo = np.zeros(self.lo.shape, dtype=bool)
         for i in parts:
-            part = self._parts[i]
-            todo[part] = points if part.stop - part.start == points.size else points.any()
+            todo[self._parts[i]] = points
         self._make_exact(todo & (self.lo < self.hi))  # lo = hi once exact
 
     def exact(self, i: int, points: Optional[np.ndarray] = None) -> np.ndarray:
@@ -316,10 +314,10 @@ class _Norms:
     def decide(self, check: Callable[..., np.ndarray], *parts: int, falling=()) -> np.ndarray:
         """``check`` of the exact norms of stacks ``parts``, taken from the bounds wherever they
         settle it. ``check`` maps arrays of the stacks' norms to an array whose first axis runs
-        over the points (a one-matrix stack gives an array of one), and each of its values must
-        fall with the norms of the stacks in ``falling`` and rise with the others, or the reverse:
-        so where its values at the two opposite corners of the bounds agree, so does its value at
-        the norms. Elsewhere those points' norms are made exact first."""
+        over the points, and each of its values must fall with the norms of the stacks in
+        ``falling`` and rise with the others, or the reverse: so where its values at the two
+        opposite corners of the bounds agree, so does its value at the norms. Elsewhere those
+        points' norms are made exact first."""
         with np.errstate(over="ignore", invalid="ignore"):
             value = check(*((self.hi if i in falling else self.lo)[self._parts[i]] for i in parts))
             open_ = value != check(*((self.lo if i in falling else self.hi)[self._parts[i]]

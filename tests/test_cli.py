@@ -674,9 +674,10 @@ def test_run_builds_one_frame_grid(monkeypatch, scenario, validations):
 def test_ramp_run_takes_an_svd_only_where_a_norm_is_reported_or_open(monkeypatch):
     # 201 points: the frame check's non-zero residuals (the others are all-zero
     # matrices), the RK4 interval starts whose substep count the bracket leaves open
-    # (all 200 here, at 100 * ||G|| * dt ~ 0.5), and the family's P/T checks. The
-    # symmetry scan's residuals, which no run reports, are decided from their bracket:
-    # taking them exactly made 604. Norming every matrix took 2216, about 11 a point.
+    # (all 200 here, at 100 * ||G|| * dt ~ 0.5), and the family's P/T check (P, K, the
+    # PT map PK and the non-zero residuals). The symmetry scan's residuals, which no
+    # run reports, are decided from their bracket: taking them exactly made 605.
+    # Norming every matrix took 2216, about 11 a point.
     cfg = load_config(ROOT / "scenarios" / "two_level_ramp.json")
     svd, matrices = np.linalg.svd, []
 
@@ -686,7 +687,7 @@ def test_ramp_run_takes_an_svd_only_where_a_norm_is_reported_or_open(monkeypatch
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_scenario(cfg)
-    assert sum(matrices) == 403
+    assert sum(matrices) == 404
 
 
 def test_run_checks_the_scans_eigenpairs_at_the_eigenframe_tolerance(monkeypatch):

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from helpers import (random_frame_matrices, reference_rk4_run, rotating_frame_model, same_bits,
                      two_level_matrices)
-from ptdyn import dynamics
+from ptdyn import dynamics, linalg
 from ptdyn.adiabatic import build_eigenframe, build_report, operator_phase
 from ptdyn.dynamics import (
     Equation,
@@ -885,9 +885,9 @@ def test_rk4_abort_before_a_late_frame_failure_still_wins():
     assert got.value.last_good_t == ref.value.last_good_t
 
 
-def test_rk4_integrates_past_a_late_frame_failure_as_the_one_point_loop():
-    # the propagator reads no frame grid: with C failing at t = 9.5 it is the
-    # one-point loop's, bit for bit; evolve_state then raises the frame's error
+def test_rk4_stops_at_a_late_frame_failure_in_both_evolve_functions():
+    # the compensated generator reads the frame grid, which fails at grid point 19
+    # (t = 9.5): the propagator's walk stops there with the frame's error, as the state's does
     problem = EvolutionProblem(
         hamiltonian=OperatorFamily.constant(np.diag([1.0, -1.0])),
         frame_family=_late_broken_frame(),
@@ -896,17 +896,66 @@ def test_rk4_integrates_past_a_late_frame_failure_as_the_one_point_loop():
         initial_state=np.array([1.0, 0.0]),
         substeps=5,
     )
-    ref, _ = reference_rk4_run(problem, np.eye(2, dtype=complex))
-    got = evolve_propagator(problem)
-    assert len(got) == len(ref) and all(np.array_equal(u, v) for (_, u), v in zip(got, ref))
-    with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=9\.5$"):
-        evolve_state(problem)
+    for evolve in (evolve_propagator, evolve_state):
+        with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=9\.5$") as err:
+            evolve(problem)
+        assert err.value.index == 19
+
+
+def test_frame_failure_before_a_non_finite_state_wins_in_both_evolve_functions():
+    # C fails C^2 = I at the grid point t = 5.0 (index 10); from t = 6 on, H = 1e200j I
+    # overflows the state between t = 6.0 and 6.5. The frame grid's failure is the earlier
+    # one, so both evolve functions stop the walk at t = 5.0 and raise it.
+    c_family = OperatorFamily(-1.0, 11.0, lambda t: SWAP * (1.5 if t == 5.0 else 1.0))
+    hamiltonian = OperatorFamily(-1.0, 11.0, lambda t: (1e200j if t >= 6.0 else 0.0) * np.eye(2))
+    problem = EvolutionProblem(
+        hamiltonian=hamiltonian,
+        frame_family=FrameFamily(c_family, SWAP, AntilinearOperator.conjugation(2)),
+        grid=np.linspace(0.0, 10.0, 21),
+        equation=Equation.COMPENSATED,
+        initial_state=np.array([1.0, 0.0]),
+        substeps=2,
+    )
+    for evolve in (evolve_state, evolve_propagator):
+        with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=5\.0$") as err:
+            evolve(problem)
+        assert err.value.index == 10
+
+
+def test_frame_failure_at_the_last_point_ends_the_walk_without_a_one_point_search(monkeypatch):
+    # a 2001-point compensated ramp whose C fails C^2 = I at the last grid point only: the
+    # walk takes every interval and raises the frame grid's error, with no one-point search
+    model = two_level(ScalarFunction.constant(1.0), ScalarFunction.ramp(0.1, 0.18, 0.0, 1.0),
+                      0.0, 1.0)
+    c_family = model.frame_family.c_family
+
+    def broken(t):
+        return c_family.evaluate(t) * np.where(np.asarray(t) == 1.0, 1.5, 1.0)[..., None, None]
+
+    calls = []
+    first_error = linalg._first_error
+    monkeypatch.setattr(linalg, "_first_error", lambda *args: calls.append(1) or first_error(*args))
+    problem = EvolutionProblem(
+        hamiltonian=model.hamiltonian,
+        frame_family=FrameFamily(
+            OperatorFamily(0.0, 1.0, broken, c_family.derivative, vectorized=True),
+            model.frame_family.p, model.frame_family.t),
+        grid=np.linspace(0.0, 1.0, 2001),
+        equation=Equation.COMPENSATED,
+        initial_state=np.array([1.0, 0.0]),
+        substeps=2,
+    )
+    for evolve in (evolve_state, evolve_propagator):
+        with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=1\.0$") as err:
+            evolve(problem)
+        assert err.value.index == 2000
+    assert calls == []
 
 
 def test_failed_frame_grid_logs_its_one_sided_derivatives_once(caplog):
     # C is differenced on [0, 1] (one-sided at both ends) and fails C^2 = I at the grid point
-    # t = 0.5. The RK4 integrates past the failed frame grid, and evolve_state then raises
-    # its error: the grid's warning is logged once, not again for the second request.
+    # t = 0.5. The RK4 stops at the failed frame grid's point and raises its error: the
+    # grid's warning is logged once, and evolve_propagator raises the same error.
     _, C, P = two_level_matrices(1.0, 0.3)
     c_family = OperatorFamily(0.0, 1.0, lambda t: 1.5 * SWAP if t == 0.5 else C)
 
@@ -922,7 +971,8 @@ def test_failed_frame_grid_logs_its_one_sided_derivatives_once(caplog):
             evolve_state(problem())
     assert [r.message for r in caplog.records if r.name == "ptdyn.frames"] == [
         "one-sided derivative at 2 of 5 grid points in [0, 1]"]
-    assert len(evolve_propagator(problem())) == 5
+    with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=0\.5$"):
+        evolve_propagator(problem())
 
 
 def test_rk4_failing_node_after_coarse_steps_logs_as_the_one_point_loop(caplog):

@@ -401,6 +401,19 @@ def test_frame_grid_raises_the_one_point_error_of_its_first_failing_point(monkey
     assert str(stacked.value) == f"{one_point.value} at t={grid[6]}"
 
 
+@pytest.mark.parametrize("axiom", list(BROKEN_C))
+def test_frame_grid_error_carries_its_grid_position(axiom):
+    # the stacked check's error names the failing point's index on the grid, at 2x2 in the
+    # second stack of 409 points; the one-point check's error has none
+    grid = np.linspace(0.0, 1.0, 501)
+    with pytest.raises(FrameAxiomError) as err:
+        _broken_at(grid[450], axiom).on_grid(grid)
+    assert err.value.index == 450
+    with pytest.raises(FrameAxiomError) as err:
+        validate_frames(BROKEN_C[axiom], SWAP, conjugation())
+    assert err.value.index is None
+
+
 def test_frame_grid_fails_a_point_whose_one_point_recheck_passes(monkeypatch):
     # the stacked check's verdict stands: a point it fails is never let through
     monkeypatch.setattr(frames, "_validated", lambda *args: None)
@@ -539,6 +552,31 @@ def test_replaced_frame_is_classified_with_its_own_metric():
     assert report.cpt_hermitian
 
 
+@pytest.mark.parametrize("eps, unbroken", [(8.5e-11, True), (1.3e-10, False)])
+def test_reports_scale_the_eigenvector_check_by_the_pt_maps_norm(eps, unbroken):
+    # P = [[1, 2], [0, -1]] with T = conjugation: P^2 = I, the metric PC = P^2 is I, and
+    # ||PK|| = ||P|| = 1 + sqrt(2). H has eigenvalues 1 and 1.001; its first eigenvector is
+    # tilted off the PT-invariant u1 = (1, 0) by eps (1, -1), so PT maps it off itself by
+    # about 2 eps: between tol and tol ||PK|| it is not a stray, above tol ||PK|| it is.
+    P = np.array([[1.0, 2.0], [0.0, -1.0]])
+    frame = validate_frames(P, P, conjugation())
+    assert frame._pt.pt_norm == operator_norm(P @ frame.t.conj_matrix) == operator_norm(P)
+    u1, u2 = np.array([1.0, 0.0]), np.array([1.0, -1.0])
+    V = np.column_stack((u1 + eps * u2, u2))
+    H = V @ np.diag([1.0, 1.001]) @ np.linalg.inv(V)
+    tol = 1e-10
+    _, vecs = linalg.eigenpairs_stack(H[None])
+    image = P @ np.conj(vecs[0, 0])
+    stray = np.linalg.norm(image - np.vdot(vecs[0, 0], image) * vecs[0, 0])
+    assert tol < stray and (stray <= tol * frame._pt.pt_norm) == unbroken
+    report = symmetry_report(frame, H, tol)
+    assert report.pt_symmetric and report.unbroken == unbroken
+    assert repr(report) == repr(reference_symmetry_report(frame, H, tol))
+    grid = np.linspace(0.0, 1.0, 3)
+    reports = FrameFamily.constant(frame).on_grid(grid).symmetry_reports(np.stack([H] * 3), tol)
+    assert repr(reports) == repr([report] * 3)
+
+
 def test_grid_reports_take_exact_residuals_on_the_bundled_ramp():
     # A run decides its verdicts from the residual norms' bracket; a report built from
     # the same scan still carries the exact SVD norms, as symmetry_report gives them.
@@ -563,9 +601,8 @@ def test_batched_norm_failure_names_the_point_within_the_stack():
     frame = validate_frames(C, P, conjugation())
     hams = np.stack([H] * n)
     hams[k] = np.diag([1e308 * (1 + 1j), 1.0])
-    pt_map = frame.p @ frame.t.conj_matrix
     with pytest.raises(ConvergenceError, match=f"^SVD did not converge for stack matrix {k}$") as err:
-        frames._classify(pt_map, np.stack([frame.metric] * n), hams, 1e-10)
+        frames._classify(frame._pt, np.stack([frame.metric] * n), hams, 1e-10)
     assert err.value.index == k
     grid = np.linspace(0.0, 1.0, n)
     with pytest.raises(ConvergenceError) as err:
