@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .frames import FrameAxiomError, FrameFamily
+from .frames import FrameFamily
 from .linalg import OperatorFamily, as_grid, as_state
 
 __all__ = [
@@ -260,13 +260,15 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     an array is checked with ``np.isfinite``.
 
     A failure is raised where the walk reaches it, so an earlier non-finite
-    state still aborts first. If the frame grid fails an axiom at grid point
-    k (a :class:`~ptdyn.frames.FrameAxiomError` with ``index`` k), the walk
-    stops at t_k and raises it. If the grid stacks raise another ValueError,
-    or a block's stack raises one, the one-point generator
-    (``linalg._first_error``) finds the first failing interval start, or the
-    first failing node in the one-point scheme's order, and the walk stops
-    before it. An automatic count above ``MAX_SUBSTEPS``, or one that is not
+    state still aborts first. Every equation's walk builds the frame grid
+    first (:meth:`~ptdyn.frames.FrameFamily.on_grid`, a kept grid in a run):
+    if it raises a ValueError at grid point k (a failed axiom, or C or dC/dt
+    failing to evaluate, with ``index`` k), the walk stops at t_k and raises
+    it. If the generators' stack at the grid points (or at the starts before
+    t_k) raises a ValueError, or a block's stack raises one, the one-point
+    generator (``linalg._first_error``) finds the first failing interval
+    start, or the first failing node in the one-point scheme's order, and
+    the walk stops before it. An automatic count above ``MAX_SUBSTEPS``, or one that is not
     finite, stops the walk before its interval with an
     :class:`IntegrationAbort` naming it. Any other exception propagates at
     once.
@@ -291,6 +293,8 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
 
     def generators(times: np.ndarray, from_grid: bool = False) -> np.ndarray:
         nonlocal evaluations, one_sided
+        if not times.size:
+            return np.empty((0, dim, dim), dtype=complex)
         gens, edges = _generators(problem, times, from_grid)
         evaluations += times.size
         one_sided += edges
@@ -299,17 +303,22 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     def one_point(t: float):
         return _generators(problem, np.array([t]))
 
-    # The grid points from the kept grid stacks. Where those raise a ValueError, the walk ends at
-    # the frame grid's failing point (a FrameAxiomError's index), or else at the first start whose
-    # one-point generator raises, with that error; the starts before it are evaluated as one stack.
+    # The frame grid first: a ValueError from it names its failing grid point in index, and the
+    # walk ends there. Then the grid points from the kept grid stacks, or, after a frame failure,
+    # the starts before it as one stack. Where that raises a ValueError, the walk ends at the
+    # first of those starts whose one-point generator raises, with that error.
     starts, failure = grid[:-1], None
     try:
-        G0 = generators(grid, from_grid=True)
+        problem.frame_family.on_grid(grid)
     except ValueError as exc:
-        n, failure = ((exc.index, exc) if isinstance(exc, FrameAxiomError)
-                      else linalg._first_error(one_point, starts))
-        starts = starts[:n]
-        G0 = generators(starts) if n else np.empty((0, dim, dim), dtype=complex)
+        starts, failure = starts[:exc.index], exc
+    try:
+        G0 = generators(grid, from_grid=True) if failure is None else generators(starts)
+    except ValueError:
+        n, error = linalg._first_error(one_point, starts)
+        if error is not None:
+            starts, failure = starts[:n], error
+        G0 = generators(starts)
     g0_times = grid[:len(G0)]  # every grid point, or the interval starts evaluated
     # Each count and warning rises with the norm, so its bounds settle it where they agree.
     norms = linalg._Norms((G0[:starts.size],), (False,))

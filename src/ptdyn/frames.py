@@ -412,8 +412,9 @@ class FrameFamily:
         """The family evaluated and validated at every grid time (see :class:`FrameGrid`).
 
         Returns the kept grid when ``grid`` equals its times, else builds
-        and keeps a new one; a build that raises keeps nothing. A
-        :class:`FrameAxiomError` it raises names its grid position in ``index``.
+        and keeps a new one; a build that raises keeps nothing. A ValueError
+        it raises (a :class:`FrameAxiomError`, or C or dC/dt failing to
+        evaluate) names its grid position in ``index``.
         """
         grid = as_grid(grid)
         if self._grid is None or not np.array_equal(self._grid.times, grid):
@@ -454,20 +455,36 @@ class FrameGrid:
     def build(cls, family: FrameFamily, grid: np.ndarray) -> "FrameGrid":
         """Evaluate C and dC/dt at every grid time and check every axiom.
 
-        C is evaluated on the whole grid first, then dC/dt, each raising at
-        its earliest failing time. The C-dependent axioms are then checked in
-        stacks whose SVD (five matrices a point) holds at most
-        ``linalg.STACK_ENTRIES`` entries: :class:`FrameAxiomError` names the
-        axiom and time of the first failure, :class:`ConvergenceError` the
-        grid time and index of the first point whose SVD fails.
+        C is evaluated on the whole grid first, then dC/dt. Where either
+        raises a ValueError, the one-point evaluation of C(t), then dC/dt(t)
+        (``linalg._first_error``), finds the first failing grid point k; the
+        points before k are then evaluated and checked, and k's error is
+        raised with ``index`` k unless one of them fails first. The
+        C-dependent axioms are checked in stacks whose SVD (five matrices a
+        point) holds at most ``linalg.STACK_ENTRIES`` entries:
+        :class:`FrameAxiomError` names the axiom and time of the first
+        failure, :class:`ConvergenceError` the grid time and index of the
+        first point whose SVD fails. Every ValueError raised here carries
+        its grid point in ``index``.
         """
-        P = family.p
+        P, c_family = family.p, family.c_family
         grid = np.array(grid, dtype=float)
         n, dim = grid.size, family.dim
-        c = family.c_family.stack(grid)
-        if c.shape[1:] != P.shape:
-            raise ValueError(f"dimension mismatch: C {c.shape[1:]} at t={grid[0]}, P {P.shape}")
-        cdot, one_sided = linalg.family_derivatives(family.c_family, grid)
+        try:
+            c = c_family.stack(grid)
+            cdot, one_sided = linalg.family_derivatives(c_family, grid)
+            failure = None
+        except ValueError:
+            # C(t) is taken with the first point's, whose shape every point must share
+            n, failure = linalg._first_error(lambda t: (
+                c_family.stack([grid[0], t]), linalg.family_derivatives(c_family, [t])), grid)
+            if failure is None:
+                raise
+            c = c_family.stack(grid[:n])
+            cdot, one_sided = linalg.family_derivatives(c_family, grid[:n])
+        if n and c.shape[1:] != P.shape:  # the same shape at every point: fails at the first
+            n, one_sided = 0, 0
+            failure = ValueError(f"dimension mismatch: C {c.shape[1:]} at t={grid[0]}, P {P.shape}")
         if one_sided:
             logger.warning("one-sided derivative at %d of %d grid points in [%g, %g]",
                            one_sided, n, grid[0], grid[-1])
@@ -485,6 +502,9 @@ class FrameGrid:
                                        exc.index) from exc
             for axiom, resid in chunk_residuals.items():
                 residuals[axiom] = max(residuals.get(axiom, 0.0), float(resid.max()))
+        if failure is not None:
+            failure.index = n
+            raise failure
         residuals["metric min eigenvalue"] = float(eigs[:, 0].min())
         for arr in (grid, c, cdot, metric, eigs):
             arr.flags.writeable = False

@@ -82,24 +82,17 @@ def as_grid(values, name: str = "grid") -> np.ndarray:
 
 @dataclass(frozen=True)
 class AntilinearOperator:
-    """Antilinear map x -> K conj(x).
+    """Antilinear map x -> K conj(x), held as its matrix K (``conj_matrix``).
 
-    Composing with itself gives the linear map K conj(K) (:meth:`squared`).
-    The frame check (``frames._pt_axioms``) forms K conj(K) from
-    ``conj_matrix`` itself and compares it against the identity.
+    Composing it with itself gives the linear map K conj(K); the frame check
+    (``frames._pt_axioms``) forms that product and compares it against the
+    identity.
     """
 
     conj_matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "conj_matrix", as_operator(self.conj_matrix, "conj_matrix"))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.conj_matrix @ np.conj(as_state(x))
-
-    def squared(self) -> np.ndarray:
-        """Matrix of the (linear) composition T∘T."""
-        return self.conj_matrix @ np.conj(self.conj_matrix)
 
     @classmethod
     def conjugation(cls, dim: int) -> "AntilinearOperator":
@@ -465,23 +458,18 @@ def _check_pairs(X: np.ndarray, resid: np.ndarray, tol: float, norms):
         )
 
 
-def family_derivatives(F: OperatorFamily, times, h: Optional[float] = None
-                       ) -> tuple[np.ndarray, int]:
+def family_derivatives(F: OperatorFamily, times) -> tuple[np.ndarray, int]:
     """d/dt of an operator family at each of ``times`` (an (n, d, d) stack), and the one-sided count.
 
     The analytic derivative if the family has one, else central differences
-    with step ``h`` (default ``1e-5 * max(1, |t|)``), one-sided near a domain
-    edge. Evaluated as one stack in point-by-point order, so values and the
+    with step h = ``1e-5 * max(1, |t|)``, one-sided near a domain edge.
+    Evaluated as one stack in point-by-point order, so values and the
     earliest failing time's error are the one-point stencil's. No logging.
     """
     times = np.asarray(times, dtype=float)
     if F.derivative is not None:
         return _stack_of(F.derivative, times, "family derivative", F.vectorized), 0
-    if h is None:
-        h = 1e-5 * np.fmax(1.0, np.abs(times))  # fmax: a NaN t keeps h = 1e-5, as max() does
-    elif h <= 0:
-        raise ValueError("h must be positive")
-    h = np.broadcast_to(h, times.shape)
+    h = 1e-5 * np.fmax(1.0, np.abs(times))  # fmax: a NaN t keeps h = 1e-5, as max() does
     lo, hi = F.t_start, F.t_end
     central = (times - h >= lo) & (times + h <= hi)
     forward = ~central & (times + 2 * h <= hi)

@@ -1,7 +1,7 @@
-"""Built-in scenarios with closed-form spectral data.
+"""Built-in scenarios.
 
-Every model kind is one :class:`Model` record: a Hamiltonian family, a
-frame family and optional closed-form oracles. Two kinds are built here:
+Every model kind is one :class:`Model` record: a Hamiltonian family and a
+frame family. Two kinds are built here:
 
 * :func:`build_two_level` — the 2x2 model with
 
@@ -10,15 +10,14 @@ frame family and optional closed-form oracles. Two kinds are built here:
       P    = [[0, 1], [1, 0]],   T = componentwise conjugation,
 
   where s(t) is an energy scale and a(t) an angle constrained to
-  cos a(t) >= 1/2 so the metric PC stays positive definite. Eigenvalues
-  are 0 and 2 s cos a with known eigenvectors.
+  cos a(t) >= 1/2 so the metric PC stays positive definite.
 
 * :func:`build_constant_metric` — H(t) = a(t) I + b(t) C over a fixed,
   validated frame; the metric never moves, so the plain Schrodinger
   evolution is already unitary in the frame norm.
 
-Both carry analytic eigendata (``energies``, and for the two-level model
-``eigenvector``) for use as test oracles against the numeric paths.
+H is built with no analytic derivative: no stage of a run reads dH/dt.
+The frame family's C keeps its analytic dC/dt where there is one.
 """
 
 from __future__ import annotations
@@ -153,17 +152,13 @@ def _two_level_c(a) -> np.ndarray:
 class Model:
     """A Hamiltonian family H(t) over a CPT frame family (C(t), P, T).
 
-    ``energies(t)`` and ``eigenvector(level, t, normalization=...)`` are
-    closed-form oracles for the numeric paths, present where the model
-    kind has them. Every stage of a run reads the same two families, so
-    the frame family's last :class:`FrameGrid` and the Hamiltonian's last
-    grid stack (:meth:`OperatorFamily.on_grid`) are shared by all of them.
+    Every stage of a run reads the same two families, so the frame family's
+    last :class:`FrameGrid` and the Hamiltonian's last grid stack
+    (:meth:`OperatorFamily.on_grid`) are shared by all of them.
     """
 
     hamiltonian: OperatorFamily
     frame_family: FrameFamily
-    energies: Optional[Callable[[float], np.ndarray]] = None
-    eigenvector: Optional[Callable[..., np.ndarray]] = None
 
     def problem(self, grid, equation: Equation, initial_state,
                 hbar: float = 1.0, substeps: Optional[int] = None,
@@ -190,15 +185,6 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
         s_t, a = s(t), alpha(t)
         return _two_by_two(s_t * np.exp(1j * a), s_t, s_t, s_t * np.exp(-1j * a))
 
-    derivative = None
-    if s.dfn is not None and alpha.dfn is not None:
-        def derivative(t):
-            s_t, a = s(t), alpha(t)
-            sd, ad = s.dfn(t), alpha.dfn(t)
-            ea = np.exp(1j * a)
-            return _two_by_two(sd * ea + 1j * ad * s_t * ea, sd,
-                               sd, sd / ea - 1j * ad * s_t / ea)
-
     def c_evaluate(t):
         return _two_level_c(alpha(t))
 
@@ -211,40 +197,14 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
                 _column(_tan(a)) * _two_level_c(a) + 1j * np.diag([1.0, -1.0])
             )
 
-    def energies(t: float) -> np.ndarray:
-        """Closed-form eigenvalues, ascending for s > 0: (0, 2 s cos a)."""
-        return np.array([0.0, 2.0 * s(t) * math.cos(alpha(t))])
-
-    def eigenvector(level: int, t: float, normalization: str = "metric") -> np.ndarray:
-        """Closed-form eigenvectors.
-
-        ``normalization="euclidean"`` gives the unit-2-norm form
-        (1/sqrt 2)(e^{-+ i a/2}, -+ e^{+- i a/2}); its squared frame norm is
-        cos a, so ``"metric"`` divides by sqrt(cos a) to make the pair
-        orthonormal in the frame inner product.
-        """
-        a = alpha(t)
-        if level == 0:
-            v = np.array([np.exp(-0.5j * a), -np.exp(0.5j * a)]) / math.sqrt(2.0)
-        elif level == 1:
-            v = np.array([np.exp(0.5j * a), np.exp(-0.5j * a)]) / math.sqrt(2.0)
-        else:
-            raise ValueError(f"level must be 0 or 1, got {level}")
-        if normalization == "metric":
-            return v / math.sqrt(math.cos(a))
-        if normalization == "euclidean":
-            return v
-        raise ValueError(f"unknown normalization {normalization!r}")
-
     frames = FrameFamily(
         OperatorFamily(t_start, t_end, c_evaluate, c_derivative, vectorized=alpha.vectorized),
         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
         AntilinearOperator.conjugation(2),
         tol=frame_tol,
     )
-    return Model(OperatorFamily(t_start, t_end, evaluate, derivative,
-                                vectorized=s.vectorized and alpha.vectorized),
-                 frames, energies, eigenvector)
+    return Model(OperatorFamily(t_start, t_end, evaluate,
+                                vectorized=s.vectorized and alpha.vectorized), frames)
 
 
 def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
@@ -288,17 +248,6 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
     def evaluate(t):
         return _column(a(t)) * eye + _column(b(t)) * C
 
-    derivative = None
-    if a.dfn is not None and b.dfn is not None:
-        def derivative(t):
-            return _column(a.dfn(t)) * eye + _column(b.dfn(t)) * C
-
-    c_eigs = np.sort(np.linalg.eigvals(C).real)
-
-    def energies(t: float) -> np.ndarray:
-        """a(t) + b(t) * (eigenvalues of C), sorted ascending."""
-        return np.sort(a(t) + b(t) * c_eigs)
-
-    return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate, derivative,
+    return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate,
                                 vectorized=a.vectorized and b.vectorized),
-                 FrameFamily.constant(frame), energies)
+                 FrameFamily.constant(frame))

@@ -1,8 +1,8 @@
 """Shared constructions for the test suite.
 
-The two-level operators are rebuilt here from their defining formulas,
-independently of the package, so tests compare two separately written
-routes. Random valid frames are direct sums of 2x2 angle blocks (plus a
+The two-level operators and their closed-form eigendata are rebuilt here
+from their defining formulas, independently of the package, so tests compare
+two separately written routes. Random valid frames are direct sums of 2x2 angle blocks (plus a
 1x1 identity block for odd dimensions) conjugated by a random real
 orthogonal matrix, which preserves every frame axiom. The one-point RK4
 loop, eigensolver, eigenframe loop, operator-phase loop and derivative
@@ -11,6 +11,7 @@ bit, except the operator phase, to 1e-12).
 """
 
 import logging
+import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -34,6 +35,23 @@ def two_level_matrices(s: float, a: float):
     )
     P = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return H, C, P
+
+
+def two_level_energies(s: float, a: float) -> np.ndarray:
+    """Eigenvalues of the two-level H, ascending for s > 0: (0, 2 s cos a)."""
+    return np.array([0.0, 2.0 * s * math.cos(a)])
+
+
+def two_level_eigenvector(level: int, a: float, metric: bool = True) -> np.ndarray:
+    """Eigenvector of the two-level H for eigenvalue :func:`two_level_energies`[level].
+
+    The unit-2-norm form is (1/sqrt 2)(e^{-+ i a/2}, -+ e^{+- i a/2}); its
+    squared frame norm is cos a, so ``metric`` divides by sqrt(cos a) to make
+    the pair orthonormal in the frame inner product.
+    """
+    e = np.exp(0.5j * a)
+    v = np.array([np.conj(e), -e] if level == 0 else [e, np.conj(e)]) / math.sqrt(2.0)
+    return v / math.sqrt(math.cos(a)) if metric else v
 
 
 def random_orthogonal(rng, dim: int) -> np.ndarray:
@@ -219,17 +237,15 @@ def reference_generator(problem, t):
     return H - 0.5j * problem.hbar * (C @ Cdot)
 
 
-def reference_derivative_stencil(F, t, h=None):
+def reference_derivative_stencil(F, t):
     """The one-point derivative of an operator family: (value, whether one-sided).
 
-    A verbatim copy of the stencil the stacked ``family_derivatives`` replaced.
+    A copy of the stencil the stacked ``family_derivatives`` replaced, at its
+    step h = 1e-5 * max(1, |t|).
     """
     if F.derivative is not None:
         return as_operator(F.derivative(t), f"family derivative at t={t}"), False
-    if h is None:
-        h = 1e-5 * max(1.0, abs(t))
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-5 * max(1.0, abs(t))
     lo, hi = F.t_start, F.t_end
     if t - h >= lo and t + h <= hi:
         return (F(t + h) - F(t - h)) / (2.0 * h), False

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import two_level_matrices
+from helpers import two_level_eigenvector, two_level_matrices
 from ptdyn.adiabatic import (
     adiabatic_bound,
     build_eigenframe,
@@ -73,13 +73,13 @@ def test_a03_metric_orthonormality_rescaling():
     for t in grid:
         frame = family.frame_at(t)
         a = REFERENCE_ALPHA(t)
-        rescaled = [model.eigenvector(n, t, normalization="metric") for n in (0, 1)]
+        rescaled = [two_level_eigenvector(n, a) for n in (0, 1)]
         for i in (0, 1):
             for j in (0, 1):
                 ip = cpt_inner(frame, rescaled[i], rescaled[j])
                 assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-10
         for n in (0, 1):
-            plain = model.eigenvector(n, t, normalization="euclidean")
+            plain = two_level_eigenvector(n, a, metric=False)
             ip = cpt_inner(frame, plain, plain)
             assert abs(ip - math.cos(a)) <= 1e-10
 

@@ -24,6 +24,8 @@ from helpers import (
     rotating_hermitian_family,
     same_bits,
     scripted_eig,
+    two_level_eigenvector,
+    two_level_energies,
     two_level_matrices,
 )
 from ptdyn.adiabatic import (
@@ -90,11 +92,12 @@ def test_eigenframe_two_level_closed_form():
     model = two_level(amp=math.pi / 6, freq=1.0)
     grid = np.linspace(0.0, 1.0, 100)
     eframe = build_eigenframe(model.hamiltonian, model.frame_family, grid)
+    alpha = ScalarFunction.sinusoid(amplitude=math.pi / 6, frequency=1.0)
     for k, t in enumerate(grid):
-        expected = model.energies(t)
+        expected = two_level_energies(1.0, alpha(t))
         assert np.max(np.abs(eframe.energies[k] - expected)) <= 1e-10
         for level in (0, 1):
-            ana = model.eigenvector(level, t, normalization="metric")
+            ana = two_level_eigenvector(level, alpha(t))
             metric = eframe.metrics[k]
             overlap = np.vdot(eframe.states[k, level], metric @ ana)
             assert 1.0 - abs(overlap) <= 1e-8  # same ray, both unit frame norm

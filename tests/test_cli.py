@@ -185,6 +185,19 @@ def test_cli_validate_rejects_bad_frame(tmp_path, capsys):
     assert "C^2 = I" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_metric_not_positive_definite_is_a_config_error(tmp_path, capsys, command):
+    # The bundled inline scenario with C negated: -C still passes C^2 = I, CPT = TPC and a
+    # Hermitian metric, but its metric -PC has the eigenvalues -(2 -+ sqrt 3)
+    raw = json.loads((ROOT / "scenarios" / "inline_static.json").read_text())
+    raw["model"]["C"] = [[[-re, -im] for re, im in row] for row in raw["model"]["C"]]
+    args = [command, str(write_config(tmp_path, raw))]
+    assert main(args + (["--out-dir", str(tmp_path / "out")] if command == "run" else [])) == 2
+    assert capsys.readouterr().err == (
+        "config error: model: frame axiom 'metric positive definite' violated: minimum "
+        "eigenvalue of PC is -3.732e+00 (metric norm 3.73)\n")
+
+
 def test_cli_numeric_abort_exit_code(tmp_path, capsys):
     # inline model, augmented equation with G = 200 I: pure exponential growth
     raw = {

@@ -922,6 +922,42 @@ def test_frame_failure_before_a_non_finite_state_wins_in_both_evolve_functions()
         assert err.value.index == 10
 
 
+def _frame_broken_at_5(hamiltonian, equation, correction=None):
+    """A 21-point problem on [0, 10] whose C fails C^2 = I at the grid point t = 5.0 (index 10)."""
+    c_family = OperatorFamily(-1.0, 11.0, lambda t: SWAP * (1.5 if t == 5.0 else 1.0))
+    return EvolutionProblem(
+        hamiltonian=hamiltonian,
+        frame_family=FrameFamily(c_family, SWAP, AntilinearOperator.conjugation(2)),
+        grid=np.linspace(0.0, 10.0, 21),
+        equation=equation,
+        initial_state=np.array([1.0, 0.0]),
+        correction=correction,
+        substeps=2,
+    )
+
+
+def test_frame_failure_before_a_later_h_failure_wins_in_both_evolve_functions():
+    # H is NaN at the grid point t = 8.0, after the frame's failure at t = 5.0: the walk
+    # builds the frame grid before H's grid stack, so the frame's failure is raised
+    hamiltonian = OperatorFamily(-1.0, 11.0, lambda t: np.eye(2) * (math.nan if t == 8.0 else 1.0))
+    problem = _frame_broken_at_5(hamiltonian, Equation.COMPENSATED)
+    for evolve in (evolve_state, evolve_propagator):
+        with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=5\.0$") as err:
+            evolve(problem)
+        assert err.value.index == 10
+
+
+@pytest.mark.parametrize("equation", [Equation.SCHRODINGER, Equation.AUGMENTED])
+def test_every_equation_stops_its_walk_at_a_frame_failure(equation):
+    # The Schrodinger and augmented generators read no C, but their walk reads the frame
+    # grid too: a state that would turn non-finite between t = 6.0 and 6.5 is never reached
+    hamiltonian = OperatorFamily(-1.0, 11.0, lambda t: (1e200j if t >= 6.0 else 0.0) * np.eye(2))
+    correction = OperatorFamily.constant(np.zeros((2, 2))) if equation is Equation.AUGMENTED else None
+    with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=5\.0$") as err:
+        evolve_state(_frame_broken_at_5(hamiltonian, equation, correction))
+    assert err.value.index == 10
+
+
 def test_frame_failure_at_the_last_point_ends_the_walk_without_a_one_point_search(monkeypatch):
     # a 2001-point compensated ramp whose C fails C^2 = I at the last grid point only: the
     # walk takes every interval and raises the frame grid's error, with no one-point search

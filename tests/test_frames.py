@@ -433,6 +433,33 @@ def test_frame_grid_names_the_time_c_changes_shape():
     assert str(err.value) == "family value at t=0.5 has shape (3, 3), expected (2, 2)"
 
 
+def test_frame_grid_raises_an_axiom_failure_before_a_later_evaluation_failure(caplog):
+    # C fails C^2 = I at t = 2.0 and is NaN at t = 8.0: the whole-grid stack of C raises at
+    # t = 8.0, but the one-point walk (frame_at) fails at t = 2.0 first, and so does the grid
+    grid = np.linspace(0.0, 10.0, 21)
+
+    def family(c_of_t):
+        return FrameFamily(OperatorFamily(0.0, 10.0, c_of_t), SWAP, conjugation())
+
+    both = family(lambda t: SWAP * (1.5 if t == 2.0 else math.nan if t == 8.0 else 1.0))
+    with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=2\.0$") as err:
+        both.on_grid(grid)
+    assert err.value.index == 4
+    with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated"):
+        both.frame_at(2.0)
+    # with the NaN only, the evaluation error carries its grid point; the build logs the
+    # one-sided derivatives of the points before it once
+    nan_only = family(lambda t: SWAP * (math.nan if t == 8.0 else 1.0))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ptdyn.frames"):
+        with pytest.raises(ValueError) as err:
+            nan_only.on_grid(grid)
+    assert str(err.value) == "family value at t=8.0 contains non-finite entries"
+    assert err.value.index == 16
+    assert [r.message for r in caplog.records if r.name == "ptdyn.frames"] == [
+        "one-sided derivative at 1 of 16 grid points in [0, 10]"]
+
+
 def test_frame_grid_is_kept_and_logs_one_sided_derivatives_once(caplog):
     def C_of_t(t):
         return two_level_matrices(1.0, 0.2 + 0.1 * t)[1]
