@@ -119,26 +119,20 @@ def build_eigenframe(
     failing step in the order above (evaluating H comes first).
 
     H is the family's kept grid stack (:meth:`OperatorFamily.on_grid`), cut
-    to each stack. If that stack raises a ValueError, the one-point
-    evaluation (``linalg._first_error``) finds the earliest failing time,
-    whose error the walk raises when it reaches that point; any other
-    exception propagates at once. ``_scan``, the frame grid's symmetry scan
-    of that H stack (``FrameGrid._scan``), hands over its eigenpairs: their
-    residuals are checked at the eigenframe's tolerance, and no eigenproblem
-    is solved again.
+    to each stack. If that stack raises a ValueError, H is taken on the
+    times before the one its ``index`` names (``linalg._stacks``), and the
+    walk raises it there; any other exception propagates at once. ``_scan``,
+    the frame grid's symmetry scan of that H stack (``FrameGrid._scan``),
+    hands over its eigenpairs: their residuals are checked at the
+    eigenframe's tolerance, and no eigenproblem is solved again.
     """
     fg = frame_family.on_grid(grid)
     grid = fg.times
     n_t = grid.size
     dim = frame_family.dim
-    unevaluated = None  # the error of H at grid[len(hams)], when H stops short of the grid
-    try:
-        hams = hamiltonian.on_grid(grid)
-    except ValueError:
-        n, unevaluated = linalg._first_error(hamiltonian, grid)
-        if unevaluated is None:
-            raise
-        hams = hamiltonian.stack(grid[:n]) if n else np.empty((0, dim, dim), dtype=complex)
+    # unevaluated: the error of H at grid[len(hams)], when H stops short of the grid
+    (hams,), _, _, unevaluated = linalg._stacks(grid, [hamiltonian], on_grid=True)
+    hams = hams if len(hams) else np.empty((0, dim, dim), dtype=complex)
     energies = np.empty((n_t, dim))
     states = np.empty((n_t, dim, dim), dtype=complex)
     min_overlap = 1.0

@@ -69,9 +69,10 @@ class EvolutionProblem:
     """One evolution run: generator ingredients, grid, and initial state.
 
     ``correction`` is the G family of the AUGMENTED equation and must be
-    present exactly for that equation. ``substeps``, when given, fixes the
-    Runge-Kutta substep count per grid interval; otherwise the count scales
-    with the local generator norm.
+    present exactly for that equation. ``hbar`` must be positive and finite.
+    ``substeps``, when given, fixes the Runge-Kutta substep count per grid
+    interval (an integral number >= 1, not a bool, kept as an ``int``);
+    otherwise the count scales with the local generator norm.
     """
 
     hamiltonian: OperatorFamily
@@ -88,14 +89,20 @@ class EvolutionProblem:
         object.__setattr__(self, "initial_state", as_state(self.initial_state, "initial_state"))
         if self.initial_state.shape[0] != self.frame_family.dim:
             raise ValueError("initial_state dimension does not match the frame")
+        if not math.isfinite(self.hbar):
+            raise ValueError(f"hbar must be finite, got {self.hbar!r}")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
         if self.equation is Equation.AUGMENTED and self.correction is None:
             raise ValueError("AUGMENTED equation requires a correction family G")
         if self.equation is not Equation.AUGMENTED and self.correction is not None:
             raise ValueError(f"{self.equation.name} equation forbids a correction family")
-        if self.substeps is not None and self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        if self.substeps is not None:
+            if isinstance(self.substeps, (bool, np.bool_)) or not float(self.substeps).is_integer():
+                raise ValueError(f"substeps must be an integer, got {self.substeps!r}")
+            if self.substeps < 1:
+                raise ValueError("substeps must be >= 1")
+            object.__setattr__(self, "substeps", int(self.substeps))
 
 
 @dataclass(frozen=True)
@@ -136,17 +143,14 @@ def _generators(problem: EvolutionProblem, times: np.ndarray, from_grid: bool = 
     """The generator at each of ``times`` as an (n, d, d) stack.
 
     Also returns how many dC/dt values fell back to a one-sided difference.
-    Each input family is evaluated once per time (see
-    :meth:`OperatorFamily.stack`); an input that fails at some time raises
-    the error its one-point evaluation raises there. With ``from_grid``,
+    Each input family is evaluated once per time (see ``linalg._stacks``); an
+    input that fails raises the one-point generator's error at the earliest
+    failing time, with that time's position in ``index``. With ``from_grid``,
     ``times`` is the problem's grid and the inputs are the families' kept
     grid stacks (:meth:`OperatorFamily.on_grid`, :meth:`FrameFamily.on_grid`).
     The generators are formed in chunks of ``linalg.STACK_ENTRIES`` entries,
     so no whole-stack temporary is made beside the result.
     """
-    def at(family: OperatorFamily) -> np.ndarray:
-        return family.on_grid(times) if from_grid else family.stack(times)
-
     def filled(term) -> np.ndarray:  # term(part), in chunks of at most STACK_ENTRIES entries
         out = np.empty(H.shape, dtype=complex)
         step = max(1, linalg.STACK_ENTRIES // max(H.shape[-1], 1) ** 2)
@@ -155,20 +159,20 @@ def _generators(problem: EvolutionProblem, times: np.ndarray, from_grid: bool = 
             out[part] = term(part)
         return out
 
-    H = at(problem.hamiltonian)
-    if problem.equation is Equation.SCHRODINGER:
-        return H, 0
+    compensated = problem.equation is Equation.COMPENSATED
+    c_family = problem.frame_family.c_family if compensated and not from_grid else None
+    families = [F for F in (problem.hamiltonian, problem.correction, c_family) if F is not None]
+    (H, *rest), Cdot, one_sided, failure = linalg._stacks(times, families, c_family, from_grid)
+    if failure is not None:
+        raise failure
     if problem.equation is Equation.AUGMENTED:
-        G = at(problem.correction)
-        return filled(lambda part: H[part] + 1j * G[part]), 0
+        return filled(lambda part: H[part] + 1j * rest[0][part]), 0
+    if not compensated:
+        return H, 0
     if from_grid:
         fg = problem.frame_family.on_grid(times)
-        C, Cdot, one_sided = fg.c, fg.cdot, fg.one_sided
-    else:
-        c_family = problem.frame_family.c_family
-        C = c_family.stack(times)
-        Cdot, one_sided = linalg.family_derivatives(c_family, times)
-    return filled(lambda part: H[part] - 0.5j * problem.hbar * (C[part] @ Cdot[part])), one_sided
+        rest, Cdot, one_sided = [fg.c], fg.cdot, fg.one_sided
+    return filled(lambda part: H[part] - 0.5j * problem.hbar * (rest[0][part] @ Cdot[part])), one_sided
 
 
 def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> np.ndarray:
@@ -250,7 +254,8 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     cross interval ends. A substep's nodes are t = t0 + j*h, t + 0.5*h and
     t + h, the one-point scheme's float expressions; a block evaluates the
     generator once per distinct node that is neither one of those points
-    nor the previous block's last node, as one ascending stack. The state arithmetic
+    nor the previous block's last node, as one stack in the order the
+    one-point scheme meets them. The state arithmetic
     is the one-point RK4's: :func:`_rk4_step_pair` for a state vector of
     dimension 2, the array step :func:`_rk4_step` for larger states and for
     propagator matrices. So the values are bit-identical to evaluating the
@@ -261,17 +266,14 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
 
     A failure is raised where the walk reaches it, so an earlier non-finite
     state still aborts first. Every equation's walk builds the frame grid
-    first (:meth:`~ptdyn.frames.FrameFamily.on_grid`, a kept grid in a run):
-    if it raises a ValueError at grid point k (a failed axiom, or C or dC/dt
-    failing to evaluate, with ``index`` k), the walk stops at t_k and raises
-    it. If the generators' stack at the grid points (or at the starts before
-    t_k) raises a ValueError, or a block's stack raises one, the one-point
-    generator (``linalg._first_error``) finds the first failing interval
-    start, or the first failing node in the one-point scheme's order, and
-    the walk stops before it. An automatic count above ``MAX_SUBSTEPS``, or one that is not
-    finite, stops the walk before its interval with an
-    :class:`IntegrationAbort` naming it. Any other exception propagates at
-    once.
+    first (:meth:`~ptdyn.frames.FrameFamily.on_grid`, a kept grid in a run).
+    A ValueError from it, or from the generators at the interval starts,
+    names its grid point k in ``index``: the walk stops at t_k. One from a
+    block names its node, and the walk stops before the first substep that
+    meets it, the error's ``index`` becoming that substep's interval start.
+    An automatic count above ``MAX_SUBSTEPS``, or one that is not finite,
+    stops the walk before its interval with an :class:`IntegrationAbort`
+    naming it. Any other exception propagates at once.
 
     ``diagnostics`` holds the substep count of each interval and the number
     of generator evaluations. The nodes whose dC/dt fell back to a one-sided
@@ -300,13 +302,8 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         one_sided += edges
         return gens
 
-    def one_point(t: float):
-        return _generators(problem, np.array([t]))
-
-    # The frame grid first: a ValueError from it names its failing grid point in index, and the
-    # walk ends there. Then the grid points from the kept grid stacks, or, after a frame failure,
-    # the starts before it as one stack. Where that raises a ValueError, the walk ends at the
-    # first of those starts whose one-point generator raises, with that error.
+    # The frame grid first, then the generators at the grid points, or at the starts before the
+    # frame's failure: each ValueError names its grid point in index, and the walk ends there.
     starts, failure = grid[:-1], None
     try:
         problem.frame_family.on_grid(grid)
@@ -314,10 +311,9 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         starts, failure = starts[:exc.index], exc
     try:
         G0 = generators(grid, from_grid=True) if failure is None else generators(starts)
-    except ValueError:
-        n, error = linalg._first_error(one_point, starts)
-        if error is not None:
-            starts, failure = starts[:n], error
+    except ValueError as exc:  # the last grid point is no start: a node meets it, if any does
+        if exc.index < starts.size:
+            starts, failure = starts[:exc.index], exc
         G0 = generators(starts)
     g0_times = grid[:len(G0)]  # every grid point, or the interval starts evaluated
     # Each count and warning rises with the norm, so its bounds settle it where they agree.
@@ -354,26 +350,24 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         ks = np.searchsorted(first, sub, side="right") - 1
         t_a = grid[ks] + (sub - first[ks]) * h[ks]
         t_b, t_c = t_a + 0.5 * h[ks], t_a + h[ks]
-        nodes = np.unique(np.concatenate((t_a, t_b, t_c)))
+        nodes, seen, index = np.unique(np.stack((t_a, t_b, t_c), 1).ravel(),
+                                       return_index=True, return_inverse=True)
         known = np.isin(nodes, g0_times)
-        fresh = ~known & (nodes != kept_t)
         gens = np.empty((nodes.size, dim, dim), dtype=complex)
         gens[known] = G0[np.searchsorted(g0_times, nodes[known])]
-        gens[~known & ~fresh] = kept
-        if fresh.any():
+        gens[~known & (nodes == kept_t)] = kept
+        fresh = np.argsort(seen)  # in the one-point order: t_a, t_b, t_c, then the next substep
+        fresh = fresh[~known[fresh] & (nodes[fresh] != kept_t)]
+        if fresh.size:
             try:
                 gens[fresh] = generators(nodes[fresh])
-            except ValueError:
-                # the one-point scheme evaluates t_a, t_b, t_c of one substep before the next
-                n, failure = linalg._first_error(one_point, np.stack((t_a, t_b, t_c), 1).ravel())
-                if failure is None:
-                    raise
-                stop = lo + n // 3
+            except ValueError as exc:  # the walk ends before the first substep meeting the node
+                s = int(seen[fresh[exc.index]]) // 3
+                failure, stop = linalg._at(int(ks[s]), exc), lo + s
                 continue
         kept_t, kept, mats = nodes[-1], gens[-1], list(gens)
-        index = (np.searchsorted(nodes, x).tolist() for x in (t_a, t_b, t_c))
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, a, b, c, dh in zip(sub.tolist(), *index, h[ks].tolist()):
+            for j, a, b, c, dh in zip(sub.tolist(), *index.reshape(-1, 3).T.tolist(), h[ks].tolist()):
                 y = advance(rate, mats[a], mats[b], mats[c], y, dh)
                 if j + 1 == first_list[k + 1]:
                     if not finite(y):

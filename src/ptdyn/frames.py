@@ -455,11 +455,9 @@ class FrameGrid:
     def build(cls, family: FrameFamily, grid: np.ndarray) -> "FrameGrid":
         """Evaluate C and dC/dt at every grid time and check every axiom.
 
-        C is evaluated on the whole grid first, then dC/dt. Where either
-        raises a ValueError, the one-point evaluation of C(t), then dC/dt(t)
-        (``linalg._first_error``), finds the first failing grid point k; the
-        points before k are then evaluated and checked, and k's error is
-        raised with ``index`` k unless one of them fails first. The
+        C is evaluated on the whole grid first, then dC/dt (``linalg._stacks``):
+        where either fails, at grid point k, the points before k are checked,
+        and k's error is raised unless one of them fails first. The
         C-dependent axioms are checked in stacks whose SVD (five matrices a
         point) holds at most ``linalg.STACK_ENTRIES`` entries:
         :class:`FrameAxiomError` names the axiom and time of the first
@@ -467,24 +465,14 @@ class FrameGrid:
         first point whose SVD fails. Every ValueError raised here carries
         its grid point in ``index``.
         """
-        P, c_family = family.p, family.c_family
+        P, c_family, dim = family.p, family.c_family, family.dim
         grid = np.array(grid, dtype=float)
-        n, dim = grid.size, family.dim
-        try:
-            c = c_family.stack(grid)
-            cdot, one_sided = linalg.family_derivatives(c_family, grid)
-            failure = None
-        except ValueError:
-            # C(t) is taken with the first point's, whose shape every point must share
-            n, failure = linalg._first_error(lambda t: (
-                c_family.stack([grid[0], t]), linalg.family_derivatives(c_family, [t])), grid)
-            if failure is None:
-                raise
-            c = c_family.stack(grid[:n])
-            cdot, one_sided = linalg.family_derivatives(c_family, grid[:n])
+        (c,), cdot, one_sided, failure = linalg._stacks(grid, [c_family], c_family)
+        n = len(c)
         if n and c.shape[1:] != P.shape:  # the same shape at every point: fails at the first
             n, one_sided = 0, 0
-            failure = ValueError(f"dimension mismatch: C {c.shape[1:]} at t={grid[0]}, P {P.shape}")
+            failure = linalg._at(0, ValueError(
+                f"dimension mismatch: C {c.shape[1:]} at t={grid[0]}, P {P.shape}"))
         if one_sided:
             logger.warning("one-sided derivative at %d of %d grid points in [%g, %g]",
                            one_sided, n, grid[0], grid[-1])
@@ -503,7 +491,6 @@ class FrameGrid:
             for axiom, resid in chunk_residuals.items():
                 residuals[axiom] = max(residuals.get(axiom, 0.0), float(resid.max()))
         if failure is not None:
-            failure.index = n
             raise failure
         residuals["metric min eigenvalue"] = float(eigs[:, 0].min())
         for arr in (grid, c, cdot, metric, eigs):

@@ -110,7 +110,9 @@ class OperatorFamily:
     when given, must be the analytic d/dt of ``evaluate``; otherwise
     derivatives fall back to central differences (see :func:`family_derivatives`).
     :meth:`on_grid` keeps the last grid stack it built, so every stage of a
-    run that asks for the same grid shares one evaluation a point.
+    run that asks for the same grid shares one evaluation a point. A ValueError
+    leaving :meth:`stack`, :meth:`on_grid` or :func:`family_derivatives` is
+    the earliest failing time's, with that time's position in ``index``.
     """
 
     t_start: float
@@ -137,7 +139,7 @@ class OperatorFamily:
         n = int(np.argmax(outside)) if outside.any() else times.size
         out = _stack_of(self.evaluate, times[:n], "family value", self.vectorized)
         if n < times.size:
-            raise ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]")
+            raise _at(n, ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]"))
         return out
 
     def on_grid(self, grid) -> np.ndarray:
@@ -161,20 +163,31 @@ class OperatorFamily:
                    lambda t: np.zeros(np.shape(t) + A.shape, dtype=complex), vectorized=True)
 
 
+def _at(index: int, error: ValueError) -> ValueError:
+    """``error``, with the position of its failing time in ``index``."""
+    error.index = index
+    return error
+
+
 def _stack_of(fn: Callable[[float], np.ndarray], times: np.ndarray, name: str,
               vectorized: bool = False) -> np.ndarray:
-    """``fn(t)`` at each of ``times`` as one stack (one call ``fn(times)`` when ``vectorized``);
-    the first value ``as_operator(fn(t), f"{name} at t={t}")`` would reject raises, also when
-    ``fn`` raises later."""
+    """``fn(t)`` at each of ``times`` as one stack: one call ``fn(times)`` when ``vectorized`` (one
+    time at a time if that raises a ValueError; else it is raised at index 0). The first value
+    ``as_operator(fn(t), f"{name} at t={t}")`` would reject raises, also when ``fn`` raises later."""
     if vectorized and times.size:
-        return _checked(times, fn(times), name)
+        try:
+            values = fn(times)
+        except ValueError as exc:
+            _stack_of(fn, times, name)
+            raise _at(0, exc)
+        return _checked(times, values, name)
     values = []
     try:
         for t in times:
             values.append(fn(t))
-    except Exception:
+    except Exception as exc:
         _checked(times, values, name)
-        raise
+        raise _at(len(values), exc) if isinstance(exc, ValueError) else exc
     return _checked(times, values, name)
 
 
@@ -189,25 +202,41 @@ def _checked(times: np.ndarray, values: list, name: str) -> np.ndarray:
     if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
         # the one-point check, or a shape unlike the first value's, raises at the first bad value
         out = []
-        for t, v in zip(times, values):
-            out.append(as_operator(v, f"{name} at t={t}"))
-            if out[-1].shape != out[0].shape:
-                raise ValueError(f"{name} at t={t} has shape {out[-1].shape}, expected {out[0].shape}")
+        for k, (t, v) in enumerate(zip(times, values)):
+            try:
+                out.append(as_operator(v, f"{name} at t={t}"))
+                if out[-1].shape != out[0].shape:
+                    raise ValueError(f"{name} at t={t} has shape {out[-1].shape}, expected {out[0].shape}")
+            except ValueError as exc:
+                raise _at(k, exc)
         out = np.array(out)
     bad = ~np.isfinite(out).all(axis=(1, 2))
     if bad.any():
-        raise NonFiniteError(f"{name} at t={times[np.argmax(bad)]} contains non-finite entries")
+        k = int(np.argmax(bad))
+        raise _at(k, NonFiniteError(f"{name} at t={times[k]} contains non-finite entries"))
     return out
 
 
-def _first_error(fn: Callable, times) -> tuple[int, Optional[ValueError]]:
-    """Index and error of the first of ``times`` at which ``fn(t)`` raises ValueError, else (len, None)."""
-    for k, t in enumerate(times):
-        try:
-            fn(t)
-        except ValueError as exc:
-            return k, exc
-    return len(times), None
+def _stacks(times: np.ndarray, families, derivative: Optional[OperatorFamily] = None,
+            on_grid: bool = False) -> tuple:
+    """The stacks of ``families`` at ``times`` (first as kept grid stacks with ``on_grid``), then
+    ``family_derivatives(derivative, times)``, in the one-point order: each on the times before the
+    earliest failure so far. Returns the stacks and derivatives there, the one-sided count, and
+    the earliest failing time's ValueError (its ``index`` the time's position), or None."""
+    n, failure = times.size, None
+
+    def before_failure(evaluate: Callable, whole: Optional[Callable] = None):
+        nonlocal n, failure
+        while True:
+            try:
+                return (whole if whole and n == times.size else evaluate)(times[:n])
+            except ValueError as exc:
+                n, failure = exc.index, exc
+
+    stacks = [before_failure(F.stack, on_grid and F.on_grid) for F in families]
+    derivatives, one_sided = (before_failure(lambda ts: family_derivatives(derivative, ts))
+                              if derivative else (None, 0))
+    return [stack[:n] for stack in stacks], derivatives, one_sided, failure
 
 
 def operator_norm(M) -> float:
@@ -480,9 +509,12 @@ def family_derivatives(F: OperatorFamily, times) -> tuple[np.ndarray, int]:
     s = np.where(forward, h, -h)
     nodes = np.stack([np.where(central, times + h, times), times + s, times + 2 * s], axis=1)
     used = np.column_stack((np.ones((times.size, 2), dtype=bool), ~central))
-    values = F.stack(nodes[:n][used[:n]])
+    try:
+        values = F.stack(nodes[:n][used[:n]])
+    except ValueError as exc:  # a failing stencil node names its time
+        raise _at(int(np.nonzero(used[:n])[0][exc.index]), exc)
     if n < times.size:
-        raise ValueError(f"domain [{lo}, {hi}] too small for step h={h[n]} at t={times[n]}")
+        raise _at(n, ValueError(f"domain [{lo}, {hi}] too small for step h={h[n]} at t={times[n]}"))
     y = np.zeros(nodes.shape + values.shape[1:], dtype=complex)
     y[used] = values
     y0, y1, y2, two_h = y[:, 0], y[:, 1], y[:, 2], (2.0 * h)[:, None, None]

@@ -42,9 +42,15 @@ __all__ = [
 
 MIN_COS_ALPHA = 0.5
 
+# The presets and model families are evaluated with numpy's overflow and invalid-value
+# warnings off: a value that overflows is non-finite, and the family check that stacks it
+# rejects it, naming its time.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 def _broadcasting(expr: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """A preset's fn or dfn: ``expr`` of a float array, a float for a scalar time."""
+    @_quiet
     def fn(t):
         value = expr(np.asarray(t, dtype=float))
         return float(value) if np.ndim(value) == 0 else value
@@ -58,7 +64,8 @@ class ScalarFunction:
     ``fn`` and ``dfn`` take a float time. With ``vectorized=True``, as for
     every preset, they also map an (n,) time array to an (n,) float array
     in one call, and so does calling the function; a model built on a plain
-    per-point callable evaluates its families one time per call.
+    per-point callable evaluates its families one time per call. Calling the
+    function rejects a complex-typed value either way.
     """
 
     fn: Callable[[float], float]
@@ -67,11 +74,13 @@ class ScalarFunction:
 
     def __call__(self, t: float) -> float:
         value = self.fn(t)
-        if type(value) is float or self.vectorized:
+        if type(value) is float:
             return value
         if isinstance(value, complex) or np.iscomplexobj(value):
+            if np.ndim(t):  # in an array call every time breaks the type rule: name the first
+                t, value = np.ravel(t)[0], np.ravel(value)[0]
             raise ValueError(f"scalar function returned non-real value {value!r} at t={t}")
-        return float(value)
+        return value if self.vectorized else float(value)
 
     @classmethod
     def constant(cls, value: float) -> "ScalarFunction":
@@ -181,15 +190,18 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
 
     Nothing is validated here; :func:`build_two_level` adds the checks.
     """
+    @_quiet
     def evaluate(t):
         s_t, a = s(t), alpha(t)
         return _two_by_two(s_t * np.exp(1j * a), s_t, s_t, s_t * np.exp(-1j * a))
 
+    @_quiet
     def c_evaluate(t):
         return _two_level_c(alpha(t))
 
     c_derivative = None
     if alpha.dfn is not None:
+        @_quiet
         def c_derivative(t):
             # dC/d_alpha = tan(a) C + i diag(1, -1)
             a = alpha(t)
@@ -245,6 +257,7 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
     eye = np.eye(frame.dim, dtype=complex)
     C = frame.c
 
+    @_quiet
     def evaluate(t):
         return _column(a(t)) * eye + _column(b(t)) * C
 

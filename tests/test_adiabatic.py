@@ -191,6 +191,26 @@ def test_eigenframe_eigensolve_failure_names_the_grid_point(monkeypatch):
         assert _assert_same_outcome(ham, identity_frame_family(2), grid)[0] is ConvergenceError
 
 
+def test_eigenframe_names_a_last_point_failure_from_the_stacks_error():
+    # H is NaN at the last of 2001 points only: H is taken as the grid stack, which names the
+    # point, then on the points before it, and never once per point
+    model = models.two_level(ScalarFunction.constant(1.0),
+                             ScalarFunction.ramp(0.1, 0.18, 0.0, 1.0), 0.0, 1.0)
+    grid = np.linspace(0.0, 1.0, 2001)
+    sizes = []
+
+    def evaluate(t):
+        sizes.append(np.size(t))
+        return model.hamiltonian.evaluate(t) * np.where(np.asarray(t) == 1.0, np.nan, 1.0)[
+            ..., None, None]
+
+    ham = OperatorFamily(0.0, 1.0, evaluate, vectorized=True)
+    with pytest.raises(NonFiniteError, match=r"^family value at t=1\.0 contains non-finite") as err:
+        build_eigenframe(ham, model.frame_family, grid)
+    assert err.value.index == 2000
+    assert sizes == [2001, 2000]
+
+
 def test_eigenframe_level_crossing_fails_loudly():
     # narrow avoided crossing swept in one coarse step: labels cannot continue
     def H(t):

@@ -228,17 +228,27 @@ def nonfinite_constant_metric_raw():
 
 def test_cli_non_finite_model_value_is_a_numerical_abort(tmp_path, capsys):
     path = write_config(tmp_path, nonfinite_constant_metric_raw())
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == (
         "numerical abort: family value at t=1.0 contains non-finite entries\n")
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_overflowing_model_value_prints_only_the_abort(tmp_path, command):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    path = write_config(tmp_path, nonfinite_constant_metric_raw())
+    out = subprocess.run([sys.executable, "-m", "ptdyn.cli", command, str(path),
+                          "--out-dir", str(tmp_path / "out")],
+                         capture_output=True, text=True, cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.returncode == 3
+    assert out.stderr == "numerical abort: family value at t=1.0 contains non-finite entries\n"
 
 
 def test_sweep_records_a_non_finite_model_value_as_an_error_row(tmp_path):
     # b = 1e308 overflows b*C at every t; b = 1 is the bundled scenario
     cfg = load_config(ROOT / "scenarios" / "constant_metric.json")
-    with np.errstate(over="ignore"):
-        rows = sweep(cfg, "model.b.value", [1.0, 1e308], out_dir=tmp_path)
+    rows = sweep(cfg, "model.b.value", [1.0, 1e308], out_dir=tmp_path)
     assert [r["status"] for r in rows] == ["ok", "error"]
     assert rows[1]["error"] == "family value at t=0.0 contains non-finite entries"
     last = (tmp_path / "sweep.csv").read_text().splitlines()[-1]

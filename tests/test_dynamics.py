@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from helpers import (random_frame_matrices, reference_rk4_run, rotating_frame_model, same_bits,
                      two_level_matrices)
-from ptdyn import dynamics, linalg
+from ptdyn import dynamics
 from ptdyn.adiabatic import build_eigenframe, build_report, operator_phase
 from ptdyn.dynamics import (
     Equation,
@@ -21,8 +21,8 @@ from ptdyn.dynamics import (
     evolve_state,
 )
 from ptdyn.frames import FrameAxiomError, FrameFamily, cpt_norm, validate_frames
-from ptdyn.linalg import (AntilinearOperator, OperatorFamily, family_derivatives, operator_norm,
-                          operator_norms)
+from ptdyn.linalg import (AntilinearOperator, NonFiniteError, OperatorFamily, family_derivatives,
+                          operator_norm, operator_norms)
 from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level, two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -314,6 +314,20 @@ def test_problem_validation():
                          correction=OperatorFamily.constant(np.eye(2)))
     with pytest.raises(ValueError, match="hbar"):
         EvolutionProblem(H, fam, np.array([0.0, 1.0]), Equation.SCHRODINGER, x0, hbar=0.0)
+    for hbar in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^hbar must be finite"):
+            EvolutionProblem(H, fam, np.array([0.0, 1.0]), Equation.SCHRODINGER, x0, hbar=hbar)
+    for substeps in (2.5, True, np.True_, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^substeps must be an integer"):
+            EvolutionProblem(H, fam, np.array([0.0, 1.0]), Equation.SCHRODINGER, x0,
+                             substeps=substeps)
+    with pytest.raises(ValueError, match="^substeps must be >= 1$"):
+        EvolutionProblem(H, fam, np.array([0.0, 1.0]), Equation.SCHRODINGER, x0, substeps=0)
+    for substeps in (3.0, np.int64(3), np.float32(3.0)):
+        problem = EvolutionProblem(H, fam, np.linspace(0.0, 1.0, 5), Equation.SCHRODINGER, x0,
+                                   substeps=substeps)
+        assert type(problem.substeps) is int and problem.substeps == 3
+        assert evolve_state(problem).diagnostics["substeps"] == [3] * 4
 
 
 def test_default_substep_density():
@@ -958,19 +972,18 @@ def test_every_equation_stops_its_walk_at_a_frame_failure(equation):
     assert err.value.index == 10
 
 
-def test_frame_failure_at_the_last_point_ends_the_walk_without_a_one_point_search(monkeypatch):
+def test_frame_failure_at_the_last_point_ends_the_walk_without_a_one_point_search():
     # a 2001-point compensated ramp whose C fails C^2 = I at the last grid point only: the
     # walk takes every interval and raises the frame grid's error, with no one-point search
     model = two_level(ScalarFunction.constant(1.0), ScalarFunction.ramp(0.1, 0.18, 0.0, 1.0),
                       0.0, 1.0)
     c_family = model.frame_family.c_family
+    sizes = []
 
     def broken(t):
+        sizes.append(np.size(t))
         return c_family.evaluate(t) * np.where(np.asarray(t) == 1.0, 1.5, 1.0)[..., None, None]
 
-    calls = []
-    first_error = linalg._first_error
-    monkeypatch.setattr(linalg, "_first_error", lambda *args: calls.append(1) or first_error(*args))
     problem = EvolutionProblem(
         hamiltonian=model.hamiltonian,
         frame_family=FrameFamily(
@@ -985,7 +998,107 @@ def test_frame_failure_at_the_last_point_ends_the_walk_without_a_one_point_searc
         with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=1\.0$") as err:
             evolve(problem)
         assert err.value.index == 2000
-    assert calls == []
+    # each walk: C on the grid, at the 2000 interval starts, then at the nodes off the grid
+    # in the six blocks of 682 substeps its 4000 substeps take; no call for one time
+    walk = sizes[:8]
+    assert sizes == walk + walk and walk[:2] == [2001, 2000] and min(walk) > 1
+
+
+def _nan_at_one(family, sizes):
+    """``family`` as a vectorized family whose value is NaN at t = 1.0 only, recording the
+    size of each time array its callback is given."""
+    def evaluate(t):
+        sizes.append(np.size(t))
+        return family.evaluate(t) * np.where(np.asarray(t) == 1.0, np.nan, 1.0)[..., None, None]
+    return dataclasses.replace(family, evaluate=evaluate)
+
+
+def test_a_late_non_finite_c_is_named_from_the_stacks_error():
+    # the 2001-point compensated ramp whose vectorized C is NaN only at t = 1.0: each
+    # evolve function evaluates C in a few stacks, never once per point
+    model = two_level(ScalarFunction.constant(1.0), ScalarFunction.ramp(0.1, 0.18, 0.0, 1.0),
+                      0.0, 1.0)
+    sizes = []
+    problem = EvolutionProblem(
+        hamiltonian=model.hamiltonian,
+        frame_family=dataclasses.replace(
+            model.frame_family, c_family=_nan_at_one(model.frame_family.c_family, sizes)),
+        grid=np.linspace(0.0, 1.0, 2001),
+        equation=Equation.COMPENSATED,
+        initial_state=np.array([1.0, 0.0]),
+    )
+    messages = []
+    for evolve in (evolve_state, evolve_propagator):
+        with pytest.raises(NonFiniteError) as err:
+            evolve(problem)
+        messages.append(str(err.value))
+        assert err.value.index in (1999, 2000)  # a grid position: its interval start, or t = 1.0
+    assert messages == ["family value at t=1.0 contains non-finite entries"] * 2
+    assert len(sizes) <= 20 and min(sizes) > 1
+
+
+def _first_meeting_node(grid, nsub):
+    """(interval k, substep j) where t0 + (j + 1) h rounds below the node t0 + j h + h."""
+    for k, (t0, t1) in enumerate(zip(grid[:-1], grid[1:])):
+        h = (t1 - t0) / nsub
+        for j in range(nsub - 1):
+            if t0 + (j + 1) * h < t0 + j * h + h:
+                return k, j
+    raise AssertionError("no substep end rounds above the next substep's start")
+
+
+def _failing_at(value, bad, vectorized, name):
+    """A family callback giving ``value``, and raising a ValueError naming ``name`` at the
+    times in ``bad``; vectorized, it raises on any array that holds one of them."""
+    def evaluate(t):
+        hit = np.isin(np.asarray(t), list(bad))
+        if hit.any():
+            raise ValueError(f"{name} fails at t={np.asarray(t)[hit].flat[0]}")
+        return value if np.ndim(t) == 0 else np.broadcast_to(value, np.shape(t) + value.shape)
+    return OperatorFamily(-1.0, 2.0, evaluate, vectorized=vectorized)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["per-point", "vectorized"])
+def test_rk4_names_the_node_the_one_point_scheme_fails_first(monkeypatch, vectorized):
+    # nodes off the grid: in the one-point order a substep's t_a, t_b, t_c come before the
+    # next substep's, and at one node H comes before C and C before its stencil. The block
+    # evaluates its nodes in that order, so its failing node is the first the one-point
+    # scheme meets, and the block is evaluated once more, for the substeps before it only.
+    calls = []
+    generators = dynamics._generators
+    monkeypatch.setattr(dynamics, "_generators", lambda *args: calls.append(1) or generators(*args))
+    grid = np.linspace(0.0, 1.0, 5)
+    nsub = 3
+    k, j = _first_meeting_node(grid, nsub)
+    t0, t1 = grid[k], grid[k + 1]
+    h = (t1 - t0) / nsub
+    end, after = t0 + j * h + h, t0 + (j + 1) * h  # end of substep j; after < end
+    mid = t0 + j * h + 0.5 * h
+    step = 1e-5  # the differencing step at |t| <= 1
+    H = np.diag([1.0, -1.0]).astype(complex)
+
+    def problem(h_bad, c_bad):
+        return EvolutionProblem(
+            hamiltonian=_failing_at(H, h_bad, vectorized, "H"),
+            frame_family=FrameFamily(_failing_at(SWAP, c_bad, vectorized, "C"), SWAP,
+                                     AntilinearOperator.conjugation(2)),
+            grid=grid, equation=Equation.COMPENSATED, initial_state=np.array([1.0, 0.0]),
+            substeps=nsub)
+
+    cases = [
+        ({after}, {end}, f"C fails at t={end}"),  # C at substep j's end, before H at j + 1
+        ({after}, {end + step}, f"C fails at t={end + step}"),  # C's stencil, from t = end
+        ({mid}, {mid}, f"H fails at t={mid}"),  # the same node: H's error wins
+    ]
+    for h_bad, c_bad, message in cases:
+        calls.clear()
+        err = _same_error(problem(h_bad, c_bad))
+        assert str(err) == message
+        assert err.index == k
+        assert len(calls) == 3  # the grid points, the block, the block before its node
+        with pytest.raises(ValueError, match=f"^{message}$") as got:
+            evolve_propagator(problem(h_bad, c_bad))
+        assert got.value.index == k
 
 
 def test_failed_frame_grid_logs_its_one_sided_derivatives_once(caplog):

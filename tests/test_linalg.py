@@ -471,6 +471,30 @@ def test_family_derivatives_raise_the_earliest_one_point_error():
     assert str(err.value) == _stencil_error(bad, 0.25)
 
 
+def test_family_derivatives_name_the_failing_time_in_index():
+    # a stencil node's failure names the time it is differenced for, as does a domain error
+    holes = OperatorFamily(0.0, 1.0, lambda t: STENCIL_M * (math.nan if t > 0.6 else 1.0))
+    with pytest.raises(NonFiniteError) as err:
+        family_derivatives(holes, [0.25, 0.5, 0.6 - 0.5e-5, 0.9])  # central at 0.6 - 5e-6
+    assert err.value.index == 2 and "t=0.60000" in str(err.value)
+    edge = OperatorFamily(0.0, 1.0, lambda t: STENCIL_M * (math.nan if t == 1.0 else 1.0))
+    with pytest.raises(NonFiniteError) as err:
+        family_derivatives(edge, [0.0, 0.5, 1.0])  # backward from t = 1: t is its first node
+    assert err.value.index == 2 and str(err.value) == _stencil_error(edge, 1.0)
+    with pytest.raises(ValueError, match="outside family domain") as err:
+        family_derivatives(DIFFERENCED, [0.5, 0.7, -0.5])
+    assert err.value.index == 2
+    tiny = OperatorFamily(0.0, 1e-5, lambda t: t * STENCIL_M)
+    with pytest.raises(ValueError, match="too small for step") as err:
+        family_derivatives(tiny, [0.0, 0.5e-5])
+    assert err.value.index == 0
+    bad = OperatorFamily(0.0, 1.0, lambda t: STENCIL_M,
+                         lambda t: STENCIL_M * (math.nan if t == 0.5 else 1.0))
+    with pytest.raises(NonFiniteError) as err:
+        family_derivatives(bad, [0.25, 0.5])
+    assert err.value.index == 1
+
+
 # ---------------------------------------------------------- AntilinearOperator
 
 def test_antilinear_operator_apply():
@@ -560,3 +584,48 @@ def test_family_stack_reports_a_bad_value_before_an_evaluate_error(evaluate, fir
     with pytest.raises(ValueError) as err:
         fam.stack(np.linspace(0.0, 1.0, 5))
     assert str(err.value) == _call_error(fam, first)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["per-point", "vectorized"])
+def test_family_stack_errors_carry_their_position(vectorized):
+    times = np.linspace(0.0, 1.0, 5)
+    cases = [  # (evaluate, times, index, message)
+        (lambda t: np.eye(2) * (math.nan if t == 0.5 else 1.0), times, 2,
+         "family value at t=0.5 contains non-finite entries"),
+        (lambda t: np.eye(2) if t < 0.5 else np.eye(3), times, 2,
+         "family value at t=0.5 has shape (3, 3), expected (2, 2)"),
+        (lambda t: np.ones((2, 3)), times, 0,
+         "family value at t=0.0 must be square, got shape (2, 3)"),
+        (_nan_then_raise, times, 1, "family value at t=0.25 contains non-finite entries"),
+        (lambda t: np.eye(2), np.array([0.0, 0.5, 2.0]), 2,
+         "t=2.0 outside family domain [0.0, 1.0]"),
+    ]
+    for evaluate, at, index, message in cases:
+        def stacked(t, evaluate=evaluate):  # the array form: one value per time
+            return np.array([evaluate(x) for x in t]) if np.ndim(t) else evaluate(t)
+        fam = OperatorFamily(0.0, 1.0, stacked if vectorized else evaluate, vectorized=vectorized)
+        with pytest.raises(ValueError) as err:
+            fam.stack(at)
+        assert (err.value.index, str(err.value)) == (index, message)
+
+
+def test_vectorized_callback_raising_on_the_array_is_taken_one_time_at_a_time():
+    # the earliest time whose value fails, or raises; else the array's own error, at index 0
+    def raising(t):
+        if np.ndim(t):
+            raise ValueError("no array form")
+        if t == 0.75:
+            raise ValueError(f"no value at t={t}")
+        return np.eye(2) * (math.nan if t == 0.5 else 1.0)
+
+    times = np.linspace(0.0, 1.0, 5)
+    fam = OperatorFamily(0.0, 1.0, raising, vectorized=True)
+    with pytest.raises(NonFiniteError, match=r"^family value at t=0\.5 contains") as err:
+        fam.stack(times)
+    assert err.value.index == 2
+    with pytest.raises(ValueError, match=r"^no value at t=0\.75$") as err:
+        fam.stack(times[[0, 1, 3]])
+    assert err.value.index == 2
+    with pytest.raises(ValueError, match="^no array form$") as err:
+        fam.stack(times[:2])
+    assert err.value.index == 0

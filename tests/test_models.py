@@ -268,6 +268,21 @@ def test_scalar_non_float_values_keep_the_non_real_check(value):
         ScalarFunction(lambda t: value)(0.0)
 
 
+def test_vectorized_scalar_values_keep_the_non_real_check():
+    # an array call names its first time: every time breaks the type rule
+    shifted = ScalarFunction(lambda t: np.asarray(t) + (1.0 + 0.5j), vectorized=True)
+    with pytest.raises(ValueError, match=r"^scalar function returned non-real value "
+                                         r"np.complex128\(1.25\+0.5j\) at t=0.25$"):
+        shifted(np.array([0.25, 0.5]))
+    with pytest.raises(ValueError, match=r"non-real value .* at t=0.5$"):
+        shifted(0.5)
+    assert ScalarFunction(lambda t: np.asarray(t) + 1.0, vectorized=True)(0.5) == 1.5
+    with pytest.raises(ValueError, match="non-real"):
+        build_constant_metric(ScalarFunction(lambda t: np.full(np.shape(t), 1.0 + 0.5j),
+                                             vectorized=True),
+                              ScalarFunction.constant(1.0), frozen_frame(), np.linspace(0, 1, 5))
+
+
 # ------------------------------------------- array-valued presets and model families
 #
 # Each preset and each model family evaluates a whole time array with one
