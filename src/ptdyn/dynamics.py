@@ -132,20 +132,22 @@ def effective_generator(problem: EvolutionProblem, t: float) -> np.ndarray:
 
     This is the one-point case of the stacked evaluation the integrator uses.
     """
-    gens, one_sided = _generators(problem, np.array([t], dtype=float))
+    gens, one_sided, failure = _generators(problem, np.array([t], dtype=float))
+    if failure is not None:
+        raise failure
     if one_sided:
         logger.warning("one-sided derivative of C at t=%g", t)
     return gens[0]
 
 
 def _generators(problem: EvolutionProblem, times: np.ndarray, from_grid: bool = False
-                ) -> tuple[np.ndarray, int]:
-    """The generator at each of ``times`` as an (n, d, d) stack.
+                ) -> tuple[np.ndarray, int, Optional[ValueError]]:
+    """The generator at each of ``times`` before the earliest failure, as an (n, d, d) stack.
 
-    Also returns how many dC/dt values fell back to a one-sided difference.
-    Each input family is evaluated once per time (see ``linalg._stacks``); an
-    input that fails raises the one-point generator's error at the earliest
-    failing time, with that time's position in ``index``. With ``from_grid``,
+    Also returns how many dC/dt values fell back to a one-sided difference,
+    and the failure: None, or the one-point generator's ValueError at the
+    earliest failing time, with that time's position (n) in ``index``. Each
+    input family is evaluated once per time (see ``linalg._stacks``). With ``from_grid``,
     ``times`` is the problem's grid and the inputs are the families' kept
     grid stacks (:meth:`OperatorFamily.on_grid`, :meth:`FrameFamily.on_grid`).
     The generators are formed in chunks of ``linalg.STACK_ENTRIES`` entries,
@@ -163,16 +165,17 @@ def _generators(problem: EvolutionProblem, times: np.ndarray, from_grid: bool = 
     c_family = problem.frame_family.c_family if compensated and not from_grid else None
     families = [F for F in (problem.hamiltonian, problem.correction, c_family) if F is not None]
     (H, *rest), Cdot, one_sided, failure = linalg._stacks(times, families, c_family, from_grid)
-    if failure is not None:
-        raise failure
     if problem.equation is Equation.AUGMENTED:
-        return filled(lambda part: H[part] + 1j * rest[0][part]), 0
-    if not compensated:
-        return H, 0
-    if from_grid:
-        fg = problem.frame_family.on_grid(times)
-        rest, Cdot, one_sided = [fg.c], fg.cdot, fg.one_sided
-    return filled(lambda part: H[part] - 0.5j * problem.hbar * (rest[0][part] @ Cdot[part])), one_sided
+        gens = filled(lambda part: H[part] + 1j * rest[0][part])
+    elif not compensated:
+        gens = H
+    else:
+        if from_grid:
+            fg = problem.frame_family.on_grid(times)
+            rest, Cdot, one_sided = [fg.c[:len(H)]], fg.cdot[:len(H)], fg.one_sided
+        gens = filled(lambda part: H[part] - 0.5j * problem.hbar * (rest[0][part] @ Cdot[part]))
+    dim = problem.frame_family.dim
+    return gens.reshape(-1, dim, dim), one_sided, failure
 
 
 def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> np.ndarray:
@@ -249,13 +252,16 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     coarse-step warnings, where ||generator|| * h / hbar exceeds
     ``STEP_NORM_WARN``; each is decided from the norms' bounds where those
     settle it (an SVD runs for the rest and for the norm a warning prints).
-    The substeps are then
-    taken in blocks (three (d, d) matrices each, within ``linalg.STACK_ENTRIES`` entries) that
-    cross interval ends. A substep's nodes are t = t0 + j*h, t + 0.5*h and
-    t + h, the one-point scheme's float expressions; a block evaluates the
-    generator once per distinct node that is neither one of those points
-    nor the previous block's last node, as one stack in the order the
-    one-point scheme meets them. The state arithmetic
+    The substeps are then taken in blocks (three (d, d) stage matrices a
+    substep, within ``linalg.STACK_ENTRIES`` entries) that cross interval
+    ends. Substep j of interval k runs from t = grid[k] + j*h through its
+    midpoint t + 0.5*h to its end grid[k] + (j+1)*h, the next substep's
+    start; the last one ends on grid[k+1] itself. A block evaluates the
+    generator at its midpoints and at the ends inside an interval, as one
+    stack in ascending time order, which is the order the one-point scheme
+    meets them; a substep starts from the previous end's generator, and an
+    interval ends on its grid point's. So a run forms n_t + sum(2*n_k - 1)
+    generators. The state arithmetic
     is the one-point RK4's: :func:`_rk4_step_pair` for a state vector of
     dimension 2, the array step :func:`_rk4_step` for larger states and for
     propagator matrices. So the values are bit-identical to evaluating the
@@ -267,10 +273,12 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     A failure is raised where the walk reaches it, so an earlier non-finite
     state still aborts first. Every equation's walk builds the frame grid
     first (:meth:`~ptdyn.frames.FrameFamily.on_grid`, a kept grid in a run).
-    A ValueError from it, or from the generators at the interval starts,
+    A ValueError from it, or from the generator at the first grid point,
     names its grid point k in ``index``: the walk stops at t_k. One from a
-    block names its node, and the walk stops before the first substep that
-    meets it, the error's ``index`` becoming that substep's interval start.
+    block names its node, and the walk takes the block's substeps before the
+    first that meets it, the error's ``index`` becoming that substep's
+    interval start. A later grid point whose generator fails is such a node:
+    the last of the interval before it, evaluated again in its block.
     An automatic count above ``MAX_SUBSTEPS``, or one that is not finite,
     stops the walk before its interval with an :class:`IntegrationAbort`
     naming it. Any other exception propagates at once.
@@ -293,14 +301,12 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         advance, finite = _rk4_step, (lambda u: np.all(np.isfinite(u)))
     evaluations = one_sided = 0
 
-    def generators(times: np.ndarray, from_grid: bool = False) -> np.ndarray:
+    def generators(times: np.ndarray, from_grid: bool = False) -> tuple:
         nonlocal evaluations, one_sided
-        if not times.size:
-            return np.empty((0, dim, dim), dtype=complex)
-        gens, edges = _generators(problem, times, from_grid)
+        gens, edges, failure = _generators(problem, times, from_grid)
         evaluations += times.size
         one_sided += edges
-        return gens
+        return gens, failure
 
     # The frame grid first, then the generators at the grid points, or at the starts before the
     # frame's failure: each ValueError names its grid point in index, and the walk ends there.
@@ -309,13 +315,9 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         problem.frame_family.on_grid(grid)
     except ValueError as exc:
         starts, failure = starts[:exc.index], exc
-    try:
-        G0 = generators(grid, from_grid=True) if failure is None else generators(starts)
-    except ValueError as exc:  # the last grid point is no start: a node meets it, if any does
-        if exc.index < starts.size:
-            starts, failure = starts[:exc.index], exc
-        G0 = generators(starts)
-    g0_times = grid[:len(G0)]  # every grid point, or the interval starts evaluated
+    G0, exc = generators(grid, from_grid=True) if failure is None else generators(starts)
+    if exc is not None and exc.index < starts.size:  # the last grid point is no start
+        starts, failure = starts[:exc.index], exc
     # Each count and warning rises with the norm, so its bounds settle it where they agree.
     norms = linalg._Norms((G0[:starts.size],), (False,))
     dt = np.diff(grid)[:starts.size]
@@ -343,33 +345,29 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
 
     block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
     lo, stop, k = 0, first_list[starts.size], 0  # the next substep, where the walk ends, its interval
-    kept_t, kept = math.nan, None  # the last node evaluated and its generator
+    ga = G0[0] if stop else None  # the generator at the next substep's start
     enter(0)
     while lo < stop:
         sub = np.arange(lo, min(lo + block, stop))
         ks = np.searchsorted(first, sub, side="right") - 1
-        t_a = grid[ks] + (sub - first[ks]) * h[ks]
-        t_b, t_c = t_a + 0.5 * h[ks], t_a + h[ks]
-        nodes, seen, index = np.unique(np.stack((t_a, t_b, t_c), 1).ravel(),
-                                       return_index=True, return_inverse=True)
-        known = np.isin(nodes, g0_times)
+        j, hk = sub - first[ks], h[ks]
+        last = j + 1 == nsub[ks]
+        nodes = np.stack((grid[ks] + j * hk + 0.5 * hk,
+                          np.where(last, grid[ks + 1], grid[ks] + (j + 1) * hk)), 1).ravel()
+        ends = last & (ks + 1 < len(G0))  # interval ends whose generator G0 holds
+        fresh = np.flatnonzero(np.stack((np.ones_like(ends), ~ends), 1))
         gens = np.empty((nodes.size, dim, dim), dtype=complex)
-        gens[known] = G0[np.searchsorted(g0_times, nodes[known])]
-        gens[~known & (nodes == kept_t)] = kept
-        fresh = np.argsort(seen)  # in the one-point order: t_a, t_b, t_c, then the next substep
-        fresh = fresh[~known[fresh] & (nodes[fresh] != kept_t)]
-        if fresh.size:
-            try:
-                gens[fresh] = generators(nodes[fresh])
-            except ValueError as exc:  # the walk ends before the first substep meeting the node
-                s = int(seen[fresh[exc.index]]) // 3
-                failure, stop = linalg._at(int(ks[s]), exc), lo + s
-                continue
-        kept_t, kept, mats = nodes[-1], gens[-1], list(gens)
+        gens[1::2][ends] = G0[ks[ends] + 1]
+        got, exc = generators(nodes[fresh])
+        gens[fresh[:len(got)]] = got
+        if exc is not None:  # the walk ends before the substep meeting the failing node
+            s = int(fresh[exc.index]) // 2
+            failure, stop, sub = linalg._at(int(ks[s]), exc), lo + s, sub[:s]
+        mats = list(gens)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, a, b, c, dh in zip(sub.tolist(), *index.reshape(-1, 3).T.tolist(), h[ks].tolist()):
-                y = advance(rate, mats[a], mats[b], mats[c], y, dh)
-                if j + 1 == first_list[k + 1]:
+            for i, gb, gc, dh in zip(sub.tolist(), mats[0::2], mats[1::2], hk.tolist()):
+                y, ga = advance(rate, ga, gb, gc, y, dh), gc
+                if i + 1 == first_list[k + 1]:
                     if not finite(y):
                         raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
                                                f"and t={grid[k + 1]}", last_good_t=grid[k])

@@ -262,6 +262,8 @@ def reference_rk4_run(problem, y0):
     A copy of the one-point loop the stacked integrator replaced, with its
     automatic count and coarse-step warning scaled by 1/hbar and the count
     capped at ``MAX_SUBSTEPS``; returns (values at grid points, substeps per interval).
+    Substep j of an interval [t0, t1] split n ways starts at t0 + j*h and ends
+    where substep j + 1 starts, at t0 + (j + 1)*h, or at t1 for the last one.
     """
     hbar = problem.hbar
     grid = problem.grid
@@ -295,10 +297,11 @@ def reference_rk4_run(problem, y0):
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(nsub):
                 t = t0 + j * h
+                end = t0 + (j + 1) * h if j + 1 < nsub else t1
                 k1 = f(t, y)
                 k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
                 k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-                k4 = f(t + h, y + h * k3)
+                k4 = f(end, y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise IntegrationAbort(

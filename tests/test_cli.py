@@ -506,11 +506,9 @@ def test_run_near_an_exceptional_point_keeps_the_exact_propagator(tmp_path):
     assert frame_err.max() <= 1e-6
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="the last RK4 node of the last interval rounds one ulp past the "
-                          "grid's end, outside the model's family domain")
 def test_run_with_a_last_node_past_the_grid_end(tmp_path):
-    # the last node of the last interval's 19 substeps is t = 0.7000000000000001
+    # t0 + 18h + h rounds to 0.7000000000000001 on the last interval's 19 substeps, outside
+    # the model's family domain; the last substep ends on the grid point 0.7 itself
     raw = json.loads((ROOT / "scenarios" / "two_level_ramp.json").read_text())
     raw["grid"] = {"t_start": 0.0, "t_end": 0.7, "points": 11}
     path = write_config(tmp_path, raw)

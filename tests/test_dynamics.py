@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -533,6 +533,7 @@ def _cayley(A, t):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), points=st.integers(2, 5),
        equation=st.sampled_from(list(Equation)), substeps=st.sampled_from([None, 1, 2, 5]),
        hbar=st.sampled_from([1.0, 0.37, 2.5]))
+@example(seed=3552, dim=3, points=2, equation=Equation.AUGMENTED, substeps=None, hbar=0.37)
 def test_stacked_rk4_bit_identical_on_random_frames(seed, dim, points, equation, substeps,
                                                     hbar):
     # C(t) = R(t) C0 R(t)^T with R orthogonal and commuting with P stays a
@@ -629,10 +630,11 @@ def _counting_problem(grid, substeps, domain=(-100.0, 100.0)):
 
 
 def _nodes(t0, t1, nsub):
-    """The stage times of one interval, formed as the one-point loop forms them."""
+    """The stage times of one interval, formed as the one-point loop forms them: each
+    substep's start t0 + j*h and midpoint, and t1, where the last substep ends."""
     h = (t1 - t0) / nsub
     starts = [t0 + j * h for j in range(nsub)]
-    return set(starts) | {t + 0.5 * h for t in starts} | {t + h for t in starts}
+    return set(starts) | {t + 0.5 * h for t in starts} | {t1}
 
 
 @pytest.mark.parametrize("nsub", [1, 2, 3, 7, 100, 300])
@@ -643,7 +645,7 @@ def test_rk4_evaluates_each_distinct_node_once(k, nsub):
     traj = evolve_state(problem)
     assert len(seen) == len(set(seen))
     assert set(seen) == _nodes(t0, t1, nsub)
-    assert traj.diagnostics["generator_evaluations"] == len(seen) <= 3 * nsub + 1
+    assert traj.diagnostics["generator_evaluations"] == len(seen) == 2 * nsub + 1
 
 
 def test_grid_generators_in_chunks_equal_the_whole_stack_expression():
@@ -661,7 +663,8 @@ def test_grid_generators_in_chunks_equal_the_whole_stack_expression():
         whole = (H + 1j * G.on_grid(grid) if correction else
                  H - 0.5j * problem.hbar * (fg.c @ fg.cdot))
         for from_grid in (True, False):
-            gens, _ = dynamics._generators(problem, grid, from_grid)
+            gens, _, failure = dynamics._generators(problem, grid, from_grid)
+            assert failure is None
             assert same_bits(gens, whole)
 
 
@@ -669,11 +672,17 @@ def test_rk4_evaluation_count_over_a_grid():
     grid = np.linspace(0.0, 10.0, 51)
     problem, seen = _counting_problem(grid, 100)
     traj = evolve_state(problem)
-    # a grid point is evaluated again only when the last node before it rounds off it
+    # the 51 grid points, then 100 midpoints and 99 interior substep ends an interval
     nodes = set().union(*(_nodes(t0, t1, 100) for t0, t1 in zip(grid[:-1], grid[1:])))
     assert len(seen) == len(set(seen)) == len(nodes)
     assert set(seen) == nodes
-    assert traj.diagnostics["generator_evaluations"] == len(seen) <= 1 + 3 * 100 * 50
+    assert traj.diagnostics["generator_evaluations"] == len(seen) == 51 + 50 * 199 == 10001
+    # automatic counts, which vary with |cos t|: n_t + sum(2 n_k - 1) all the same
+    problem, seen = _counting_problem(grid, None)
+    traj = evolve_state(problem)
+    counts = traj.diagnostics["substeps"]
+    assert len(set(counts)) > 1 and len(seen) == len(set(seen))
+    assert traj.diagnostics["generator_evaluations"] == len(seen) == 51 + sum(2 * n - 1 for n in counts)
     # one interval, one substep: t0, t0 + h/2 and t1, against 5 one-point evaluations
     problem, seen = _counting_problem(np.array([0.0, 1.0]), 1)
     assert evolve_state(problem).diagnostics["generator_evaluations"] == 3 == len(seen)
@@ -705,6 +714,38 @@ def test_rk4_nan_at_interior_node_names_the_same_time():
     assert f"t={bad}" in str(err) and "non-finite" in str(err)
 
 
+@pytest.mark.parametrize("bad", [0.0, 0.5 * 0.25 / 3], ids=["first-grid-point", "first-midpoint"])
+def test_rk4_nan_at_the_first_node_names_the_same_time(bad):
+    # the grid points' stack, or the first block's, fails at its first time: no generator
+    # is formed before the failure, and the walk takes no substep
+    H = np.diag([1.0, -1.0]).astype(complex)
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily(-1.0, 2.0, lambda t: H * (math.nan if t == bad else 1.0)),
+        frame_family=identity_metric_family(),
+        grid=np.linspace(0.0, 1.0, 5),
+        equation=Equation.SCHRODINGER,
+        initial_state=np.array([1.0, 0.0]),
+        substeps=3,
+    )
+    err = _same_error(problem)
+    assert str(err) == f"family value at t={bad} contains non-finite entries"
+    assert err.index == 0
+
+
+def test_rk4_nan_at_a_later_grid_point_ends_the_interval_before_it():
+    # a compensated run with a valid frame whose H is NaN at the grid point t = 5.0 (index
+    # 10): the grid points' stack stops there, and the walk meets t = 5.0 again as the last
+    # node of interval 9, stopping before that interval's last substep
+    hamiltonian = OperatorFamily(-1.0, 11.0, lambda t: np.eye(2) * (math.nan if t == 5.0 else 1.0))
+    problem = EvolutionProblem(hamiltonian, identity_metric_family(), np.linspace(0.0, 10.0, 21),
+                               Equation.COMPENSATED, np.array([1.0, 0.0]), substeps=2)
+    err = _same_error(problem)
+    assert str(err) == "family value at t=5.0 contains non-finite entries" and err.index == 9
+    with pytest.raises(NonFiniteError) as got:
+        evolve_propagator(problem)
+    assert str(got.value) == str(err) and got.value.index == 9
+
+
 def test_rk4_blow_up_aborts_at_the_same_last_good_time():
     problem = EvolutionProblem(
         hamiltonian=OperatorFamily.constant(np.zeros((2, 2))),
@@ -721,24 +762,17 @@ def test_rk4_blow_up_aborts_at_the_same_last_good_time():
     assert err.last_good_t == ref.value.last_good_t
 
 
-def _overshooting_interval():
-    """An interval and substep count whose last node t0 + (n-1)h + h rounds past t1."""
-    grid = np.linspace(0.0, 1.0, 11)
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        for n in range(1, 40):
-            h = (t1 - t0) / n
-            if t0 + (n - 1) * h + h > t1:
-                return t0, t1, n
-    raise AssertionError("no interval overshoots")
-
-
 def test_rk4_out_of_domain_node_raises_the_same_error():
     problem, _ = _counting_problem(np.linspace(0.0, 1.0, 5), 3, domain=(0.0, 0.55))
     assert "outside family domain" in str(_same_error(problem))
-    # a domain ending at t1 rejects the last node when it rounds past t1
-    t0, t1, nsub = _overshooting_interval()
-    problem, _ = _counting_problem(np.array([t0, t1]), nsub, domain=(t0, t1))
-    assert "outside family domain" in str(_same_error(problem))
+
+
+def test_rk4_last_node_is_the_grid_end_for_every_substep_count():
+    # the last substep of an interval ends on its grid point, so a domain ending at
+    # the grid's end takes every count; t0 + (n - 1)h + h rounds past 10.0 at 42 of them
+    for nsub in range(1, 400):
+        problem, _ = _counting_problem(np.array([0.0, 10.0]), nsub, domain=(0.0, 10.0))
+        _assert_matches_reference(problem)
 
 
 def test_rk4_coarse_step_warnings_match_one_point_loop(caplog):
@@ -817,9 +851,9 @@ def test_library_run_evaluates_each_family_once_a_node():
                                substeps=3)
     build_report(eframe, family, evolve_state(problem), 1, 0.5)
     operator_phase(ham, family, eframe, 1)
-    nodes = set(grid).union(*(_nodes(t0, t1, 3) for t0, t1 in zip(grid[:-1], grid[1:])))
-    # 5 nodes an interval besides its start, and 2 ends that round off the grid point
-    assert len(nodes) == grid.size + 5 * (grid.size - 1) + 2
+    nodes = set().union(*(_nodes(t0, t1, 3) for t0, t1 in zip(grid[:-1], grid[1:])))
+    # the grid points, and 3 midpoints and 2 interior substep ends an interval
+    assert len(nodes) == grid.size + 5 * (grid.size - 1)
     for calls in (h_calls["evaluate"], c_calls["evaluate"], c_calls["derivative"]):
         assert len(calls) == len(set(calls)) and set(calls) == nodes
 
@@ -998,10 +1032,11 @@ def test_frame_failure_at_the_last_point_ends_the_walk_without_a_one_point_searc
         with pytest.raises(FrameAxiomError, match=r"'C\^2 = I' violated: .* at t=1\.0$") as err:
             evolve(problem)
         assert err.value.index == 2000
-    # each walk: C on the grid, at the 2000 interval starts, then at the nodes off the grid
-    # in the six blocks of 682 substeps its 4000 substeps take; no call for one time
-    walk = sizes[:8]
-    assert sizes == walk + walk and walk[:2] == [2001, 2000] and min(walk) > 1
+    # each walk: C on the grid, at the 2000 interval starts, then in the six blocks of 682
+    # substeps its 4000 substeps take: a midpoint a substep and an interior end an interval,
+    # and in the last block t = 1.0, which the starts' stack left out; no call for one time
+    walk = [2001, 2000] + [682 + 341] * 5 + [590 + 295 + 1]
+    assert sizes == walk + walk
 
 
 def _nan_at_one(family, sizes):
@@ -1037,16 +1072,6 @@ def test_a_late_non_finite_c_is_named_from_the_stacks_error():
     assert len(sizes) <= 20 and min(sizes) > 1
 
 
-def _first_meeting_node(grid, nsub):
-    """(interval k, substep j) where t0 + (j + 1) h rounds below the node t0 + j h + h."""
-    for k, (t0, t1) in enumerate(zip(grid[:-1], grid[1:])):
-        h = (t1 - t0) / nsub
-        for j in range(nsub - 1):
-            if t0 + (j + 1) * h < t0 + j * h + h:
-                return k, j
-    raise AssertionError("no substep end rounds above the next substep's start")
-
-
 def _failing_at(value, bad, vectorized, name):
     """A family callback giving ``value``, and raising a ValueError naming ``name`` at the
     times in ``bad``; vectorized, it raises on any array that holds one of them."""
@@ -1060,20 +1085,19 @@ def _failing_at(value, bad, vectorized, name):
 
 @pytest.mark.parametrize("vectorized", [False, True], ids=["per-point", "vectorized"])
 def test_rk4_names_the_node_the_one_point_scheme_fails_first(monkeypatch, vectorized):
-    # nodes off the grid: in the one-point order a substep's t_a, t_b, t_c come before the
-    # next substep's, and at one node H comes before C and C before its stencil. The block
-    # evaluates its nodes in that order, so its failing node is the first the one-point
-    # scheme meets, and the block is evaluated once more, for the substeps before it only.
+    # nodes off the grid, in the one-point order: a substep's midpoint, its end, then the
+    # next substep's midpoint; at one node H comes before C and C before its stencil. The
+    # block evaluates its nodes in that order, so its failing node is the first the
+    # one-point scheme meets, and the walk takes the substeps before it from the same block.
     calls = []
     generators = dynamics._generators
     monkeypatch.setattr(dynamics, "_generators", lambda *args: calls.append(1) or generators(*args))
     grid = np.linspace(0.0, 1.0, 5)
-    nsub = 3
-    k, j = _first_meeting_node(grid, nsub)
-    t0, t1 = grid[k], grid[k + 1]
-    h = (t1 - t0) / nsub
-    end, after = t0 + j * h + h, t0 + (j + 1) * h  # end of substep j; after < end
-    mid = t0 + j * h + 0.5 * h
+    nsub, k, j = 3, 1, 0
+    t0 = grid[k]
+    h = (grid[k + 1] - t0) / nsub
+    mid, end = t0 + j * h + 0.5 * h, t0 + (j + 1) * h  # substep j's midpoint and end
+    after = end + 0.5 * h  # substep j + 1's midpoint
     step = 1e-5  # the differencing step at |t| <= 1
     H = np.diag([1.0, -1.0]).astype(complex)
 
@@ -1086,8 +1110,9 @@ def test_rk4_names_the_node_the_one_point_scheme_fails_first(monkeypatch, vector
             substeps=nsub)
 
     cases = [
-        ({after}, {end}, f"C fails at t={end}"),  # C at substep j's end, before H at j + 1
+        ({after}, {end}, f"C fails at t={end}"),  # C at substep j's end, before H after it
         ({after}, {end + step}, f"C fails at t={end + step}"),  # C's stencil, from t = end
+        ({end}, {mid}, f"C fails at t={mid}"),  # C at the midpoint, before H at the end
         ({mid}, {mid}, f"H fails at t={mid}"),  # the same node: H's error wins
     ]
     for h_bad, c_bad, message in cases:
@@ -1095,7 +1120,7 @@ def test_rk4_names_the_node_the_one_point_scheme_fails_first(monkeypatch, vector
         err = _same_error(problem(h_bad, c_bad))
         assert str(err) == message
         assert err.index == k
-        assert len(calls) == 3  # the grid points, the block, the block before its node
+        assert len(calls) == 2  # the grid points, the block
         with pytest.raises(ValueError, match=f"^{message}$") as got:
             evolve_propagator(problem(h_bad, c_bad))
         assert got.value.index == k

@@ -8,7 +8,12 @@ C(t) has no analytic derivative, so it pins the finite-difference path,
 one-sided at both grid ends. Every ``adiabatic.csv`` and ``summary.json``,
 and the sweep below, were written again when the eigenframe's phases became
 the running sum of the raw overlaps' arguments; that moved no value by more
-than 2.4e-14 (``constant_metric``'s bound, which is roundoff only). Every
+than 2.4e-14 (``constant_metric``'s bound, which is roundoff only).
+``constant_metric`` and ``two_level_samples`` were written again when an
+RK4 substep's end became the next substep's start, t0 + (j+1)h, and an
+interval's last end its grid point: that moved no value by more than
+6.7e-16 absolute (``two_level_samples``' ``max_fidelity_loss`` went
+4.48803216812621e-11 -> 4.488054372586703e-11). Every
 number must agree to GOLDEN_RTOL relative.
 Values that vanish by construction, so that only roundoff is left (the
 compensated or static drift rate, the cross-level coupling residual of
