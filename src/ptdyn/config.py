@@ -24,9 +24,10 @@ H, C, P, K); each also takes a matrix G for the augmented equation. A ramp
 without explicit t_start/t_end spans the grid.
 
 Numbers are finite JSON numbers, not strings or booleans; ``grid.points``,
-``level`` and ``substeps`` take integral values (101.0 passes). Unknown keys
-are rejected. A malformed field raises :class:`ConfigError` naming the
-dotted field; the CLI exits 2 with ``config error: <field>: ...``.
+``level`` and ``substeps`` take integral values (101.0 passes), ``substeps``
+at most ``dynamics.MAX_SUBSTEPS``. Unknown keys are rejected. A malformed
+field raises :class:`ConfigError` naming the dotted field; the CLI exits 2
+with ``config error: <field>: ...``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Equation
+from .dynamics import MAX_SUBSTEPS, Equation
 from .models import ScalarFunction
 
 __all__ = [
@@ -271,7 +272,8 @@ def from_dict(raw: dict) -> ScenarioConfig:
         epsilon=_number(raw.get("epsilon", 0.5), "epsilon", lambda x: 0.0 < x < 1.0,
                         "epsilon out of (0,1): {}"),
         substeps=None if raw.get("substeps") is None else _number(
-            raw["substeps"], "substeps", lambda n: n >= 1, "must be >= 1, got {}"),
+            raw["substeps"], "substeps", lambda n: 1 <= n <= MAX_SUBSTEPS,
+            f"must be in [1, {MAX_SUBSTEPS:.0e}], got {{:.10g}}"),
         tolerances={
             key: _number(tolerances.get(key, default), f"tolerances.{key}", lambda x: x > 0,
                          "must be positive, got {}")

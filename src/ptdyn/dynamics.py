@@ -16,9 +16,9 @@ grid point.
 from __future__ import annotations
 
 import cmath
-import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -44,7 +44,8 @@ logger = logging.getLogger(__name__)
 
 # Default substep count per grid interval: ceil(100 * ||generator|| * dt / hbar).
 SUBSTEP_DENSITY = 100.0
-# A default count above this, or one that is not finite, aborts the run before its interval.
+# A default count above this, or one that is not finite, aborts the run before its interval;
+# a fixed count above it is refused.
 MAX_SUBSTEPS = 10**7
 # Warn when a single Runge-Kutta substep is coarser than this: ||generator|| * h / hbar.
 STEP_NORM_WARN = 0.5
@@ -71,8 +72,8 @@ class EvolutionProblem:
     ``correction`` is the G family of the AUGMENTED equation and must be
     present exactly for that equation. ``hbar`` must be positive and finite.
     ``substeps``, when given, fixes the Runge-Kutta substep count per grid
-    interval (an integral number >= 1, not a bool, kept as an ``int``);
-    otherwise the count scales with the local generator norm.
+    interval (an integral number in [1, ``MAX_SUBSTEPS``], not a bool, kept
+    as an ``int``); otherwise the count scales with the local generator norm.
     """
 
     hamiltonian: OperatorFamily
@@ -98,11 +99,15 @@ class EvolutionProblem:
         if self.equation is not Equation.AUGMENTED and self.correction is not None:
             raise ValueError(f"{self.equation.name} equation forbids a correction family")
         if self.substeps is not None:
-            if isinstance(self.substeps, (bool, np.bool_)) or not float(self.substeps).is_integer():
-                raise ValueError(f"substeps must be an integer, got {self.substeps!r}")
-            if self.substeps < 1:
+            n = self.substeps  # an int beyond the float range is integral, not an OverflowError
+            integral = isinstance(n, numbers.Integral) or float(n).is_integer()
+            if isinstance(n, (bool, np.bool_)) or not integral:
+                raise ValueError(f"substeps must be an integer, got {n!r}")
+            if n < 1:
                 raise ValueError("substeps must be >= 1")
-            object.__setattr__(self, "substeps", int(self.substeps))
+            if n > MAX_SUBSTEPS:
+                raise ValueError(f"substeps must be <= {MAX_SUBSTEPS:.0e}, got {n}")
+            object.__setattr__(self, "substeps", int(n))
 
 
 @dataclass(frozen=True)
@@ -213,29 +218,26 @@ def _rk4_step(rate, ga, gb, gc, y, dh):
     return y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_step_pair(v, rate, ga, gb, gc, y, dh):
-    """:func:`_rk4_step`, bit for bit, on a 2-vector held as two Python complex numbers.
+def _rk4_step_pair(rate, ga, gb, gc, y, dh):
+    """:func:`_rk4_step` in Python complex numbers: a 2-vector, row-major 4-tuple stage matrices.
 
-    Each stage writes its input into the scratch 2-vector ``v`` and takes the
-    matrix-vector product as numpy's BLAS gemv, which ``@`` also calls. Every
-    other product is one rounded real product in either arithmetic, as
-    ``rate`` has a zero real part and ``dh`` is real; ``half`` is the float
-    the array step forms, since ``0.5 * dh * k`` is ``(0.5 * dh) * k``.
+    A matrix-vector product is p = g00*y0 + g01*y1, q = g10*y0 + g11*y1, each
+    product and sum rounded on its own. Every other product is one rounded real
+    product in either arithmetic, as ``rate`` has a zero real part and ``dh`` is
+    real; ``half`` is the float the array step forms, as ``0.5 * dh * k`` is ``(0.5 * dh) * k``.
     """
     y0, y1 = y
     half = 0.5 * dh
-    v[0], v[1] = y0, y1
-    p, q = ga.dot(v).tolist()
-    a0, a1 = rate * p, rate * q
-    v[0], v[1] = y0 + half * a0, y1 + half * a1
-    p, q = gb.dot(v).tolist()
-    b0, b1 = rate * p, rate * q
-    v[0], v[1] = y0 + half * b0, y1 + half * b1
-    p, q = gb.dot(v).tolist()
-    c0, c1 = rate * p, rate * q
-    v[0], v[1] = y0 + dh * c0, y1 + dh * c1
-    p, q = gc.dot(v).tolist()
-    d0, d1 = rate * p, rate * q
+    g00, g01, g10, g11 = ga
+    a0, a1 = rate * (g00 * y0 + g01 * y1), rate * (g10 * y0 + g11 * y1)
+    u0, u1 = y0 + half * a0, y1 + half * a1
+    g00, g01, g10, g11 = gb
+    b0, b1 = rate * (g00 * u0 + g01 * u1), rate * (g10 * u0 + g11 * u1)
+    u0, u1 = y0 + half * b0, y1 + half * b1
+    c0, c1 = rate * (g00 * u0 + g01 * u1), rate * (g10 * u0 + g11 * u1)
+    u0, u1 = y0 + dh * c0, y1 + dh * c1
+    g00, g01, g10, g11 = gc
+    d0, d1 = rate * (g00 * u0 + g01 * u1), rate * (g10 * u0 + g11 * u1)
     w = dh / 6.0
     return (y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
 
@@ -263,12 +265,12 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     interval ends on its grid point's. So a run forms n_t + sum(2*n_k - 1)
     generators. The state arithmetic
     is the one-point RK4's: :func:`_rk4_step_pair` for a state vector of
-    dimension 2, the array step :func:`_rk4_step` for larger states and for
-    propagator matrices. So the values are bit-identical to evaluating the
-    generator at every stage. At each interval end the state must be finite:
-    a 2-vector stays two Python complex numbers, checked with
-    ``cmath.isfinite`` (the verdict of ``np.isfinite``) and kept as a tuple;
-    an array is checked with ``np.isfinite``.
+    dimension 2, on each block's stack made Python numbers by one ``tolist``,
+    and the array step :func:`_rk4_step` for larger states and for propagator
+    matrices, so the values are bit-identical to evaluating the generator at
+    every stage. At each interval end the state must be finite: a 2-vector
+    stays two Python complex numbers, checked with ``cmath.isfinite`` (the
+    verdict of ``np.isfinite``) and kept as a tuple; an array with ``np.isfinite``.
 
     A failure is raised where the walk reaches it, so an earlier non-finite
     state still aborts first. Every equation's walk builds the frame grid
@@ -294,11 +296,11 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     dim = problem.frame_family.dim
     y = y0.astype(complex)
     values = [y]
-    if y.shape == (2,):
-        advance = functools.partial(_rk4_step_pair, np.empty(2, dtype=complex))
-        finite, y = (lambda u: cmath.isfinite(u[0]) and cmath.isfinite(u[1])), y.tolist()
+    if y.shape == (2,):  # the 2-vector and each block's stage matrices as Python complex numbers
+        advance, y, stages = _rk4_step_pair, y.tolist(), (lambda g: g.reshape(len(g), 4).tolist())
+        finite = (lambda u: cmath.isfinite(u[0]) and cmath.isfinite(u[1]))
     else:
-        advance, finite = _rk4_step, (lambda u: np.all(np.isfinite(u)))
+        advance, finite, stages = _rk4_step, (lambda u: np.all(np.isfinite(u))), list
     evaluations = one_sided = 0
 
     def generators(times: np.ndarray, from_grid: bool = False) -> tuple:
@@ -345,7 +347,7 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
 
     block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
     lo, stop, k = 0, first_list[starts.size], 0  # the next substep, where the walk ends, its interval
-    ga = G0[0] if stop else None  # the generator at the next substep's start
+    ga = stages(G0[:1])[0] if stop else None  # the generator at the next substep's start
     enter(0)
     while lo < stop:
         sub = np.arange(lo, min(lo + block, stop))
@@ -363,7 +365,7 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         if exc is not None:  # the walk ends before the substep meeting the failing node
             s = int(fresh[exc.index]) // 2
             failure, stop, sub = linalg._at(int(ks[s]), exc), lo + s, sub[:s]
-        mats = list(gens)
+        mats = stages(gens)
         with np.errstate(over="ignore", invalid="ignore"):
             for i, gb, gc, dh in zip(sub.tolist(), mats[0::2], mats[1::2], hk.tolist()):
                 y, ga = advance(rate, ga, gb, gc, y, dh), gc

@@ -256,12 +256,22 @@ def reference_derivative_stencil(F, t):
     raise ValueError(f"domain [{lo}, {hi}] too small for step h={h} at t={t}")
 
 
+def pair_product(g, v) -> np.ndarray:
+    """A 2x2 matrix times a 2-vector as the integrator defines the product:
+    p = g00*v0 + g01*v1, q = g10*v0 + g11*v1 in Python complex arithmetic,
+    each product and sum rounded on its own."""
+    (g00, g01), (g10, g11) = np.asarray(g, dtype=complex).tolist()
+    v0, v1 = np.asarray(v, dtype=complex).tolist()
+    return np.array([g00 * v0 + g01 * v1, g10 * v0 + g11 * v1])
+
+
 def reference_rk4_run(problem, y0):
     """Fixed-step RK4 with the generator re-evaluated at every stage.
 
     A copy of the one-point loop the stacked integrator replaced, with its
     automatic count and coarse-step warning scaled by 1/hbar and the count
-    capped at ``MAX_SUBSTEPS``; returns (values at grid points, substeps per interval).
+    capped at ``MAX_SUBSTEPS``, and a 2-vector's products taken by :func:`pair_product`;
+    returns (values at grid points, substeps per interval).
     Substep j of an interval [t0, t1] split n ways starts at t0 + j*h and ends
     where substep j + 1 starts, at t0 + (j + 1)*h, or at t1 for the last one.
     """
@@ -272,7 +282,8 @@ def reference_rk4_run(problem, y0):
     substeps_used = []
 
     def f(t, v):
-        return (-1j / hbar) * (reference_generator(problem, t) @ v)
+        G = reference_generator(problem, t)
+        return (-1j / hbar) * (pair_product(G, v) if v.shape == (2,) else G @ v)
 
     for k in range(grid.size - 1):
         t0, t1 = grid[k], grid[k + 1]

@@ -527,6 +527,8 @@ MALFORMED = {
     "points-fraction": ("grid.points", 2.9, "grid.points"),
     "level-fraction": ("level", 0.7, "level"),
     "substeps-fraction": ("substeps", 2.5, "substeps"),
+    "substeps-above-cap": ("substeps", 1e300, "substeps"),
+    "substeps-beyond-int64": ("substeps", 20000000000000000000, "substeps"),
     "hbar-bool": ("hbar", True, "hbar"),
     "hbar-infinity": ("hbar", math.inf, "hbar"),
     "points-huge-int": ("grid.points", 10**400, "grid.points"),

@@ -16,7 +16,7 @@ from ptdyn.config import (
     save_config,
     to_dict,
 )
-from ptdyn.dynamics import Equation
+from ptdyn.dynamics import MAX_SUBSTEPS, Equation
 from ptdyn.frames import validate_frames
 from ptdyn.linalg import AntilinearOperator
 
@@ -110,6 +110,15 @@ def test_hbar_substeps_level_validation():
     raw["substeps"] = 0
     with pytest.raises(ConfigError, match="substeps"):
         from_dict(raw)
+    raw["substeps"] = MAX_SUBSTEPS
+    assert from_dict(raw).substeps == MAX_SUBSTEPS
+    # a fixed count above the cap is refused, up to counts past int64 and the float range's end
+    for substeps, shown in ((MAX_SUBSTEPS + 1, "10000001"), (20000000000000000000, "2e+19"),
+                            (1e300, "1e+300")):
+        raw["substeps"] = substeps
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert str(err.value) == f"substeps: must be in [1, 1e+07], got {shown}"
     raw = base_config()
     raw["level"] = -1
     with pytest.raises(ConfigError, match="level"):

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import (random_frame_matrices, reference_rk4_run, rotating_frame_model, same_bits,
-                     two_level_matrices)
+from helpers import (pair_product, random_frame_matrices, reference_rk4_run, rotating_frame_model,
+                     same_bits, two_level_matrices)
 from ptdyn import dynamics
 from ptdyn.adiabatic import build_eigenframe, build_report, operator_phase
 from ptdyn.dynamics import (
+    MAX_SUBSTEPS,
     Equation,
     EvolutionProblem,
     IntegrationAbort,
@@ -323,6 +324,12 @@ def test_problem_validation():
                              substeps=substeps)
     with pytest.raises(ValueError, match="^substeps must be >= 1$"):
         EvolutionProblem(H, fam, np.array([0.0, 1.0]), Equation.SCHRODINGER, x0, substeps=0)
+    for substeps, shown in ((MAX_SUBSTEPS + 1, "10000001"), (2**64, "18446744073709551616"),
+                            (1e300, "1e+300"), (10**400, str(10**400))):
+        with pytest.raises(ValueError) as err:
+            EvolutionProblem(H, fam, np.array([0.0, 1.0, 2.0]), Equation.SCHRODINGER, x0,
+                             substeps=substeps)
+        assert str(err.value) == f"substeps must be <= 1e+07, got {shown}"
     for substeps in (3.0, np.int64(3), np.float32(3.0)):
         problem = EvolutionProblem(H, fam, np.linspace(0.0, 1.0, 5), Equation.SCHRODINGER, x0,
                                    substeps=substeps)
@@ -571,24 +578,45 @@ def test_stacked_rk4_bit_identical_on_random_frames(seed, dim, points, equation,
     _assert_matches_reference(problem)
 
 
+def _reference_pair_step(rate, ga, gb, gc, y, dh):
+    """The array RK4 substep with each matrix-vector product taken by ``pair_product``."""
+    k1 = rate * pair_product(ga, y)
+    k2 = rate * pair_product(gb, y + 0.5 * dh * k1)
+    k3 = rate * pair_product(gb, y + 0.5 * dh * k2)
+    k4 = rate * pair_product(gc, y + dh * k3)
+    return y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5, 1e-300])
-def test_pair_step_is_the_array_step_bit_for_bit(hbar):
+def test_pair_step_is_the_reference_product_step_bit_for_bit(hbar):
     # random stage matrices and states over 600 decades of scale, so that some
     # substeps overflow: those must turn non-finite in the same components
     rng = np.random.default_rng(11)
     rate = -1j / hbar
-    v = np.empty(2, dtype=complex)
     for _ in range(2000):
         scale = 10.0 ** rng.uniform(-300, 300, size=(3, 2, 2))
         ga, gb, gc = scale * (rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
         y = 10.0 ** rng.uniform(-300, 300) * (rng.normal(size=2) + 1j * rng.normal(size=2))
         dh = 10.0 ** rng.uniform(-6, 0)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = dynamics._rk4_step(rate, ga, gb, gc, y, dh)
-            got = np.array(dynamics._rk4_step_pair(v, rate, ga, gb, gc, y.tolist(), dh))
+            want = _reference_pair_step(rate, ga, gb, gc, y, dh)
+        stages = [g.reshape(4).tolist() for g in (ga, gb, gc)]
+        got = np.array(dynamics._rk4_step_pair(rate, *stages, y.tolist(), dh))
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite)
         assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def test_pair_step_takes_python_tuples():
+    ga = (0.3 + 1j, -0.2j, 0.5 + 0j, 1.5 - 0.25j)
+    gb = (2j, 0.1 + 0j, -1 + 0j, 0.7j)
+    gc = (1 + 1j, 0j, 0.4 - 0.6j, -2 + 0j)
+    y, rate, dh = (0.6 - 0.8j, 0.25 + 0.1j), -1j / 0.37, 0.125
+    got = dynamics._rk4_step_pair(rate, ga, gb, gc, y, dh)
+    assert type(got) is tuple and [type(z) for z in got] == [complex, complex]
+    want = _reference_pair_step(rate, *(np.reshape(g, (2, 2)) for g in (ga, gb, gc)),
+                                np.array(y), dh)
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_rk4_takes_the_pair_step_for_2_vectors_only(monkeypatch):

@@ -13,7 +13,19 @@ than 2.4e-14 (``constant_metric``'s bound, which is roundoff only).
 RK4 substep's end became the next substep's start, t0 + (j+1)h, and an
 interval's last end its grid point: that moved no value by more than
 6.7e-16 absolute (``two_level_samples``' ``max_fidelity_loss`` went
-4.48803216812621e-11 -> 4.488054372586703e-11). Every
+4.48803216812621e-11 -> 4.488054372586703e-11). All three were written
+again when a 2-vector's RK4 matrix-vector product became p = g00*y0 +
+g01*y1, q = g10*y0 + g11*y1 in Python complex arithmetic instead of BLAS
+zgemv. The largest move of each column that moved (absolute):
+``two_level_ramp`` im0 6.9e-18, im1 1.4e-17, cpt_norm 2.2e-16, drift_rate
+3.0e-18, fidelity_loss 1.1e-16 (its summary.json kept its bytes);
+``constant_metric`` re0 1.1e-15, im0 4.4e-16, re1 6.7e-16, im1 1.1e-15,
+cpt_norm 6.7e-16, fidelity_loss 8.9e-16, max_fidelity_loss
+3.885780586188048e-15 -> 3.774758283725532e-15, norm_drift
+3.552713678800501e-15 -> 3.219646771412954e-15; ``two_level_samples``
+re0 1.1e-16, im0 1.4e-17, im1 1.4e-17, cpt_norm 1.1e-16, drift_rate
+3.0e-18, fidelity_loss 2.2e-16, norm_drift 4.4880432703564566e-11 ->
+4.488054372586703e-11. Every bound kept its value. Every
 number must agree to GOLDEN_RTOL relative.
 Values that vanish by construction, so that only roundoff is left (the
 compensated or static drift rate, the cross-level coupling residual of
