@@ -134,10 +134,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
         model.hamiltonian, family, grid,
         realness_tol=cfg.tolerances["realness"], _scan=scan,
     )
-    problem = model.problem(
-        grid, cfg.equation, eframe.states[0, cfg.level],
-        hbar=cfg.hbar, substeps=cfg.substeps,
-        correction=_correction_family(cfg, family.dim),
+    problem = dyn.EvolutionProblem(
+        model.hamiltonian, family, grid, cfg.equation, eframe.states[0, cfg.level],
+        correction=_correction_family(cfg, family.dim), hbar=cfg.hbar, substeps=cfg.substeps,
     )
     trajectory = dyn.evolve_state(problem)
     report = adb.build_report(

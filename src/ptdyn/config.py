@@ -23,11 +23,11 @@ Model kinds (``MODEL_KINDS``): ``two_level`` (scalars s, alpha),
 H, C, P, K); each also takes a matrix G for the augmented equation. A ramp
 without explicit t_start/t_end spans the grid.
 
-Numbers are finite JSON numbers, not strings or booleans; ``grid.points``,
-``level`` and ``substeps`` take integral values (101.0 passes), ``substeps``
-at most ``dynamics.MAX_SUBSTEPS``. Unknown keys are rejected. A malformed
-field raises :class:`ConfigError` naming the dotted field; the CLI exits 2
-with ``config error: <field>: ...``.
+Numbers, matrix entries included, are finite JSON numbers, not strings or
+booleans; ``grid.points``, ``level`` and ``substeps`` take integral values
+(101.0 passes), ``substeps`` at most ``dynamics.MAX_SUBSTEPS``. Unknown keys
+are rejected. A malformed field raises :class:`ConfigError` naming the dotted
+field; the CLI exits 2 with ``config error: <field>: ...``.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def matrix_to_pairs(M: np.ndarray) -> list:
 
 
 def pairs_to_matrix(data, field_name: str) -> np.ndarray:
-    """Decode a row-major [re, im] pair matrix, validating the shape."""
+    """Decode a row-major [re, im] pair matrix, validating the shape and finiteness."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -101,6 +101,10 @@ def pairs_to_matrix(data, field_name: str) -> np.ndarray:
             field_name,
             f"expected a square row-major matrix of [re, im] pairs, got shape {arr.shape}",
         )
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:  # json reads NaN and Infinity
+        i, j, _ = bad[0]
+        raise ConfigError(field_name, f"entry [{i}][{j}] must be finite, got {arr[i, j].tolist()}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

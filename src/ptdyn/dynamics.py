@@ -337,7 +337,7 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     h = dt / nsub
     first = np.concatenate(([0], np.cumsum(nsub)))  # first[k]: the first substep of interval k
     coarse = norms.decide(lambda n: n * h / problem.hbar > STEP_NORM_WARN, 0)
-    first_list, step_norms, coarse = first.tolist(), norms.exact(0, coarse), coarse.tolist()
+    step_norms, coarse = norms.exact(0, coarse), coarse.tolist()
 
     def enter(k: int):
         """Log interval k's coarse-step warning, where the one-point scheme logs it."""
@@ -346,7 +346,7 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
                            grid[k], step_norms[k] * h[k] / problem.hbar, STEP_NORM_WARN)
 
     block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
-    lo, stop, k = 0, first_list[starts.size], 0  # the next substep, where the walk ends, its interval
+    lo, stop, k = 0, int(first[starts.size]), 0  # the next substep, the walk's end, its interval
     ga = stages(G0[:1])[0] if stop else None  # the generator at the next substep's start
     enter(0)
     while lo < stop:
@@ -364,12 +364,12 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         gens[fresh[:len(got)]] = got
         if exc is not None:  # the walk ends before the substep meeting the failing node
             s = int(fresh[exc.index]) // 2
-            failure, stop, sub = linalg._at(int(ks[s]), exc), lo + s, sub[:s]
+            failure, stop, sub, last = linalg._at(int(ks[s]), exc), lo + s, sub[:s], last[:s]
         mats = stages(gens)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, gb, gc, dh in zip(sub.tolist(), mats[0::2], mats[1::2], hk.tolist()):
+            for end, gb, gc, dh in zip(last.tolist(), mats[0::2], mats[1::2], hk.tolist()):
                 y, ga = advance(rate, ga, gb, gc, y, dh), gc
-                if i + 1 == first_list[k + 1]:
+                if end:
                     if not finite(y):
                         raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
                                                f"and t={grid[k + 1]}", last_good_t=grid[k])

@@ -23,12 +23,11 @@ The frame family's C keeps its analytic dC/dt where there is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Equation, EvolutionProblem
 from .frames import CPTFrame, FrameFamily
 from .linalg import AntilinearOperator, OperatorFamily, as_grid
 
@@ -61,16 +60,15 @@ def _broadcasting(expr: Callable[[np.ndarray], np.ndarray]) -> Callable:
 class ScalarFunction:
     """Real-valued function of time with an optional analytic derivative.
 
-    ``fn`` and ``dfn`` take a float time. With ``vectorized=True``, as for
-    every preset, they also map an (n,) time array to an (n,) float array
-    in one call, and so does calling the function; a model built on a plain
-    per-point callable evaluates its families one time per call. Calling the
-    function rejects a complex-typed value either way.
+    ``fn`` and ``dfn`` broadcast, as every preset does: they map a float
+    time to a float and an (n,) time array to an (n,) float array in one
+    call, and so does calling the function. Wrap a per-point callable ``f``
+    as ``np.vectorize(f, otypes=[float])``. Calling the function rejects a
+    complex-typed value.
     """
 
     fn: Callable[[float], float]
     dfn: Optional[Callable[[float], float]] = None
-    vectorized: bool = field(default=False, kw_only=True)
 
     def __call__(self, t: float) -> float:
         value = self.fn(t)
@@ -80,13 +78,13 @@ class ScalarFunction:
             if np.ndim(t):  # in an array call every time breaks the type rule: name the first
                 t, value = np.ravel(t)[0], np.ravel(value)[0]
             raise ValueError(f"scalar function returned non-real value {value!r} at t={t}")
-        return value if self.vectorized else float(value)
+        return float(value) if np.ndim(value) == 0 else value
 
     @classmethod
     def constant(cls, value: float) -> "ScalarFunction":
         value = float(value)
         return cls(_broadcasting(lambda t: np.full(t.shape, value)),
-                   _broadcasting(lambda t: np.zeros(t.shape)), vectorized=True)
+                   _broadcasting(lambda t: np.zeros(t.shape)))
 
     @classmethod
     def ramp(cls, start: float, stop: float, t_start: float, t_end: float) -> "ScalarFunction":
@@ -100,7 +98,6 @@ class ScalarFunction:
             _broadcasting(lambda t: np.where(
                 t <= t_start, start, np.where(t >= t_end, stop, start + slope * (t - t_start)))),
             _broadcasting(lambda t: np.where((t_start < t) & (t < t_end), slope, 0.0)),
-            vectorized=True,
         )
 
     @classmethod
@@ -112,7 +109,6 @@ class ScalarFunction:
         return cls(
             _broadcasting(lambda t: offset + amplitude * np.sin(frequency * t + phase)),
             _broadcasting(lambda t: amplitude * frequency * np.cos(frequency * t + phase)),
-            vectorized=True,
         )
 
     @classmethod
@@ -133,7 +129,7 @@ class ScalarFunction:
         ts = as_grid(times, "sample times")
         if vs.shape != ts.shape:
             raise ValueError("times and values must have the same length")
-        return cls(_broadcasting(lambda t: np.interp(t, ts, vs)), vectorized=True)
+        return cls(_broadcasting(lambda t: np.interp(t, ts, vs)))
 
 
 # math.tan, not np.tan: numpy's vectorised tan rounds differently on some inputs.
@@ -169,20 +165,6 @@ class Model:
     hamiltonian: OperatorFamily
     frame_family: FrameFamily
 
-    def problem(self, grid, equation: Equation, initial_state,
-                hbar: float = 1.0, substeps: Optional[int] = None,
-                correction: Optional[OperatorFamily] = None) -> EvolutionProblem:
-        return EvolutionProblem(
-            hamiltonian=self.hamiltonian,
-            frame_family=self.frame_family,
-            grid=grid,
-            equation=equation,
-            initial_state=initial_state,
-            correction=correction,
-            hbar=hbar,
-            substeps=substeps,
-        )
-
 
 def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: float,
               frame_tol: float = 1e-10) -> Model:
@@ -210,13 +192,12 @@ def two_level(s: ScalarFunction, alpha: ScalarFunction, t_start: float, t_end: f
             )
 
     frames = FrameFamily(
-        OperatorFamily(t_start, t_end, c_evaluate, c_derivative, vectorized=alpha.vectorized),
+        OperatorFamily(t_start, t_end, c_evaluate, c_derivative, vectorized=True),
         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
         AntilinearOperator.conjugation(2),
         tol=frame_tol,
     )
-    return Model(OperatorFamily(t_start, t_end, evaluate,
-                                vectorized=s.vectorized and alpha.vectorized), frames)
+    return Model(OperatorFamily(t_start, t_end, evaluate, vectorized=True), frames)
 
 
 def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
@@ -229,7 +210,7 @@ def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
     the model's frame family for the run's later stages.
     """
     grid = as_grid(grid)
-    cos_alpha = np.cos(alpha(grid) if alpha.vectorized else [alpha(t) for t in grid])
+    cos_alpha = np.cos(alpha(grid))
     if np.any(cos_alpha < MIN_COS_ALPHA):
         k = int(np.argmax(cos_alpha < MIN_COS_ALPHA))
         raise ValueError(
@@ -252,8 +233,7 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
     if not isinstance(frame, CPTFrame):
         raise TypeError("frame must be a validated CPTFrame")
     for fn in (a, b):
-        for t in grid[:: max(1, grid.size // 8)]:
-            fn(t)  # raises if the function is not real-valued
+        fn(grid)  # raises if the function is not real-valued
     eye = np.eye(frame.dim, dtype=complex)
     C = frame.c
 
@@ -261,6 +241,5 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
     def evaluate(t):
         return _column(a(t)) * eye + _column(b(t)) * C
 
-    return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate,
-                                vectorized=a.vectorized and b.vectorized),
+    return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate, vectorized=True),
                  FrameFamily.constant(frame))

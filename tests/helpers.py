@@ -54,6 +54,32 @@ def two_level_eigenvector(level: int, a: float, metric: bool = True) -> np.ndarr
     return v / math.sqrt(math.cos(a)) if metric else v
 
 
+def two_level_bound_oracle(alpha_start: float, alpha_stop: float, nodes: int = 20) -> float:
+    """The adiabatic bound V of level 0 of the two-level model, for a monotone alpha(t)
+    from ``alpha_start`` to ``alpha_stop``, by a ``nodes``-point Gauss-Legendre rule in alpha.
+
+    PC, C, dC/dalpha and the frame-normalised eigenvector v depend on t only through
+    alpha, so V = int g(alpha) |dalpha|, whatever s, the duration or the grid, with
+    g = sqrt(lambda_max(PC)) (||dv_PT|| + 1/2 ||C dC v||). dv_PT = dv - i Im<v|PC dv> v
+    is the parallel-transport derivative, lambda_max(PC) = (1 + |sin a|)/cos a, and
+    dC/dalpha = tan(a) C + i diag(1, -1); every derivative is taken in closed form.
+    """
+    def g(a):
+        _, C, P = two_level_matrices(1.0, a)
+        v = two_level_eigenvector(0, a)
+        half = np.exp(0.5j * a)
+        du = -0.5j * np.array([np.conj(half), half]) / math.sqrt(2.0)  # d/da of the unit-norm form
+        dv = 0.5 * math.tan(a) * v + du / math.sqrt(math.cos(a))
+        dv_pt = dv - 1j * np.vdot(v, P @ C @ dv).imag * v
+        dC = math.tan(a) * C + 1j * np.diag([1.0, -1.0])
+        drag = 0.5 * np.linalg.norm(C @ dC @ v)
+        return math.sqrt((1.0 + abs(math.sin(a))) / math.cos(a)) * (np.linalg.norm(dv_pt) + drag)
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    mid, half_width = 0.5 * (alpha_start + alpha_stop), 0.5 * abs(alpha_stop - alpha_start)
+    return float(sum(wk * g(mid + half_width * xk) for xk, wk in zip(x, w)) * half_width)
+
+
 def random_orthogonal(rng, dim: int) -> np.ndarray:
     Q, R = np.linalg.qr(rng.normal(size=(dim, dim)))
     return Q * np.sign(np.diag(R))

@@ -95,8 +95,9 @@ def test_a04_static_metric_norm_conservation():
         frame, grid,
     )
     eframe = build_eigenframe(model.hamiltonian, model.frame_family, grid)
-    problem = model.problem(grid, Equation.SCHRODINGER, eframe.states[0, 0],
-                            substeps=100)
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               grid, Equation.SCHRODINGER, eframe.states[0, 0],
+                               substeps=100)
     traj = evolve_state(problem)
     assert traj.max_norm_drift <= 1e-8
     assert np.max(np.abs(traj.drift_rates)) <= 1e-10
@@ -112,8 +113,9 @@ def test_a05_compensated_norm_conservation_convergence():
     x0 = np.array([1.0, 0.5j])
     drift = {}
     for substeps in (2, 4):
-        traj = evolve_state(model.problem(grid, Equation.COMPENSATED, x0,
-                                          substeps=substeps))
+        traj = evolve_state(EvolutionProblem(model.hamiltonian, model.frame_family,
+                                             grid, Equation.COMPENSATED, x0,
+                                             substeps=substeps))
         drift[substeps] = traj.max_norm_drift
     assert drift[2] <= 1e-6
     assert 10.0 <= drift[2] / drift[4] <= 22.0
@@ -127,14 +129,16 @@ def test_a06_propagator_metric_unitarity():
     )
     family = model.frame_family
     grid = np.linspace(0.0, 2.0, 21)
-    problem = model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.0]),
-                            substeps=20)
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               grid, Equation.COMPENSATED, np.array([1.0, 0.0]),
+                               substeps=20)
     pairs = evolve_propagator(problem)
     metric0 = family.p @ family.c_family(grid[0])
     for t, U in pairs:
         assert operator_norm(U.conj().T @ family.p @ family.c_family(t) @ U - metric0) <= 1e-7
     for col, e in enumerate(np.eye(2)):
-        traj = evolve_state(model.problem(grid, Equation.COMPENSATED, e, substeps=20))
+        traj = evolve_state(EvolutionProblem(model.hamiltonian, model.frame_family,
+                                             grid, Equation.COMPENSATED, e, substeps=20))
         for (t, U), state in zip(pairs, traj.states):
             assert np.linalg.norm(U[:, col] - state) <= 1e-8
 
@@ -184,7 +188,8 @@ def test_a08_adiabatic_bound_chain(epsilon):
     start = time.monotonic()
     family = model.frame_family
     eframe = build_eigenframe(model.hamiltonian, family, grid)
-    problem = model.problem(grid, Equation.COMPENSATED, eframe.states[0, 0])
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               grid, Equation.COMPENSATED, eframe.states[0, 0])
     traj = evolve_state(problem)
     report = build_report(eframe, family, traj, 0, epsilon=epsilon)
     elapsed = time.monotonic() - start

@@ -24,6 +24,7 @@ from helpers import (
     rotating_hermitian_family,
     same_bits,
     scripted_eig,
+    two_level_bound_oracle,
     two_level_eigenvector,
     two_level_energies,
     two_level_matrices,
@@ -759,6 +760,25 @@ def test_adiabatic_bound_of_the_bundled_ramp_is_blind_to_its_duration_and_scale(
     assert max(bounds) - min(bounds) <= 1e-12 * bounds[0]
 
 
+def test_adiabatic_bound_of_the_bundled_samples_converges_to_the_grid_free_oracle():
+    # alpha runs monotonically through its samples from 0.1 to 0.18, so V is the oracle's
+    # integral over that range; the grid's V approaches it at second order
+    oracle = two_level_bound_oracle(0.1, 0.18)
+    golden = json.loads((ROOT / "tests" / "golden" / "two_level_samples" / "summary.json")
+                        .read_text())["adiabatic"]["bound"]
+    assert abs(golden - oracle) <= 5e-10
+    raw = json.loads((ROOT / "scenarios" / "two_level_samples.json").read_text())
+    errors = []
+    for points in (101, 201, 401, 801):
+        raw["grid"]["points"] = points
+        cfg = from_dict(raw)
+        model = build_model(cfg)
+        eframe = build_eigenframe(model.hamiltonian, model.frame_family, cfg.grid.times())
+        errors.append(abs(adiabatic_bound(eframe, model.frame_family, cfg.level) - oracle))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.0 <= coarse / fine <= 5.0, errors
+
+
 # --------------------------------------------------------------- fidelity loss
 
 def test_fidelity_loss_starts_at_zero_and_stays_small_static():
@@ -825,7 +845,8 @@ def test_build_report_fields_and_implication():
     grid = np.linspace(0.0, 1.0, 101)
     family = model.frame_family
     eframe = build_eigenframe(model.hamiltonian, family, grid)
-    problem = model.problem(grid, Equation.COMPENSATED, eframe.states[0, 0])
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               grid, Equation.COMPENSATED, eframe.states[0, 0])
     traj = evolve_state(problem)
     report = build_report(eframe, family, traj, 0, epsilon=0.5)
     assert report.bound == pytest.approx(report.bound_profile[-1])

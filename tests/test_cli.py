@@ -561,6 +561,18 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, key, value,
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_non_finite_matrix_entry_exits_2_naming_the_field(tmp_path, capsys, command):
+    raw = json.loads((ROOT / "scenarios" / "inline_static.json").read_text())
+    raw["equation"] = "augmented"
+    raw["model"]["G"] = [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = write_config(tmp_path, raw)
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: model.G: entry [0][0] must be finite, got [nan, 0.0]\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_overrides(tmp_path):
     path = write_config(tmp_path, two_level_raw(points=21))
     assert main([

@@ -153,6 +153,26 @@ def test_matrix_codec_rejects_bad_shapes():
         pairs_to_matrix("nope", "model.C")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["C", "P", "K", "H", "G"])
+def test_non_finite_matrix_entry_is_a_config_error_naming_its_field(name, bad):
+    H, C, P = two_level_matrices(1.0, math.pi / 3)
+    matrices = {"H": H, "C": C, "P": P, "K": np.eye(2), "G": np.zeros((2, 2))}
+    raw = {"model": {"kind": "inline", **{k: matrix_to_pairs(M) for k, M in matrices.items()}},
+           "equation": "augmented", "grid": {"t_start": 0.0, "t_end": 1.0, "points": 11}}
+    from_dict(raw)
+    raw["model"][name][1][0][1] = bad
+    raw = json.loads(json.dumps(raw))  # json writes NaN and Infinity and reads them back
+    real = raw["model"][name][1][0][0]
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.field == f"model.{name}"
+    assert str(err.value) == f"model.{name}: entry [1][0] must be finite, got [{real}, {bad}]"
+    if name in "CPK":
+        with pytest.raises(ConfigError, match=f"^{name}: entry \\[1\\]\\[0\\] must be finite"):
+            frame_from_dict(raw["model"])
+
+
 def test_scalar_spec_validation():
     raw = base_config()
     raw["model"]["s"] = {"kind": "warp"}

@@ -68,9 +68,11 @@ def test_generator_augmented_matches_compensated_for_matching_g():
     def G(t):
         return -0.5 * family.c_family(t) @ family_derivatives(family.c_family, [t])[0][0]
 
-    augmented = model.problem(grid, Equation.AUGMENTED, x0,
-                              correction=OperatorFamily(-100, 100, G))
-    compensated = model.problem(grid, Equation.COMPENSATED, x0)
+    augmented = EvolutionProblem(model.hamiltonian, model.frame_family,
+                                 grid, Equation.AUGMENTED, x0,
+                                 correction=OperatorFamily(-100, 100, G))
+    compensated = EvolutionProblem(model.hamiltonian, model.frame_family,
+                                   grid, Equation.COMPENSATED, x0)
     for t in np.linspace(0, 1, 7):
         ga = effective_generator(augmented, t)
         gc = effective_generator(compensated, t)
@@ -81,8 +83,9 @@ def test_generator_compensated_correction_term():
     # -(i/2) C Cdot with Cdot = alpha' (tan(a) C + i diag(1,-1))
     model = two_level_model(amp=0.4, freq=1.5)
     alpha = ScalarFunction.sinusoid(amplitude=0.4, frequency=1.5)  # the model's alpha
-    problem = model.problem(np.linspace(0, 1, 5), Equation.COMPENSATED,
-                            np.array([1.0, 0.0]))
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               np.linspace(0, 1, 5), Equation.COMPENSATED,
+                               np.array([1.0, 0.0]))
     t = 0.6
     a = alpha(t)
     ad = alpha.dfn(t)
@@ -143,7 +146,8 @@ def test_compensated_norm_conservation_and_step_convergence():
     x0 = np.array([1.0, 0.5j])
     drifts = {}
     for substeps in (2, 4):
-        problem = model.problem(grid, Equation.COMPENSATED, x0, substeps=substeps)
+        problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                                   grid, Equation.COMPENSATED, x0, substeps=substeps)
         drifts[substeps] = evolve_state(problem).max_norm_drift
     assert drifts[2] <= 1e-6
     ratio = drifts[2] / drifts[4]
@@ -159,9 +163,11 @@ def test_augmented_with_matching_g_reproduces_compensated_run():
     def G(t):
         return -0.5 * family.c_family(t) @ family_derivatives(family.c_family, [t])[0][0]
 
-    t_aug = evolve_state(model.problem(grid, Equation.AUGMENTED, x0,
-                                       correction=OperatorFamily(-100, 100, G)))
-    t_comp = evolve_state(model.problem(grid, Equation.COMPENSATED, x0))
+    t_aug = evolve_state(EvolutionProblem(model.hamiltonian, model.frame_family,
+                                          grid, Equation.AUGMENTED, x0,
+                                          correction=OperatorFamily(-100, 100, G)))
+    t_comp = evolve_state(EvolutionProblem(model.hamiltonian, model.frame_family,
+                                           grid, Equation.COMPENSATED, x0))
     assert np.max(np.abs(t_aug.states - t_comp.states)) <= 1e-10
 
 
@@ -201,7 +207,8 @@ def _constant_metric_problem(hbar, grid=np.linspace(0.0, 1.0, 11)):
     """H(t) = sin(t) I + C over a frozen frame, plain equation, automatic substeps at hbar."""
     model = build_constant_metric(ScalarFunction.sinusoid(amplitude=1.0, frequency=1.0),
                                   ScalarFunction.constant(1.0), frozen_frame(), grid)
-    return model.problem(grid, Equation.SCHRODINGER, np.array([0.8, 0.6 - 0.2j]), hbar=hbar)
+    return EvolutionProblem(model.hamiltonian, model.frame_family,
+                            grid, Equation.SCHRODINGER, np.array([0.8, 0.6 - 0.2j]), hbar=hbar)
 
 
 @pytest.mark.parametrize("hbar", [0.01, 0.1, 1.0, 10.0])
@@ -369,12 +376,14 @@ def test_propagator_reproduces_state_evolution_and_metric_unitarity():
     model = two_level_model(amp=0.7, freq=1.3)
     family = model.frame_family
     grid = np.linspace(0.0, 2.0, 21)
-    problem = model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.0]),
-                            substeps=20)
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               grid, Equation.COMPENSATED, np.array([1.0, 0.0]),
+                               substeps=20)
     pairs = evolve_propagator(problem)
     metric0 = family.p @ family.c_family(grid[0])
     for col, e in enumerate(np.eye(2)):
-        traj = evolve_state(model.problem(grid, Equation.COMPENSATED, e, substeps=20))
+        traj = evolve_state(EvolutionProblem(model.hamiltonian, model.frame_family,
+                                             grid, Equation.COMPENSATED, e, substeps=20))
         for (t, U), state in zip(pairs, traj.states):
             assert np.linalg.norm(U[:, col] - state) <= 1e-8
     for t, U in pairs:
@@ -413,7 +422,8 @@ def test_drift_rate_zero_for_static_metric():
 def test_drift_rate_compensated_residual_is_tiny():
     model = two_level_model(amp=0.8, freq=2.5)
     grid = np.linspace(0.0, 2.0, 31)
-    problem = model.problem(grid, Equation.COMPENSATED, np.array([1.0, 0.2j]))
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               grid, Equation.COMPENSATED, np.array([1.0, 0.2j]))
     traj = evolve_state(problem)
     assert np.max(np.abs(traj.drift_rates)) <= 1e-10
 
@@ -425,8 +435,9 @@ def test_drift_rate_matches_norm_derivative():
     errors = {}
     for npts in (401, 801):
         grid = np.linspace(0.0, 2.0, npts)
-        problem = model.problem(grid, Equation.SCHRODINGER,
-                                np.array([1.0, 0.3 + 0.1j]), substeps=4)
+        problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                                   grid, Equation.SCHRODINGER,
+                                   np.array([1.0, 0.3 + 0.1j]), substeps=4)
         traj = evolve_state(problem)
         n2 = traj.cpt_norms**2
         h = grid[1] - grid[0]
@@ -442,7 +453,8 @@ def test_drift_rate_matches_norm_derivative():
 def test_schrodinger_drift_nonzero_with_moving_metric():
     model = two_level_model(amp=0.8, freq=2.0)
     grid = np.linspace(0.0, 2.0, 101)
-    problem = model.problem(grid, Equation.SCHRODINGER, np.array([1.0, 0.0]))
+    problem = EvolutionProblem(model.hamiltonian, model.frame_family,
+                               grid, Equation.SCHRODINGER, np.array([1.0, 0.0]))
     traj = evolve_state(problem)
     assert np.max(np.abs(traj.drift_rates)) > 1e-3
 
@@ -465,17 +477,20 @@ def _problems(equation, substeps):
     two_level = two_level_model(amp=0.7, freq=1.7)
     correction = (_correction_like_compensated(two_level)
                   if equation is Equation.AUGMENTED else None)
-    yield two_level.problem(np.linspace(0.0, 1.5, 16), equation, x0,
-                            substeps=substeps, correction=correction)
+    yield EvolutionProblem(two_level.hamiltonian, two_level.frame_family,
+                           np.linspace(0.0, 1.5, 16), equation, x0,
+                           substeps=substeps, correction=correction)
     # hbar != 1: the rate -i/hbar is no longer exactly -i
-    yield two_level.problem(np.linspace(0.0, 1.5, 16), equation, x0, hbar=0.37,
-                            substeps=substeps, correction=correction)
+    yield EvolutionProblem(two_level.hamiltonian, two_level.frame_family,
+                           np.linspace(0.0, 1.5, 16), equation, x0, hbar=0.37,
+                           substeps=substeps, correction=correction)
     constant = build_constant_metric(
         ScalarFunction.sinusoid(amplitude=1.2, frequency=1.3, phase=0.4),
         ScalarFunction.constant(0.8), frozen_frame(), np.linspace(0.0, 3.0, 31))
     correction = (OperatorFamily.constant(np.array([[0.1, 0.2j], [-0.2j, 0.05]]))
                   if equation is Equation.AUGMENTED else None)
-    yield constant.problem(np.linspace(0.0, 3.0, 31), equation, x0,
+    yield EvolutionProblem(constant.hamiltonian, constant.frame_family,
+                           np.linspace(0.0, 3.0, 31), equation, x0,
                            substeps=substeps, correction=correction)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import same_bits, two_level_eigenvector, two_level_energies, two_level_matrices
-from ptdyn.dynamics import Equation, evolve_state
+from ptdyn.dynamics import Equation, EvolutionProblem, evolve_state
 from ptdyn.frames import FrameAxiomError, validate_frames
 from ptdyn.linalg import (AntilinearOperator, OperatorFamily, eigenpairs_stack,
                           family_derivatives, operator_norm)
@@ -192,8 +192,9 @@ def test_constant_metric_zero_hamiltonian():
     )
     assert np.allclose(model.hamiltonian(0.5), 0.0)
     x0 = np.array([1.0, 1j]) / math.sqrt(2)
-    traj = evolve_state(model.problem(np.linspace(0.0, 1.0, 5),
-                                      Equation.SCHRODINGER, x0))
+    traj = evolve_state(EvolutionProblem(model.hamiltonian, model.frame_family,
+                                         np.linspace(0.0, 1.0, 5),
+                                         Equation.SCHRODINGER, x0))
     assert np.max(np.abs(traj.states - x0)) <= 1e-12
 
 
@@ -218,8 +219,9 @@ def test_constant_metric_norm_conserving_run():
         frame, np.linspace(0.0, 2.0, 21),
     )
     x0 = np.array([1.0, 0.3 - 0.4j])
-    traj = evolve_state(model.problem(np.linspace(0.0, 2.0, 21),
-                                      Equation.SCHRODINGER, x0, substeps=50))
+    traj = evolve_state(EvolutionProblem(model.hamiltonian, model.frame_family,
+                                         np.linspace(0.0, 2.0, 21),
+                                         Equation.SCHRODINGER, x0, substeps=50))
     assert traj.max_norm_drift <= 1e-8
 
 
@@ -229,6 +231,12 @@ def test_constant_metric_rejects_complex_coefficients():
     with pytest.raises(ValueError, match="non-real"):
         build_constant_metric(bad, ScalarFunction.constant(1.0),
                               frame, np.linspace(0.0, 1.0, 5))
+    # complex at one grid time only, between the times a sparser check would read
+    grid = np.linspace(0.0, 1.0, 17)
+    one_bad = ScalarFunction(lambda t: np.where(t == grid[1], 1j, 1.0) if np.any(t == grid[1])
+                             else np.ones(np.shape(t)))
+    with pytest.raises(ValueError, match="non-real"):
+        build_constant_metric(ScalarFunction.constant(1.0), one_bad, frame, grid)
 
 
 def test_constant_metric_requires_validated_frame():
@@ -270,16 +278,16 @@ def test_scalar_non_float_values_keep_the_non_real_check(value):
 
 def test_vectorized_scalar_values_keep_the_non_real_check():
     # an array call names its first time: every time breaks the type rule
-    shifted = ScalarFunction(lambda t: np.asarray(t) + (1.0 + 0.5j), vectorized=True)
+    shifted = ScalarFunction(lambda t: np.asarray(t) + (1.0 + 0.5j))
     with pytest.raises(ValueError, match=r"^scalar function returned non-real value "
                                          r"np.complex128\(1.25\+0.5j\) at t=0.25$"):
         shifted(np.array([0.25, 0.5]))
     with pytest.raises(ValueError, match=r"non-real value .* at t=0.5$"):
         shifted(0.5)
-    assert ScalarFunction(lambda t: np.asarray(t) + 1.0, vectorized=True)(0.5) == 1.5
+    value = ScalarFunction(lambda t: np.asarray(t) + 1.0)(0.5)
+    assert type(value) is float and value == 1.5
     with pytest.raises(ValueError, match="non-real"):
-        build_constant_metric(ScalarFunction(lambda t: np.full(np.shape(t), 1.0 + 0.5j),
-                                             vectorized=True),
+        build_constant_metric(ScalarFunction(lambda t: np.full(np.shape(t), 1.0 + 0.5j)),
                               ScalarFunction.constant(1.0), frozen_frame(), np.linspace(0, 1, 5))
 
 
@@ -338,7 +346,6 @@ def _scalar_stack(fn, times):
 def test_presets_evaluate_an_array_as_the_scalar_expression(name, n):
     preset, fn, dfn = PRESETS[name]
     times = _times(n)
-    assert preset.vectorized
     assert same_bits(preset(times), _scalar_stack(fn, times))
     if dfn is not None:
         assert same_bits(preset.dfn(times), _scalar_stack(dfn, times))
@@ -347,19 +354,24 @@ def test_presets_evaluate_an_array_as_the_scalar_expression(name, n):
         assert type(value) is float and same_bits(np.float64(value), np.float64(fn(float(t))))
 
 
-def test_models_on_plain_callables_evaluate_one_time_per_call():
+def test_per_point_model_families_evaluate_one_time_per_call():
+    alpha = ScalarFunction.ramp(0.1, 0.3, 0.0, 1.0)
+    model = build_two_level(ScalarFunction.sinusoid(0.1, 1.0, offset=1.0), alpha,
+                            np.linspace(0.0, 1.0, 3))
     calls = []
-    s = ScalarFunction(lambda t: calls.append(t) or 1.0 + 0.1 * t, lambda t: 0.1)
-    model = build_two_level(s, ScalarFunction.ramp(0.1, 0.3, 0.0, 1.0), np.linspace(0.0, 1.0, 3))
-    assert not s.vectorized and not model.hamiltonian.vectorized
-    assert model.frame_family.c_family.vectorized
+
+    def evaluate(t):
+        calls.append(t)
+        return model.hamiltonian.evaluate(t)
+
     times = np.linspace(0.0, 1.0, 7)
-    calls.clear()
-    model.hamiltonian.stack(times)
+    per_point = OperatorFamily(0.0, 1.0, evaluate)
+    assert same_bits(per_point.stack(times), model.hamiltonian.stack(times))
     assert calls == times.tolist() and all(type(t) is np.float64 for t in calls)
-    bad = two_level(ScalarFunction(lambda t: 1j if t >= 0.5 else 1.0), s, 0.0, 1.0)
+    # a per-point callable serves a family that is evaluated one time per call
+    bad = two_level(ScalarFunction(lambda t: 1j if t >= 0.5 else 1.0), alpha, 0.0, 1.0)
     with pytest.raises(ValueError, match="non-real value .* at t=0.5"):
-        bad.hamiltonian.stack(times[::3])
+        OperatorFamily(0.0, 1.0, bad.hamiltonian.evaluate).stack(times[::3])
 
 
 def _scalar_two_level(s, a, da):
@@ -372,8 +384,7 @@ def _scalar_two_level(s, a, da):
     return H, C, Cdot
 
 
-def _family_stacks(model, times):
-    ham, cfam = model.hamiltonian, model.frame_family.c_family
+def _family_stacks(ham, cfam, times):
     return ham.stack(times), cfam.stack(times), family_derivatives(cfam, times)[0]
 
 
@@ -387,11 +398,13 @@ def test_two_level_stacks_are_the_scalar_expressions(alpha, n):
     times = np.sort(_times(n))
     ref = [np.array(m) for m in zip(*(
         _scalar_two_level(s(t), a(t), a.dfn(t)) for t in times))]
-    for got, want in zip(_family_stacks(model, times), ref):
+    ham, cfam = model.hamiltonian, model.frame_family.c_family
+    for got, want in zip(_family_stacks(ham, cfam, times), ref):
         assert same_bits(got, want)
-    # the same functions, called once per time, give the same bits
-    per_point = two_level(ScalarFunction(s.fn, s.dfn), ScalarFunction(a.fn, a.dfn), -1.0, 3.0)
-    for got, want in zip(_family_stacks(per_point, times), ref):
+    # the same families, called once per time, give the same bits
+    per_point = (OperatorFamily(-1.0, 3.0, ham.evaluate),
+                 OperatorFamily(-1.0, 3.0, cfam.evaluate, cfam.derivative))
+    for got, want in zip(_family_stacks(*per_point, times), ref):
         assert same_bits(got, want)
 
 
