@@ -209,37 +209,59 @@ def _drift_rates(problem: EvolutionProblem, times, c, cdot, metric, states) -> n
     return vals.real
 
 
-def _rk4_step(rate, ga, gb, gc, y, dh):
-    """One RK4 substep of y' = rate * g(t) y, with g = ga, gb, gb, gc at its four stages."""
-    k1 = rate * (ga @ y)
-    k2 = rate * (gb @ (y + 0.5 * dh * k1))
-    k3 = rate * (gb @ (y + 0.5 * dh * k2))
-    k4 = rate * (gc @ (y + dh * k3))
-    return y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_block(rate, ga, gens, hs, last, y):
+    """One block of RK4 substeps of y' = rate * g(t) y.
 
-
-def _rk4_step_pair(rate, ga, gb, gc, y, dh):
-    """:func:`_rk4_step` in Python complex numbers: a 2-vector, row-major 4-tuple stage matrices.
-
-    A matrix-vector product is p = g00*y0 + g01*y1, q = g10*y0 + g11*y1, each
-    product and sum rounded on its own. Every other product is one rounded real
-    product in either arithmetic, as ``rate`` has a zero real part and ``dh`` is
-    real; ``half`` is the float the array step forms, as ``0.5 * dh * k`` is ``(0.5 * dh) * k``.
+    Substep i runs from the previous end's generator (``ga`` for the first)
+    through ``gens[2*i]`` at its midpoint to ``gens[2*i + 1]`` at its end, with
+    step ``hs[i]``; ``last[i]`` marks a substep that ends an interval. Returns
+    the states at those interval ends, the last end generator and the final state.
     """
+    ends = []
+    for gb, gc, dh, end in zip(*[iter(gens)] * 2, hs, last):
+        k1 = rate * (ga @ y)
+        k2 = rate * (gb @ (y + 0.5 * dh * k1))
+        k3 = rate * (gb @ (y + 0.5 * dh * k2))
+        k4 = rate * (gc @ (y + dh * k3))
+        y, ga = y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), gc
+        if end:
+            ends.append(y)
+    return ends, ga, y
+
+
+def _rk4_block_pair(rate, ga, flat, hs, last, y):
+    """:func:`_rk4_block` for a 2-vector, in Python complex numbers.
+
+    ``ga`` is the start generator's row-major 4 entries, ``flat`` the block's
+    stage matrices as one list, 8 entries a substep (the midpoint's row-major 4,
+    then the end's), and ``y`` and each returned state are two complex numbers.
+    A substep is :func:`_rk4_block`'s with a matrix-vector product defined as
+    p = g00*y0 + g01*y1, q = g10*y0 + g11*y1, each product and sum rounded on its
+    own. Every other product is one rounded real product in either arithmetic,
+    as ``rate`` has a zero real part and ``dh`` is real; ``half`` is the float the
+    array step forms, as ``0.5 * dh * k`` is ``(0.5 * dh) * k``. A substep's first
+    stage (a0, a1) is formed at the end of the substep before it, from that
+    substep's end generator and state (the first from ``ga``); the block's last
+    one is not used.
+    """
+    e00, e01, e10, e11 = ga
     y0, y1 = y
-    half = 0.5 * dh
-    g00, g01, g10, g11 = ga
-    a0, a1 = rate * (g00 * y0 + g01 * y1), rate * (g10 * y0 + g11 * y1)
-    u0, u1 = y0 + half * a0, y1 + half * a1
-    g00, g01, g10, g11 = gb
-    b0, b1 = rate * (g00 * u0 + g01 * u1), rate * (g10 * u0 + g11 * u1)
-    u0, u1 = y0 + half * b0, y1 + half * b1
-    c0, c1 = rate * (g00 * u0 + g01 * u1), rate * (g10 * u0 + g11 * u1)
-    u0, u1 = y0 + dh * c0, y1 + dh * c1
-    g00, g01, g10, g11 = gc
-    d0, d1 = rate * (g00 * u0 + g01 * u1), rate * (g10 * u0 + g11 * u1)
-    w = dh / 6.0
-    return (y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
+    a0, a1 = rate * (e00 * y0 + e01 * y1), rate * (e10 * y0 + e11 * y1)
+    ends = []
+    for m00, m01, m10, m11, e00, e01, e10, e11, dh, end in zip(*[iter(flat)] * 8, hs, last):
+        half = 0.5 * dh
+        u0, u1 = y0 + half * a0, y1 + half * a1
+        b0, b1 = rate * (m00 * u0 + m01 * u1), rate * (m10 * u0 + m11 * u1)
+        u0, u1 = y0 + half * b0, y1 + half * b1
+        c0, c1 = rate * (m00 * u0 + m01 * u1), rate * (m10 * u0 + m11 * u1)
+        u0, u1 = y0 + dh * c0, y1 + dh * c1
+        d0, d1 = rate * (e00 * u0 + e01 * u1), rate * (e10 * u0 + e11 * u1)
+        w = dh / 6.0
+        y0, y1 = y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        if end:
+            ends.append((y0, y1))
+        a0, a1 = rate * (e00 * y0 + e01 * y1), rate * (e10 * y0 + e11 * y1)
+    return ends, (e00, e01, e10, e11), (y0, y1)
 
 
 def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
@@ -263,14 +285,20 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     stack in ascending time order, which is the order the one-point scheme
     meets them; a substep starts from the previous end's generator, and an
     interval ends on its grid point's. So a run forms n_t + sum(2*n_k - 1)
-    generators. The state arithmetic
-    is the one-point RK4's: :func:`_rk4_step_pair` for a state vector of
-    dimension 2, on each block's stack made Python numbers by one ``tolist``,
-    and the array step :func:`_rk4_step` for larger states and for propagator
-    matrices, so the values are bit-identical to evaluating the generator at
-    every stage. At each interval end the state must be finite: a 2-vector
-    stays two Python complex numbers, checked with ``cmath.isfinite`` (the
-    verdict of ``np.isfinite``) and kept as a tuple; an array with ``np.isfinite``.
+    generators. Each block is stepped by one call, which does the
+    one-point RK4's arithmetic, so the values are bit-identical to
+    evaluating the generator at every stage: :func:`_rk4_block_pair` for a
+    state vector of dimension 2, on the block's stack made one flat list of
+    Python numbers (8 a substep) by one ``tolist``, and :func:`_rk4_block`,
+    on arrays with ``@``, for larger states and for propagator matrices.
+    The stepper returns the states at the block's interval ends, and the
+    walk takes them in order: each must be finite (a 2-vector stays two
+    Python complex numbers, checked with ``cmath.isfinite``, the verdict of
+    ``np.isfinite``, and kept as a tuple; an array with ``np.isfinite``), is
+    kept, and enters the next interval, logging its coarse-step warning. A
+    stepper may run past a non-finite state to its block's end; the walk
+    raises at the first non-finite interval end, so no later interval's
+    warning is logged.
 
     A failure is raised where the walk reaches it, so an earlier non-finite
     state still aborts first. Every equation's walk builds the frame grid
@@ -297,10 +325,10 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     y = y0.astype(complex)
     values = [y]
     if y.shape == (2,):  # the 2-vector and each block's stage matrices as Python complex numbers
-        advance, y, stages = _rk4_step_pair, y.tolist(), (lambda g: g.reshape(len(g), 4).tolist())
+        advance, y, stages = _rk4_block_pair, y.tolist(), (lambda g: g.ravel().tolist())
         finite = (lambda u: cmath.isfinite(u[0]) and cmath.isfinite(u[1]))
     else:
-        advance, finite, stages = _rk4_step, (lambda u: np.all(np.isfinite(u))), list
+        advance, finite, stages = _rk4_block, (lambda u: np.all(np.isfinite(u))), (lambda g: g)
     evaluations = one_sided = 0
 
     def generators(times: np.ndarray, from_grid: bool = False) -> tuple:
@@ -347,7 +375,7 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
 
     block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
     lo, stop, k = 0, int(first[starts.size]), 0  # the next substep, the walk's end, its interval
-    ga = stages(G0[:1])[0] if stop else None  # the generator at the next substep's start
+    ga = stages(G0[0]) if stop else None  # the generator at the next substep's start
     enter(0)
     while lo < stop:
         sub = np.arange(lo, min(lo + block, stop))
@@ -365,17 +393,15 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
         if exc is not None:  # the walk ends before the substep meeting the failing node
             s = int(fresh[exc.index]) // 2
             failure, stop, sub, last = linalg._at(int(ks[s]), exc), lo + s, sub[:s], last[:s]
-        mats = stages(gens)
         with np.errstate(over="ignore", invalid="ignore"):
-            for end, gb, gc, dh in zip(last.tolist(), mats[0::2], mats[1::2], hk.tolist()):
-                y, ga = advance(rate, ga, gb, gc, y, dh), gc
-                if end:
-                    if not finite(y):
-                        raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
-                                               f"and t={grid[k + 1]}", last_good_t=grid[k])
-                    values.append(y)
-                    k += 1
-                    enter(k)
+            end_states, ga, y = advance(rate, ga, stages(gens), hk.tolist(), last.tolist(), y)
+        for u in end_states:  # the block's interval ends, in the order the one-point scheme reaches them
+            if not finite(u):
+                raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
+                                       f"and t={grid[k + 1]}", last_good_t=grid[k])
+            values.append(u)
+            k += 1
+            enter(k)
         lo += sub.size
     if failure is not None:
         raise failure

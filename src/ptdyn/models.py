@@ -204,12 +204,13 @@ def build_two_level(s: ScalarFunction, alpha: ScalarFunction, grid,
                     frame_tol: float = 1e-10) -> Model:
     """Construct and validate the two-level model on a grid.
 
-    Rejects any grid point where cos alpha(t) < 1/2 (the metric would lose
-    positive definiteness headroom), naming the offending time. The frames
+    Rejects a non-real s, and any grid point where cos alpha(t) < 1/2 (the
+    metric would lose positive definiteness headroom), naming the offending time. The frames
     are validated at every grid point, and the :class:`FrameGrid` is kept on
     the model's frame family for the run's later stages.
     """
     grid = as_grid(grid)
+    s(grid)  # raises if s is not real-valued
     cos_alpha = np.cos(alpha(grid))
     if np.any(cos_alpha < MIN_COS_ALPHA):
         k = int(np.argmax(cos_alpha < MIN_COS_ALPHA))

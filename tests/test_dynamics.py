@@ -22,8 +22,8 @@ from ptdyn.dynamics import (
     evolve_state,
 )
 from ptdyn.frames import FrameAxiomError, FrameFamily, cpt_norm, validate_frames
-from ptdyn.linalg import (AntilinearOperator, NonFiniteError, OperatorFamily, family_derivatives,
-                          operator_norm, operator_norms)
+from ptdyn.linalg import (STACK_ENTRIES, AntilinearOperator, NonFiniteError, OperatorFamily,
+                          family_derivatives, operator_norm, operator_norms)
 from ptdyn.models import ScalarFunction, build_constant_metric, build_two_level, two_level
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -513,12 +513,36 @@ def test_stacked_rk4_bit_identical_to_one_point_loop(equation, substeps):
         _assert_matches_reference(problem)
 
 
-# At 2x2 a block holds linalg.STACK_ENTRIES // 12 = 682 substeps, so at 700 a
-# block ends inside each of the first two intervals.
+# At 2x2 a block holds linalg.STACK_ENTRIES // 12 = 682 substeps: at 681 the first
+# block ends one substep after the first interval's end, at 682 on it and at 683
+# one before it; at 700 a block ends inside each of the first two intervals.
+@pytest.mark.parametrize("substeps", [681, 682, 683, 700])
 @pytest.mark.parametrize("equation", [Equation.SCHRODINGER, Equation.COMPENSATED])
-def test_stacked_rk4_bit_identical_across_blocks(equation):
-    for problem in _problems(equation, 700):
+def test_stacked_rk4_bit_identical_across_blocks(equation, substeps):
+    for problem in _problems(equation, substeps):
         _assert_matches_reference(dataclasses.replace(problem, grid=problem.grid[:3]))
+
+
+def test_no_coarse_step_warning_after_a_non_finite_interval_end(caplog):
+    # ||G|| h = 200 * 0.05 = 10 warns at every interval, and one RK4 substep multiplies
+    # the state by about 643, so from 1e300 it overflows in [0.1, 0.15], inside the
+    # walk's one block: the intervals after it are never entered.
+    problem = EvolutionProblem(
+        hamiltonian=OperatorFamily.constant(np.zeros((2, 2))),
+        frame_family=identity_metric_family(),
+        grid=np.arange(21) / 20.0,
+        equation=Equation.AUGMENTED,
+        initial_state=np.array([1e300, 0.0]),
+        correction=OperatorFamily.constant(200.0 * np.eye(2)),
+        substeps=1,
+    )
+    with caplog.at_level(logging.WARNING):
+        assert str(_same_error(problem, IntegrationAbort)) == (
+            "state became non-finite between t=0.1 and t=0.15")
+    ref = [r.message for r in caplog.records if r.name == "rk4_reference"]
+    got = [r.message for r in caplog.records if r.name == "ptdyn.dynamics"]
+    assert got == ref == [f"coarse step at t={t}: ||generator||*h/hbar = 10 > 0.5"
+                          for t in ("0", "0.05", "0.1")]
 
 
 @pytest.mark.parametrize("scale, finite", [(5e-43, True), (7e-43, False)])
@@ -602,6 +626,14 @@ def _reference_pair_step(rate, ga, gb, gc, y, dh):
     return y + (dh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _pair_step(rate, ga, gb, gc, y, dh):
+    """One RK4 substep of a 2-vector as a one-substep block of :func:`dynamics._rk4_block_pair`,
+    checking that the block returns its one interval end and its end generator."""
+    ends, g_end, got = dynamics._rk4_block_pair(rate, ga, tuple(gb) + tuple(gc), [dh], [True], y)
+    assert ends == [got] and g_end == tuple(gc)
+    return got
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5, 1e-300])
 def test_pair_step_is_the_reference_product_step_bit_for_bit(hbar):
     # random stage matrices and states over 600 decades of scale, so that some
@@ -616,7 +648,7 @@ def test_pair_step_is_the_reference_product_step_bit_for_bit(hbar):
         with np.errstate(over="ignore", invalid="ignore"):
             want = _reference_pair_step(rate, ga, gb, gc, y, dh)
         stages = [g.reshape(4).tolist() for g in (ga, gb, gc)]
-        got = np.array(dynamics._rk4_step_pair(rate, *stages, y.tolist(), dh))
+        got = np.array(_pair_step(rate, *stages, y.tolist(), dh))
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite)
         assert got[finite].tobytes() == want[finite].tobytes()
@@ -627,29 +659,67 @@ def test_pair_step_takes_python_tuples():
     gb = (2j, 0.1 + 0j, -1 + 0j, 0.7j)
     gc = (1 + 1j, 0j, 0.4 - 0.6j, -2 + 0j)
     y, rate, dh = (0.6 - 0.8j, 0.25 + 0.1j), -1j / 0.37, 0.125
-    got = dynamics._rk4_step_pair(rate, ga, gb, gc, y, dh)
+    got = _pair_step(rate, ga, gb, gc, y, dh)
     assert type(got) is tuple and [type(z) for z in got] == [complex, complex]
     want = _reference_pair_step(rate, *(np.reshape(g, (2, 2)) for g in (ga, gb, gc)),
                                 np.array(y), dh)
     assert np.array(got).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_step_is_chained_one_substep_blocks_bit_for_bit(dim):
+    # 60 substeps with 8 interval ends; y' = (1 + noise) y grows about e-fold a substep
+    # from 1e290, so the state overflows near substep 42, between two interval ends
+    # inside the block, and the block runs on past it to its end.
+    rng = np.random.default_rng(5)
+    n, rate = 60, -1j
+    gens = 1j * (np.eye(dim) + 0.1 * (rng.normal(size=(2 * n + 1, dim, dim))
+                                      + 1j * rng.normal(size=(2 * n + 1, dim, dim))))
+    hs = rng.uniform(0.9, 1.1, size=n).tolist()
+    last = [i % 8 == 7 or i == n - 1 for i in range(n)]
+    y0 = 1e290 * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    if dim == 2:
+        block, stages, y = dynamics._rk4_block_pair, (lambda g: g.ravel().tolist()), y0.tolist()
+    else:
+        block, stages, y = dynamics._rk4_block, (lambda g: g), y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends, g_end, y_end = block(rate, stages(gens[0]), stages(gens[1:]), hs, last, y)
+        chained, ga = [], stages(gens[0])
+        for i in range(n):
+            got, ga, y = block(rate, ga, stages(gens[1 + 2 * i:3 + 2 * i]), hs[i:i + 1],
+                               last[i:i + 1], y)
+            chained += got
+    ends, chained = np.array(ends), np.array(chained)
+    assert len(ends) == sum(last) and ends.tobytes() == chained.tobytes()
+    assert np.array(y_end).tobytes() == np.array(y).tobytes()
+    assert np.array(g_end).tobytes() == np.array(ga).tobytes() == gens[-1].tobytes()
+    finite = np.isfinite(ends).all(axis=1)
+    assert finite[:4].all() and not finite[-3:].any()
+
+
 def test_rk4_takes_the_pair_step_for_2_vectors_only(monkeypatch):
     calls = []
-    for name in ("_rk4_step", "_rk4_step_pair"):
+    for name in ("_rk4_block", "_rk4_block_pair"):
         def counted(*args, _name=name, _step=getattr(dynamics, name)):
             calls.append(_name)
             return _step(*args)
         monkeypatch.setattr(dynamics, name, counted)
     problem = dataclasses.replace(_turning_problem(3, 2, 0.5), substeps=2)
     evolve_state(problem)
-    assert calls == ["_rk4_step_pair"] * 20
+    assert calls == ["_rk4_block_pair"]
     calls.clear()
     evolve_propagator(problem)
-    assert calls == ["_rk4_step"] * 20
+    assert calls == ["_rk4_block"]
     calls.clear()
     evolve_state(dataclasses.replace(_turning_problem(3, 3, 0.5), substeps=2))
-    assert calls == ["_rk4_step"] * 20
+    assert calls == ["_rk4_block"]
+    calls.clear()
+    # 500 intervals of 100 substeps: one call for each block of STACK_ENTRIES // 12 = 682
+    evolve_state(EvolutionProblem(OperatorFamily.constant(np.diag([1.0, -1.0])),
+                                  identity_metric_family(), np.linspace(0.0, 10.0, 501),
+                                  Equation.SCHRODINGER, np.array([0.6, 0.8j]), substeps=100))
+    assert calls == ["_rk4_block_pair"] * math.ceil(50_000 / (STACK_ENTRIES // 12)) == \
+        ["_rk4_block_pair"] * 74
 
 
 def _counting_problem(grid, substeps, domain=(-100.0, 100.0)):

@@ -239,6 +239,14 @@ def test_constant_metric_rejects_complex_coefficients():
         build_constant_metric(ScalarFunction.constant(1.0), one_bad, frame, grid)
 
 
+def test_two_level_rejects_a_complex_energy_scale_at_build_time():
+    # alpha alone is evaluated for the cos(alpha) check; s must be checked on the grid too
+    shifted = ScalarFunction(lambda t: np.asarray(t) + 1j)
+    with pytest.raises(ValueError, match=r"^scalar function returned non-real value "
+                                         r"np.complex128\(1j\) at t=0.0$"):
+        build_two_level(shifted, ScalarFunction.constant(0.1), np.linspace(0.0, 1.0, 11))
+
+
 def test_constant_metric_requires_validated_frame():
     with pytest.raises(TypeError, match="CPTFrame"):
         build_constant_metric(
