@@ -300,11 +300,15 @@ def level_coupling_residual(
     """
     if n == m:
         raise ValueError("coupling residual is defined for distinct levels (n != m)")
-    lhs = _connection(eframe, n, m)
-    fg = frame_family.on_grid(eframe.times)
+    return _couplings(eframe, frame_family, m)[:, n]
+
+
+def _couplings(eframe: EigenFrame, frame_family: FrameFamily, m: int) -> np.ndarray:
+    """:func:`level_coupling_residual` of every level n against m: column n of one product."""
+    bras, fg = eframe.states.conj(), frame_family.on_grid(eframe.times)
+    lhs = np.einsum("kni,kij,kj->kn", bras, eframe.metrics, eframe.state_derivatives(m))
     pcdot_m = np.einsum("ij,kjl,kl->ki", fg.p, fg.cdot, eframe.states[:, m])
-    rhs = -0.5 * np.einsum("ki,ki->k", eframe.states[:, n].conj(), pcdot_m)
-    return np.abs(lhs - rhs)
+    return np.abs(lhs + 0.5 * np.einsum("kni,ki->kn", bras, pcdot_m))
 
 
 def operator_phase(
@@ -430,17 +434,9 @@ def build_report(
     profile = adiabatic_bound_profile(eframe, frame_family, level)
     loss = fidelity_loss(trajectory, eframe, level)
     theta = dynamical_phase(eframe, level, hbar=hbar)
-    if eframe.dim > 1:
-        coupling = np.max(
-            [
-                level_coupling_residual(eframe, frame_family, n, level)
-                for n in range(eframe.dim)
-                if n != level
-            ],
-            axis=0,
-        )
-    else:
-        coupling = np.zeros_like(eframe.times)
+    # the largest residual over the levels n != level; 0 when there is no other level
+    coupling = np.delete(_couplings(eframe, frame_family, level), level, axis=1).max(
+        axis=1, initial=0.0)
     bound = float(profile[-1])
     max_loss = float(np.max(loss))
     satisfied = (bound >= epsilon) or (max_loss < epsilon)

@@ -169,8 +169,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
     }
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _artifact_dir(out_dir)
         t = _write_trajectory_csv(out_dir / "trajectory.csv", trajectory)
         _write_adiabatic_csv(out_dir / "adiabatic.csv", t, report)
         _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
@@ -242,10 +241,19 @@ def sweep(cfg: ScenarioConfig, axis: str, values: Sequence[float],
             row["error"] = str(exc)
         rows.append(row)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_sweep_csv(out_dir / "sweep.csv", rows)
+        _write_sweep_csv(_artifact_dir(out_dir) / "sweep.csv", rows)
     return rows
+
+
+def _artifact_dir(out_dir) -> Path:
+    """Create the artifact directory; one that cannot be made is a configuration error."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(str(out_dir), f"cannot create the artifact directory: "
+                                        f"{exc.strerror or exc}") from None
+    return out_dir
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -315,9 +315,13 @@ def to_dict(cfg: ScenarioConfig) -> dict:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("<file>", f"no such file: {path}") from None
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<file>", f"{path} is not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return from_dict(raw)

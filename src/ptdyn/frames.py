@@ -84,7 +84,15 @@ class CPTFrame:
 def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
     residuals[axiom] = resid
     if not resid <= tol * max(scale, 1.0):  # a NaN residual fails
-        raise FrameAxiomError(axiom, f"residual {resid:.3e} (tolerance {tol:.1e}, scale {scale:.3g})")
+        raise _axiom_error(axiom, resid, scale, tol)
+
+
+def _axiom_error(axiom: str, value: float, scale: float, tol: float, at: str = ""):
+    """A failed check's error from its residual (or PC's least eigenvalue) and scale, then ``at``."""
+    return FrameAxiomError(axiom, (
+        f"minimum eigenvalue of PC is {value:.3e} (metric norm {scale:.3g})"
+        if axiom == "metric positive definite"
+        else f"residual {value:.3e} (tolerance {tol:.1e}, scale {scale:.3g})") + at)
 
 
 # The P/T part of a frame check (see _pt_axioms): its residuals, ||P|| and ||K||, and what the
@@ -119,13 +127,10 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol:
     C or PC; its failure at point k raises :class:`ConvergenceError` naming
     point ``start + k``. The scales ||C|| and ||PC|| are decided from their
     bounds (see ``linalg._Norms``), and taken exactly where those leave a check
-    open. At the first failing point k, the one-point check (:func:`_validated`)
-    of C[k] raises its :class:`FrameAxiomError`, the message followed by
-    `` at t=times[k]``; should that check pass, the stacked check's first
-    failing axiom is raised as a :class:`FrameAxiomError` all the same.
-    Either error's ``index`` is ``start + k``.
+    open. The first failing point k raises its first failing axiom's error from
+    these values and its exact ||C||, ||PC|| (:func:`_validated`'s message for
+    C[k], then `` at t=times[k]``), with ``index`` ``start + k``.
     """
-    nP, nK = pt.p_norm, pt.k_norm
     n = C.shape[0]
     metric = P @ C
     metric_h = metric.conj().swapaxes(-1, -2)
@@ -135,24 +140,23 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol:
         (False, False, True, True, True), start)
     resids = norms.lo[2 * n:].reshape(3, n)  # exact
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
+    values = np.vstack((resids, eigs[:, 0]))  # per check: _C_AXIOMS, then positive definiteness
+
+    def scales(nC, nM):
+        return np.array((nC * nC, nC * pt.p_norm * pt.k_norm, nM, nM))
 
     def failures(nC, nM):  # points first; written so that a NaN residual or eigenvalue fails
-        scales = np.array((nC * nC, nC * nP * nK, nM))  # in _C_AXIOMS order
-        return ~np.concatenate((resids <= tol * np.maximum(scales, 1.0),
-                                [eigs[:, 0] > tol * nM])).T
+        s = scales(nC, nM)
+        return ~np.vstack((values[:3] <= tol * np.maximum(s[:3], 1.0), values[3] > tol * s[3])).T
 
     failed = norms.decide(failures, 0, 1)
     bad = failed.any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        try:
-            _validated(C[k], P, T, tol, pt)
-        except FrameAxiomError as exc:
-            exc.args = (f"{exc} at t={times[k]}",)
-            error = exc
-        else:
-            axiom = (*_C_AXIOMS, "metric positive definite")[int(np.argmax(failed[k]))]
-            error = FrameAxiomError(axiom, f"failed by the stacked check only, at t={times[k]}")
+        i = int(np.argmax(failed[k]))
+        nC, nM = (norms.exact(j, np.arange(n) == k)[k] for j in (0, 1))
+        error = _axiom_error((*_C_AXIOMS, "metric positive definite")[i], values[i, k],
+                             scales(nC, nM)[i], tol, f" at t={times[k]}")
         error.index = start + k
         raise error
     return dict(zip(_C_AXIOMS, resids)), metric, eigs
@@ -195,8 +199,7 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
         _check(residuals, axiom, resid, scale, tol)
     min_eig = float(eigs[0])
     if not min_eig > tol * nM:  # a NaN eigenvalue or norm fails
-        raise FrameAxiomError("metric positive definite",
-                              f"minimum eigenvalue of PC is {min_eig:.3e} (metric norm {nM:.3g})")
+        raise _axiom_error("metric positive definite", min_eig, nM, tol)
     residuals["metric min eigenvalue"] = min_eig
     frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, residuals=residuals,
                      tol=tol)

@@ -197,6 +197,52 @@ def rotating_frame_model(seed: int, dim: int, omega: float = 1.0, analytic: bool
     return OperatorFamily(0.0, 1.0, turned(H0)), family
 
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def rotating_drive_oracle(omega: float, delta: float = 1.0, g: float = 0.6, alpha: float = 0.4,
+                          t_end: float = 10.0):
+    """A rotating drive under a constant frame, with its closed-form state and fidelity loss.
+
+    The frame is the two-level C(alpha) with P = sigma_x and T = conjugation, and
+    rho = (PC)^(1/2), from eigh, maps it to the Hermitian picture. There the drive is
+    h(t) = (delta/2) sigma_z + (g/2)(cos(wt) sigma_x + sin(wt) sigma_y), and
+    H(t) = rho^-1 h(t) rho is a vectorized family on [0, t_end]. With C constant the compensated
+    equation is the Schrodinger equation, and in the frame turning with e^{-i w t sigma_z/2}
+    the drive is the constant h_R = ((delta - w)/2) sigma_z + (g/2) sigma_x, so at hbar = 1
+
+        psi(t) = rho^-1 e^{-i w t sigma_z/2} e^{-i h_R t} rho psi(0),
+
+    and the loss against level 0 is 1 - |<u_0(t)|rho psi(t)>|, u_0(t) the lower eigenvector
+    of h(t). Returns (H family, frame family, state, loss): state(times, psi0) is the (n, 2)
+    exact trajectory from psi0, and loss(times, psi0) its loss.
+    """
+    _, C, P = two_level_matrices(1.0, alpha)
+    w, V = np.linalg.eigh(P @ C)
+    rho, rho_inv = (V * np.sqrt(w)) @ V.conj().T, (V / np.sqrt(w)) @ V.conj().T
+
+    def h(t):
+        wt = omega * np.asarray(t, dtype=float)[..., None, None]
+        return 0.5 * delta * SIGMA_Z + 0.5 * g * (np.cos(wt) * SIGMA_X + np.sin(wt) * SIGMA_Y)
+
+    hamiltonian = OperatorFamily(0.0, t_end, lambda t: rho_inv @ h(t) @ rho, vectorized=True)
+    frame = FrameFamily(OperatorFamily.constant(C), P, AntilinearOperator.conjugation(2))
+    e, U = np.linalg.eigh(0.5 * (delta - omega) * SIGMA_Z + 0.5 * g * SIGMA_X)  # h_R
+
+    def state(times, psi0):
+        times = np.asarray(times, dtype=float)
+        chi = (np.exp(-1j * np.outer(times, e)) * (U.conj().T @ rho @ psi0)) @ U.T
+        return (chi * np.exp(-0.5j * omega * np.outer(times, [1.0, -1.0]))) @ rho_inv.T
+
+    def loss(times, psi0):
+        u0 = np.linalg.eigh(h(times))[1][..., 0]
+        return 1.0 - np.abs(np.vecdot(u0, state(times, psi0) @ rho.T))
+
+    return hamiltonian, frame, state, loss
+
+
 def same_bits(a, b) -> bool:
     """Whether two arrays hold the same floats bit for bit (signed zeros included)."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

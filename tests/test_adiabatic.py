@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from helpers import (
     jumping_block_model,
     reference_build_eigenframe,
     reference_operator_phase,
+    rotating_drive_oracle,
     rotating_frame_model,
     rotating_hermitian_family,
     same_bits,
@@ -613,6 +614,41 @@ def test_coupling_residual_two_level_numerical_floor():
     assert 1e-9 < np.max(resid) < 1e-2
 
 
+@pytest.mark.parametrize("dim, level", [(4, 0), (4, 2), (5, 4)])
+def test_report_coupling_is_the_largest_residual_over_the_other_levels(dim, level):
+    # each level's residual, written out one pair at a time, against the report's column
+    hamiltonian, family = rotating_frame_model(3, dim, omega=1.5)
+    grid = np.linspace(0.0, 1.0, 41)
+    eframe = build_eigenframe(hamiltonian, family, grid)
+    fg = family.on_grid(grid)
+    dket = np.gradient(eframe.states[:, level], grid, axis=0, edge_order=2)
+    pcdot = np.einsum("ij,kjl,kl->ki", fg.p, fg.cdot, eframe.states[:, level])
+    expected = {n: np.abs(np.einsum("ki,kij,kj->k", eframe.states[:, n].conj(), fg.metric, dket)
+                          + 0.5 * np.einsum("ki,ki->k", eframe.states[:, n].conj(), pcdot))
+                for n in range(dim) if n != level}
+    for n, resid in expected.items():
+        assert np.allclose(level_coupling_residual(eframe, family, n, level), resid,
+                           rtol=1e-14, atol=1e-17)
+    traj = evolve_state(EvolutionProblem(hamiltonian, family, grid, Equation.COMPENSATED,
+                                         eframe.states[0, level]))
+    report = build_report(eframe, family, traj, level, epsilon=0.5)
+    assert np.allclose(report.coupling_residual, np.max(list(expected.values()), axis=0),
+                       rtol=1e-14, atol=1e-17)
+    assert report.coupling_residual.max() > 1e-3  # the frame turns: the condition fails
+
+
+def test_report_coupling_of_a_single_level_is_zero():
+    family = identity_frame_family(1)
+    hamiltonian = OperatorFamily(0.0, 1.0, lambda t: np.full(np.shape(t) + (1, 1), 2.0 + 0j),
+                                 vectorized=True)
+    grid = np.linspace(0.0, 1.0, 11)
+    eframe = build_eigenframe(hamiltonian, family, grid)
+    traj = evolve_state(EvolutionProblem(hamiltonian, family, grid, Equation.COMPENSATED,
+                                         eframe.states[0, 0]))
+    report = build_report(eframe, family, traj, 0, epsilon=0.5)
+    assert same_bits(report.coupling_residual, np.zeros(grid.size))
+
+
 # -------------------------------------------------------------- operator phase
 
 def test_operator_phase_constant_hamiltonian():
@@ -836,6 +872,41 @@ def test_fidelity_loss_nonzero_for_fast_rotation():
     loss = fidelity_loss(traj, eframe, 0)
     assert np.max(loss) > 1e-2
     assert np.all((0.0 <= loss) & (loss <= 1.0))
+
+
+ROTATING_DRIVE_OMEGAS = (0.01, 0.03, 0.1, 0.3, 1.0, 1.2)
+
+
+@cache
+def rotating_drive_run(omega):
+    """The compensated run of ``rotating_drive_oracle(omega)`` on 2001 points of [0, 10], from
+    level 0 with automatic substeps: (report, trajectory, exact states, exact loss)."""
+    hamiltonian, family, state, loss = rotating_drive_oracle(omega)
+    grid = np.linspace(0.0, 10.0, 2001)
+    eframe = build_eigenframe(hamiltonian, family, grid)
+    psi0 = eframe.states[0, 0]
+    traj = evolve_state(EvolutionProblem(hamiltonian, family, grid, Equation.COMPENSATED, psi0))
+    report = build_report(eframe, family, traj, 0, epsilon=0.5)
+    return report, traj, state(grid, psi0), loss(grid, psi0)
+
+
+@pytest.mark.parametrize("omega", ROTATING_DRIVE_OMEGAS)
+def test_rotating_drive_run_matches_its_closed_form(omega):
+    report, traj, states, loss = rotating_drive_run(omega)
+    assert np.abs(traj.states - states).max() <= 1e-9
+    assert np.abs(report.fidelity - loss).max() <= 1e-9
+
+
+def test_bound_holds_against_the_rotating_drive_real_loss():
+    # from adiabatic (V < epsilon = 0.5) to near resonance (loss 0.78 at omega = 1.2)
+    reports = {omega: rotating_drive_run(omega)[0] for omega in ROTATING_DRIVE_OMEGAS}
+    for omega, report in reports.items():
+        assert report.max_fidelity_loss <= report.bound, omega
+        assert (report.bound < 0.5) == (omega <= 0.1), (omega, report.bound)
+        assert report.bound_satisfied
+    assert reports[1.2].max_fidelity_loss > 0.5
+    # the loss is second order in omega: three times the speed, about nine times the loss
+    assert 8.0 <= reports[0.03].max_fidelity_loss / reports[0.01].max_fidelity_loss <= 10.0
 
 
 # -------------------------------------------------------------------- reports

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 from helpers import two_level_matrices
 from ptdyn import frames, linalg
-from ptdyn.adiabatic import AdiabaticReport
+from ptdyn.adiabatic import AdiabaticReport, build_eigenframe
 from ptdyn.cli import (_write_adiabatic_csv, _write_sweep_csv, _write_trajectory_csv,
                        build_model, main, run_scenario, sweep)
 from ptdyn.config import ConfigError, from_dict, load_config, matrix_to_pairs
@@ -154,6 +154,28 @@ def test_run_inline_scenario_follows_exact_propagator(tmp_path):
         assert np.max(np.abs(row[1::2] - exact.imag)) <= 1e-10
 
 
+@pytest.mark.parametrize("hbar, substeps, tol", [(1.0, 100, 1e-11), (0.01, None, 1e-8)],
+                         ids=["hbar=1", "hbar=0.01-automatic-substeps"])
+def test_run_constant_metric_follows_its_closed_form(tmp_path, hbar, substeps, tol):
+    # H = sin(t) I + C with C^2 = I: level 0 (C psi0 = -psi0) has the energy sin(t) - 1, so
+    # the state is exp(-i (1 - cos t - t) / hbar) psi0
+    raw = json.loads((ROOT / "scenarios" / "constant_metric.json").read_text())
+    raw["hbar"], raw["substeps"] = hbar, substeps
+    assert main(["run", str(write_config(tmp_path, raw)), "--out-dir", str(tmp_path / "out")]) == 0
+    data = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+    times, states = data[:, 0], data[:, 1:5:2] + 1j * data[:, 2:5:2]
+    exact = np.exp(-1j * (1.0 - np.cos(times) - times) / hbar)[:, None] * states[0]
+    assert np.abs(states - exact).max() <= tol
+
+
+def test_constant_metric_eigenframe_energies_are_sin_t_minus_and_plus_one():
+    cfg = load_config(ROOT / "scenarios" / "constant_metric.json")
+    model, grid = build_model(cfg), cfg.grid.times()
+    eframe = build_eigenframe(model.hamiltonian, model.frame_family, grid)
+    exact = np.sin(grid)[:, None] + np.array([-1.0, 1.0])
+    assert np.abs(eframe.energies - exact).max() <= 1e-12
+
+
 def test_cli_run_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path, two_level_raw(points=41))
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
@@ -170,6 +192,38 @@ def test_cli_missing_and_invalid_files(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     assert main(["validate", str(broken)]) == 2
+
+
+def _one_config_error(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {start}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_scenario_that_is_a_directory_is_a_config_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 2
+    _one_config_error(capsys, f"<file>: cannot read {tmp_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_scenario_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(two_level_raw(points=21)).encode() + b" \xe9")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    _one_config_error(capsys, f"<file>: {path} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, two_level_raw(points=21))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    args = [command, str(path), "--out-dir", str(taken)]
+    if command == "sweep":
+        args += ["--axis", "epsilon", "--values", "0.3,0.5"]
+    assert main(args) == 2
+    _one_config_error(capsys, f"{taken}: cannot create the artifact directory: ")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_validate(tmp_path):
