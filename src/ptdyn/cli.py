@@ -257,9 +257,16 @@ def _artifact_dir(out_dir) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it, which a failed write
+    removes; a path that cannot be written is a configuration error."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigError(str(path), f"cannot write the artifact: {exc.strerror or exc}") from None
 
 
 def _rows(t: list[str], *columns) -> list[str]:

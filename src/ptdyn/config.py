@@ -25,7 +25,8 @@ without explicit t_start/t_end spans the grid.
 
 Numbers, matrix entries included, are finite JSON numbers, not strings or
 booleans; ``grid.points``, ``level`` and ``substeps`` take integral values
-(101.0 passes), ``substeps`` at most ``dynamics.MAX_SUBSTEPS``. Unknown keys
+(101.0 passes), ``grid.points`` at most ``dynamics.MAX_GRID_POINTS`` and
+``substeps`` at most ``dynamics.MAX_SUBSTEPS``. Unknown keys
 are rejected. A malformed field raises :class:`ConfigError` naming the dotted
 field; the CLI exits 2 with ``config error: <field>: ...``.
 """
@@ -41,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import MAX_SUBSTEPS, Equation
+from .dynamics import MAX_GRID_POINTS, MAX_SUBSTEPS, Equation
 from .models import ScalarFunction
 
 __all__ = [
@@ -248,7 +249,8 @@ def from_dict(raw: dict) -> ScenarioConfig:
     grid = GridSpec(
         t_start=_number(grid_raw["t_start"], "grid.t_start"),
         t_end=_number(grid_raw["t_end"], "grid.t_end"),
-        points=_number(grid_raw["points"], "grid.points", lambda n: n >= 2, "must be >= 2, got {}"),
+        points=_number(grid_raw["points"], "grid.points", lambda n: 2 <= n <= MAX_GRID_POINTS,
+                       f"must be in [2, {MAX_GRID_POINTS:.0e}], got {{:.10g}}"),
     )
     if not grid.t_start < grid.t_end:
         raise ConfigError("grid", f"t_start {grid.t_start} must be < t_end {grid.t_end}")

@@ -15,6 +15,7 @@ grid point.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import logging
 import math
@@ -47,6 +48,9 @@ SUBSTEP_DENSITY = 100.0
 # A default count above this, or one that is not finite, aborts the run before its interval;
 # a fixed count above it is refused.
 MAX_SUBSTEPS = 10**7
+# A scenario's grid holds at most this many points: a run keeps about 1 KiB a point at d = 2,
+# so about 1 GiB.
+MAX_GRID_POINTS = 10**6
 # Warn when a single Runge-Kutta substep is coarser than this: ||generator|| * h / hbar.
 STEP_NORM_WARN = 0.5
 
@@ -280,25 +284,32 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     substep, within ``linalg.STACK_ENTRIES`` entries) that cross interval
     ends. Substep j of interval k runs from t = grid[k] + j*h through its
     midpoint t + 0.5*h to its end grid[k] + (j+1)*h, the next substep's
-    start; the last one ends on grid[k+1] itself. A block evaluates the
-    generator at its midpoints and at the ends inside an interval, as one
-    stack in ascending time order, which is the order the one-point scheme
-    meets them; a substep starts from the previous end's generator, and an
-    interval ends on its grid point's. So a run forms n_t + sum(2*n_k - 1)
-    generators. Each block is stepped by one call, which does the
-    one-point RK4's arithmetic, so the values are bit-identical to
-    evaluating the generator at every stage: :func:`_rk4_block_pair` for a
-    state vector of dimension 2, on the block's stack made one flat list of
-    Python numbers (8 a substep) by one ``tolist``, and :func:`_rk4_block`,
-    on arrays with ``@``, for larger states and for propagator matrices.
-    The stepper returns the states at the block's interval ends, and the
-    walk takes them in order: each must be finite (a 2-vector stays two
-    Python complex numbers, checked with ``cmath.isfinite``, the verdict of
-    ``np.isfinite``, and kept as a tuple; an array with ``np.isfinite``), is
-    kept, and enters the next interval, logging its coarse-step warning. A
-    stepper may run past a non-finite state to its block's end; the walk
-    raises at the first non-finite interval end, so no later interval's
-    warning is logged.
+    start; the last one ends on grid[k+1] itself. A block is planned on its
+    own, so the walk's memory does not grow with its substep count: the
+    start, step, half step, first substep and count of each of its
+    intervals (a table of the intervals, made once) are repeated over its
+    substeps, and each node is formed by the one-point expression, in place. A block evaluates
+    the generator at its midpoints and at the ends inside an interval, as
+    one stack in ascending time order, which is the order the one-point
+    scheme meets them; a substep starts from the previous end's generator,
+    and an interval ends on its grid point's, copied from the grid points'
+    stack. So a run forms n_t + sum(2*n_k - 1) generators. Each block is
+    stepped by one call, which does the one-point RK4's arithmetic, so the
+    values are bit-identical to evaluating the generator at every stage:
+    :func:`_rk4_block_pair` for a state vector of dimension 2, on the
+    block's stack made one flat list of Python numbers (8 a substep) by one
+    ``tolist``, and :func:`_rk4_block`, on arrays with ``@``, for larger
+    states and for propagator matrices. The stepper returns the states at
+    the block's interval ends, and the walk takes them in order: each must
+    be finite (a 2-vector stays two Python complex numbers, checked with
+    ``cmath.isfinite``, the verdict of ``np.isfinite``, and kept as a tuple;
+    an array with ``np.isfinite``), is kept, and enters the next interval,
+    logging its coarse-step warning. A state is the one before it plus an
+    increment, so a non-finite entry stays non-finite: a block's last end
+    state is checked first, and the others only when it fails. A stepper
+    may run past a non-finite state to its block's end; the walk raises at
+    the first non-finite interval end, so no later interval's warning is
+    logged.
 
     A failure is raised where the walk reaches it, so an earlier non-finite
     state still aborts first. Every equation's walk builds the frame grid
@@ -365,44 +376,80 @@ def _rk4_run(problem: EvolutionProblem, y0: np.ndarray):
     h = dt / nsub
     first = np.concatenate(([0], np.cumsum(nsub)))  # first[k]: the first substep of interval k
     coarse = norms.decide(lambda n: n * h / problem.hbar > STEP_NORM_WARN, 0)
-    step_norms, coarse = norms.exact(0, coarse), coarse.tolist()
+    step_norms = norms.exact(0, coarse)
+    due = np.flatnonzero(coarse[:starts.size])[::-1].tolist()  # the coarse intervals, next last
 
     def enter(k: int):
-        """Log interval k's coarse-step warning, where the one-point scheme logs it."""
-        if k < starts.size and coarse[k]:
+        """Log the coarse-step warnings of the intervals up to k, where the one-point scheme
+        logs each: on entering its interval."""
+        while due and due[-1] <= k:
+            i = due.pop()
             logger.warning("coarse step at t=%g: ||generator||*h/hbar = %.3g > %.2g",
-                           grid[k], step_norms[k] * h[k] / problem.hbar, STEP_NORM_WARN)
+                           grid[i], step_norms[i] * h[i] / problem.hbar, STEP_NORM_WARN)
 
     block = max(1, linalg.STACK_ENTRIES // (3 * dim ** 2))
-    lo, stop, k = 0, int(first[starts.size]), 0  # the next substep, the walk's end, its interval
+    # each interval's start, step, half step, first substep and count (exact as floats)
+    plan = np.array([grid[:nsub.size], h, 0.5 * h, first[:-1], nsub])
+    first = first.tolist()  # Python ints, for the few lookups a block makes
+    # A stack's matrices as opaque items, so that a fancy index copies each matrix whole
+    # rather than entry by entry (a view of a C-contiguous stack).
+    item = np.dtype((np.void, dim * dim * G0.itemsize))
+    grid_items = G0.reshape(-1).view(item)
+    lo, stop, k = 0, first[starts.size], 0  # the next substep, the walk's end, its interval
     ga = stages(G0[0]) if stop else None  # the generator at the next substep's start
     enter(0)
-    while lo < stop:
-        sub = np.arange(lo, min(lo + block, stop))
-        ks = np.searchsorted(first, sub, side="right") - 1
-        j, hk = sub - first[ks], h[ks]
-        last = j + 1 == nsub[ks]
-        nodes = np.stack((grid[ks] + j * hk + 0.5 * hk,
-                          np.where(last, grid[ks + 1], grid[ks] + (j + 1) * hk)), 1).ravel()
-        ends = last & (ks + 1 < len(G0))  # interval ends whose generator G0 holds
-        fresh = np.flatnonzero(np.stack((np.ones_like(ends), ~ends), 1))
-        gens = np.empty((nodes.size, dim, dim), dtype=complex)
-        gens[1::2][ends] = G0[ks[ends] + 1]
+    while lo < stop:  # a block: substeps lo, ..., hi - 1, of intervals k, ..., kb
+        hi = min(lo + block, stop)
+        kb = bisect.bisect_right(first, hi - 1, k) - 1
+        counts = nsub[k:kb + 1].copy()  # the block's substeps in each of its intervals
+        counts[0] -= lo - first[k]
+        counts[-1] -= first[kb + 1] - hi
+        t0, hk, half, s0, count = np.repeat(plan[:, k:kb + 1], counts, axis=1)
+        j = np.arange(lo, hi, dtype=float)
+        j -= s0  # each substep's place in its interval
+        nodes = np.empty((hi - lo, 2))  # each substep's midpoint and end, in time order,
+        mid, end = nodes.T  # formed in place: t0 + j*h + h/2, t0 + (j+1)*h
+        np.multiply(j, hk, out=mid)
+        mid += t0
+        mid += half
+        j += 1.0
+        np.multiply(j, hk, out=end)
+        end += t0
+        last = j == count
+        fresh = np.ones((hi - lo, 2), dtype=bool)  # all but the interval ends G0 holds
+        np.logical_not(last, out=fresh[:, 1])
+        last = last.tolist()
+        ends = kb - k + last[-1]  # the block's interval ends, of intervals k, k + 1, ...
+        if k + ends == len(G0):  # the last is the grid point G0 stopped at: evaluated again
+            ends, fresh[-1, 1], end[-1] = ends - 1, True, grid[kb + 1]
         got, exc = generators(nodes[fresh])
-        gens[fresh[:len(got)]] = got
-        if exc is not None:  # the walk ends before the substep meeting the failing node
+        slots = np.empty((hi - lo, 2), dtype=item)  # the block's stages
+        slots[~fresh] = grid_items[k + 1:k + 1 + ends]
+        if exc is None:
+            slots[fresh] = got.reshape(-1).view(item)
+        else:  # the walk ends before the substep meeting the failing node
+            fresh = np.flatnonzero(fresh)
+            slots.reshape(-1)[fresh[:len(got)]] = got.reshape(-1).view(item)
             s = int(fresh[exc.index]) // 2
-            failure, stop, sub, last = linalg._at(int(ks[s]), exc), lo + s, sub[:s], last[:s]
+            at = bisect.bisect_right(first, lo + s) - 1  # s's interval
+            failure, stop, hi, last = linalg._at(at, exc), lo + s, lo + s, last[:s]
+        del got  # copied into the stages
+        gens = slots.view(complex).reshape(-1, dim, dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            end_states, ga, y = advance(rate, ga, stages(gens), hk.tolist(), last.tolist(), y)
-        for u in end_states:  # the block's interval ends, in the order the one-point scheme reaches them
-            if not finite(u):
-                raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
-                                       f"and t={grid[k + 1]}", last_good_t=grid[k])
-            values.append(u)
-            k += 1
-            enter(k)
-        lo += sub.size
+            end_states, ga, y = advance(rate, ga, stages(gens), hk.tolist(), last, y)
+        # The states at the block's interval ends, in the order the one-point scheme reaches
+        # them. Each state is the one before it plus an increment, so an entry that is not
+        # finite stays so: the last state is finite exactly when all are.
+        taken = len(end_states)
+        if taken and not finite(end_states[-1]):
+            taken = next(i for i, u in enumerate(end_states) if not finite(u))
+        values += end_states[:taken]
+        k += taken
+        enter(k)
+        if taken < len(end_states):
+            raise IntegrationAbort(f"state became non-finite between t={grid[k]} "
+                                   f"and t={grid[k + 1]}", last_good_t=grid[k])
+        lo = hi
     if failure is not None:
         raise failure
     if one_sided:

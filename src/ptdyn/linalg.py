@@ -196,7 +196,7 @@ def _checked(times: np.ndarray, values: list, name: str) -> np.ndarray:
     if len(values) == 0:
         return np.empty((0, 0, 0), dtype=complex)
     try:
-        out = np.array(values, dtype=complex)
+        out = np.array(values, dtype=complex, order="C")  # whatever layout a family returns
     except ValueError:  # ragged shapes
         out = None
     if out is None or out.ndim != 3 or out.shape[1] != out.shape[2] or out.shape[1] < 1:
@@ -210,9 +210,8 @@ def _checked(times: np.ndarray, values: list, name: str) -> np.ndarray:
             except ValueError as exc:
                 raise _at(k, exc)
         out = np.array(out)
-    bad = ~np.isfinite(out).all(axis=(1, 2))
-    if bad.any():
-        k = int(np.argmax(bad))
+    if not np.isfinite(out).all():  # only a stack that fails is scanned matrix by matrix
+        k = int(np.argmin(np.isfinite(out).all(axis=(1, 2))))
         raise _at(k, NonFiniteError(f"{name} at t={times[k]} contains non-finite entries"))
     return out
 

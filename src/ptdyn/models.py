@@ -235,12 +235,18 @@ def build_constant_metric(a: ScalarFunction, b: ScalarFunction, frame: CPTFrame,
         raise TypeError("frame must be a validated CPTFrame")
     for fn in (a, b):
         fn(grid)  # raises if the function is not real-valued
-    eye = np.eye(frame.dim, dtype=complex)
-    C = frame.c
+    d = frame.dim
+    # I and C as columns of their d*d entries: each product is one loop over the times
+    eye, C = np.eye(d, dtype=complex).reshape(-1, 1), frame.c.reshape(-1, 1)
 
     @_quiet
     def evaluate(t):
-        return _column(a(t)) * eye + _column(b(t)) * C
+        # a(t) and b(t) are real (made complex with imaginary part +0, as numpy's product
+        # casts them), and a real times a complex entry rounds alike in every loop numpy
+        # takes: these are the bits of a(t) * I + b(t) * C formed matrix by matrix
+        entries = eye * np.asarray(a(t), dtype=complex).reshape(-1)
+        entries += C * np.asarray(b(t), dtype=complex).reshape(-1)
+        return entries.T.reshape(np.shape(t) + (d, d))
 
     return Model(OperatorFamily(float(grid[0]), float(grid[-1]), evaluate, vectorized=True),
                  FrameFamily.constant(frame))

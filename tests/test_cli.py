@@ -17,7 +17,7 @@ from ptdyn import frames, linalg
 from ptdyn.adiabatic import AdiabaticReport, build_eigenframe
 from ptdyn.cli import (_write_adiabatic_csv, _write_sweep_csv, _write_trajectory_csv,
                        build_model, main, run_scenario, sweep)
-from ptdyn.config import ConfigError, from_dict, load_config, matrix_to_pairs
+from ptdyn.config import ConfigError, GridSpec, from_dict, load_config, matrix_to_pairs
 from ptdyn.dynamics import Trajectory
 from ptdyn.frames import FrameGrid
 from ptdyn.linalg import ConvergenceError
@@ -224,6 +224,33 @@ def test_cli_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, comm
     assert main(args) == 2
     _one_config_error(capsys, f"{taken}: cannot create the artifact directory: ")
     assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_artifact_that_cannot_be_written_is_a_config_error(tmp_path):
+    # summary.json is a directory: the run exits 2 with one line naming it, and leaves no
+    # temporary file behind
+    out_dir = tmp_path / "out"
+    (out_dir / "summary.json").mkdir(parents=True)
+    out = subprocess.run([sys.executable, "-m", "ptdyn.cli", "run",
+                          str(ROOT / "scenarios" / "constant_metric.json"), "--out-dir", str(out_dir)],
+                         capture_output=True, text=True, cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"config error: {out_dir / 'summary.json'}: cannot write the artifact: ")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+    assert not list(out_dir.glob("*.tmp")) and (out_dir / "summary.json").is_dir()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_grid_above_the_point_cap_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    def unmade(self):
+        raise AssertionError("the grid was made")
+
+    monkeypatch.setattr(GridSpec, "times", unmade)
+    path = write_config(tmp_path, two_level_raw(points=10**12))
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    _one_config_error(capsys, "grid.points: must be in [2, 1e+06], got 1e+12")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate(tmp_path):

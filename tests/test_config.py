@@ -7,6 +7,7 @@ import pytest
 from helpers import two_level_matrices
 from ptdyn.config import (
     ConfigError,
+    GridSpec,
     frame_from_dict,
     frame_to_dict,
     from_dict,
@@ -16,7 +17,7 @@ from ptdyn.config import (
     save_config,
     to_dict,
 )
-from ptdyn.dynamics import MAX_SUBSTEPS, Equation
+from ptdyn.dynamics import MAX_GRID_POINTS, MAX_SUBSTEPS, Equation
 from ptdyn.frames import validate_frames
 from ptdyn.linalg import AntilinearOperator
 
@@ -69,6 +70,22 @@ def test_grid_validation():
     raw["grid"]["t_end"] = -1.0
     with pytest.raises(ConfigError, match="t_start"):
         from_dict(raw)
+
+
+def test_grid_points_are_capped_without_making_the_grid(monkeypatch):
+    def unmade(self):
+        raise AssertionError("the grid was made")
+
+    monkeypatch.setattr(GridSpec, "times", unmade)
+    raw = base_config()
+    raw["grid"]["points"] = MAX_GRID_POINTS
+    assert from_dict(raw).grid.points == MAX_GRID_POINTS == 10**6
+    for points, shown in ((MAX_GRID_POINTS + 1, "1000001"), (10**12, "1e+12")):
+        raw["grid"]["points"] = points
+        with pytest.raises(ConfigError) as err:
+            from_dict(raw)
+        assert err.value.field == "grid.points"
+        assert str(err.value) == f"grid.points: must be in [2, 1e+06], got {shown}"
 
 
 def test_unknown_model_and_missing_fields():

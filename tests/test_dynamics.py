@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -720,6 +721,24 @@ def test_rk4_takes_the_pair_step_for_2_vectors_only(monkeypatch):
                                   Equation.SCHRODINGER, np.array([0.6, 0.8j]), substeps=100))
     assert calls == ["_rk4_block_pair"] * math.ceil(50_000 / (STACK_ENTRIES // 12)) == \
         ["_rk4_block_pair"] * 74
+
+
+def test_rk4_walk_memory_does_not_grow_with_the_substep_count():
+    # each block is planned on its own: 200 and 800 substeps an interval (3 and 12 blocks of
+    # STACK_ENTRIES // 12 = 682) peak alike, where a plan of the whole walk grows with them
+    peaks = []
+    for substeps in (200, 800):
+        problem = dataclasses.replace(_constant_metric_problem(1.0), substeps=substeps)
+        problem.frame_family.on_grid(problem.grid)  # the kept grid stacks, made outside
+        problem.hamiltonian.on_grid(problem.grid)
+        tracemalloc.start()
+        try:
+            traj = evolve_state(problem)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.diagnostics["substeps"] == [substeps] * 10
+    assert abs(peaks[1] - peaks[0]) < 32 * 1024, peaks
 
 
 def _counting_problem(grid, substeps, domain=(-100.0, 100.0)):
