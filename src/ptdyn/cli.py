@@ -10,8 +10,9 @@
   max fidelity loss, norm drift, per-check pass/fail
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 configuration
-error, 3 numerical abort (message carries the last good time, or the time
-of a non-finite model value or of an SVD that did not converge).
+error (one ``config error: `` line on stderr), 3 numerical abort (a
+``numerical abort: `` line whose message carries the last good time, or the
+time of a non-finite model value or of an SVD that did not converge).
 """
 
 from __future__ import annotations
@@ -57,40 +58,45 @@ def _fmt(x: float) -> str:
 
 
 def build_model(cfg: ScenarioConfig):
-    """Instantiate the configured model; config problems raise ConfigError."""
+    """Instantiate the configured model; it raises every config error of a parsed scenario.
+
+    These are the frame axioms, H's dimension, cos alpha's range, the level's
+    range and, for the augmented equation, G's dimension, each a ConfigError.
+    ``run``, ``validate`` and every sweep row call it first, so they reject
+    the same configs, each before the symmetry scan.
+    """
     from .models import Model, build_constant_metric, build_two_level
 
     grid = cfg.grid.times()
     try:
         if cfg.model_kind == "two_level":
-            return build_two_level(
+            model = build_two_level(
                 cfg.scalar("s"), cfg.scalar("alpha"), grid,
                 frame_tol=cfg.tolerances["frame"],
             )
-        frame = frm.validate_frames(
-            cfg.matrix("C"), cfg.matrix("P"),
-            AntilinearOperator(cfg.matrix("K")),
-            tol=cfg.tolerances["frame"],
-        )
-        if cfg.model_kind == "constant_metric":
-            return build_constant_metric(cfg.scalar("a"), cfg.scalar("b"), frame, grid)
-        H = cfg.matrix("H")
-        if H.shape[0] != frame.dim:
-            raise ConfigError("model.H", f"dimension {H.shape[0]} does not match frame dim {frame.dim}")
-        return Model(OperatorFamily.constant(H), frm.FrameFamily.constant(frame))
+        else:
+            frame = frm.validate_frames(
+                cfg.matrix("C"), cfg.matrix("P"),
+                AntilinearOperator(cfg.matrix("K")),
+                tol=cfg.tolerances["frame"],
+            )
+            if cfg.model_kind == "constant_metric":
+                model = build_constant_metric(cfg.scalar("a"), cfg.scalar("b"), frame, grid)
+            else:
+                H = cfg.matrix("H")
+                if H.shape[0] != frame.dim:
+                    raise ConfigError("model.H", f"dimension {H.shape[0]} does not match frame dim {frame.dim}")
+                model = Model(OperatorFamily.constant(H), frm.FrameFamily.constant(frame))
     except (FrameAxiomError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("model", str(exc)) from exc
-
-
-def _correction_family(cfg: ScenarioConfig, dim: int) -> Optional[OperatorFamily]:
-    if cfg.equation is not dyn.Equation.AUGMENTED:
-        return None
-    G = cfg.matrix("G")
-    if G.shape[0] != dim:
-        raise ConfigError("model.G", f"dimension {G.shape[0]} does not match the model dim {dim}")
-    return OperatorFamily.constant(G)
+    dim = model.frame_family.dim
+    if cfg.level >= dim:
+        raise ConfigError("level", f"level {cfg.level} out of range for dimension {dim}")
+    if cfg.equation is dyn.Equation.AUGMENTED and (g_dim := len(cfg.matrix("G"))) != dim:
+        raise ConfigError("model.G", f"dimension {g_dim} does not match the model dim {dim}")
+    return model
 
 
 def _frame_and_symmetry(model, cfg: ScenarioConfig, grid) -> tuple[dict, dict, bool, "frm._Scan"]:
@@ -118,15 +124,19 @@ def _norm_check_enabled(cfg: ScenarioConfig) -> bool:
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
     """Execute a scenario and return its summary (written to disk if out_dir).
 
-    The run builds the model, validates frames and symmetry along the grid,
-    tracks the eigenframe, integrates the configured equation starting from
-    the tracked level's eigenvector, and evaluates the adiabatic report.
+    The run builds the model (:func:`build_model` raises every config error
+    of the scenario), makes ``out_dir``, validates frames and symmetry along
+    the grid, tracks the eigenframe, integrates the configured equation
+    starting from the tracked level's eigenvector, and evaluates the
+    adiabatic report. An ``out_dir`` that cannot be made is a ConfigError
+    raised before the symmetry scan; a later numerical abort leaves the
+    directory, possibly empty.
     """
     grid = cfg.grid.times()
     model = build_model(cfg)
+    if out_dir is not None:
+        out_dir = _artifact_dir(out_dir)
     family = model.frame_family
-    if cfg.level >= family.dim:
-        raise ConfigError("level", f"level {cfg.level} out of range for dimension {family.dim}")
 
     residuals, symmetry, symmetry_ok, scan = _frame_and_symmetry(model, cfg, grid)
 
@@ -136,17 +146,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
     )
     problem = dyn.EvolutionProblem(
         model.hamiltonian, family, grid, cfg.equation, eframe.states[0, cfg.level],
-        correction=_correction_family(cfg, family.dim), hbar=cfg.hbar, substeps=cfg.substeps,
+        correction=(OperatorFamily.constant(cfg.matrix("G"))
+                    if cfg.equation is dyn.Equation.AUGMENTED else None),
+        hbar=cfg.hbar, substeps=cfg.substeps,
     )
     trajectory = dyn.evolve_state(problem)
-    report = adb.build_report(
-        eframe, family, trajectory, cfg.level, cfg.epsilon, hbar=cfg.hbar
-    )
+    report = adb.build_report(eframe, family, trajectory, cfg.level, cfg.epsilon, hbar=cfg.hbar)
 
-    checks = {
-        "frames": True,  # _frame_and_symmetry raised otherwise
-        "symmetry": symmetry_ok,
-    }
+    checks = {"frames": True, "symmetry": symmetry_ok}  # build_model raised otherwise
     norm_drift = trajectory.max_norm_drift
     if _norm_check_enabled(cfg):
         # The bound implication presumes norm-conserving dynamics; gate both
@@ -169,7 +176,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> dict:
     }
 
     if out_dir is not None:
-        out_dir = _artifact_dir(out_dir)
         t = _write_trajectory_csv(out_dir / "trajectory.csv", trajectory)
         _write_adiabatic_csv(out_dir / "adiabatic.csv", t, report)
         _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
@@ -218,10 +224,13 @@ def sweep(cfg: ScenarioConfig, axis: str, values: Sequence[float],
 
     Returns one row per value with the bound, max fidelity loss, whether
     the bound implication held, and the norm drift. When ``out_dir`` is
-    given the table is written to ``sweep.csv`` atomically.
+    given, it is made before the first row, and the table is written to
+    ``sweep.csv`` atomically.
     """
     base = cfg_mod.to_dict(cfg)
     _resolve_dotted(base, axis)  # a bad axis fails the whole sweep up front
+    if out_dir is not None:
+        out_dir = _artifact_dir(out_dir)
     rows = []
     for value in values:
         row = {"value": value, "bound": None, "max_fidelity_loss": None,
@@ -241,7 +250,7 @@ def sweep(cfg: ScenarioConfig, axis: str, values: Sequence[float],
             row["error"] = str(exc)
         rows.append(row)
     if out_dir is not None:
-        _write_sweep_csv(_artifact_dir(out_dir) / "sweep.csv", rows)
+        _write_sweep_csv(out_dir / "sweep.csv", rows)
     return rows
 
 
@@ -321,9 +330,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.substeps is not None:
         raw["substeps"] = args.substeps
     if args.tol is not None:
-        raw.setdefault("tolerances", {})
-        raw["tolerances"]["frame"] = args.tol
-        raw["tolerances"]["symmetry"] = args.tol
+        raw["tolerances"].update(frame=args.tol, symmetry=args.tol)
     return cfg_mod.from_dict(raw)
 
 
@@ -354,6 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(all="ignore")  # the run's own checks report a non-finite value, numpy does not
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)

@@ -909,6 +909,19 @@ def test_bound_holds_against_the_rotating_drive_real_loss():
     assert 8.0 <= reports[0.03].max_fidelity_loss / reports[0.01].max_fidelity_loss <= 10.0
 
 
+@pytest.mark.parametrize("omega", [0.1, 1.2])
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+def test_rotating_drive_bound_is_blind_to_a_rescaled_time(omega, scale):
+    # t -> scale t (omega -> omega / scale, the same 201 points) walks the same path of frames
+    # and eigenvectors, so V(T) is unchanged to roundoff
+    def bound(omega, t_end):
+        hamiltonian, family, _, _ = rotating_drive_oracle(omega, t_end=t_end)
+        eframe = build_eigenframe(hamiltonian, family, np.linspace(0.0, t_end, 201))
+        return adiabatic_bound(eframe, family, 0)
+
+    assert bound(omega / scale, 10.0 * scale) == pytest.approx(bound(omega, 10.0), rel=1e-12)
+
+
 # -------------------------------------------------------------------- reports
 
 def test_build_report_fields_and_implication():

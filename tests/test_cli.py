@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import two_level_matrices
-from ptdyn import frames, linalg
+from ptdyn import cli, frames, linalg
 from ptdyn.adiabatic import AdiabaticReport, build_eigenframe
 from ptdyn.cli import (_write_adiabatic_csv, _write_sweep_csv, _write_trajectory_csv,
                        build_model, main, run_scenario, sweep)
@@ -214,13 +214,22 @@ def test_cli_scenario_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_cli_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
+def test_cli_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                          command):
     path = write_config(tmp_path, two_level_raw(points=21))
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     args = [command, str(path), "--out-dir", str(taken)]
     if command == "sweep":
         args += ["--axis", "epsilon", "--values", "0.3,0.5"]
+    # no work ran before the exit: no eigenframe for run, no row for sweep
+    unreached = "build_eigenframe" if command == "run" else "run_scenario"
+    module = cli.adb if command == "run" else cli
+
+    def unrun(*args, **kwargs):
+        raise AssertionError(f"{unreached} was called")
+
+    monkeypatch.setattr(module, unreached, unrun)
     assert main(args) == 2
     _one_config_error(capsys, f"{taken}: cannot create the artifact directory: ")
     assert taken.read_text() == "not a directory\n"
@@ -662,11 +671,29 @@ def test_cli_overrides(tmp_path):
     ]) == 0
 
 
-def test_run_level_out_of_range(tmp_path):
-    raw = two_level_raw()
-    raw["level"] = 5
+def augmented_inline_static_raw(g_dim):
+    """The bundled 2x2 inline scenario, augmented with a zero G of dimension ``g_dim``."""
+    raw = json.loads((ROOT / "scenarios" / "inline_static.json").read_text())
+    raw["equation"] = "augmented"
+    raw["model"]["G"] = matrix_to_pairs(np.zeros((g_dim, g_dim)))
+    return raw
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("raw, message", [
+    (dict(two_level_raw(), level=5), "level: level 5 out of range for dimension 2"),
+    (augmented_inline_static_raw(3), "model.G: dimension 3 does not match the model dim 2"),
+], ids=["level", "G-dimension"])
+def test_run_level_out_of_range(tmp_path, capsys, monkeypatch, command, raw, message):
+    # run and validate reject the config alike, before the symmetry scan and with no directory
+    def unscanned(*args):
+        raise AssertionError("the symmetry scan ran")
+
+    monkeypatch.setattr(frames.FrameGrid, "_scan", unscanned)
     path = write_config(tmp_path, raw)
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------- sweep
