@@ -59,9 +59,9 @@ class FrameAxiomError(ValueError):
 class CPTFrame:
     """Validated (C, P, T) triple with its metric PC and the spectrum of PC.
 
-    Construct via :func:`validate_frames`. ``residuals`` records the
-    per-axiom validation residual norms. Under the axioms the metric's
-    inverse is CP, so no inverse is stored.
+    Construct via :func:`validate_frames`. :attr:`residuals` gives the
+    per-axiom residual norms. Under the axioms the metric's inverse is CP,
+    so no inverse is stored.
     """
 
     c: np.ndarray
@@ -69,16 +69,30 @@ class CPTFrame:
     t: AntilinearOperator
     metric: np.ndarray
     metric_eigenvalues: np.ndarray
-    residuals: dict = field(repr=False)
     tol: float = DEFAULT_FRAME_TOL
-    # Set by the frame check for symmetry_report: the exact ||PC|| and the P/T part of the
-    # check (_PT). A frame built otherwise, or by dataclasses.replace, has neither.
-    _metric_norm: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    # Set by the frame check for symmetry_report: the bracket (lo, hi) of ||PC|| (lo = hi when
+    # exact) and the P/T part of the check (_PT). A frame built otherwise, or by
+    # dataclasses.replace, has neither. _residuals holds the residuals once taken.
+    _metric_norm: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _pt: Optional[_PT] = field(default=None, init=False, repr=False, compare=False)
+    _residuals: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.p.shape[0]
+
+    @property
+    def residuals(self) -> dict:
+        """Per-axiom residual norms, keyed by axiom in the check's order, as exact SVD norms,
+        then the least eigenvalue of PC ("metric min eigenvalue").
+
+        A check its norm bounds settled took no SVD: the C-dependent residuals are
+        then normed when first read, in one SVD of three matrices. A frame no check
+        built takes its P/T residuals in the same SVD, from its own P and T.
+        """
+        if self._residuals is None:
+            object.__setattr__(self, "_residuals", _frame_residuals(self))
+        return self._residuals
 
 
 def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
@@ -98,6 +112,7 @@ def _axiom_error(axiom: str, value: float, scale: float, tol: float, at: str = "
 # The P/T part of a frame check (see _pt_axioms): its residuals, ||P|| and ||K||, and what the
 # C-dependent checks and the symmetry reports take from it: I, K conj(P), the PT map PK and ||PK||.
 _PT = namedtuple("_PT", "residuals p_norm k_norm eye k_conj_p pt_map pt_norm")
+_PT_AXIOMS = ("P^2 = I", "T^2 = I", "PT = TP")
 
 
 def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> _PT:
@@ -108,7 +123,7 @@ def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> _PT:
     nP, nK, n_pt, *resids = operator_norms(np.stack(
         (P, K, pt_map, P @ P - eye, K @ np.conj(K) - eye, pt_map - k_conj_p))).tolist()
     residuals: dict = {}
-    for axiom, resid, scale in zip(("P^2 = I", "T^2 = I", "PT = TP"), resids,
+    for axiom, resid, scale in zip(_PT_AXIOMS, resids,
                                    (nP * nP, nK * nK, nP * nK)):
         _check(residuals, axiom, resid, scale, tol)
     return _PT(residuals, nP, nK, eye, k_conj_p, pt_map, n_pt)
@@ -167,7 +182,9 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
 
     Axioms checked, each with its own named :class:`FrameAxiomError`:
     P^2 = I, T^2 = I, PT = TP, C^2 = I, CPT = TPC, metric Hermitian,
-    metric positive definite. Residuals are kept on the returned frame.
+    metric positive definite. Each check is decided from the norms' bounds
+    where they settle it, else from exact SVD norms; the residuals are the
+    returned frame's :attr:`CPTFrame.residuals`, normed exactly when read.
     This is the one-point case of :meth:`FrameFamily.on_grid`.
     """
     return _validated(C, P, T, tol)
@@ -176,8 +193,12 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
 def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None) -> CPTFrame:
     """:func:`validate_frames`, with the P/T axioms taken from ``pt`` when given (see :func:`_pt_axioms`).
 
-    The one-point case of :func:`_c_axioms`, on Python floats: one SVD (of C, PC and the
-    three residuals, exact) and one ``eigvalsh``, then the same checks in the same order.
+    The one-point case of :func:`_c_axioms`, on Python floats. The five matrices C, PC and
+    the three residuals are bounded by max|a_ij| <= ||A||_2 <= d*max|a_ij| (widened by
+    ``linalg.NORM_MARGIN``) and PC's spectrum taken by one ``eigvalsh``. When every residual's
+    bound passes against the least scale and PC's least eigenvalue exceeds tol times its
+    largest norm, the frame passes with no SVD, and its residuals are normed when read.
+    Otherwise one SVD of the five matrices decides the same checks in the same order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -190,22 +211,51 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
     pt = pt or _pt_axioms(P, K, tol)
     metric = P @ C
     metric_h = metric.conj().T
-    nC, nM, *resids = linalg._svd_norms(np.stack(
+    matrices = np.stack(
         (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h))
-    ).tolist()
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
-    residuals = dict(pt.residuals)
-    for axiom, resid, scale in zip(_C_AXIOMS, resids, (nC * nC, nC * pt.p_norm * pt.k_norm, nM)):
-        _check(residuals, axiom, resid, scale, tol)
     min_eig = float(eigs[0])
-    if not min_eig > tol * nM:  # a NaN eigenvalue or norm fails
-        raise _axiom_error("metric positive definite", min_eig, nM, tol)
-    residuals["metric min eigenvalue"] = min_eig
-    frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, residuals=residuals,
-                     tol=tol)
-    object.__setattr__(frame, "_metric_norm", nM)
+
+    def scales(nC, nM):  # of the _C_AXIOMS checks
+        return nC * nC, nC * pt.p_norm * pt.k_norm, nM
+
+    # the bounds of the five norms; strict comparisons, so an infinite or NaN bound settles nothing
+    aC, aM, *a_resids = np.abs(matrices).max(axis=(1, 2)).tolist()
+    low, high = 1.0 - linalg.NORM_MARGIN, n * (1.0 + linalg.NORM_MARGIN)
+    residuals = None
+    if min_eig > tol * (aM * high) and all(
+            a * high < tol * max(scale, 1.0) for a, scale in zip(a_resids, scales(aC * low, aM * low))):
+        bracket = (aM * low, aM * high)
+    else:
+        nC, nM, *resids = linalg._svd_norms(matrices).tolist()
+        residuals = dict(pt.residuals)
+        for axiom, resid, scale in zip(_C_AXIOMS, resids, scales(nC, nM)):
+            _check(residuals, axiom, resid, scale, tol)
+        if not min_eig > tol * nM:  # a NaN eigenvalue or norm fails
+            raise _axiom_error("metric positive definite", min_eig, nM, tol)
+        residuals["metric min eigenvalue"] = min_eig
+        bracket = (nM, nM)
+    frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, tol=tol)
+    object.__setattr__(frame, "_metric_norm", bracket)
     object.__setattr__(frame, "_pt", pt)
+    object.__setattr__(frame, "_residuals", residuals)
     return frame
+
+
+def _frame_residuals(frame: CPTFrame) -> dict:
+    """``frame.residuals`` in one SVD: of the C-dependent residuals, after the P/T ones when
+    the frame carries no P/T check. Each norm is the frame check's, bit for bit."""
+    C, P, K, metric = frame.c, frame.p, frame.t.conj_matrix, frame.metric
+    eye, k_conj_p = np.eye(frame.dim), K @ np.conj(P)
+    matrices = [C @ C - eye, C @ P @ K - k_conj_p @ np.conj(C), metric - metric.conj().T]
+    if frame._pt is None:
+        matrices[:0] = [P @ P - eye, K @ np.conj(K) - eye, P @ K - k_conj_p]
+        axioms, residuals = _PT_AXIOMS + _C_AXIOMS, {}
+    else:
+        axioms, residuals = _C_AXIOMS, dict(frame._pt.residuals)
+    residuals.update(zip(axioms, linalg._svd_norms(np.stack(matrices)).tolist()))
+    residuals["metric min eigenvalue"] = float(frame.metric_eigenvalues[0])
+    return residuals
 
 
 def cpt_inner(frame: CPTFrame, x, y) -> complex:
@@ -268,8 +318,10 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     if tol <= 0:
         raise ValueError("tol must be positive")
     # The one-point case of _classify, on Python floats: one SVD, the eigensolve, the checks.
-    # ||PC||, the PT map PK and ||PK|| come from the frame check. A frame the check did not
-    # build (or dataclasses.replace rebuilt) carries none of them, and norms PC and PK in the SVD.
+    # The bracket of ||PC||, the PT map PK and ||PK|| come from the frame check; ||PC|| is
+    # normed by one more SVD only where its bracket leaves the metric-Hermitian verdict open.
+    # A frame the check did not build (or dataclasses.replace rebuilt) carries none of them,
+    # and norms PC and PK in the SVD.
     pt, metric = frame._pt, frame.metric
     pt_map = frame.p @ frame.t.conj_matrix if pt is None else pt.pt_map
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
@@ -277,7 +329,18 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
         cpt_residual = H.conj().T @ metric - metric @ H
     matrices = [H, pt_residual, cpt_residual] + ([metric, pt_map] if pt is None else [])
     nH, pt_norm, cpt_norm, *rest = linalg._svd_norms(np.stack(matrices)).tolist()
-    nM, norm_pt = rest if pt is None else (frame._metric_norm, pt.pt_norm)
+
+    def hermitian(nM: float) -> bool:
+        return cpt_norm <= tol * max(nH * nM, 1e-300)
+
+    if pt is None:
+        nM, norm_pt = rest
+        cpt_hermitian = hermitian(nM)
+    else:
+        norm_pt, (lo, hi) = pt.pt_norm, frame._metric_norm
+        cpt_hermitian = hermitian(lo)
+        if cpt_hermitian != hermitian(hi):
+            cpt_hermitian = hermitian(linalg._svd_norms(metric[None]).item())
     eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
     lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
     linalg._check_pairs(H[None], resid[None], eig_tol, np.array([nH]))
@@ -296,7 +359,7 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
         unbroken = _clusters_invariant(lams, vecs, joined, pt_map, tol * max(1.0, norm_pt))
     return SymmetryReport(
         pt_symmetric=pt_symmetric,
-        cpt_hermitian=cpt_norm <= tol * max(nH * nM, 1e-300),
+        cpt_hermitian=cpt_hermitian,
         unbroken=unbroken,
         eigen_realness=float(np.abs(lams.imag).max()),
         pt_residual=pt_norm,
@@ -408,7 +471,8 @@ class FrameFamily:
         return self.p.shape[0]
 
     def frame_at(self, t: float) -> CPTFrame:
-        """Validated frame at time t (the C-dependent axioms checked)."""
+        """Validated frame at time t: the C-dependent axioms checked as :func:`validate_frames`
+        checks them, with the family's P/T check. A check its norm bounds settle takes no SVD."""
         return _validated(self.c_family(t), self.p, self.t, self.tol, self._pt)
 
     def on_grid(self, grid) -> "FrameGrid":

@@ -366,19 +366,32 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ldexp(Z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Z * 2**e for a C-contiguous complex Z, on its real and imaginary parts (``e`` broadcast
+    against Z's float view): exact where no part leaves the normal range, signed zeros kept."""
+    return np.ldexp(Z.view(float), e).view(complex)
+
+
 def _eigenpairs_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of a stack of 2x2 matrices via the quadratic formula.
 
     Returns values (n, 2) and unit row eigenvectors (n, 2, 2), unsorted. A
     diagonal matrix (b = c = 0) keeps its diagonal and the unit vectors.
+    Each other matrix is scaled by the power of two 2**-e that brings its
+    largest real or imaginary part into [1/2, 1) (e from ``np.frexp``)
+    before the formula, and its eigenvalues scaled back by 2**e, so no
+    product underflows or overflows. The scaling is exact: a matrix whose
+    products stay in the normal range gets the bits of the unscaled formula.
     """
-    a, b = M[:, 0, 0], M[:, 0, 1]
-    c, d = M[:, 1, 0], M[:, 1, 1]
-    lams = np.stack([a, d], axis=1)
+    lams = np.stack([M[:, 0, 0], M[:, 1, 1]], axis=1)
     vecs = np.zeros(M.shape, dtype=complex)
     vecs[:, 0, 0] = vecs[:, 1, 1] = 1.0
-    g = np.nonzero((b != 0) | (c != 0))[0]
-    a, b, c, d = a[g], b[g], c[g], d[g]
+    g = np.nonzero((M[:, 0, 1] != 0) | (M[:, 1, 0] != 0))[0]
+    S = M[g]
+    # each matrix's largest part, reduced over the leading axis of an (8, n) copy (a reduction
+    # over the short last axis of an (n, 8) array takes about 8 times as long)
+    e = np.frexp(np.abs(S.view(float).reshape(len(g), 8).T.copy()).max(axis=0))[1]
+    a, b, c, d = _ldexp(S, -e[:, None, None]).reshape(-1, 4).T.copy()  # contiguous rows
     mean = 0.5 * (a + d)
     disc = np.sqrt(0.25 * _cmul(a - d, a - d) + _cmul(b, c) + 0j)
     lam = np.stack([mean - disc, mean + disc], axis=1)
@@ -387,7 +400,7 @@ def _eigenpairs_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cand2 = np.stack([lam - d[:, None], np.broadcast_to(c[:, None], lam.shape)], axis=-1)
     norm1, norm2 = _vector_norms(cand1), _vector_norms(cand2)
     first = norm1 >= norm2
-    lams[g] = lam
+    lams[g] = _ldexp(lam, e[:, None])
     vecs[g] = np.where(first[..., None], cand1, cand2) / np.where(first, norm1, norm2)[..., None]
     return lams, vecs
 

@@ -395,11 +395,12 @@ def reference_rk4_run(problem, y0):
 
 
 def _reference_eigenpairs_2x2(M):
-    """Closed-form eigenpairs of a 2x2 matrix via the quadratic formula."""
-    a, b = M[0, 0], M[0, 1]
-    c, d = M[1, 0], M[1, 1]
-    if b == 0 and c == 0:
-        return np.array([a, d]), np.eye(2, dtype=complex)
+    """Closed-form eigenpairs of a 2x2 matrix via the quadratic formula, on M scaled by the
+    power of two 2**-e that brings its largest real or imaginary part into [1/2, 1)."""
+    if M[0, 1] == 0 and M[1, 0] == 0:
+        return np.array([M[0, 0], M[1, 1]]), np.eye(2, dtype=complex)
+    e = int(np.frexp(np.abs(M.view(float)).max())[1])
+    a, b, c, d = (_reference_ldexp(z, -e) for z in M.ravel())
     mean = 0.5 * (a + d)
     disc = np.sqrt(0.25 * (a - d) ** 2 + b * c + 0j)
     lams = np.array([mean - disc, mean + disc])
@@ -410,7 +411,12 @@ def _reference_eigenpairs_2x2(M):
         cand2 = np.array([lam - d, c])
         cand = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
         vecs[:, i] = cand / np.linalg.norm(cand)
-    return lams, vecs
+    with np.errstate(over="ignore"):  # an eigenvalue past the largest float is inf
+        return np.array([_reference_ldexp(z, e) for z in lams]), vecs
+
+
+def _reference_ldexp(z, e):
+    return np.complex128(complex(np.ldexp(z.real, e), np.ldexp(z.imag, e)))
 
 
 def _reference_phase_gauge(v):

@@ -167,10 +167,11 @@ def test_eigenframe_broken_symmetry_error():
 
 
 def test_eigenframe_overflowing_eigenpairs_error():
-    # the eigenpairs of this H are NaN: no realness or tracking verdict on them
+    # the residuals of this H's eigenpairs overflow (their squares pass 1e308): no realness
+    # or tracking verdict on them
     H = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     with pytest.raises(ConvergenceError,
-                       match=r"^eigenframe at t=0\.0: eigenpair residual nan exceeds"):
+                       match=r"^eigenframe at t=0\.0: eigenpair residual inf exceeds"):
         build_eigenframe(OperatorFamily.constant(H), identity_frame_family(2),
                          np.linspace(0.0, 1.0, 5))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,7 +189,7 @@ def test_eigenframe_eigensolve_failure_names_the_grid_point(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         build_eigenframe(ham, identity_frame_family(2), grid)
     assert err.value.index == 3
-    assert str(err.value).startswith(f"eigenframe at t={grid[3]}: eigenpair residual nan exceeds")
+    assert str(err.value).startswith(f"eigenframe at t={grid[3]}: eigenpair residual inf exceeds")
     with np.errstate(over="ignore", invalid="ignore"):
         assert _assert_same_outcome(ham, identity_frame_family(2), grid)[0] is ConvergenceError
 

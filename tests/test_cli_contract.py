@@ -30,11 +30,16 @@ MATRICES = ("H", "C", "P", "K", "G")
 
 # Mutations whose config is an error of the scenario: both commands exit 2.
 CONFIG_ERRORS = ("non-increasing grid", "level out of range", "G of the wrong dimension",
-                 "C breaking an axiom")
+                 "C breaking an axiom", "metric losing definiteness")
 # Mutations of the artifact directory: run exits 2, validate writes nothing.
 OUT_DIR_ERRORS = ("out-dir a file", "artifact a directory")
+# constant_metric with C = C(alpha) at alpha = pi/2 - delta: lambda_min(PC)/||PC|| is
+# (1 - cos delta)/(1 + cos delta) ~ delta^2/4, which crosses the frame tolerance 1e-10 at
+# delta = 2e-5. Below it both commands exit 2; above it validate exits 0.
+DEFINITENESS = {"metric losing definiteness": (1e-5, 1.9e-5),
+                "metric near losing definiteness": (2.1e-5, 4e-5)}
 MUTATIONS = ("missing key", "wrong type", "extreme number", "extreme matrix entry",
-             *CONFIG_ERRORS, *OUT_DIR_ERRORS)
+             *CONFIG_ERRORS, *OUT_DIR_ERRORS, *DEFINITENESS)
 
 
 def _keys(node, prefix=()):
@@ -101,7 +106,18 @@ def mutated_scenarios(draw):
             model["C"] = matrix_to_pairs(scale * pairs_to_matrix(model["C"], "C"))
         else:  # the two-level C of an angle with cos(alpha) < 1/2
             model["alpha"] = {"kind": "ramp", "start": 0.1, "stop": 1.2}
+    elif mutation in DEFINITENESS:
+        raw = _near_indefinite(draw(st.sampled_from(DEFINITENESS[mutation])))
     return mutation, raw
+
+
+def _near_indefinite(delta: float) -> dict:
+    """constant_metric with C = C(alpha), the two-level C, at alpha = pi/2 - delta."""
+    raw = json.loads(json.dumps(SCENARIOS["constant_metric"]))
+    a = np.pi / 2 - delta
+    C = np.array([[1j * np.sin(a), 1.0], [1.0, -1j * np.sin(a)]]) / np.cos(a)
+    raw["model"]["C"] = matrix_to_pairs(C)
+    return raw
 
 
 def _call(command, config, out_dir):
@@ -127,6 +143,8 @@ def _mutated(name, path, value):
 # an overflow in the frame check, then a division by zero in the symmetry scan: numpy warns
 @example(("extreme matrix entry", _mutated("constant_metric", ("model", "C", 1, 0, 1), 1e308)))
 @example(("extreme number", _mutated("constant_metric", ("model", "b", "value"), 1e-300)))
+@example(("metric losing definiteness", _near_indefinite(1.9e-5)))
+@example(("metric near losing definiteness", _near_indefinite(2.1e-5)))
 def test_cli_exit_contract_over_mutated_scenarios(case):
     mutation, raw = case
     codes = {}
@@ -154,5 +172,7 @@ def test_cli_exit_contract_over_mutated_scenarios(case):
         assert codes == {"run": 2, "validate": 2}, codes
     elif mutation in OUT_DIR_ERRORS:
         assert codes["run"] == 2, codes
+    elif mutation in DEFINITENESS:
+        assert codes["validate"] == 0 and codes["run"] != 2, codes
     else:
         assert (codes["run"] == 2) == (codes["validate"] == 2), codes

@@ -526,6 +526,96 @@ def test_one_point_kernels_match_the_one_norm_per_matrix_reference(seed, dim, om
         assert repr(fg.symmetry_reports(hams, tol)) == repr(one_point)
 
 
+def _svd_sizes(monkeypatch) -> list:
+    """The number of matrices of each ``np.linalg.svd`` call from here on (``linalg._svd_norms``
+    calls it for every operator norm)."""
+    svd, sizes = np.linalg.svd, []
+
+    def counting_svd(X, *args, **kwargs):
+        sizes.append(math.prod(np.shape(X)[:-2]))
+        return svd(X, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_passing_one_point_check_takes_no_svd_until_its_residuals_are_read(monkeypatch, seed):
+    # Each check of a passing d = 8 frame is settled by its norms' bounds. Reading the
+    # residuals norms the three C-dependent residual matrices in one SVD, once, each to the
+    # bit of one norm per matrix; a report settles ||PC|| from its bracket too.
+    ham, fam = rotating_frame_model(seed, 8, 1.3)
+    t = 0.4
+    expected = reference_frame_residuals(fam.c_family(t), fam.p, fam.t.conj_matrix)
+    H = ham(t)
+    sizes = _svd_sizes(monkeypatch)
+    frame = fam.frame_at(t)
+    assert sizes == []
+    assert repr(frame.residuals) == repr(expected)
+    assert sizes == [3]
+    assert frame.residuals is frame.residuals and sizes == [3]
+    report = symmetry_report(frame, H)
+    assert sizes == [3, 3]
+    assert repr(report) == repr(reference_symmetry_report(frame, H, frames.DEFAULT_FRAME_TOL))
+
+
+def test_frame_no_check_built_norms_all_its_residuals_when_read(monkeypatch):
+    # A frame built directly carries no P/T check: reading its residuals norms the six
+    # residual matrices of its own C, P and T in one SVD.
+    _, C, P = two_level_matrices(1.0, 0.7)
+    checked = validate_frames(C, P, conjugation())
+    frame = frames.CPTFrame(c=checked.c, p=checked.p, t=checked.t, metric=checked.metric,
+                            metric_eigenvalues=checked.metric_eigenvalues)
+    sizes = _svd_sizes(monkeypatch)
+    assert repr(frame.residuals) == repr(reference_frame_residuals(C, P, np.eye(2)))
+    assert sizes == [6]
+
+
+@pytest.mark.parametrize("tol, message", [
+    (5e-16, None),
+    (3e-16, "residual 4.441e-16 (tolerance 3.0e-16, scale 1.26)"),
+    (1e-16, "residual 4.441e-16 (tolerance 1.0e-16, scale 1.26)"),
+])
+def test_one_point_check_inside_the_bracket_takes_the_exact_norms(monkeypatch, tol, message):
+    # The ramp's C at t = 0.205, the worst C^2 = I residual of the bundled grid (see the
+    # frame-tolerance sweep in test_cli.py). At these tolerances the bounds of its
+    # residual and of ||C||^2 leave the check open: one SVD of the five matrices decides
+    # it, and a failure prints the exact residual and scale.
+    cfg = load_config(Path(__file__).resolve().parents[1] / "scenarios" / "two_level_ramp.json")
+    fam = build_model(cfg).frame_family
+    t = cfg.grid.times()[41]
+    C, P, K = fam.c_family(t), fam.p, fam.t.conj_matrix
+    expected = reference_frame_residuals(C, P, K)
+    sizes = _svd_sizes(monkeypatch)
+    if message is None:
+        frame = validate_frames(C, P, fam.t, tol)
+        assert repr(frame.residuals) == repr(expected)
+    else:
+        with pytest.raises(FrameAxiomError) as err:
+            validate_frames(C, P, fam.t, tol)
+        assert str(err.value) == "frame axiom 'C^2 = I' violated: " + message
+        assert err.value.index is None
+    assert sizes == [3, 5]  # the P/T check (P, K and PK; its residuals are all zero), the five
+
+
+@pytest.mark.parametrize("ratio, hermitian", [(0.999, True), (1.001, False)])
+def test_one_point_report_norms_the_metric_where_its_bracket_is_open(monkeypatch, ratio, hermitian):
+    # H's metric residual R is ratio times the threshold tol*||H||*||PC||. ||PC|| lies in
+    # [max|PC_ij|, 2 max|PC_ij|] with max|PC_ij| < ||PC||, so at the bracket's ends the
+    # verdict differs: the report norms PC in one more SVD and decides from the exact norm.
+    H, C, P = two_level_matrices(1.0, 1.2)
+    frame = validate_frames(C, P, conjugation())
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) + np.diag([1.0, -1.0])
+    tol = 1e-10
+    residual = operator_norm(X.conj().T @ frame.metric - frame.metric @ X)
+    H = H + ratio * tol * operator_norm(H) * operator_norm(frame.metric) / residual * X
+    sizes = _svd_sizes(monkeypatch)
+    report = symmetry_report(frame, H, tol)
+    assert sizes == [3, 1]
+    assert report.cpt_hermitian == hermitian
+    assert repr(report) == repr(reference_symmetry_report(frame, H, tol))
+
+
 def test_one_point_report_raises_the_svd_failure_first():
     # H is finite; its metric residual holds a NaN (inf - inf) beside finite entries
     H, C, P = two_level_matrices(1.0, 1.2)
@@ -539,7 +629,7 @@ def test_one_point_report_raises_the_svd_failure_first():
 def test_one_point_report_rejects_an_overflowing_eigenpair():
     H, C, P = two_level_matrices(1.0, 1.2)
     frame = validate_frames(C, P, conjugation())
-    message = r"^eigenpair residual nan exceeds 1\.0e-10\*\|\|M\|\| for matrix:\n"
+    message = r"^eigenpair residual inf exceeds 1\.0e-10\*\|\|M\|\| for matrix:\n"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError, match=message):
         symmetry_report(frame, 1e200 * H)
 

@@ -146,15 +146,38 @@ def test_eigenpairs_stack_raises_for_the_first_failing_matrix(monkeypatch, rng, 
 
 
 def test_eigenpairs_stack_rejects_an_overflowing_pair():
-    # finite entries near 1e200 overflow the 2x2 quadratic formula: the pairs
-    # come out NaN, and a NaN residual fails the check without a RuntimeWarning
+    # finite entries near 1e200: the scaled 2x2 quadratic formula gives finite pairs, but
+    # the squares of their residual overflow, and an infinite residual fails the check
+    # without a RuntimeWarning
     H = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     for X, index in ((H[None], 0), (np.stack([np.diag([1.0, 2.0]), H]), 1)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="^eigenpair residual nan exceeds") as err:
+            with pytest.raises(ConvergenceError, match="^eigenpair residual inf exceeds") as err:
                 eigenpairs_stack(X)
         assert err.value.index == index
+
+
+@pytest.mark.parametrize("s", [2.0**-660, 1e-200, 1e200])
+def test_closed_form_eigenpairs_scale_with_the_matrix(s):
+    # Unscaled, (a - d)^2 and b c underflow to 0 at 1e-200 and overflow at 1e200. The
+    # closed form scales each matrix by a power of two first: the eigenvalues of s M are
+    # s times M's and the vectors are M's, to the bit when s is a power of two.
+    rng = np.random.default_rng(5)
+    M = np.stack([two_level_matrices(1.0, 0.3)[0], np.array([[0.5, 2.0], [2.0, -1.5]]),
+                  rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))]).astype(complex)
+    lams, vecs = linalg._eigenpairs_2x2(M)
+    with np.errstate(under="raise", over="raise"):
+        scaled_lams, scaled_vecs = linalg._eigenpairs_2x2(s * M)
+    if s == 2.0**-660:
+        assert same_bits(scaled_lams, s * lams) and same_bits(scaled_vecs, vecs)
+    else:
+        np.testing.assert_allclose(scaled_lams, s * lams, rtol=1e-14, atol=1e-14 * s)
+        # the same unit vectors up to a phase (s M rounds M's entries)
+        np.testing.assert_allclose(np.abs(np.vecdot(vecs, scaled_vecs)), 1.0, rtol=0.0, atol=1e-14)
+    if s < 1.0:  # at 1e200 the residual's squares overflow (see the test above)
+        stack_lams, _ = eigenpairs_stack(s * M)
+        np.testing.assert_allclose(stack_lams, s * eigenpairs_stack(M)[0], rtol=1e-14, atol=1e-14 * s)
 
 
 def test_eigenpairs_stack_rejects_bad_input():
