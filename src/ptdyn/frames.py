@@ -191,7 +191,8 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
 
 
 def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None) -> CPTFrame:
-    """:func:`validate_frames`, with the P/T axioms taken from ``pt`` when given (see :func:`_pt_axioms`).
+    """:func:`validate_frames`, with the P/T axioms taken from ``pt`` when given (see :func:`_pt_axioms`);
+    C and P must then come coerced by ``as_operator``, as a family's C(t) and P do.
 
     The one-point case of :func:`_c_axioms`, on Python floats. The five matrices C, PC and
     the three residuals are bounded by max|a_ij| <= ||A||_2 <= d*max|a_ij| (widened by
@@ -202,8 +203,8 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    C = as_operator(C, "C")
-    P = as_operator(P, "P")
+    if pt is None:
+        C, P = as_operator(C, "C"), as_operator(P, "P")
     K = T.conj_matrix
     n = P.shape[0]
     if C.shape[0] != n or K.shape[0] != n:
@@ -290,7 +291,9 @@ class SymmetryReport:
 
     ``unbroken`` means PT-symmetric with every eigenspace invariant under
     the PT map, which forces a real spectrum; ``eigen_realness`` is the
-    largest |Im| over the eigenvalues.
+    largest |Im| over the eigenvalues. The residuals are exact SVD norms; a
+    report :func:`symmetry_report` settled takes both in one SVD when either
+    is first read.
     """
 
     pt_symmetric: bool
@@ -299,6 +302,14 @@ class SymmetryReport:
     eigen_realness: float
     pt_residual: float
     cpt_residual: float
+
+    def __getattr__(self, name: str):  # reached only for an attribute not set
+        pending = self.__dict__.get("_residual_matrices")
+        if pending is None or name not in ("pt_residual", "cpt_residual"):
+            raise AttributeError(f"'SymmetryReport' object has no attribute '{name}'")
+        # The matrices stay: a second thread reading at once norms them again, to the same bits.
+        self.__dict__.update(zip(("pt_residual", "cpt_residual"), linalg._svd_norms(pending).tolist()))
+        return self.__dict__[name]
 
 
 def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> SymmetryReport:
@@ -310,61 +321,59 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     clustered within tol are treated as one eigenspace, tested for
     PT-invariance as a subspace (individual vectors are gauge-ambiguous
     there), and the fallback is logged. This is the one-point case of
-    :meth:`FrameGrid.symmetry_reports`.
+    :meth:`FrameGrid.symmetry_reports`, on Python floats, decided from the
+    norms' bracket (see :func:`_validated`) where it settles every check, the
+    residual norms then taken when read; else from one SVD of H, the two
+    residuals and PC, taken first for a bound that is not finite.
     """
     H = as_operator(H, "H")
     if H.shape[0] != frame.dim:
         raise ValueError(f"operator dim {H.shape[0]} does not match frame dim {frame.dim}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # The one-point case of _classify, on Python floats: one SVD, the eigensolve, the checks.
-    # The bracket of ||PC||, the PT map PK and ||PK|| come from the frame check; ||PC|| is
-    # normed by one more SVD only where its bracket leaves the metric-Hermitian verdict open.
-    # A frame the check did not build (or dataclasses.replace rebuilt) carries none of them,
-    # and norms PC and PK in the SVD.
+    # The PT map PK, ||PK|| and ||PC||'s bracket come from the frame check; a frame the check
+    # did not build (or dataclasses.replace rebuilt) has none, and puts PC and PK in the SVD.
     pt, metric = frame._pt, frame.metric
     pt_map = frame.p @ frame.t.conj_matrix if pt is None else pt.pt_map
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
-        pt_residual = H @ pt_map - pt_map @ np.conj(H)
-        cpt_residual = H.conj().T @ metric - metric @ H
-    matrices = [H, pt_residual, cpt_residual] + ([metric, pt_map] if pt is None else [])
-    nH, pt_norm, cpt_norm, *rest = linalg._svd_norms(np.stack(matrices)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm
+        matrices = np.stack((H, H @ pt_map - pt_map @ np.conj(H), H.conj().T @ metric - metric @ H))
+    a = np.abs(matrices).max(axis=(1, 2)).tolist()
+    low, high = 1.0 - linalg.NORM_MARGIN, H.shape[0] * (1.0 + linalg.NORM_MARGIN)
 
-    def hermitian(nM: float) -> bool:
-        return cpt_norm <= tol * max(nH * nM, 1e-300)
+    def exact() -> np.ndarray:  # ||H||, the residual norms, ||PC||, and ||PK|| for a frame without it
+        return linalg._svd_norms(np.concatenate((matrices, [metric, pt_map] if pt is None else [metric])))
 
-    if pt is None:
-        nM, norm_pt = rest
-        cpt_hermitian = hermitian(nM)
-    else:
-        norm_pt, (lo, hi) = pt.pt_norm, frame._metric_norm
-        cpt_hermitian = hermitian(lo)
-        if cpt_hermitian != hermitian(hi):
-            cpt_hermitian = hermitian(linalg._svd_norms(metric[None]).item())
+    norms = exact() if pt is None or not all(math.isfinite(x * high) for x in a) else None
     eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
     lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
-    linalg._check_pairs(H[None], resid[None], eig_tol, np.array([nH]))
-    joined = np.abs(lams[1:] - lams[:-1]) <= tol * max(nH, 1.0)  # eigenvalue i + 1 within tol of i
-    # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
-    images = np.conj(vecs) @ pt_map.T  # images[i] = PT map of eigenvector i
-    mu = np.vecdot(vecs, images)
-    strays = linalg._vector_norms(images - mu[..., None] * vecs) > tol * max(1.0, norm_pt)
-    fails = strays | (np.abs(np.abs(mu) - 1.0) > tol * 10)
-    if joined.any():
-        fails[1:] &= ~joined
-        fails[:-1] &= ~joined
-    pt_symmetric = pt_norm <= tol * max(nH, 1e-300)
-    unbroken = pt_symmetric and not fails.any()
+    gaps, worst = np.abs(lams[1:] - lams[:-1]), float(resid.max())  # worst: NaN if one is
+
+    def verdicts(nH, n_pt, n_cpt, nM) -> tuple:  # each rises with ||H|| and ||PC||, falls with the others
+        return (n_pt <= tol * max(nH, 1e-300), n_cpt <= tol * max(nH * nM, 1e-300),
+                worst <= eig_tol * max(nH, 1e-300), *(gaps <= tol * max(nH, 1.0)).tolist())
+
+    if norms is None:
+        (lo, hi), (aH, a_pt, a_cpt) = frame._metric_norm, a
+        settled = verdicts(aH * low, a_pt * high, a_cpt * high, lo)
+        if not settled[2] or settled != verdicts(aH * high, a_pt * low, a_cpt * low, hi):
+            norms = exact()
+    if norms is not None:
+        norms = norms.tolist()
+        linalg._check_pairs(H[None], resid[None], eig_tol, np.array(norms[:1]))
+        settled = verdicts(*norms[:4])
+    pt_symmetric, cpt_hermitian, _, *joined = settled
+    joined = np.array(joined, dtype=bool)  # joined[i]: eigenvalue i + 1 is in i's cluster
+    vec_tol = tol * max(1.0, norms[4] if pt is None else pt.pt_norm)
+    unbroken = pt_symmetric and not _fails(vecs, joined, pt_map, vec_tol, tol).any()
     if unbroken and joined.any():
-        unbroken = _clusters_invariant(lams, vecs, joined, pt_map, tol * max(1.0, norm_pt))
-    return SymmetryReport(
-        pt_symmetric=pt_symmetric,
-        cpt_hermitian=cpt_hermitian,
-        unbroken=unbroken,
-        eigen_realness=float(np.abs(lams.imag).max()),
-        pt_residual=pt_norm,
-        cpt_residual=cpt_norm,
-    )
+        unbroken = _clusters_invariant(lams, vecs, joined, pt_map, vec_tol)
+    fields = (pt_symmetric, cpt_hermitian, unbroken, float(np.abs(lams.imag).max()))
+    if norms is not None:
+        return SymmetryReport(*fields, *norms[1:3])
+    report = object.__new__(SymmetryReport)  # the residual norms are taken when read
+    report.__dict__.update(zip(("pt_symmetric", "cpt_hermitian", "unbroken", "eigen_realness"), fields),
+                           _residual_matrices=matrices[1:])
+    return report
 
 
 # A stack's symmetry scan (see _classify): what linalg._eigenpairs gives for H, its norms those
@@ -394,24 +403,28 @@ def _classify(pt: _PT, metrics: np.ndarray, hams: np.ndarray, tol: float) -> _Sc
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
     gaps = np.abs(lams[:, 1:] - lams[:, :-1])
     joined = norms.decide(lambda nH: gaps <= tol * np.maximum(nH, 1.0)[:, None], 0)
-    clustered = np.zeros(lams.shape, dtype=bool)
-    clustered[:, 1:] = joined
-    clustered[:, :-1] |= joined
-    # Outside clusters, PT must map each eigenvector to a unit-modulus multiple of itself.
-    images = np.conj(vecs) @ pt_map.T  # images[k, i] = PT map of eigenvector i at point k
-    mu = np.vecdot(vecs, images)
-    off = linalg._vector_norms(images - mu[..., None] * vecs)
     vec_tol = tol * max(1.0, pt.pt_norm)
-    fails = ~clustered & ((off > vec_tol) | (np.abs(np.abs(mu) - 1.0) > tol * 10))
     pt_symmetric = norms.decide(lambda nH, nR: nR <= tol * np.maximum(nH, 1e-300), 0, 1,
                                 falling=(1,))
-    unbroken = pt_symmetric & ~fails.any(axis=1)
+    unbroken = pt_symmetric & ~_fails(vecs, joined, pt_map, vec_tol, tol).any(axis=1)
     clusters = np.flatnonzero(unbroken & joined.any(axis=1))
     for k in clusters:
         unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, vec_tol)
     cpt_hermitian = norms.decide(lambda nH, nM, nR: nR <= tol * np.maximum(nH * nM, 1e-300),
                                  0, 3, 2, falling=(2,))
     return _Scan(lams, vecs, resid, norms, pt_symmetric, cpt_hermitian, unbroken, realness)
+
+
+def _fails(vecs, joined, pt_map, vec_tol: float, tol: float) -> np.ndarray:
+    """Per eigenvector (a row of vecs, of one point or a stack): outside its cluster (see
+    ``joined``), PT does not map it to a unit-modulus multiple of itself."""
+    images = np.conj(vecs) @ pt_map.T  # images[..., i] = PT map of eigenvector i
+    mu = np.vecdot(vecs, images)
+    fails = ((linalg._vector_norms(images - mu[..., None] * vecs) > vec_tol)
+             | (np.abs(np.abs(mu) - 1.0) > tol * 10))
+    fails[..., 1:] &= ~joined
+    fails[..., :-1] &= ~joined
+    return fails
 
 
 def _clusters_invariant(lams, vecs, joined, pt_map, vec_tol: float) -> bool:

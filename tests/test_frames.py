@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import (random_frame_matrices, reference_frame_residuals, reference_symmetry_report,
-                     rotating_frame_model, two_level_matrices, unbroken_model_matrices)
+from helpers import (LAPACK_MARK, RESIDUAL_MARK, random_frame_matrices, reference_frame_residuals,
+                     reference_symmetry_report, rotating_frame_model, scripted_eig, two_level_matrices,
+                     unbroken_model_matrices)
 from ptdyn import frames, linalg
 from ptdyn.cli import build_model
 from ptdyn.config import load_config
@@ -543,11 +544,13 @@ def _svd_sizes(monkeypatch) -> list:
 def test_passing_one_point_check_takes_no_svd_until_its_residuals_are_read(monkeypatch, seed):
     # Each check of a passing d = 8 frame is settled by its norms' bounds. Reading the
     # residuals norms the three C-dependent residual matrices in one SVD, once, each to the
-    # bit of one norm per matrix; a report settles ||PC|| from its bracket too.
+    # bit of one norm per matrix. A report's verdicts are settled by the bounds of ||H||, its
+    # two residual norms and ||PC|| too: reading either residual norms both in one SVD, once.
     ham, fam = rotating_frame_model(seed, 8, 1.3)
     t = 0.4
     expected = reference_frame_residuals(fam.c_family(t), fam.p, fam.t.conj_matrix)
     H = ham(t)
+    reference = reference_symmetry_report(fam.frame_at(t), H, frames.DEFAULT_FRAME_TOL)
     sizes = _svd_sizes(monkeypatch)
     frame = fam.frame_at(t)
     assert sizes == []
@@ -555,8 +558,20 @@ def test_passing_one_point_check_takes_no_svd_until_its_residuals_are_read(monke
     assert sizes == [3]
     assert frame.residuals is frame.residuals and sizes == [3]
     report = symmetry_report(frame, H)
-    assert sizes == [3, 3]
-    assert repr(report) == repr(reference_symmetry_report(frame, H, frames.DEFAULT_FRAME_TOL))
+    assert sizes == [3]
+    assert report.pt_residual == reference.pt_residual and sizes == [3, 2]
+    assert report.cpt_residual == reference.cpt_residual and sizes == [3, 2]
+    assert repr(report) == repr(reference) and report == reference and sizes == [3, 2]
+
+
+def test_settled_report_read_by_a_second_thread_norms_its_residuals_again():
+    # Two threads reading a settled report's residuals at once both miss them and both reach
+    # __getattr__: the second norms the kept matrices again, to the same bits, and raises nothing.
+    ham, fam = rotating_frame_model(0, 8, 1.3)
+    report = symmetry_report(fam.frame_at(0.4), ham(0.4))
+    first = report.__getattr__("pt_residual"), report.__getattr__("cpt_residual")
+    second = report.__getattr__("cpt_residual"), report.__getattr__("pt_residual")
+    assert first == second[::-1] == (report.pt_residual, report.cpt_residual)
 
 
 def test_frame_no_check_built_norms_all_its_residuals_when_read(monkeypatch):
@@ -602,18 +617,74 @@ def test_one_point_check_inside_the_bracket_takes_the_exact_norms(monkeypatch, t
 def test_one_point_report_norms_the_metric_where_its_bracket_is_open(monkeypatch, ratio, hermitian):
     # H's metric residual R is ratio times the threshold tol*||H||*||PC||. ||PC|| lies in
     # [max|PC_ij|, 2 max|PC_ij|] with max|PC_ij| < ||PC||, so at the bracket's ends the
-    # verdict differs: the report norms PC in one more SVD and decides from the exact norm.
+    # verdict differs: the report norms H, its two residuals and PC in one SVD and decides
+    # from the exact norms.
     H, C, P = two_level_matrices(1.0, 1.2)
     frame = validate_frames(C, P, conjugation())
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) + np.diag([1.0, -1.0])
     tol = 1e-10
     residual = operator_norm(X.conj().T @ frame.metric - frame.metric @ X)
     H = H + ratio * tol * operator_norm(H) * operator_norm(frame.metric) / residual * X
+    reference = reference_symmetry_report(frame, H, tol)
     sizes = _svd_sizes(monkeypatch)
     report = symmetry_report(frame, H, tol)
-    assert sizes == [3, 1]
+    assert sizes == [4]
     assert report.cpt_hermitian == hermitian
-    assert repr(report) == repr(reference_symmetry_report(frame, H, tol))
+    assert repr(report) == repr(reference) and sizes == [4]
+
+
+# A real orthogonal Q = I - (2/3) J spreads H's spectrum over its entries, so ||H|| lies well
+# inside the bracket [max|H_ij|, 3 max|H_ij|].
+_SPREAD = np.eye(3) - 2.0 / 3.0
+
+
+@pytest.mark.parametrize("ratio", [0.999, 1.001])
+@pytest.mark.parametrize("verdict", ["pt_symmetric", "cpt_hermitian", "joined"])
+def test_one_point_report_decides_an_open_verdict_from_the_exact_norms(monkeypatch, caplog, verdict,
+                                                                       ratio):
+    # The frame is C = P = T = I at d = 3: the PT map is I and the metric I, whose bracket
+    # [1, 3] the frame check leaves open. H = Q D Q^T is real symmetric: PT-symmetric, metric-
+    # Hermitian and unbroken. A real antisymmetric A puts H's PT residual (i A: H stays
+    # Hermitian) or its metric residual (A: H stays real) at ratio times its threshold; or D
+    # puts the gap of two eigenvalues at ratio times the cluster threshold tol*max(||H||, 1).
+    # The bracket leaves that verdict open: one SVD of H, its residuals and PC decides it.
+    tol = 1e-10
+    eye = np.eye(3, dtype=complex)
+    frame = validate_frames(eye, eye, conjugation(3))
+    assert frame._metric_norm[0] < frame._metric_norm[1]
+    gap = ratio * tol * 10.0 if verdict == "joined" else 1.0
+    S = _SPREAD @ np.diag([-10.0, 10.0, 10.0 + gap]) @ _SPREAD.T
+    H = (0.5 * (S + S.T)).astype(complex)
+    if verdict != "joined":
+        A = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 2.0], [-0.5, -2.0, 0.0]])
+        X = 1j * A if verdict == "pt_symmetric" else A.astype(complex)
+        R = X - np.conj(X) if verdict == "pt_symmetric" else X.conj().T - X  # PT map and metric I
+        H = H + ratio * tol * operator_norm(H) / operator_norm(R) * X
+    reference = reference_symmetry_report(frame, H, tol)
+    sizes = _svd_sizes(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="ptdyn.frames"):
+        report = symmetry_report(frame, H, tol)
+    assert sizes == [4]
+    joined = "degenerate eigenvalue cluster" in caplog.text
+    assert {"pt_symmetric": report.pt_symmetric, "cpt_hermitian": report.cpt_hermitian,
+            "joined": joined}[verdict] == (ratio < 1.0)
+    assert repr(report) == repr(reference) and sizes == [4]
+
+
+@pytest.mark.parametrize("mark", [RESIDUAL_MARK, LAPACK_MARK], ids=["residual", "lapack"])
+def test_one_point_report_fails_its_eigensolve_as_the_stack_of_one(monkeypatch, mark):
+    # A wrong eigenvector leaves the report's residual check open at the bracket, and the
+    # exact check, like a LAPACK failure, raises the error eigenpairs_stack raises for H[None].
+    eye = np.eye(3, dtype=complex)
+    frame = validate_frames(eye, eye, conjugation(3))
+    H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    H[-1, 0] = mark
+    monkeypatch.setattr(np.linalg, "eig", scripted_eig(np.linalg.eig))
+    with pytest.raises(ConvergenceError) as stacked:
+        linalg.eigenpairs_stack(H[None], frames.DEFAULT_FRAME_TOL)
+    with pytest.raises(ConvergenceError) as one:
+        symmetry_report(frame, H)
+    assert str(one.value) == str(stacked.value) and one.value.index == stacked.value.index == 0
 
 
 def test_one_point_report_raises_the_svd_failure_first():
