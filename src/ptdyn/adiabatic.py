@@ -226,36 +226,39 @@ def _real_spectra(H: np.ndarray, grid: np.ndarray, start: int, realness_tol: flo
     before the earliest failure of the eigensolve and its residual check at
     ``linalg.DEFAULT_EIGEN_TOL``, or of the realness check (in that order at
     one point), and that failure, or None. ``pairs``, when given, are
-    the values, vectors and residuals ``linalg._eigenpairs`` gives for H,
-    taken instead of solving, with their residuals checked here against the
-    norms of H. An eigensolve's :class:`~ptdyn.linalg.ConvergenceError` is
-    prefixed with ``eigenframe at t=…`` and carries the grid position,
-    ``start`` being that of ``grid[0]``.
+    the values, vectors and residuals ``linalg._solved_pairs`` gives for H,
+    taken instead of solving. The residuals are checked here against the
+    norms of H, and the realness check takes the same norms, on the points
+    before the failure only. An eigensolve's
+    :class:`~ptdyn.linalg.ConvergenceError` is prefixed with
+    ``eigenframe at t=…`` and carries the grid position, ``start`` being that
+    of ``grid[0]``.
     """
     failure = unsolved = None
     tol = linalg.DEFAULT_EIGEN_TOL
     if pairs is None:
         try:
-            lams, vecs, _, norms = linalg._eigenpairs(H, tol)
-        except linalg.ConvergenceError as exc:
+            pairs = linalg._solved_pairs(H, tol)
+        except linalg.ConvergenceError as exc:  # LAPACK's, after the points before it passed
             unsolved = exc
-            lams, vecs, _, norms = linalg._eigenpairs(H[:exc.index], tol)
-    else:
-        lams, vecs, resid = pairs
-        norms = linalg._Norms((H,), (False,))
-        try:
-            linalg._check_pairs(H, resid, tol, norms)
-        except linalg.ConvergenceError as exc:
-            unsolved = exc
-    n = len(lams) if unsolved is None else unsolved.index
+            pairs = linalg._solved_pairs(H[:exc.index], tol)
+    lams, vecs, resid = pairs
+    n = len(lams)
+    norms = linalg._Norms((H[:n],), (False,))
+    try:
+        linalg._check_pairs(H[:n], resid, tol, norms)
+    except linalg.ConvergenceError as exc:
+        unsolved, n = exc, exc.index
     if unsolved is not None:
         failure = linalg.ConvergenceError(f"eigenframe at t={grid[n]}: {unsolved}", start + n)
         failure.__cause__ = unsolved
     imag = np.abs(lams.imag)
     worst = imag.max(axis=1)
-    # the scale is max(1, ||H||), ||H|| as the eigensolve's residual check took it
-    real = norms.decide(lambda nH: worst <= realness_tol * np.maximum(1.0, nH), 0)
-    broken = np.flatnonzero(~real[:n])  # a NaN |Im| fails
+    # the scale is max(1, ||H||), ||H|| as the residual check took it; a point past the
+    # failure passes, so that its norm is not taken
+    past = np.arange(len(worst)) >= n
+    real = norms.decide(lambda nH: past | (worst <= realness_tol * np.maximum(1.0, nH)), 0)
+    broken = np.flatnonzero(~real)  # a NaN |Im| fails
     if broken.size:
         n = int(broken[0])
         failure = BrokenSymmetryError(

@@ -70,9 +70,9 @@ class CPTFrame:
     metric: np.ndarray
     metric_eigenvalues: np.ndarray
     tol: float = DEFAULT_FRAME_TOL
-    # Set by the frame check for symmetry_report: the bracket (lo, hi) of ||PC|| (lo = hi when
-    # exact) and the P/T part of the check (_PT). A frame built otherwise, or by
-    # dataclasses.replace, has neither. _residuals holds the residuals once taken.
+    # Set by the frame check for symmetry_report: the bracket (lo, hi) of ||PC|| from PC's
+    # entries (see _brackets) and the P/T part of the check (_PT). A frame built otherwise, or
+    # by dataclasses.replace, has neither. _residuals holds the residuals once taken.
     _metric_norm: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _pt: Optional[_PT] = field(default=None, init=False, repr=False, compare=False)
     _residuals: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
@@ -93,12 +93,6 @@ class CPTFrame:
         if self._residuals is None:
             object.__setattr__(self, "_residuals", _frame_residuals(self))
         return self._residuals
-
-
-def _check(residuals: dict, axiom: str, resid: float, scale: float, tol: float):
-    residuals[axiom] = resid
-    if not resid <= tol * max(scale, 1.0):  # a NaN residual fails
-        raise _axiom_error(axiom, resid, scale, tol)
 
 
 def _axiom_error(axiom: str, value: float, scale: float, tol: float, at: str = ""):
@@ -122,18 +116,17 @@ def _pt_axioms(P: np.ndarray, K: np.ndarray, tol: float) -> _PT:
     pt_map, k_conj_p = P @ K, K @ np.conj(P)
     nP, nK, n_pt, *resids = operator_norms(np.stack(
         (P, K, pt_map, P @ P - eye, K @ np.conj(K) - eye, pt_map - k_conj_p))).tolist()
-    residuals: dict = {}
-    for axiom, resid, scale in zip(_PT_AXIOMS, resids,
-                                   (nP * nP, nK * nK, nP * nK)):
-        _check(residuals, axiom, resid, scale, tol)
-    return _PT(residuals, nP, nK, eye, k_conj_p, pt_map, n_pt)
+    for axiom, resid, scale in zip(_PT_AXIOMS, resids, (nP * nP, nK * nK, nP * nK)):
+        if not resid <= tol * max(scale, 1.0):  # a NaN residual fails
+            raise _axiom_error(axiom, resid, scale, tol)
+    return _PT(dict(zip(_PT_AXIOMS, resids)), nP, nK, eye, k_conj_p, pt_map, n_pt)
 
 
 _C_AXIOMS = ("C^2 = I", "CPT = TPC", "metric Hermitian")
 
 
-def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol: float, times,
-              start: int = 0):
+def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol: float,
+              times=None, start: int = 0):
     """Check the C-dependent axioms on a stack C taken at ``times``, given ``pt = _pt_axioms(P, K)``.
 
     Returns (residuals, metric, eigenvalues): per-point residual arrays keyed
@@ -142,9 +135,11 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol:
     C or PC; its failure at point k raises :class:`ConvergenceError` naming
     point ``start + k``. The scales ||C|| and ||PC|| are decided from their
     bounds (see ``linalg._Norms``), and taken exactly where those leave a check
-    open. The first failing point k raises its first failing axiom's error from
-    these values and its exact ||C||, ||PC|| (:func:`_validated`'s message for
-    C[k], then `` at t=times[k]``), with ``index`` ``start + k``.
+    open. The first failing point k raises its first failing axiom's error
+    (:func:`_axiom_error`) from these values and its exact ||C||, ||PC||, then
+    `` at t=times[k]``, with ``index`` ``start + k``. Without ``times`` (the
+    stack of one point :func:`_validated` checks) the error names no time and
+    no ``index``.
     """
     n = C.shape[0]
     metric = P @ C
@@ -171,8 +166,9 @@ def _c_axioms(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, pt: _PT, tol:
         i = int(np.argmax(failed[k]))
         nC, nM = (norms.exact(j, np.arange(n) == k)[k] for j in (0, 1))
         error = _axiom_error((*_C_AXIOMS, "metric positive definite")[i], values[i, k],
-                             scales(nC, nM)[i], tol, f" at t={times[k]}")
-        error.index = start + k
+                             scales(nC, nM)[i], tol, "" if times is None else f" at t={times[k]}")
+        if times is not None:
+            error.index = start + k
         raise error
     return dict(zip(_C_AXIOMS, resids)), metric, eigs
 
@@ -182,10 +178,10 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
 
     Axioms checked, each with its own named :class:`FrameAxiomError`:
     P^2 = I, T^2 = I, PT = TP, C^2 = I, CPT = TPC, metric Hermitian,
-    metric positive definite. Each check is decided from the norms' bounds
-    where they settle it, else from exact SVD norms; the residuals are the
-    returned frame's :attr:`CPTFrame.residuals`, normed exactly when read.
-    This is the one-point case of :meth:`FrameFamily.on_grid`.
+    metric positive definite. The checks are decided from the norms' bracket
+    where it settles every one of them, else by the stacked check of
+    :meth:`FrameFamily.on_grid` on this one point. The residuals are the
+    returned frame's :attr:`CPTFrame.residuals`, exact SVD norms.
     """
     return _validated(C, P, T, tol)
 
@@ -195,11 +191,11 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
     C and P must then come coerced by ``as_operator``, as a family's C(t) and P do.
 
     The one-point case of :func:`_c_axioms`, on Python floats. The five matrices C, PC and
-    the three residuals are bounded by max|a_ij| <= ||A||_2 <= d*max|a_ij| (widened by
-    ``linalg.NORM_MARGIN``) and PC's spectrum taken by one ``eigvalsh``. When every residual's
-    bound passes against the least scale and PC's least eigenvalue exceeds tol times its
-    largest norm, the frame passes with no SVD, and its residuals are normed when read.
-    Otherwise one SVD of the five matrices decides the same checks in the same order.
+    the three residuals are bounded by their :func:`_brackets` and PC's spectrum taken by one
+    ``eigvalsh``. When every residual's bound passes against the least scale and PC's least
+    eigenvalue exceeds tol times its largest norm, the frame passes with no SVD, and its
+    residuals are normed when read. Otherwise :func:`_c_axioms` checks the stack of this one
+    point, and its exact residuals are the frame's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -212,35 +208,28 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
     pt = pt or _pt_axioms(P, K, tol)
     metric = P @ C
     metric_h = metric.conj().T
-    matrices = np.stack(
-        (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h))
     eigs = np.linalg.eigvalsh(0.5 * (metric + metric_h))
-    min_eig = float(eigs[0])
-
-    def scales(nC, nM):  # of the _C_AXIOMS checks
-        return nC * nC, nC * pt.p_norm * pt.k_norm, nM
-
-    # the bounds of the five norms; strict comparisons, so an infinite or NaN bound settles nothing
-    aC, aM, *a_resids = np.abs(matrices).max(axis=(1, 2)).tolist()
-    low, high = 1.0 - linalg.NORM_MARGIN, n * (1.0 + linalg.NORM_MARGIN)
+    (nC, _), bracket, *resids = _brackets(np.stack(
+        (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h)))
+    scales = nC * nC, nC * pt.p_norm * pt.k_norm, bracket[0]  # least scales of _C_AXIOMS
     residuals = None
-    if min_eig > tol * (aM * high) and all(
-            a * high < tol * max(scale, 1.0) for a, scale in zip(a_resids, scales(aC * low, aM * low))):
-        bracket = (aM * low, aM * high)
-    else:
-        nC, nM, *resids = linalg._svd_norms(matrices).tolist()
-        residuals = dict(pt.residuals)
-        for axiom, resid, scale in zip(_C_AXIOMS, resids, scales(nC, nM)):
-            _check(residuals, axiom, resid, scale, tol)
-        if not min_eig > tol * nM:  # a NaN eigenvalue or norm fails
-            raise _axiom_error("metric positive definite", min_eig, nM, tol)
-        residuals["metric min eigenvalue"] = min_eig
-        bracket = (nM, nM)
+    # strict comparisons, so an infinite or NaN bound settles nothing
+    if not (eigs[0] > tol * bracket[1]
+            and all(hi < tol * max(scale, 1.0) for (_, hi), scale in zip(resids, scales))):
+        exact, _, _ = _c_axioms(C[None], P, T, pt, tol)
+        residuals = {**pt.residuals, **{axiom: float(r[0]) for axiom, r in exact.items()},
+                     "metric min eigenvalue": float(eigs[0])}
     frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, tol=tol)
-    object.__setattr__(frame, "_metric_norm", bracket)
-    object.__setattr__(frame, "_pt", pt)
-    object.__setattr__(frame, "_residuals", residuals)
+    frame.__dict__.update(_metric_norm=bracket, _pt=pt, _residuals=residuals)
     return frame
+
+
+def _brackets(matrices: np.ndarray) -> list:
+    """The bracket (lo, hi) of ||A||_2 for each matrix A of a one-point stack, as Python
+    floats: max|a_ij| <= ||A||_2 <= d*max|a_ij|, widened by ``linalg.NORM_MARGIN`` as
+    ``linalg._Norms`` widens it. The one-point checks' shortcuts decide from these."""
+    low, high = 1.0 - linalg.NORM_MARGIN, matrices.shape[-1] * (1.0 + linalg.NORM_MARGIN)
+    return [(a * low, a * high) for a in np.abs(matrices).max(axis=(1, 2)).tolist()]
 
 
 def _frame_residuals(frame: CPTFrame) -> dict:
@@ -322,9 +311,11 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     PT-invariance as a subspace (individual vectors are gauge-ambiguous
     there), and the fallback is logged. This is the one-point case of
     :meth:`FrameGrid.symmetry_reports`, on Python floats, decided from the
-    norms' bracket (see :func:`_validated`) where it settles every check, the
-    residual norms then taken when read; else from one SVD of H, the two
-    residuals and PC, taken first for a bound that is not finite.
+    :func:`_brackets` of ||H|| and the two residual norms, and the frame
+    check's bracket of ||PC||, where they settle every check and pass the
+    eigenpairs; the residual norms are then taken when read. Otherwise (an
+    open check, a bound that is not finite, or a frame no check built) the
+    stacked scan :func:`_classify` of this one point gives the report.
     """
     H = as_operator(H, "H")
     if H.shape[0] != frame.dim:
@@ -332,48 +323,37 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     if tol <= 0:
         raise ValueError("tol must be positive")
     # The PT map PK, ||PK|| and ||PC||'s bracket come from the frame check; a frame the check
-    # did not build (or dataclasses.replace rebuilt) has none, and puts PC and PK in the SVD.
+    # did not build (or dataclasses.replace rebuilt) has none, and takes the stacked scan.
     pt, metric = frame._pt, frame.metric
     pt_map = frame.p @ frame.t.conj_matrix if pt is None else pt.pt_map
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm
         matrices = np.stack((H, H @ pt_map - pt_map @ np.conj(H), H.conj().T @ metric - metric @ H))
-    a = np.abs(matrices).max(axis=(1, 2)).tolist()
-    low, high = 1.0 - linalg.NORM_MARGIN, H.shape[0] * (1.0 + linalg.NORM_MARGIN)
+    bounds = _brackets(matrices)
+    if pt is not None and all(math.isfinite(hi) for _, hi in bounds):
+        eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
+        lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
+        gaps, worst = np.abs(lams[1:] - lams[:-1]), float(resid.max())  # worst: NaN if one is
 
-    def exact() -> np.ndarray:  # ||H||, the residual norms, ||PC||, and ||PK|| for a frame without it
-        return linalg._svd_norms(np.concatenate((matrices, [metric, pt_map] if pt is None else [metric])))
+        def verdicts(nH, n_pt, n_cpt, nM) -> tuple:  # each rises with ||H|| and ||PC||, falls with the others
+            return (n_pt <= tol * max(nH, 1e-300), n_cpt <= tol * max(nH * nM, 1e-300),
+                    worst <= eig_tol * max(nH, 1e-300), *(gaps <= tol * max(nH, 1.0)).tolist())
 
-    norms = exact() if pt is None or not all(math.isfinite(x * high) for x in a) else None
-    eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
-    lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
-    gaps, worst = np.abs(lams[1:] - lams[:-1]), float(resid.max())  # worst: NaN if one is
-
-    def verdicts(nH, n_pt, n_cpt, nM) -> tuple:  # each rises with ||H|| and ||PC||, falls with the others
-        return (n_pt <= tol * max(nH, 1e-300), n_cpt <= tol * max(nH * nM, 1e-300),
-                worst <= eig_tol * max(nH, 1e-300), *(gaps <= tol * max(nH, 1.0)).tolist())
-
-    if norms is None:
-        (lo, hi), (aH, a_pt, a_cpt) = frame._metric_norm, a
-        settled = verdicts(aH * low, a_pt * high, a_cpt * high, lo)
-        if not settled[2] or settled != verdicts(aH * high, a_pt * low, a_cpt * low, hi):
-            norms = exact()
-    if norms is not None:
-        norms = norms.tolist()
-        linalg._check_pairs(H[None], resid[None], eig_tol, np.array(norms[:1]))
-        settled = verdicts(*norms[:4])
-    pt_symmetric, cpt_hermitian, _, *joined = settled
-    joined = np.array(joined, dtype=bool)  # joined[i]: eigenvalue i + 1 is in i's cluster
-    vec_tol = tol * max(1.0, norms[4] if pt is None else pt.pt_norm)
-    unbroken = pt_symmetric and not _fails(vecs, joined, pt_map, vec_tol, tol).any()
-    if unbroken and joined.any():
-        unbroken = _clusters_invariant(lams, vecs, joined, pt_map, vec_tol)
-    fields = (pt_symmetric, cpt_hermitian, unbroken, float(np.abs(lams.imag).max()))
-    if norms is not None:
-        return SymmetryReport(*fields, *norms[1:3])
-    report = object.__new__(SymmetryReport)  # the residual norms are taken when read
-    report.__dict__.update(zip(("pt_symmetric", "cpt_hermitian", "unbroken", "eigen_realness"), fields),
-                           _residual_matrices=matrices[1:])
-    return report
+        ((h_lo, h_hi), (p_lo, p_hi), (c_lo, c_hi)), (m_lo, m_hi) = bounds, frame._metric_norm
+        settled = verdicts(h_lo, p_hi, c_hi, m_lo)
+        if settled[2] and settled == verdicts(h_hi, p_lo, c_lo, m_hi):
+            pt_symmetric, cpt_hermitian, _, *joined = settled
+            joined = np.array(joined, dtype=bool)  # joined[i]: eigenvalue i + 1 is in i's cluster
+            vec_tol = tol * max(1.0, pt.pt_norm)
+            unbroken = pt_symmetric and not _fails(vecs, joined, pt_map, vec_tol, tol).any()
+            if unbroken and joined.any():
+                unbroken = _clusters_invariant(lams, vecs, joined, pt_map, vec_tol)
+            report = object.__new__(SymmetryReport)  # the residual norms are taken when read
+            report.__dict__.update(pt_symmetric=pt_symmetric, cpt_hermitian=cpt_hermitian,
+                                   unbroken=unbroken, eigen_realness=float(np.abs(lams.imag).max()),
+                                   _residual_matrices=matrices[1:])
+            return report
+    pt_norm = linalg.operator_norm(pt_map) if pt is None else pt.pt_norm
+    return _reports(_classify(pt_map, pt_norm, metric[None], H[None], tol))[0]
 
 
 # A stack's symmetry scan (see _classify): what linalg._eigenpairs gives for H, its norms those
@@ -388,12 +368,12 @@ def _reports(scan: _Scan) -> list[SymmetryReport]:
         scan.realness.tolist(), scan.norms.exact(1).tolist(), scan.norms.exact(2).tolist())]
 
 
-def _classify(pt: _PT, metrics: np.ndarray, hams: np.ndarray, tol: float) -> _Scan:
-    """The symmetry scan of a stack of H against a stack of metrics PC, with the PT map and
-    its norm taken from the family's P/T check ``pt``."""
+def _classify(pt_map: np.ndarray, pt_norm: float, metrics: np.ndarray, hams: np.ndarray,
+              tol: float) -> _Scan:
+    """The symmetry scan of a stack of H against a stack of metrics PC, given the PT map PK
+    and its norm ||PK||."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pt_map = pt.pt_map
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
         pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
         cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
@@ -403,7 +383,7 @@ def _classify(pt: _PT, metrics: np.ndarray, hams: np.ndarray, tol: float) -> _Sc
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
     gaps = np.abs(lams[:, 1:] - lams[:, :-1])
     joined = norms.decide(lambda nH: gaps <= tol * np.maximum(nH, 1.0)[:, None], 0)
-    vec_tol = tol * max(1.0, pt.pt_norm)
+    vec_tol = tol * max(1.0, pt_norm)
     pt_symmetric = norms.decide(lambda nH, nR: nR <= tol * np.maximum(nH, 1e-300), 0, 1,
                                 falling=(1,))
     unbroken = pt_symmetric & ~_fails(vecs, joined, pt_map, vec_tol, tol).any(axis=1)
@@ -593,7 +573,7 @@ class FrameGrid:
         if hams.shape != self.metric.shape:
             raise ValueError(f"operator stack {hams.shape} does not match the grid {self.metric.shape}")
         try:
-            return then(_classify(self._pt, self.metric, hams, tol))
+            return then(_classify(self._pt.pt_map, self._pt.pt_norm, self.metric, hams, tol))
         except ConvergenceError as exc:
             raise ConvergenceError(f"symmetry scan at t={self.times[exc.index]}: {exc}",
                                    exc.index) from exc

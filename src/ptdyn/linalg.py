@@ -481,15 +481,11 @@ def _solved_pairs(X: np.ndarray, tol: float) -> tuple:
     return lams, vecs, resid
 
 
-def _check_pairs(X: np.ndarray, resid: np.ndarray, tol: float, norms):
-    """Raise :class:`ConvergenceError` at the first X[k] with a residual resid[k, i] > tol*||X[k]||.
-
-    ``norms`` is the :class:`_Norms` of the check, whose stack 0 holds ||X[k]||, or those
-    norms exactly, as an array."""
-    def fits(nM):  # a NaN residual fails
-        return resid <= tol * np.maximum(nM, 1e-300)[:, None]
-
-    bad = ~(norms.decide(fits, 0) if isinstance(norms, _Norms) else fits(norms))
+def _check_pairs(X: np.ndarray, resid: np.ndarray, tol: float, norms: _Norms):
+    """Raise :class:`ConvergenceError` at the first X[k] with a residual resid[k, i] > tol*||X[k]||,
+    ||X[k]|| decided from stack 0 of the check's :class:`_Norms` ``norms``."""
+    # a NaN residual fails
+    bad = ~norms.decide(lambda nM: resid <= tol * np.maximum(nM, 1e-300)[:, None], 0)
     if bad.any():
         k = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[k]))

@@ -45,7 +45,7 @@ from ptdyn.adiabatic import (
     _cumulative_trapezoid,
     operator_phase,
 )
-from ptdyn import linalg, models
+from ptdyn import adiabatic, linalg, models
 from ptdyn.cli import build_model
 from ptdyn.config import from_dict
 from ptdyn.dynamics import Equation, EvolutionProblem, evolve_state
@@ -516,6 +516,28 @@ def test_eigenframe_raises_the_first_failure_of_the_one_point_loop(monkeypatch, 
     one_point = _assert_same_outcome(ham, identity_frame_family(dim), grid)
     error, text = FAILURES[first]
     assert one_point[0] is error and text in one_point[1]
+
+
+def test_eigenframe_stack_solves_once_and_norms_nothing_past_a_residual_failure(monkeypatch):
+    # Point 4 fails its eigenpair residual check; point 6 has eigenvalues 0.5 -+ 3e-10 i,
+    # whose realness check (|Im| <= 1e-10 * max(1, ||H||), ||H|| in [2, 6] by its bracket)
+    # only an exact ||H|| would settle. Solved here or handed over by the symmetry scan, the
+    # stack is solved at most once, no norm is taken, and the residual failure is raised
+    # with the pairs of the points before it.
+    mats = [_scripted_matrix(3, k, "residual" if k == 4 else None) for k in range(8)]
+    mats[6] = np.array([[0.5, 3e-10, 0.0], [-3e-10, 0.5, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
+    H, grid = np.array(mats), np.linspace(0.0, 1.0, 8)
+    eig, svd, calls, sizes = scripted_eig(np.linalg.eig), np.linalg.svd, [], []
+    monkeypatch.setattr(np.linalg, "eig", lambda X: calls.append(len(X)) or eig(X))
+    monkeypatch.setattr(np.linalg, "svd", lambda X, *a, **k: sizes.append(len(X)) or svd(X, *a, **k))
+    handed_over = linalg._solved_pairs(H, linalg.DEFAULT_EIGEN_TOL)
+    for pairs in (None, handed_over):
+        calls.clear()
+        lams, vecs, failure = adiabatic._real_spectra(H, grid, 10, 1e-10, pairs)
+        assert calls == ([8] if pairs is None else []) and sizes == []
+        assert isinstance(failure, ConvergenceError) and failure.index == 14
+        assert str(failure).startswith(f"eigenframe at t={grid[4]}: eigenpair residual ")
+        assert lams.shape == (4, 3) and vecs.shape == (4, 3, 3)
 
 
 # ------------------------------------------------------------- dynamical phase

@@ -503,16 +503,33 @@ def test_one_point_kernels_match_the_one_norm_per_matrix_reference(seed, dim, om
     # The frame check and the symmetry report take their norms in one stacked SVD;
     # every residual and report field is still what one norm per matrix gives. H is
     # unbroken with distinct levels, C itself (two degenerate levels), a generic
-    # matrix (broken), and a metric-Hermitian H that is not PT-symmetric.
+    # matrix (broken), and a metric-Hermitian H that is not PT-symmetric. The same holds
+    # where the bracket shortcuts decline every check and the stacked check and scan of
+    # the one point decide.
+    for declined in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if declined:  # a bracket (0, inf) settles nothing
+                mp.setattr(frames, "_brackets", lambda matrices: [(0.0, math.inf)] * len(matrices))
+            _check_one_point_kernels(seed, dim, omega, tol, declined)
+
+
+def _check_one_point_kernels(seed, dim, omega, tol, declined):
+    def report(frame, X):
+        rep = symmetry_report(frame, X, tol)
+        assert repr(rep) == repr(reference_symmetry_report(frame, X, tol))
+        assert not declined or "_residual_matrices" not in rep.__dict__  # the stacked scan's
+        return rep
+
     rng = np.random.default_rng(seed)
     H, C, P, K = unbroken_model_matrices(rng, dim)
     T = AntilinearOperator(K)
     frame = validate_frames(C, P, T, tol)
+    assert not declined or frame._residuals is not None  # the stacked check's exact residuals
     assert repr(frame.residuals) == repr(reference_frame_residuals(C, P, K))
     generic = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     for X in (H, C, generic):
-        assert repr(symmetry_report(frame, X, tol)) == repr(reference_symmetry_report(frame, X, tol))
-    assert symmetry_report(frame, H, tol).unbroken
+        report(frame, X)
+    assert report(frame, H).unbroken
 
     ham, fam = rotating_frame_model(seed, dim, omega)
     grid = np.linspace(0.0, 1.0, 5)
@@ -521,9 +538,9 @@ def test_one_point_kernels_match_the_one_norm_per_matrix_reference(seed, dim, om
         one_point = []
         for t, X in zip(grid, hams):
             frame = fam.frame_at(t)
+            assert not declined or frame._residuals is not None
             assert repr(frame.residuals) == repr(reference_frame_residuals(fam.c_family(t), fam.p, fam.t.conj_matrix))
-            one_point.append(symmetry_report(frame, X, tol))
-            assert repr(one_point[-1]) == repr(reference_symmetry_report(frame, X, tol))
+            one_point.append(report(frame, X))
         assert repr(fg.symmetry_reports(hams, tol)) == repr(one_point)
 
 
@@ -594,8 +611,8 @@ def test_frame_no_check_built_norms_all_its_residuals_when_read(monkeypatch):
 def test_one_point_check_inside_the_bracket_takes_the_exact_norms(monkeypatch, tol, message):
     # The ramp's C at t = 0.205, the worst C^2 = I residual of the bundled grid (see the
     # frame-tolerance sweep in test_cli.py). At these tolerances the bounds of its
-    # residual and of ||C||^2 leave the check open: one SVD of the five matrices decides
-    # it, and a failure prints the exact residual and scale.
+    # residual and of ||C||^2 leave the check open: the stacked check of the one point
+    # decides it, and a failure prints the exact residual and scale.
     cfg = load_config(Path(__file__).resolve().parents[1] / "scenarios" / "two_level_ramp.json")
     fam = build_model(cfg).frame_family
     t = cfg.grid.times()[41]
@@ -610,15 +627,18 @@ def test_one_point_check_inside_the_bracket_takes_the_exact_norms(monkeypatch, t
             validate_frames(C, P, fam.t, tol)
         assert str(err.value) == "frame axiom 'C^2 = I' violated: " + message
         assert err.value.index is None
-    assert sizes == [3, 5]  # the P/T check (P, K and PK; its residuals are all zero), the five
+    # the P/T check (P, K and PK; its residuals are all zero), then the stacked check's: the
+    # C^2 = I residual (the other two are zero), then ||C|| and ||PC|| where their bounds
+    # leave the check open (3e-16) or for the message of a failure they settle (1e-16)
+    assert sizes == {5e-16: [3, 1], 3e-16: [3, 1, 2], 1e-16: [3, 1, 1, 1]}[tol]
 
 
 @pytest.mark.parametrize("ratio, hermitian", [(0.999, True), (1.001, False)])
 def test_one_point_report_norms_the_metric_where_its_bracket_is_open(monkeypatch, ratio, hermitian):
     # H's metric residual R is ratio times the threshold tol*||H||*||PC||. ||PC|| lies in
     # [max|PC_ij|, 2 max|PC_ij|] with max|PC_ij| < ||PC||, so at the bracket's ends the
-    # verdict differs: the report norms H, its two residuals and PC in one SVD and decides
-    # from the exact norms.
+    # verdict differs: the stacked scan of the one point norms H, PC and the metric residual
+    # in one SVD and decides from the exact norms, then norms the PT residual for the report.
     H, C, P = two_level_matrices(1.0, 1.2)
     frame = validate_frames(C, P, conjugation())
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) + np.diag([1.0, -1.0])
@@ -628,9 +648,9 @@ def test_one_point_report_norms_the_metric_where_its_bracket_is_open(monkeypatch
     reference = reference_symmetry_report(frame, H, tol)
     sizes = _svd_sizes(monkeypatch)
     report = symmetry_report(frame, H, tol)
-    assert sizes == [4]
+    assert sizes == [3, 1]
     assert report.cpt_hermitian == hermitian
-    assert repr(report) == repr(reference) and sizes == [4]
+    assert repr(report) == repr(reference) and sizes == [3, 1]
 
 
 # A real orthogonal Q = I - (2/3) J spreads H's spectrum over its entries, so ||H|| lies well
@@ -647,7 +667,9 @@ def test_one_point_report_decides_an_open_verdict_from_the_exact_norms(monkeypat
     # Hermitian and unbroken. A real antisymmetric A puts H's PT residual (i A: H stays
     # Hermitian) or its metric residual (A: H stays real) at ratio times its threshold; or D
     # puts the gap of two eigenvalues at ratio times the cluster threshold tol*max(||H||, 1).
-    # The bracket leaves that verdict open: one SVD of H, its residuals and PC decides it.
+    # The bracket leaves that verdict open: the stacked scan of the one point decides it from
+    # one SVD of the norms it reads (H and that residual; PC too for metric Hermiticity). A
+    # residual the verdict does not read is zero here, and so exact without an SVD.
     tol = 1e-10
     eye = np.eye(3, dtype=complex)
     frame = validate_frames(eye, eye, conjugation(3))
@@ -664,11 +686,12 @@ def test_one_point_report_decides_an_open_verdict_from_the_exact_norms(monkeypat
     sizes = _svd_sizes(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ptdyn.frames"):
         report = symmetry_report(frame, H, tol)
-    assert sizes == [4]
+    svd_size = {"pt_symmetric": 2, "cpt_hermitian": 3, "joined": 1}[verdict]
+    assert sizes == [svd_size]
     joined = "degenerate eigenvalue cluster" in caplog.text
     assert {"pt_symmetric": report.pt_symmetric, "cpt_hermitian": report.cpt_hermitian,
             "joined": joined}[verdict] == (ratio < 1.0)
-    assert repr(report) == repr(reference) and sizes == [4]
+    assert repr(report) == repr(reference) and sizes == [svd_size]
 
 
 @pytest.mark.parametrize("mark", [RESIDUAL_MARK, LAPACK_MARK], ids=["residual", "lapack"])
@@ -780,7 +803,8 @@ def test_batched_norm_failure_names_the_point_within_the_stack():
     hams = np.stack([H] * n)
     hams[k] = np.diag([1e308 * (1 + 1j), 1.0])
     with pytest.raises(ConvergenceError, match=f"^SVD did not converge for stack matrix {k}$") as err:
-        frames._classify(frame._pt, np.stack([frame.metric] * n), hams, 1e-10)
+        frames._classify(frame._pt.pt_map, frame._pt.pt_norm, np.stack([frame.metric] * n), hams,
+                         1e-10)
     assert err.value.index == k
     grid = np.linspace(0.0, 1.0, n)
     with pytest.raises(ConvergenceError) as err:
