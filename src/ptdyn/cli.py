@@ -35,7 +35,7 @@ from . import dynamics as dyn
 from . import frames as frm
 from .config import ConfigError, ScenarioConfig
 from .frames import FrameAxiomError
-from .linalg import AntilinearOperator, ConvergenceError, NonFiniteError, OperatorFamily
+from .linalg import ConvergenceError, NonFiniteError, OperatorFamily
 
 __all__ = ["run_scenario", "sweep", "validate_scenario", "main"]
 
@@ -75,11 +75,7 @@ def build_model(cfg: ScenarioConfig):
                 frame_tol=cfg.tolerances["frame"],
             )
         else:
-            frame = frm.validate_frames(
-                cfg.matrix("C"), cfg.matrix("P"),
-                AntilinearOperator(cfg.matrix("K")),
-                tol=cfg.tolerances["frame"],
-            )
+            frame = cfg_mod.frame_from_dict(cfg.model_fields, tol=cfg.tolerances["frame"])
             if cfg.model_kind == "constant_metric":
                 model = build_constant_metric(cfg.scalar("a"), cfg.scalar("b"), frame, grid)
             else:

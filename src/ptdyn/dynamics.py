@@ -48,8 +48,8 @@ SUBSTEP_DENSITY = 100.0
 # A default count above this, or one that is not finite, aborts the run before its interval;
 # a fixed count above it is refused.
 MAX_SUBSTEPS = 10**7
-# A scenario's grid holds at most this many points: a run keeps about 1 KiB a point at d = 2,
-# so about 1 GiB.
+# A scenario's grid holds at most this many points: a run keeps about 1.5 KiB a point at d = 2
+# (328 MiB peak at 200 001 points), so about 1.5 GiB.
 MAX_GRID_POINTS = 10**6
 # Warn when a single Runge-Kutta substep is coarser than this: ||generator|| * h / hbar.
 STEP_NORM_WARN = 0.5

@@ -70,9 +70,10 @@ class CPTFrame:
     metric: np.ndarray
     metric_eigenvalues: np.ndarray
     tol: float = DEFAULT_FRAME_TOL
-    # Set by the frame check for symmetry_report: the bracket (lo, hi) of ||PC|| from PC's
-    # entries (see _brackets) and the P/T part of the check (_PT). A frame built otherwise, or
-    # by dataclasses.replace, has neither. _residuals holds the residuals once taken.
+    # Set by the frame check: the bracket (lo, hi) of ||PC|| from PC's entries (see _brackets),
+    # which symmetry_report reads, and the P/T part of the check (_PT), which it and residuals
+    # read. A frame built otherwise, or by dataclasses.replace, has neither. _residuals holds
+    # the residuals once taken.
     _metric_norm: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _pt: Optional[_PT] = field(default=None, init=False, repr=False, compare=False)
     _residuals: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
@@ -86,12 +87,18 @@ class CPTFrame:
         """Per-axiom residual norms, keyed by axiom in the check's order, as exact SVD norms,
         then the least eigenvalue of PC ("metric min eigenvalue").
 
-        A check its norm bounds settled took no SVD: the C-dependent residuals are
-        then normed when first read, in one SVD of three matrices. A frame no check
-        built takes its P/T residuals in the same SVD, from its own P and T.
+        Taken when first read, from the stacked check :func:`_c_axioms` of this one point
+        after the frame's P/T check. A frame no check built (directly or by
+        ``dataclasses.replace``) takes that P/T check from :func:`_pt_axioms` on its own P
+        and T, so its residuals are those of its C, P and T, and where these fail an axiom
+        the read raises that :class:`FrameAxiomError`, naming no time.
         """
         if self._residuals is None:
-            object.__setattr__(self, "_residuals", _frame_residuals(self))
+            pt = self._pt or _pt_axioms(self.p, self.t.conj_matrix, self.tol)
+            exact, _, eigs = _c_axioms(self.c[None], self.p, self.t, pt, self.tol)
+            object.__setattr__(self, "_residuals", {
+                **pt.residuals, **{axiom: float(r[0]) for axiom, r in exact.items()},
+                "metric min eigenvalue": float(eigs[0, 0])})
         return self._residuals
 
 
@@ -179,9 +186,10 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
     Axioms checked, each with its own named :class:`FrameAxiomError`:
     P^2 = I, T^2 = I, PT = TP, C^2 = I, CPT = TPC, metric Hermitian,
     metric positive definite. The checks are decided from the norms' bracket
-    where it settles every one of them, else by the stacked check of
-    :meth:`FrameFamily.on_grid` on this one point. The residuals are the
-    returned frame's :attr:`CPTFrame.residuals`, exact SVD norms.
+    where it settles every one of them, else by reading the frame's
+    :attr:`CPTFrame.residuals`, the stacked check of :meth:`FrameFamily.on_grid`
+    on this one point. A frame the bracket passed takes those exact SVD norms
+    when they are first read.
     """
     return _validated(C, P, T, tol)
 
@@ -194,8 +202,8 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
     the three residuals are bounded by their :func:`_brackets` and PC's spectrum taken by one
     ``eigvalsh``. When every residual's bound passes against the least scale and PC's least
     eigenvalue exceeds tol times its largest norm, the frame passes with no SVD, and its
-    residuals are normed when read. Otherwise :func:`_c_axioms` checks the stack of this one
-    point, and its exact residuals are the frame's.
+    residuals are normed when read. Otherwise the frame's :attr:`CPTFrame.residuals` are read
+    at once: :func:`_c_axioms` checks the stack of this one point and raises where it fails.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -212,15 +220,12 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
     (nC, _), bracket, *resids = _brackets(np.stack(
         (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h)))
     scales = nC * nC, nC * pt.p_norm * pt.k_norm, bracket[0]  # least scales of _C_AXIOMS
-    residuals = None
+    frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, tol=tol)
+    frame.__dict__.update(_metric_norm=bracket, _pt=pt)
     # strict comparisons, so an infinite or NaN bound settles nothing
     if not (eigs[0] > tol * bracket[1]
             and all(hi < tol * max(scale, 1.0) for (_, hi), scale in zip(resids, scales))):
-        exact, _, _ = _c_axioms(C[None], P, T, pt, tol)
-        residuals = {**pt.residuals, **{axiom: float(r[0]) for axiom, r in exact.items()},
-                     "metric min eigenvalue": float(eigs[0])}
-    frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, tol=tol)
-    frame.__dict__.update(_metric_norm=bracket, _pt=pt, _residuals=residuals)
+        frame.residuals  # the exact check decides: it raises where an axiom fails
     return frame
 
 
@@ -230,22 +235,6 @@ def _brackets(matrices: np.ndarray) -> list:
     ``linalg._Norms`` widens it. The one-point checks' shortcuts decide from these."""
     low, high = 1.0 - linalg.NORM_MARGIN, matrices.shape[-1] * (1.0 + linalg.NORM_MARGIN)
     return [(a * low, a * high) for a in np.abs(matrices).max(axis=(1, 2)).tolist()]
-
-
-def _frame_residuals(frame: CPTFrame) -> dict:
-    """``frame.residuals`` in one SVD: of the C-dependent residuals, after the P/T ones when
-    the frame carries no P/T check. Each norm is the frame check's, bit for bit."""
-    C, P, K, metric = frame.c, frame.p, frame.t.conj_matrix, frame.metric
-    eye, k_conj_p = np.eye(frame.dim), K @ np.conj(P)
-    matrices = [C @ C - eye, C @ P @ K - k_conj_p @ np.conj(C), metric - metric.conj().T]
-    if frame._pt is None:
-        matrices[:0] = [P @ P - eye, K @ np.conj(K) - eye, P @ K - k_conj_p]
-        axioms, residuals = _PT_AXIOMS + _C_AXIOMS, {}
-    else:
-        axioms, residuals = _C_AXIOMS, dict(frame._pt.residuals)
-    residuals.update(zip(axioms, linalg._svd_norms(np.stack(matrices)).tolist()))
-    residuals["metric min eigenvalue"] = float(frame.metric_eigenvalues[0])
-    return residuals
 
 
 def cpt_inner(frame: CPTFrame, x, y) -> complex:
@@ -356,8 +345,9 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     return _reports(_classify(pt_map, pt_norm, metric[None], H[None], tol))[0]
 
 
-# A stack's symmetry scan (see _classify): what linalg._eigenpairs gives for H, its norms those
-# of H, the PT and CPT residuals (exact only where needed), metrics and PT map; verdicts.
+# A stack's symmetry scan (see _classify): H's checked eigenpairs and their residuals
+# (linalg._solved_pairs, then linalg._check_pairs), the _Norms of H, the PT and CPT residuals
+# (exact only where needed) and the metrics; verdicts.
 _Scan = namedtuple("_Scan", "lams vecs resid norms pt_symmetric cpt_hermitian unbroken realness")
 
 
@@ -378,7 +368,9 @@ def _classify(pt_map: np.ndarray, pt_norm: float, metrics: np.ndarray, hams: np.
         pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
         cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
     norms = linalg._Norms((hams, pt_residual, cpt_residual, metrics), (False,) * 4)
-    lams, vecs, resid, _ = linalg._eigenpairs(hams, max(tol, linalg.DEFAULT_EIGEN_TOL), norms)
+    eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
+    lams, vecs, resid = linalg._solved_pairs(hams, eig_tol)
+    linalg._check_pairs(hams, resid, eig_tol, norms)
     realness = np.abs(lams.imag).max(axis=1)
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
     gaps = np.abs(lams[:, 1:] - lams[:, :-1])

@@ -448,18 +448,10 @@ def eigenpairs_stack(X, tol: float = DEFAULT_EIGEN_TOL) -> tuple[np.ndarray, np.
     stacked LAPACK solve, of the whole stack at once. The first matrix that
     fails raises :class:`ConvergenceError` with its position in ``index``.
     """
-    return _eigenpairs(X, tol)[:2]
-
-
-def _eigenpairs(X, tol: float, norms: Optional[_Norms] = None) -> tuple:
-    """:func:`eigenpairs_stack`, plus the pairs' residuals ||M v - lam v|| and the
-    :class:`_Norms` of their check, whose stack 0 holds ||M||; ``norms``, when given, must be
-    such a one for ``X``, which the check then takes instead of bounding the norms anew."""
     X = np.asarray(X, dtype=complex)
     lams, vecs, resid = _solved_pairs(X, tol)
-    norms = _Norms((X,), (False,)) if norms is None else norms
-    _check_pairs(X, resid, tol, norms)
-    return lams, vecs, resid, norms
+    _check_pairs(X, resid, tol, _Norms((X,), (False,)))
+    return lams, vecs
 
 
 def _solved_pairs(X: np.ndarray, tol: float) -> tuple:

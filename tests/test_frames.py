@@ -592,15 +592,44 @@ def test_settled_report_read_by_a_second_thread_norms_its_residuals_again():
 
 
 def test_frame_no_check_built_norms_all_its_residuals_when_read(monkeypatch):
-    # A frame built directly carries no P/T check: reading its residuals norms the six
-    # residual matrices of its own C, P and T in one SVD.
+    # A frame built directly carries no P/T check: reading its residuals runs the P/T check
+    # on its own P and T, then the stacked check of its C, as a frame check does.
     _, C, P = two_level_matrices(1.0, 0.7)
     checked = validate_frames(C, P, conjugation())
     frame = frames.CPTFrame(c=checked.c, p=checked.p, t=checked.t, metric=checked.metric,
                             metric_eigenvalues=checked.metric_eigenvalues)
     sizes = _svd_sizes(monkeypatch)
     assert repr(frame.residuals) == repr(reference_frame_residuals(C, P, np.eye(2)))
-    assert sizes == [6]
+    # the P/T check's SVD (P, K and PK; its residuals are all zero), then the C check's (the
+    # C^2 = I residual; the other two are zero), and nothing more on a second read
+    assert frame.residuals is frame.residuals and sizes == [3, 1]
+
+
+def test_frame_no_check_built_raises_its_first_failing_axiom_when_read():
+    # A frame built directly from a C with C^2 = 4I: the read raises the error the frame
+    # check of its C, P and T raises, naming no time and no grid position.
+    _, C, P = two_level_matrices(1.0, 0.7)
+    with pytest.raises(FrameAxiomError) as expected:
+        validate_frames(2 * C, P, conjugation())
+    frame = frames.CPTFrame(c=2 * C, p=P, t=conjugation(), metric=P @ (2 * C),
+                            metric_eigenvalues=np.linalg.eigvalsh(P @ (2 * C)))
+    with pytest.raises(FrameAxiomError) as err:
+        frame.residuals
+    assert err.value.axiom == "C^2 = I" and str(err.value) == str(expected.value)
+    assert " at t=" not in str(err.value) and err.value.index is None
+
+
+def test_replaced_frame_residuals_are_those_of_its_c_p_and_t():
+    # dataclasses.replace keeps no check: the residuals of a frame whose metric was replaced
+    # are taken from its C, P and T, not from the metric it carries. This frame's metric
+    # Hermitian residual is nonzero, so that of 4 PC would read four times as large.
+    C, P, K = random_frame_matrices(np.random.default_rng(0), 4)
+    checked = validate_frames(C, P, AntilinearOperator(K))
+    assert checked.residuals["metric Hermitian"] > 0.0
+    frame = dataclasses.replace(checked, metric=4 * checked.metric)
+    assert frame._pt is None and frame._residuals is None
+    assert repr(frame.residuals) == repr(reference_frame_residuals(C, P, K))
+    assert repr(frame.residuals) == repr(checked.residuals)
 
 
 @pytest.mark.parametrize("tol, message", [
