@@ -14,7 +14,7 @@ import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,11 +70,9 @@ class CPTFrame:
     metric: np.ndarray
     metric_eigenvalues: np.ndarray
     tol: float = DEFAULT_FRAME_TOL
-    # Set by the frame check: the bracket (lo, hi) of ||PC|| from PC's entries (see _brackets),
-    # which symmetry_report reads, and the P/T part of the check (_PT), which it and residuals
-    # read. A frame built otherwise, or by dataclasses.replace, has neither. _residuals holds
-    # the residuals once taken.
-    _metric_norm: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # Set by the frame check: its P/T part (_PT), which symmetry_report and residuals read. A
+    # frame built otherwise, or by dataclasses.replace, has none: those two take the P/T check
+    # of its own P and T (_pt_axioms). _residuals holds the residuals once taken.
     _pt: Optional[_PT] = field(default=None, init=False, repr=False, compare=False)
     _residuals: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
@@ -185,18 +183,20 @@ def validate_frames(C, P, T: AntilinearOperator, tol: float = DEFAULT_FRAME_TOL)
 
     Axioms checked, each with its own named :class:`FrameAxiomError`:
     P^2 = I, T^2 = I, PT = TP, C^2 = I, CPT = TPC, metric Hermitian,
-    metric positive definite. The checks are decided from the norms' bracket
-    where it settles every one of them, else by reading the frame's
-    :attr:`CPTFrame.residuals`, the stacked check of :meth:`FrameFamily.on_grid`
-    on this one point. A frame the bracket passed takes those exact SVD norms
-    when they are first read.
+    metric positive definite. C and P are coerced by ``as_operator`` first,
+    so a malformed matrix is reported before a bad ``tol``. The checks are
+    decided from the norms' bracket where it settles every one of them, else
+    by reading the frame's :attr:`CPTFrame.residuals`, the stacked check of
+    :meth:`FrameFamily.on_grid` on this one point. A frame the bracket passed
+    takes those exact SVD norms when they are first read.
     """
-    return _validated(C, P, T, tol)
+    return _validated(as_operator(C, "C"), as_operator(P, "P"), T, tol)
 
 
-def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None) -> CPTFrame:
-    """:func:`validate_frames`, with the P/T axioms taken from ``pt`` when given (see :func:`_pt_axioms`);
-    C and P must then come coerced by ``as_operator``, as a family's C(t) and P do.
+def _validated(C: np.ndarray, P: np.ndarray, T: AntilinearOperator, tol: float,
+               pt: Optional[_PT] = None) -> CPTFrame:
+    """:func:`validate_frames` of C and P coerced by ``as_operator`` (as a family's C(t) and P
+    are), with the P/T axioms taken from ``pt`` when given, else checked by :func:`_pt_axioms`.
 
     The one-point case of :func:`_c_axioms`, on Python floats. The five matrices C, PC and
     the three residuals are bounded by their :func:`_brackets` and PC's spectrum taken by one
@@ -207,8 +207,6 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if pt is None:
-        C, P = as_operator(C, "C"), as_operator(P, "P")
     K = T.conj_matrix
     n = P.shape[0]
     if C.shape[0] != n or K.shape[0] != n:
@@ -221,7 +219,7 @@ def _validated(C, P, T: AntilinearOperator, tol: float, pt: Optional[_PT] = None
         (C, metric, C @ C - pt.eye, C @ P @ K - pt.k_conj_p @ np.conj(C), metric - metric_h)))
     scales = nC * nC, nC * pt.p_norm * pt.k_norm, bracket[0]  # least scales of _C_AXIOMS
     frame = CPTFrame(c=C, p=P, t=T, metric=metric, metric_eigenvalues=eigs, tol=tol)
-    frame.__dict__.update(_metric_norm=bracket, _pt=pt)
+    frame.__dict__.update(_pt=pt)
     # strict comparisons, so an infinite or NaN bound settles nothing
     if not (eigs[0] > tol * bracket[1]
             and all(hi < tol * max(scale, 1.0) for (_, hi), scale in zip(resids, scales))):
@@ -286,7 +284,7 @@ class SymmetryReport:
         if pending is None or name not in ("pt_residual", "cpt_residual"):
             raise AttributeError(f"'SymmetryReport' object has no attribute '{name}'")
         # The matrices stay: a second thread reading at once norms them again, to the same bits.
-        self.__dict__.update(zip(("pt_residual", "cpt_residual"), linalg._svd_norms(pending).tolist()))
+        self.__dict__.update(zip(("pt_residual", "cpt_residual"), operator_norms(pending).tolist()))
         return self.__dict__[name]
 
 
@@ -300,25 +298,26 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
     PT-invariance as a subspace (individual vectors are gauge-ambiguous
     there), and the fallback is logged. This is the one-point case of
     :meth:`FrameGrid.symmetry_reports`, on Python floats, decided from the
-    :func:`_brackets` of ||H|| and the two residual norms, and the frame
-    check's bracket of ||PC||, where they settle every check and pass the
-    eigenpairs; the residual norms are then taken when read. Otherwise (an
-    open check, a bound that is not finite, or a frame no check built) the
-    stacked scan :func:`_classify` of this one point gives the report.
+    :func:`_brackets` of ||H||, the two residual norms and ||PC|| where they
+    settle every check and pass the eigenpairs; the residual norms are then
+    taken when read. Otherwise (an open check or a bound that is not finite)
+    the stacked scan :func:`_classify` of this one point gives the report.
+    The PT map and ||PK|| come from the frame's P/T check, or, for a frame
+    no check built, from :func:`_pt_axioms` of its own P and T, which raises
+    the :class:`FrameAxiomError` of an axiom they fail, naming no time.
     """
     H = as_operator(H, "H")
     if H.shape[0] != frame.dim:
         raise ValueError(f"operator dim {H.shape[0]} does not match frame dim {frame.dim}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # The PT map PK, ||PK|| and ||PC||'s bracket come from the frame check; a frame the check
-    # did not build (or dataclasses.replace rebuilt) has none, and takes the stacked scan.
-    pt, metric = frame._pt, frame.metric
-    pt_map = frame.p @ frame.t.conj_matrix if pt is None else pt.pt_map
+    pt = frame._pt or _pt_axioms(frame.p, frame.t.conj_matrix, frame.tol)
+    pt_map, metric = pt.pt_map, frame.metric
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm
-        matrices = np.stack((H, H @ pt_map - pt_map @ np.conj(H), H.conj().T @ metric - metric @ H))
+        matrices = np.stack((H, H @ pt_map - pt_map @ np.conj(H), H.conj().T @ metric - metric @ H,
+                             metric))
     bounds = _brackets(matrices)
-    if pt is not None and all(math.isfinite(hi) for _, hi in bounds):
+    if all(math.isfinite(hi) for _, hi in bounds):
         eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
         lams, vecs, resid = (x[0] for x in linalg._solved_pairs(H[None], eig_tol))
         gaps, worst = np.abs(lams[1:] - lams[:-1]), float(resid.max())  # worst: NaN if one is
@@ -327,7 +326,7 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
             return (n_pt <= tol * max(nH, 1e-300), n_cpt <= tol * max(nH * nM, 1e-300),
                     worst <= eig_tol * max(nH, 1e-300), *(gaps <= tol * max(nH, 1.0)).tolist())
 
-        ((h_lo, h_hi), (p_lo, p_hi), (c_lo, c_hi)), (m_lo, m_hi) = bounds, frame._metric_norm
+        (h_lo, h_hi), (p_lo, p_hi), (c_lo, c_hi), (m_lo, m_hi) = bounds
         settled = verdicts(h_lo, p_hi, c_hi, m_lo)
         if settled[2] and settled == verdicts(h_hi, p_lo, c_lo, m_hi):
             pt_symmetric, cpt_hermitian, _, *joined = settled
@@ -339,10 +338,9 @@ def symmetry_report(frame: CPTFrame, H, tol: float = DEFAULT_FRAME_TOL) -> Symme
             report = object.__new__(SymmetryReport)  # the residual norms are taken when read
             report.__dict__.update(pt_symmetric=pt_symmetric, cpt_hermitian=cpt_hermitian,
                                    unbroken=unbroken, eigen_realness=float(np.abs(lams.imag).max()),
-                                   _residual_matrices=matrices[1:])
+                                   _residual_matrices=matrices[1:3])
             return report
-    pt_norm = linalg.operator_norm(pt_map) if pt is None else pt.pt_norm
-    return _reports(_classify(pt_map, pt_norm, metric[None], H[None], tol))[0]
+    return _reports(_classify(pt, metric[None], H[None], tol))[0]
 
 
 # A stack's symmetry scan (see _classify): H's checked eigenpairs and their residuals
@@ -358,14 +356,13 @@ def _reports(scan: _Scan) -> list[SymmetryReport]:
         scan.realness.tolist(), scan.norms.exact(1).tolist(), scan.norms.exact(2).tolist())]
 
 
-def _classify(pt_map: np.ndarray, pt_norm: float, metrics: np.ndarray, hams: np.ndarray,
-              tol: float) -> _Scan:
-    """The symmetry scan of a stack of H against a stack of metrics PC, given the PT map PK
-    and its norm ||PK||."""
+def _classify(pt: _PT, metrics: np.ndarray, hams: np.ndarray, tol: float) -> _Scan:
+    """The symmetry scan of a stack of H against a stack of metrics PC, given the P/T check
+    ``pt`` (see :func:`_pt_axioms`), whose PT map PK and ||PK|| it takes."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SVD norm below
-        pt_residual = hams @ pt_map - pt_map @ np.conj(hams)
+        pt_residual = hams @ pt.pt_map - pt.pt_map @ np.conj(hams)
         cpt_residual = hams.conj().swapaxes(-1, -2) @ metrics - metrics @ hams
     norms = linalg._Norms((hams, pt_residual, cpt_residual, metrics), (False,) * 4)
     eig_tol = max(tol, linalg.DEFAULT_EIGEN_TOL)
@@ -375,13 +372,13 @@ def _classify(pt_map: np.ndarray, pt_norm: float, metrics: np.ndarray, hams: np.
     # joined[k, i]: eigenvalue i + 1 is within tol of eigenvalue i, in one cluster with it.
     gaps = np.abs(lams[:, 1:] - lams[:, :-1])
     joined = norms.decide(lambda nH: gaps <= tol * np.maximum(nH, 1.0)[:, None], 0)
-    vec_tol = tol * max(1.0, pt_norm)
+    vec_tol = tol * max(1.0, pt.pt_norm)
     pt_symmetric = norms.decide(lambda nH, nR: nR <= tol * np.maximum(nH, 1e-300), 0, 1,
                                 falling=(1,))
-    unbroken = pt_symmetric & ~_fails(vecs, joined, pt_map, vec_tol, tol).any(axis=1)
+    unbroken = pt_symmetric & ~_fails(vecs, joined, pt.pt_map, vec_tol, tol).any(axis=1)
     clusters = np.flatnonzero(unbroken & joined.any(axis=1))
     for k in clusters:
-        unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt_map, vec_tol)
+        unbroken[k] = _clusters_invariant(lams[k], vecs[k], joined[k], pt.pt_map, vec_tol)
     cpt_hermitian = norms.decide(lambda nH, nM, nR: nR <= tol * np.maximum(nH * nM, 1e-300),
                                  0, 3, 2, falling=(2,))
     return _Scan(lams, vecs, resid, norms, pt_symmetric, cpt_hermitian, unbroken, realness)
@@ -555,17 +552,21 @@ class FrameGrid:
         """:func:`symmetry_report` at every grid time, for the stack hams[k] = H(t_k).
 
         A norm or eigensolve that fails raises :class:`ConvergenceError`
-        naming the grid time of the failing matrix.
+        with the failing point in ``index``; one of the scan (:meth:`_scan`)
+        also names its grid time.
         """
-        return self._scan(hams, tol, _reports)
+        return _reports(self._scan(hams, tol))
 
-    def _scan(self, hams, tol: float, then: Callable = lambda scan: scan):
-        """``then`` of the :class:`_Scan` of hams[k] = H(t_k), raising as symmetry_reports."""
+    def _scan(self, hams, tol: float) -> _Scan:
+        """The :class:`_Scan` of hams[k] = H(t_k) against the grid's metrics, with the family's
+        P/T check. A norm or eigensolve of the scan that fails raises :class:`ConvergenceError`
+        naming the grid time of the failing matrix; the exact residual norms a caller reads
+        later (as :func:`_reports` does) raise without it."""
         hams = np.asarray(hams, dtype=complex)
         if hams.shape != self.metric.shape:
             raise ValueError(f"operator stack {hams.shape} does not match the grid {self.metric.shape}")
         try:
-            return then(_classify(self._pt.pt_map, self._pt.pt_norm, self.metric, hams, tol))
+            return _classify(self._pt, self.metric, hams, tol)
         except ConvergenceError as exc:
             raise ConvergenceError(f"symmetry scan at t={self.times[exc.index]}: {exc}",
                                    exc.index) from exc

@@ -134,10 +134,15 @@ class OperatorFamily:
     def stack(self, times) -> np.ndarray:
         """M(t) at each of ``times`` as one (n, d, d) array, evaluated in order up to the first
         time outside the domain; raises what :meth:`__call__` raises at the earliest failing time."""
+        return self._in_domain(self.evaluate, times, "family value")
+
+    def _in_domain(self, fn: Callable, times, name: str) -> np.ndarray:
+        """``_stack_of(fn, times, name)`` on the times before the first one outside the domain,
+        whose ValueError is raised unless a value before it fails first."""
         times = np.asarray(times, dtype=float)
         outside = (times < self.t_start) | (times > self.t_end)
         n = int(np.argmax(outside)) if outside.any() else times.size
-        out = _stack_of(self.evaluate, times[:n], "family value", self.vectorized)
+        out = _stack_of(fn, times[:n], name, self.vectorized)
         if n < times.size:
             raise _at(n, ValueError(f"t={times[n]} outside family domain [{self.t_start}, {self.t_end}]"))
         return out
@@ -255,23 +260,6 @@ def operator_norms(X) -> np.ndarray:
     return _Norms((X.reshape(-1, *X.shape[-2:]),), (True,)).lo.reshape(X.shape[:-2])
 
 
-def _svd_norms(X: np.ndarray, point: Callable[[int], int] = lambda j: 0) -> np.ndarray:
-    """Largest singular value of each matrix of the stack X, by one LAPACK SVD (the routine
-    ``np.linalg.norm(A, 2)`` takes). When it fails, the first matrix j whose SVD fails on its
-    own raises :class:`ConvergenceError` naming point ``point(j)`` (point 0 by default)."""
-    try:
-        return np.linalg.svd(X, compute_uv=False).max(axis=-1)
-    except np.linalg.LinAlgError:
-        for j, A in enumerate(X):
-            try:
-                np.linalg.svd(A, compute_uv=False)
-            except np.linalg.LinAlgError as exc:
-                k = point(j)
-                raise ConvergenceError(f"SVD did not converge for stack matrix {k}",
-                                       index=k) from exc
-        raise
-
-
 class _Norms:
     """Operator norms ||A||_2 of the matrices of stacks, as bounds ``lo <= ||A||_2 <= hi``
     that an SVD makes exact (``lo = hi``, the value :func:`operator_norms` gives).
@@ -309,10 +297,22 @@ class _Norms:
 
     def _svd(self, todo: np.ndarray) -> np.ndarray:
         """Largest singular values of the matrices in the mask ``todo``, in the order of the
-        stacks' concatenation, by one :func:`_svd_norms`."""
+        stacks' concatenation, by one LAPACK SVD (the routine ``np.linalg.norm(A, 2)`` takes).
+        When it fails, the first of these matrices whose SVD fails on its own, matrix j of the
+        concatenation, raises :class:`ConvergenceError` naming point start + j mod n."""
         X = np.concatenate([stack[todo[part]] for stack, part in zip(self._stacks, self._parts)
                             if stack is not None])  # only the matrices asked for are copied
-        return _svd_norms(X, lambda j: self._start + int(np.flatnonzero(todo)[j]) % self._n)
+        try:
+            return np.linalg.svd(X, compute_uv=False).max(axis=-1)
+        except np.linalg.LinAlgError:
+            for j, A in zip(np.flatnonzero(todo), X):
+                try:
+                    np.linalg.svd(A, compute_uv=False)
+                except np.linalg.LinAlgError as exc:
+                    k = self._start + int(j) % self._n
+                    raise ConvergenceError(f"SVD did not converge for stack matrix {k}",
+                                           index=k) from exc
+            raise
 
     def _make_exact(self, todo: np.ndarray):
         """Make the norms of the matrices in the mask ``todo`` exact."""
@@ -490,14 +490,15 @@ def _check_pairs(X: np.ndarray, resid: np.ndarray, tol: float, norms: _Norms):
 def family_derivatives(F: OperatorFamily, times) -> tuple[np.ndarray, int]:
     """d/dt of an operator family at each of ``times`` (an (n, d, d) stack), and the one-sided count.
 
-    The analytic derivative if the family has one, else central differences
-    with step h = ``1e-5 * max(1, |t|)``, one-sided near a domain edge.
-    Evaluated as one stack in point-by-point order, so values and the
-    earliest failing time's error are the one-point stencil's. No logging.
+    The analytic derivative if the family has one, on the family's domain as
+    :meth:`OperatorFamily.stack` takes it, else central differences with step
+    h = ``1e-5 * max(1, |t|)``, one-sided near a domain edge. Evaluated as
+    one stack in point-by-point order, so values and the earliest failing
+    time's error are the one-point stencil's. No logging.
     """
-    times = np.asarray(times, dtype=float)
     if F.derivative is not None:
-        return _stack_of(F.derivative, times, "family derivative", F.vectorized), 0
+        return F._in_domain(F.derivative, times, "family derivative"), 0
+    times = np.asarray(times, dtype=float)
     h = 1e-5 * np.fmax(1.0, np.abs(times))  # fmax: a NaN t keeps h = 1e-5, as max() does
     lo, hi = F.t_start, F.t_end
     central = (times - h >= lo) & (times + h <= hi)

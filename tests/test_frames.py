@@ -545,7 +545,7 @@ def _check_one_point_kernels(seed, dim, omega, tol, declined):
 
 
 def _svd_sizes(monkeypatch) -> list:
-    """The number of matrices of each ``np.linalg.svd`` call from here on (``linalg._svd_norms``
+    """The number of matrices of each ``np.linalg.svd`` call from here on (``linalg._Norms``
     calls it for every operator norm)."""
     svd, sizes = np.linalg.svd, []
 
@@ -702,7 +702,8 @@ def test_one_point_report_decides_an_open_verdict_from_the_exact_norms(monkeypat
     tol = 1e-10
     eye = np.eye(3, dtype=complex)
     frame = validate_frames(eye, eye, conjugation(3))
-    assert frame._metric_norm[0] < frame._metric_norm[1]
+    ((metric_lo, metric_hi),) = frames._brackets(frame.metric[None])
+    assert metric_lo < metric_hi
     gap = ratio * tol * 10.0 if verdict == "joined" else 1.0
     S = _SPREAD @ np.diag([-10.0, 10.0, 10.0 + gap]) @ _SPREAD.T
     H = (0.5 * (S + S.T)).astype(complex)
@@ -782,6 +783,65 @@ def test_replaced_frame_is_classified_with_its_own_metric():
     assert report.cpt_hermitian
 
 
+@pytest.mark.parametrize("replaced", [False, True], ids=["direct", "replaced"])
+def test_report_on_a_frame_no_check_built_takes_its_own_pt_check(monkeypatch, replaced):
+    # A frame built directly, or by dataclasses.replace, carries no P/T check: the report
+    # runs it on the frame's own P and T (one SVD of P, K, PK and the nonzero P^2 = I
+    # residual), then settles every verdict from the bracket, and takes no further SVD
+    # until a residual is read.
+    ham, fam = rotating_frame_model(0, 8, 1.3)
+    checked, H = fam.frame_at(0.4), ham(0.4)
+    frame = (dataclasses.replace(checked) if replaced else frames.CPTFrame(
+        c=checked.c, p=checked.p, t=checked.t, metric=checked.metric,
+        metric_eigenvalues=checked.metric_eigenvalues))
+    assert frame._pt is None
+    reference = reference_symmetry_report(frame, H, frames.DEFAULT_FRAME_TOL)
+    sizes = _svd_sizes(monkeypatch)
+    report = symmetry_report(frame, H)
+    assert sizes == [4]
+    assert report.pt_residual == reference.pt_residual and sizes == [4, 2]
+    assert repr(report) == repr(reference) and sizes == [4, 2]
+
+
+def test_report_on_a_frame_no_check_built_raises_its_first_failing_axiom():
+    # A frame built directly from a P with P^2 = 4I: the report raises the error the frame
+    # check of its C, P and T raises, naming no time and no grid position.
+    H, C, P = two_level_matrices(1.0, 0.7)
+    with pytest.raises(FrameAxiomError) as expected:
+        validate_frames(C, 2 * P, conjugation())
+    frame = frames.CPTFrame(c=C, p=2 * P, t=conjugation(), metric=2 * P @ C,
+                            metric_eigenvalues=np.linalg.eigvalsh(2 * P @ C))
+    with pytest.raises(FrameAxiomError) as err:
+        symmetry_report(frame, H)
+    assert err.value.axiom == "P^2 = I" and str(err.value) == str(expected.value)
+    assert " at t=" not in str(err.value) and err.value.index is None
+
+
+def test_report_is_broken_where_pt_maps_a_cluster_out_of_its_span(caplog):
+    # H is PT-symmetric within tol (PT is conjugation here) and metric-Hermitian. Its levels
+    # are two joined pairs {0, delta} and {G, G + delta}, one gap G apart, and a far level L:
+    # tol*||H|| ~ 1e-4 joins each pair but not the two. The PT-odd i eps coupling of the
+    # pairs mixes them with a complex weight of about eps/G, far above tol: each pair's
+    # eigenvectors pass the per-vector check only because they are clustered, and PT maps
+    # the first pair's span out of itself. Every bound is settled, so the one-point report
+    # takes its own cluster test; the stacked scan and the reference agree.
+    tol = 1e-10
+    eye = np.eye(5, dtype=complex)
+    frame = validate_frames(eye, eye, conjugation(5))
+    delta, G, L, eps = 1e-5, 1e-3, 1e6, 5e-6
+    H = np.diag([0.0, delta, G, G + delta, L]).astype(complex)
+    H[1, 2], H[2, 1] = 1j * eps, -1j * eps
+    with caplog.at_level(logging.INFO, logger="ptdyn.frames"):
+        report = symmetry_report(frame, H, tol)
+    assert "_residual_matrices" in report.__dict__  # settled by the bracket
+    assert "degenerate eigenvalue cluster" in caplog.text
+    assert report.pt_symmetric and report.cpt_hermitian and not report.unbroken
+    assert repr(report) == repr(reference_symmetry_report(frame, H, tol))
+    grid = np.linspace(0.0, 1.0, 3)
+    reports = FrameFamily.constant(frame).on_grid(grid).symmetry_reports(np.stack([H] * 3), tol)
+    assert repr(reports) == repr([report] * 3)
+
+
 @pytest.mark.parametrize("eps, unbroken", [(8.5e-11, True), (1.3e-10, False)])
 def test_reports_scale_the_eigenvector_check_by_the_pt_maps_norm(eps, unbroken):
     # P = [[1, 2], [0, -1]] with T = conjugation: P^2 = I, the metric PC = P^2 is I, and
@@ -832,8 +892,7 @@ def test_batched_norm_failure_names_the_point_within_the_stack():
     hams = np.stack([H] * n)
     hams[k] = np.diag([1e308 * (1 + 1j), 1.0])
     with pytest.raises(ConvergenceError, match=f"^SVD did not converge for stack matrix {k}$") as err:
-        frames._classify(frame._pt.pt_map, frame._pt.pt_norm, np.stack([frame.metric] * n), hams,
-                         1e-10)
+        frames._classify(frame._pt, np.stack([frame.metric] * n), hams, 1e-10)
     assert err.value.index == k
     grid = np.linspace(0.0, 1.0, n)
     with pytest.raises(ConvergenceError) as err:

@@ -518,6 +518,32 @@ def test_family_derivatives_name_the_failing_time_in_index():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_analytic_derivatives_obey_the_family_domain(vectorized):
+    # With or without its analytic derivative, a family differenced past its domain raises
+    # the error its stack raises there, naming that time and its position; the analytic
+    # derivative is not called there. Inside the domain its values are the derivative's.
+    seen = []
+
+    def derivative(t):
+        seen.append(t)
+        return np.cos(t)[..., None, None] * STENCIL_M
+
+    analytic = OperatorFamily(0.0, 1.0, lambda t: np.sin(t)[..., None, None] * STENCIL_M,
+                              derivative, vectorized=vectorized)
+    for fam in (analytic, DIFFERENCED):
+        with pytest.raises(ValueError) as err:
+            family_derivatives(fam, [0.5, 2.0])
+        assert str(err.value) == "t=2.0 outside family domain [0.0, 1.0]" and err.value.index == 1
+    with pytest.raises(ValueError) as err:
+        analytic.stack([0.5, 2.0])
+    assert str(err.value) == "t=2.0 outside family domain [0.0, 1.0]" and err.value.index == 1
+    assert 2.0 not in np.hstack(seen)
+    values, one_sided = family_derivatives(analytic, [0.25, 0.5])
+    assert same_bits(values, np.array([ANALYTIC.derivative(t) for t in (0.25, 0.5)]))
+    assert one_sided == 0
+
+
 # ---------------------------------------------------------- AntilinearOperator
 
 def test_antilinear_operator_apply():
